@@ -45,6 +45,7 @@ from .runconfig import ConfigError, RunConfig, load_config, parse_config_text
 from .runner import InvalidThetaError, generate_samples, run_experiment
 from .stats import (
     DegeneratePairError,
+    DegenerateSampleError,
     Estimate,
     NormalityReport,
     StructuralBound,
@@ -67,6 +68,7 @@ __all__ = [
     "Angle",
     "ConfigError",
     "DegeneratePairError",
+    "DegenerateSampleError",
     "Estimate",
     "EvaluationGrid",
     "HORIZON_CAP",

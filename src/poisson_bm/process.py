@@ -21,13 +21,18 @@ from typing import Sequence
 import numpy as np
 
 from .angles import ThetaConfig
-from .poisson import PoissonPath, integral_from_zero
+from .poisson import PoissonPath, _level_values
 
 # Upper bound on the rescaled horizon 2T/eps^2; runs above it would need
 # gigabyte-scale paths and are refused.
 HORIZON_CAP = 1.0e9
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# Level tables kept at once, one per angle configuration. A run uses one
+# config; the bound keeps a long-lived process from piling them up.
+LEVEL_CACHE_SIZE = 8
+_LEVEL_TABLES: dict[ThetaConfig, np.ndarray] = {}
 
 
 def map_to_path_time(t: float, epsilon: float) -> float:
@@ -121,6 +126,29 @@ class IncrementTable:
     deltas: np.ndarray  # shape (dimension, len(pairs))
 
 
+def _level_table(config: ThetaConfig, n_levels: int) -> np.ndarray:
+    """Read-only (dimension, >= n_levels) table of trig(theta_i * k), k = 0, 1, ...
+
+    Row i is ``_level_values`` of component i, so every entry is the value
+    the per-component integral uses; a level's value does not depend on
+    the table length. Tables are cached per config and regrown to the
+    new need when a longer path arrives.
+    """
+    table = _LEVEL_TABLES.get(config)
+    if table is not None and table.shape[1] >= n_levels:
+        return table
+    _LEVEL_TABLES.pop(config, None)  # release the short table before regrowing
+    del table
+    if len(_LEVEL_TABLES) >= LEVEL_CACHE_SIZE:
+        del _LEVEL_TABLES[next(iter(_LEVEL_TABLES))]  # evict the oldest config
+    table = np.empty((config.dimension, n_levels))
+    for c, angle in enumerate(config.angles):
+        table[c] = _level_values(angle, n_levels, config.component_kind(c))
+    table.flags.writeable = False
+    _LEVEL_TABLES[config] = table
+    return table
+
+
 def build_sample(
     path: PoissonPath,
     epsilon: float,
@@ -129,10 +157,12 @@ def build_sample(
 ) -> ProcessSample:
     """Evaluate every component on the grid from one shared Poisson path.
 
-    Cost is O(jumps + dimension * grid size): each component reuses one
-    prefix-sum pass over the path. Values at a grid time t agree bit for
-    bit with eps * trig_integral(path, theta, 0, 2t/eps^2, kind), with
-    the 1/sqrt(2) factor applied afterwards for pi-rescaled components.
+    Cost is O(dimension * jumps) adds: the level values trig(theta_i * k)
+    come from a table cached per config, and one 2-D prefix sum over the
+    path's jump segments serves all components. Values at a grid time t
+    agree bit for bit with eps * trig_integral(path, theta, 0, 2t/eps^2,
+    kind), with the 1/sqrt(2) factor applied afterwards for pi-rescaled
+    components.
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
@@ -147,19 +177,29 @@ def build_sample(
             f"need 2T/eps^2 = {needed:.6g}"
         )
 
-    xs = np.array([map_to_path_time(t, epsilon) for t in grid.times])
-    rescale = {i - 1 for i in config.pi_rescaled_indices}
-
-    rows = []
-    for c, angle in enumerate(config.angles):
-        kind = config.component_kind(c)
-        row = epsilon * integral_from_zero(path, angle, kind, xs)
-        if c in rescale:
-            row = row * INV_SQRT2
-        rows.append(row)
-    return ProcessSample(
-        epsilon=float(epsilon), config=config, grid=grid, values=np.vstack(rows)
+    # map_to_path_time over the whole grid, same long-double steps
+    eps_ld = np.longdouble(epsilon)
+    xs = np.asarray(
+        np.longdouble(2.0) * grid.times.astype(np.longdouble) / (eps_ld * eps_ld),
+        dtype=np.float64,
     )
+    # the steps of integral_from_zero, run for all components at once;
+    # count level k holds on [starts[k], starts[k + 1])
+    jumps = path.jump_times
+    n = jumps.size
+    starts = np.empty(n + 1)
+    starts[0] = 0.0
+    starts[1:] = jumps
+    levels = _level_table(config, n + 1)
+    prefix = np.empty((config.dimension, n + 1))
+    prefix[:, 0] = 0.0
+    np.multiply(levels[:, :n], starts[1:] - starts[:-1], out=prefix[:, 1:])
+    np.cumsum(prefix[:, 1:], axis=1, out=prefix[:, 1:])
+    j = np.searchsorted(jumps, xs, side="right")
+    values = epsilon * (prefix[:, j] + levels[:, j] * (xs - starts[j]))
+    for i in config.pi_rescaled_indices:
+        values[i - 1] *= INV_SQRT2
+    return ProcessSample(epsilon=float(epsilon), config=config, grid=grid, values=values)
 
 
 def increments(

@@ -99,10 +99,21 @@ class RunConfig:
         unknown = [c for c in self.checks if c != "default" and c not in ALL_CHECKS]
         if unknown:
             raise ConfigError(f"unknown checks: {', '.join(unknown)}")
-        if CHECK_NORMALITY in self.resolved_checks and self.replications_M < 100:
+        checks = self.resolved_checks
+        if CHECK_NORMALITY in checks and self.replications_M < 100:
             raise ConfigError(
                 "the normality check needs replications_M >= 100; "
                 "raise M or drop the check"
+            )
+        if CHECK_MARTINGALE in checks and self.grid_points < 2:
+            raise ConfigError(
+                "the martingale check needs grid_points >= 2; "
+                "raise grid_points or drop the check"
+            )
+        if CHECK_STROOCK in checks and not any(a.is_pi for a in self.theta.cos_block):
+            raise ConfigError(
+                "the stroock check needs an angle-pi cosine component; "
+                "add pi to cos_block or drop the check"
             )
 
     @property

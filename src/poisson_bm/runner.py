@@ -34,6 +34,7 @@ from .runconfig import (
 from .rng import derive_stream
 from .stats import (
     DegeneratePairError,
+    DegenerateSampleError,
     Estimate,
     TestFunctionSpec,
     correlation_matrix,
@@ -79,6 +80,16 @@ ANCHOR_EPSILON = 0.05
 ANCHOR_TARGET = 3.0
 ANCHOR_HALF_WIDTH = 0.5
 SWEEP_MAX_OVER_MIN = 10.0
+
+# Reasons carried by assertions whose statistic is undefined because a
+# component does not move (a counterexample such as sin(pi * N) = 0).
+ZERO_FOURTH_MOMENT = (
+    "E[Delta^4] is exactly zero on a dyadic interval: the component does not move "
+    "there, so no max/min ratio exists"
+)
+ZERO_CROSS_MOMENT = (
+    "a cross moment and its standard error are exactly zero: no log-log slope exists"
+)
 
 
 class InvalidThetaError(ConfigError):
@@ -148,8 +159,9 @@ def generate_samples(
 
 
 def _assertion(name: str, value: float, std_error: float | None,
-               target: float | None, band: float | None, ok: bool) -> dict:
-    return {
+               target: float | None, band: float | None, ok: bool,
+               reason: str | None = None) -> dict:
+    out = {
         "name": name,
         "value": float(value),
         "std_error": None if std_error is None else float(std_error),
@@ -157,6 +169,9 @@ def _assertion(name: str, value: float, std_error: float | None,
         "band": None if band is None else float(band),
         "pass": bool(ok),
     }
+    if reason is not None:
+        out["reason"] = reason
+    return out
 
 
 def _band_assertion(name: str, est: Estimate, target: float) -> dict:
@@ -290,10 +305,12 @@ def _check_fourth_moment(samples: list[ProcessSample], T: float) -> dict:
                     "std_error": float(est.std_error),
                 }
             )
-        spread = max(per_pair) / min(per_pair)
+        lowest = min(per_pair)
+        spread = max(per_pair) / lowest if lowest > 0.0 else math.nan
         assertions.append(
             _assertion(f"r4_spread[{c + 1}]", spread, None, None, SWEEP_MAX_OVER_MIN,
-                       spread <= SWEEP_MAX_OVER_MIN)
+                       spread <= SWEEP_MAX_OVER_MIN,
+                       reason=None if lowest > 0.0 else ZERO_FOURTH_MOMENT)
         )
     return {
         "name": CHECK_FOURTH_MOMENT,
@@ -319,11 +336,20 @@ def _check_normality(samples: list[ProcessSample], T: float, M: int) -> dict:
     skew_band = SKEW_BAND_REF * scale
     kurt_band = KURT_BAND_REF * scale
     deltas = np.stack([s.at_time(T) - s.at_time(0.0) for s in samples])
+    crit = KS_CRIT_1PCT / math.sqrt(deltas.shape[0])
     assertions = []
     histograms = {}
     for c in range(d):
-        rep = normality_check(deltas[:, c])
-        crit = KS_CRIT_1PCT / math.sqrt(rep.count)
+        try:
+            rep = normality_check(deltas[:, c])
+        except DegenerateSampleError as exc:
+            for label, target, band in (("skew", 0.0, skew_band), ("kurt", 0.0, kurt_band),
+                                        ("ks", None, crit)):
+                assertions.append(
+                    _assertion(f"{label}[{c + 1}]", math.nan, None, target, band, False,
+                               reason=str(exc))
+                )
+            continue  # no spread to bin: no histogram either
         assertions.append(
             _assertion(f"skew[{c + 1}]", rep.skewness, None, 0.0, skew_band,
                        abs(rep.skewness) <= skew_band)
@@ -347,9 +373,7 @@ def _check_normality(samples: list[ProcessSample], T: float, M: int) -> dict:
 
 def _check_martingale(samples: list[ProcessSample], T: float) -> dict:
     grid = samples[0].grid
-    times = grid.times
-    if len(times) < 3:
-        raise ConfigError("martingale check needs at least 2 grid steps")
+    times = grid.times  # at least 3 points: RunConfig.validate ensures it
     h = len(times) // 2
     q = len(times) // 4
     s, t = float(times[h]), float(times[-1])
@@ -413,14 +437,17 @@ def _rate_summary(results: list[dict], config: RunConfig) -> list[dict] | None:
         values = np.array([e["estimate"] for e in entries])
         ses = np.array([e["std_error"] for e in entries])
         floored = np.maximum(np.abs(values), ses)
-        slope = rate_fit(eps, values, ses)
-        # normalize both curves at the largest epsilon, then require the
-        # envelope shape to dominate up to the Monte Carlo band
-        anchor = floored[0]
-        est_n = floored / anchor
-        env_n = (np.asarray(eps) / eps[0]) ** 2
-        se_n = ses / anchor
-        dom_ok = bool(np.all(est_n[1:] < env_n[1:] + BAND_SIGMAS * se_n[1:]))
+        if np.all(floored > 0.0):
+            slope = rate_fit(eps, values, ses)
+            # normalize both curves at the largest epsilon, then require the
+            # envelope shape to dominate up to the Monte Carlo band
+            anchor = floored[0]
+            est_n = floored / anchor
+            env_n = (np.asarray(eps) / eps[0]) ** 2
+            se_n = ses / anchor
+            dom_ok = bool(np.all(est_n[1:] < env_n[1:] + BAND_SIGMAS * se_n[1:]))
+        else:
+            slope, dom_ok = math.nan, False
         fits.append(
             {
                 "i": entries[0]["i"],
@@ -442,6 +469,8 @@ def _rate_summary(results: list[dict], config: RunConfig) -> list[dict] | None:
                 ],
             }
         )
+        if math.isnan(slope):
+            fits[-1]["reason"] = ZERO_CROSS_MOMENT
     return fits or None
 
 
@@ -460,12 +489,15 @@ def _fourth_moment_summary(results: list[dict], config: RunConfig) -> dict | Non
     if not all_ratios:
         return None
     max_r, min_r = max(all_ratios), min(all_ratios)
+    spread = max_r / min_r if min_r > 0.0 else math.nan
     out = {
         "max": float(max_r),
         "min": float(min_r),
-        "max_over_min": float(max_r / min_r),
-        "pass": bool(max_r / min_r <= SWEEP_MAX_OVER_MIN),
+        "max_over_min": float(spread),
+        "pass": bool(spread <= SWEEP_MAX_OVER_MIN),
     }
+    if min_r <= 0.0:
+        out["reason"] = ZERO_FOURTH_MOMENT
     # Gaussian-limit anchor is only meaningful close to the limit
     if smallest <= ANCHOR_EPSILON and anchor_ratios:
         ok = all(abs(r - ANCHOR_TARGET) <= ANCHOR_HALF_WIDTH for r in anchor_ratios)

@@ -43,6 +43,10 @@ class DegeneratePairError(ValueError):
     """An envelope factor 1/(1 - cos(.)) is evaluated at a vanishing argument."""
 
 
+class DegenerateSampleError(ValueError):
+    """A statistic is undefined because its input has zero spread."""
+
+
 def compensated_sum(values: Iterable[float]) -> float:
     """Exactly rounded sum (Shewchuk compensation via math.fsum).
 
@@ -269,14 +273,19 @@ def quadratic_variation(
     sample: ProcessSample, component: int, partition: Sequence[float]
 ) -> float:
     """Sum of squared increments of one component over a grid partition."""
-    ts = list(partition)
-    if len(ts) < 2:
+    ts = np.asarray(partition, dtype=np.float64)
+    if ts.size < 2:
         raise ValueError("partition needs at least 2 points")
     if ts[0] != 0.0:
         raise ValueError("partition must start at 0")
-    if any(b <= a for a, b in zip(ts, ts[1:])):
+    if np.any(np.diff(ts) <= 0.0):
         raise ValueError("partition must be strictly increasing")
-    idx = [sample.grid.index_of(t) for t in ts]
+    # EvaluationGrid.index_of for every point at once
+    times = sample.grid.times
+    idx = np.minimum(np.searchsorted(times, ts), times.size - 1)
+    off_grid = np.flatnonzero(times[idx] != ts)
+    if off_grid.size:
+        raise ValueError(f"time {float(ts[off_grid[0]])!r} is not on the evaluation grid")
     x = sample.values[component, idx]
     return float(compensated_sum(np.diff(x) ** 2))
 
@@ -328,7 +337,7 @@ def normality_check(increments: np.ndarray) -> NormalityReport:
     mean = compensated_sum(xs) / n
     var = compensated_sum((xs - mean) ** 2) / n
     if var <= 0.0:
-        raise ValueError("degenerate input: zero variance")
+        raise DegenerateSampleError("degenerate input: zero variance")
     z = (xs - mean) / math.sqrt(var)
     m3 = compensated_sum(z**3) / n
     m4 = compensated_sum(z**4) / n

@@ -48,6 +48,20 @@ class TestValidateCommand:
     def test_broken_config_exits_two(self, cfg_file):
         assert main(["validate", str(cfg_file("nonsense"))]) == 2
 
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            ("checks = martingale\ngrid_points = 1\n", "martingale check needs"),
+            ("checks = stroock\n", "stroock check needs"),
+        ],
+    )
+    def test_check_needing_what_the_config_lacks_exits_two(
+        self, cfg_file, capsys, extra, message
+    ):
+        text = VALID_CFG.replace("grid_points = 64\n", "")
+        assert main(["validate", str(cfg_file(text, extra=extra))]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_run_writes_report(self, cfg_file, tmp_path, capsys):
@@ -81,6 +95,24 @@ class TestRunCommand:
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         cov = doc["results"][0]["checks"][0]
         assert cov["data"]["degenerate_pairs"][0]["correlation"] == pytest.approx(1.0)
+
+    def test_zero_component_writes_report_and_exits_one(self, cfg_file, tmp_path, capsys):
+        cfg = cfg_file(
+            "cos_block = 1/2 pi\nsin_block = pi\nallow_invalid_theta = true\n"
+            "epsilons = 0.2\nreplications_M = 200\ngrid_points = 4\nmaster_seed = 12345\n"
+            f"output_dir = {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(cfg)]) == 1
+        assert "SOME CHECKS FAILED" in capsys.readouterr().out
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        reasons = [
+            a["reason"]
+            for c in doc["results"][0]["checks"]
+            for a in c["assertions"]
+            if "reason" in a
+        ]
+        assert len(reasons) == 4  # r4_spread[2], skew[2], kurt[2], ks[2]
+        assert (tmp_path / "out" / "assertions.csv").exists()
 
     def test_missing_config_exits_two(self):
         assert main(["run", "/does/not/exist.cfg"]) == 2

@@ -7,6 +7,7 @@ import pytest
 
 from poisson_bm import (
     EvaluationGrid,
+    PoissonPath,
     ThetaConfig,
     build_sample,
     derive_stream,
@@ -15,6 +16,8 @@ from poisson_bm import (
     sample_poisson_path,
     trig_integral,
 )
+from poisson_bm.poisson import integral_from_zero
+from poisson_bm.process import _LEVEL_TABLES, INV_SQRT2, LEVEL_CACHE_SIZE
 
 EPS = 0.4
 T = 1.0
@@ -138,6 +141,73 @@ class TestBuildSample:
         sample = build_sample(path, EPS, cfg, grid)
         assert np.allclose(sample.values[0], sample.values[1], atol=1e-10, rtol=0)
         assert np.allclose(sample.values[2], -sample.values[3], atol=1e-10, rtol=0)
+
+
+def _reference_values(path, eps, cfg, grid):
+    """Per-component evaluation: one integral_from_zero call per component."""
+    xs = np.array([map_to_path_time(t, eps) for t in grid.times])
+    rescale = {i - 1 for i in cfg.pi_rescaled_indices}
+    rows = []
+    for c, angle in enumerate(cfg.angles):
+        row = eps * integral_from_zero(path, angle, cfg.component_kind(c), xs)
+        rows.append(row * INV_SQRT2 if c in rescale else row)
+    return np.vstack(rows)
+
+
+class TestBuildSampleBitIdentity:
+    """The cached level table and the 2-D prefix sum change no bit."""
+
+    MIXED = ThetaConfig(
+        cos_block=["pi", 2.2, "2/5 pi"], sin_block=["1/2 pi", 1.1], allow_pi_in_cos=True
+    )
+
+    def _assert_matches_reference(self, path, eps, cfg, grid):
+        got = build_sample(path, eps, cfg, grid).values
+        assert got.tobytes() == _reference_values(path, eps, cfg, grid).tobytes()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ThetaConfig(cos_block=[2.2], sin_block=[1.1]),
+            ThetaConfig(cos_block=["1/2 pi", "3/5 pi"], sin_block=["1/2 pi", "7/4 pi"]),
+            MIXED,
+        ],
+        ids=["long_double", "rational", "mixed_pi_rescaled"],
+    )
+    @pytest.mark.parametrize("eps,steps", [(0.4, 1), (0.2, 16), (0.05, 64)])
+    def test_matches_per_component_integral(self, cfg, eps, steps):
+        grid = EvaluationGrid.uniform(T, steps)
+        for rep in range(6):
+            self._assert_matches_reference(_path_for(eps=eps, rep=rep), eps, cfg, grid)
+
+    def test_zero_jump_path(self):
+        grid = EvaluationGrid.uniform(T, 8)
+        empty = PoissonPath(horizon=map_to_path_time(T, EPS), jump_times=np.empty(0))
+        self._assert_matches_reference(empty, EPS, self.MIXED, grid)
+        assert np.all(build_sample(empty, EPS, self.MIXED, grid).values[3:] == 0.0)
+
+    def test_grown_table_serves_shorter_paths(self):
+        cfg = ThetaConfig(cos_block=["pi", 1.3], sin_block=[0.9], allow_pi_in_cos=True)
+        _LEVEL_TABLES.pop(cfg, None)
+        grid = EvaluationGrid.uniform(T, 16)
+        short = _path_for(eps=0.3, seed=301)
+        long = _path_for(eps=0.05, seed=302)
+        self._assert_matches_reference(short, 0.3, cfg, grid)
+        assert _LEVEL_TABLES[cfg].shape == (3, short.jump_times.size + 1)
+        self._assert_matches_reference(long, 0.05, cfg, grid)
+        assert _LEVEL_TABLES[cfg].shape == (3, long.jump_times.size + 1)
+        self._assert_matches_reference(short, 0.3, cfg, grid)
+        assert _LEVEL_TABLES[cfg].shape == (3, long.jump_times.size + 1)
+
+    def test_level_cache_is_bounded(self):
+        grid = EvaluationGrid.uniform(T, 4)
+        path = _path_for()
+        configs = [ThetaConfig(cos_block=[0.5 + 0.1 * k]) for k in range(LEVEL_CACHE_SIZE + 3)]
+        for cfg in configs:
+            build_sample(path, EPS, cfg, grid)
+        assert len(_LEVEL_TABLES) <= LEVEL_CACHE_SIZE
+        assert configs[0] not in _LEVEL_TABLES
+        assert not _LEVEL_TABLES[configs[-1]].flags.writeable
 
 
 class TestIncrements:

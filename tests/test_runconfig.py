@@ -129,6 +129,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown checks"):
             RunConfig(**self._base(checks=("covariance", "nonsense")))
 
+    def test_martingale_needs_two_grid_steps(self):
+        for checks in (("default",), ("martingale",)):
+            with pytest.raises(ConfigError, match="martingale check needs grid_points >= 2"):
+                RunConfig(**self._base(grid_points=1, checks=checks))
+        assert RunConfig(**self._base(grid_points=2, checks=("martingale",))).grid_points == 2
+        assert RunConfig(**self._base(grid_points=1, checks=("covariance",))).grid_points == 1
+
+    def test_explicit_stroock_needs_pi_cosine(self):
+        with pytest.raises(ConfigError, match="stroock check needs an angle-pi"):
+            RunConfig(**self._base(checks=("covariance", "stroock")))
+        pi_theta = ThetaConfig(cos_block=["pi"], allow_pi_in_cos=True)
+        cfg = RunConfig(**self._base(theta=pi_theta, checks=("stroock",)))
+        assert cfg.resolved_checks == ("stroock",)
+
 
 class TestEnvOverrides:
     def test_output_dir_override(self, monkeypatch):

@@ -82,6 +82,46 @@ class TestRunExperiment:
         assert not cov["pass"]
         assert not report.all_pass
 
+    def test_zero_component_gives_failing_assertions_with_reasons(self):
+        # sin(pi * N) is identically zero: ratios and standardized moments
+        # of that component do not exist
+        cfg = minimal_config(
+            theta=ThetaConfig(cos_block=["1/2 pi"], sin_block=["pi"]),
+            allow_invalid_theta=True,
+            replications_M=200,
+            grid_points=4,
+        )
+        report = run_experiment(cfg)
+        checks = {c["name"]: c for c in report.results[0]["checks"]}
+        spread = {a["name"]: a for a in checks["fourth_moment"]["assertions"]}
+        assert spread["r4_spread[1]"]["pass"] and "reason" not in spread["r4_spread[1]"]
+        assert not spread["r4_spread[2]"]["pass"]
+        assert "E[Delta^4] is exactly zero" in spread["r4_spread[2]"]["reason"]
+        normality = {a["name"]: a for a in checks["normality"]["assertions"]}
+        for name in ("skew[2]", "kurt[2]", "ks[2]"):
+            assert not normality[name]["pass"]
+            assert normality[name]["reason"] == "degenerate input: zero variance"
+        assert "reason" not in normality["ks[1]"]
+        assert list(checks["normality"]["data"]["histograms"]) == ["comp_1"]
+        sweep = report.summary["fourth_moment_sweep"]
+        assert not sweep["pass"] and "reason" in sweep
+        assert not report.all_pass
+
+    def test_zero_cross_moment_gives_failing_rate_fit(self):
+        cfg = minimal_config(
+            theta=ThetaConfig(cos_block=["1/2 pi"], sin_block=["pi"]),
+            allow_invalid_theta=True,
+            epsilons=(0.4, 0.28, 0.2),
+            replications_M=120,
+            grid_points=4,
+            checks=("cross_moments",),
+        )
+        report = run_experiment(cfg)
+        (fit,) = report.summary["rate_fits"]
+        assert not fit["pass"] and not fit["pass_slope"] and not fit["pass_domination"]
+        assert "no log-log slope" in fit["reason"]
+        assert not report.all_pass
+
     def test_stroock_check_included_and_passing(self):
         cfg = minimal_config(
             theta=ThetaConfig(cos_block=["pi"], allow_pi_in_cos=True),

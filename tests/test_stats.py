@@ -7,6 +7,7 @@ import pytest
 
 from poisson_bm import (
     DegeneratePairError,
+    DegenerateSampleError,
     Estimate,
     EvaluationGrid,
     ProcessSample,
@@ -273,6 +274,27 @@ class TestQuadraticVariation:
         with pytest.raises(ValueError):
             quadratic_variation(sample, 0, [0.5, 1.0])
 
+    def test_off_grid_and_unsorted_partitions_rejected(self):
+        sample = self._zero_sample()  # grid 0, 1/8, ..., 1
+        with pytest.raises(ValueError, match="not on the evaluation grid"):
+            quadratic_variation(sample, 0, [0.0, 0.3, 1.0])
+        with pytest.raises(ValueError, match="not on the evaluation grid"):
+            quadratic_variation(sample, 0, [0.0, 0.5, 2.0])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            quadratic_variation(sample, 0, [0.0, 0.5, 0.25])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            quadratic_variation(sample, 0, [0.0, 0.5, 0.5])
+
+    def test_matches_index_of_lookup(self):
+        cfg = ThetaConfig(cos_block=[2.2], sin_block=["1/2 pi"])
+        sample = make_samples(cfg, 0.2, 1, seed=222, steps=16)[0]
+        grid = sample.grid
+        for partition in (grid.times, list(grid.times[::4]), [0.0, 0.25, 1.0]):
+            idx = [grid.index_of(t) for t in partition]
+            for c in range(2):
+                expected = compensated_sum(np.diff(sample.values[c, idx]) ** 2)
+                assert quadratic_variation(sample, c, partition) == expected
+
 
 class TestFourthMoment:
     def test_zero_increments(self):
@@ -325,7 +347,7 @@ class TestNormalityCheck:
         assert rep.excess_kurtosis == pytest.approx(sps.kurtosis(xs), rel=1e-9)
 
     def test_degenerate_input_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateSampleError, match="zero variance"):
             normality_check(np.full(500, 3.14))
 
     def test_short_input_rejected(self):
