@@ -33,10 +33,9 @@ from .poisson import (
 from .process import (
     EvaluationGrid,
     HORIZON_CAP,
-    IncrementTable,
     ProcessSample,
+    SampleBlock,
     build_sample,
-    increments,
     map_to_path_time,
 )
 from .report import RunReport, emit_plot_data
@@ -73,13 +72,13 @@ __all__ = [
     "EvaluationGrid",
     "HORIZON_CAP",
     "HypothesisReport",
-    "IncrementTable",
     "InvalidThetaError",
     "NormalityReport",
     "PoissonPath",
     "ProcessSample",
     "RunConfig",
     "RunReport",
+    "SampleBlock",
     "StructuralBound",
     "TAU_THETA",
     "TestFunctionSpec",
@@ -96,7 +95,6 @@ __all__ = [
     "empirical_increment_covariance",
     "fourth_moment_ratio",
     "generate_samples",
-    "increments",
     "load_config",
     "map_to_path_time",
     "martingale_residual",

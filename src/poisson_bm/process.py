@@ -16,7 +16,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -101,9 +100,6 @@ class ProcessSample:
     def dimension(self) -> int:
         return self.config.dimension
 
-    def component(self, index: int) -> np.ndarray:
-        return self.values[index]
-
     def at_time(self, t: float) -> np.ndarray:
         return self.values[:, self.grid.index_of(t)]
 
@@ -119,11 +115,33 @@ class ProcessSample:
 
 
 @dataclass(frozen=True)
-class IncrementTable:
-    """Increments x(t) - x(s) per component for a list of (s, t) grid pairs."""
+class SampleBlock:
+    """M replications at one epsilon: values[(replication, component, grid index)].
 
-    pairs: tuple[tuple[float, float], ...]
-    deltas: np.ndarray  # shape (dimension, len(pairs))
+    The in-memory form of a set of paths that share a config, an epsilon
+    and a grid; every estimator in ``stats`` reads ``values`` directly.
+    """
+
+    epsilon: float
+    config: ThetaConfig
+    grid: EvaluationGrid
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        v = np.asarray(self.values, dtype=np.float64)
+        object.__setattr__(self, "values", v)
+        if v.ndim != 3 or v.shape[1:] != (self.config.dimension, len(self.grid)):
+            raise ValueError(
+                f"values shape {v.shape} does not match "
+                f"(M, {self.config.dimension}, {len(self.grid)})"
+            )
+
+    def __len__(self) -> int:
+        return int(self.values.shape[0])
+
+    def at_time(self, t: float) -> np.ndarray:
+        """(replications, dimension) values at grid time t."""
+        return self.values[:, :, self.grid.index_of(t)]
 
 
 def _level_table(config: ThetaConfig, n_levels: int) -> np.ndarray:
@@ -200,20 +218,3 @@ def build_sample(
     for i in config.pi_rescaled_indices:
         values[i - 1] *= INV_SQRT2
     return ProcessSample(epsilon=float(epsilon), config=config, grid=grid, values=values)
-
-
-def increments(
-    sample: ProcessSample, pairs: Sequence[tuple[float, float]]
-) -> IncrementTable:
-    """x(t) - x(s) for each requested (s, t); both must be grid times with s < t."""
-    cols = []
-    norm_pairs = []
-    for s, t in pairs:
-        if not s < t:
-            raise ValueError(f"need s < t, got ({s}, {t})")
-        i, j = sample.grid.index_of(s), sample.grid.index_of(t)
-        cols.append(sample.values[:, j] - sample.values[:, i])
-        norm_pairs.append((float(s), float(t)))
-    if not cols:
-        raise ValueError("no increment pairs given")
-    return IncrementTable(pairs=tuple(norm_pairs), deltas=np.column_stack(cols))

@@ -3,8 +3,10 @@
 The JSON report is canonical: for a fixed configuration and master seed
 its bytes are identical across runs and worker counts. Wall-clock
 timings therefore live in a sidecar file (timings.txt), never in the
-JSON. Every numeric cell in CSV output is written with 17 significant
-digits so identical doubles round-trip identically.
+JSON. The JSON is strict: a statistic that does not exist (NaN) is
+written as null. Every numeric cell in CSV output is written with 17
+significant digits so identical doubles round-trip identically; a cell
+with no number is left empty.
 """
 
 from __future__ import annotations
@@ -34,6 +36,22 @@ TIMINGS_FILENAME = "timings.txt"
 
 def fmt17(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _finite_or_null(obj):
+    """The JSON tree with every non-finite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
+def _log17(x: float) -> str:
+    """log(x) as a CSV cell; empty where the log does not exist."""
+    return fmt17(math.log(x)) if x > 0.0 else ""
 
 
 @dataclass
@@ -68,7 +86,8 @@ class RunReport:
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.canonical_dict(), indent=2) + "\n"
+        return json.dumps(_finite_or_null(self.canonical_dict()), indent=2,
+                          allow_nan=False) + "\n"
 
     def assertions_csv_text(self) -> str:
         buf = io.StringIO()
@@ -81,7 +100,8 @@ class RunReport:
                         fmt17(eps),
                         check["name"],
                         a["name"],
-                        fmt17(a["value"]),
+                        # a NaN value comes back from report.json as null
+                        fmt17(math.nan if a["value"] is None else a["value"]),
                         fmt17(a["std_error"]) if a.get("std_error") is not None else "",
                         fmt17(a["target"]) if a.get("target") is not None else "",
                         fmt17(a["band"]) if a.get("band") is not None else "",
@@ -145,16 +165,8 @@ def _rate_csv(report: RunReport, pair: tuple[int, int] | None) -> str:
     buf = io.StringIO()
     buf.write("log_epsilon,log_abs_estimate,log_bound_total\n")
     for point in entry["points"]:
-        buf.write(
-            ",".join(
-                [
-                    fmt17(math.log(point["epsilon"])),
-                    fmt17(math.log(point["floored_abs_estimate"])),
-                    fmt17(math.log(point["bound_total"])),
-                ]
-            )
-            + "\n"
-        )
+        keys = ("epsilon", "floored_abs_estimate", "bound_total")
+        buf.write(",".join(_log17(point[k]) for k in keys) + "\n")
     return buf.getvalue()
 
 
@@ -194,7 +206,8 @@ def emit_plot_data(
     """Plot-ready CSV for one of the three supported plot kinds.
 
     RATE_LOGLOG: one row per epsilon with (log eps, log |estimate|,
-    log bound total) for one component pair (default: the first).
+    log bound total) for one component pair (default: the first); an
+    estimate floored to exactly 0 leaves its log cell empty.
     COV_HEATMAP: d*d rows of (i, j, value, std_error).
     MARGINAL_HIST: 50 bins spanning +-5 standard deviations, counts
     summing to the replication count.

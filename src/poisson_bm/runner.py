@@ -2,10 +2,12 @@
 
 Each (epsilon, replication) work item derives its own counter-based
 stream, samples one Poisson path, and evaluates all components on the
-shared grid. Workers return per-replication value arrays which the
-coordinator gathers in replication order; every statistic is then
-reduced with exact compensated summation. The report bytes therefore do
-not depend on the worker count or on execution order.
+shared grid. Workers fill row blocks of one (replications, dimension,
+grid) array, gathered in replication order into the epsilon's
+SampleBlock. Each check is a function of that block, looked up by name
+in CHECKS, and every statistic is reduced with exact compensated
+summation. The report bytes therefore do not depend on the worker count
+or on execution order.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .angles import ThetaConfig, validate_hypothesis_h
 from .poisson import sample_poisson_path
-from .process import EvaluationGrid, ProcessSample, build_sample, map_to_path_time
+from .process import EvaluationGrid, SampleBlock, build_sample, map_to_path_time
 from .report import RunReport
 from .runconfig import (
     CHECK_COVARIANCE,
@@ -131,7 +133,7 @@ def _chunk_values(start_stop: tuple[int, int]) -> np.ndarray:
 
 def generate_samples(
     config: RunConfig, grid: EvaluationGrid, eps_index: int
-) -> list[ProcessSample]:
+) -> SampleBlock:
     """All replications for one epsilon, gathered in replication order."""
     epsilon = config.epsilons[eps_index]
     M = config.replications_M
@@ -148,10 +150,7 @@ def generate_samples(
         ) as pool:
             blocks = list(pool.map(_chunk_values, ranges))
         values = np.concatenate(blocks, axis=0)
-    return [
-        ProcessSample(epsilon=epsilon, config=config.theta, grid=grid, values=values[r])
-        for r in range(M)
-    ]
+    return SampleBlock(epsilon=epsilon, config=config.theta, grid=grid, values=values)
 
 
 # ----------------------------------------------------------------------
@@ -180,9 +179,20 @@ def _band_assertion(name: str, est: Estimate, target: float) -> dict:
     return _assertion(name, est.value, est.std_error, target, band, ok)
 
 
-def _check_covariance(samples: list[ProcessSample], T: float) -> dict:
-    d = samples[0].dimension
-    cov = empirical_increment_covariance(samples, 0.0, T)
+def _check_entry(name: str, assertions: list[dict], data: dict) -> dict:
+    """A check's report entry; it passes when all its assertions pass."""
+    return {
+        "name": name,
+        "pass": all(a["pass"] for a in assertions),
+        "assertions": assertions,
+        "data": data,
+    }
+
+
+def _check_covariance(block: SampleBlock, config: RunConfig, epsilon: float) -> dict:
+    T = config.horizon_T
+    d = config.theta.dimension
+    cov = empirical_increment_covariance(block, 0.0, T)
     corr = correlation_matrix(cov)
     assertions = []
     for i in range(d):
@@ -196,32 +206,20 @@ def _check_covariance(samples: list[ProcessSample], T: float) -> dict:
                 degenerate.append(
                     {"i": i + 1, "j": j + 1, "correlation": float(corr[i, j])}
                 )
-    return {
-        "name": CHECK_COVARIANCE,
-        "pass": all(a["pass"] for a in assertions),
-        "assertions": assertions,
-        "data": {
-            "matrix": [[cov[i][j].to_dict() for j in range(d)] for i in range(d)],
-            "correlation": [[float(c) for c in row] for row in corr],
-            "degenerate_pairs": degenerate,
-        },
+    data = {
+        "matrix": [[cov[i][j].to_dict() for j in range(d)] for i in range(d)],
+        "correlation": [[float(c) for c in row] for row in corr],
+        "degenerate_pairs": degenerate,
     }
+    return _check_entry(CHECK_COVARIANCE, assertions, data)
 
 
-def _check_qv(samples: list[ProcessSample], T: float) -> dict:
-    d = samples[0].dimension
-    partition = samples[0].grid.times
+def _check_qv(block: SampleBlock, config: RunConfig, epsilon: float) -> dict:
     assertions = []
-    for c in range(d):
-        qvs = np.array([quadratic_variation(s, c, partition) for s in samples])
-        est = Estimate.from_observations(qvs)
-        assertions.append(_band_assertion(f"qv[{c + 1}]", est, T))
-    return {
-        "name": CHECK_QV,
-        "pass": all(a["pass"] for a in assertions),
-        "assertions": assertions,
-        "data": {},
-    }
+    for c in range(config.theta.dimension):
+        est = Estimate.from_observations(quadratic_variation(block, c, block.grid.times))
+        assertions.append(_band_assertion(f"qv[{c + 1}]", est, config.horizon_T))
+    return _check_entry(CHECK_QV, assertions, {})
 
 
 def _pair_kind(theta: ThetaConfig, i: int, j: int) -> str:
@@ -233,16 +231,15 @@ def _pair_kind(theta: ThetaConfig, i: int, j: int) -> str:
     return "cossin"
 
 
-def _check_cross_moments(
-    samples: list[ProcessSample], theta: ThetaConfig, T: float, epsilon: float
-) -> dict:
+def _check_cross_moments(block: SampleBlock, config: RunConfig, epsilon: float) -> dict:
+    theta, T = config.theta, config.horizon_T
     d = theta.dimension
     phi = TestFunctionSpec.one()
     assertions = []
     pairs = []
     for i in range(d):
         for j in range(i + 1, d):
-            est = cross_moment(samples, i, j, 0.0, T, phi)
+            est = cross_moment(block, i, j, 0.0, T, phi)
             band = BAND_SIGMAS * est.std_error
             ok = abs(est.value) <= band
             assertions.append(
@@ -264,12 +261,7 @@ def _check_cross_moments(
                     "bound_total": bound_total,
                 }
             )
-    return {
-        "name": CHECK_CROSS_MOMENTS,
-        "pass": all(a["pass"] for a in assertions),
-        "assertions": assertions,
-        "data": {"pairs": pairs},
-    }
+    return _check_entry(CHECK_CROSS_MOMENTS, assertions, {"pairs": pairs})
 
 
 def _dyadic_pairs(T: float) -> list[tuple[float, float]]:
@@ -281,20 +273,19 @@ def _dyadic_pairs(T: float) -> list[tuple[float, float]]:
     return out
 
 
-def _check_fourth_moment(samples: list[ProcessSample], T: float) -> dict:
-    d = samples[0].dimension
-    grid = samples[0].grid
+def _check_fourth_moment(block: SampleBlock, config: RunConfig, epsilon: float) -> dict:
+    grid = block.grid
     ratios = []
     assertions = []
-    for c in range(d):
+    for c in range(config.theta.dimension):
         per_pair = []
-        for s, t in _dyadic_pairs(T):
+        for s, t in _dyadic_pairs(config.horizon_T):
             # skip pairs that do not land on the grid (coarse grids)
             try:
                 grid.index_of(s), grid.index_of(t)
             except ValueError:
                 continue
-            est = fourth_moment_ratio(samples, c, s, t)
+            est = fourth_moment_ratio(block, c, s, t)
             per_pair.append(est.value)
             ratios.append(
                 {
@@ -312,12 +303,7 @@ def _check_fourth_moment(samples: list[ProcessSample], T: float) -> dict:
                        spread <= SWEEP_MAX_OVER_MIN,
                        reason=None if lowest > 0.0 else ZERO_FOURTH_MOMENT)
         )
-    return {
-        "name": CHECK_FOURTH_MOMENT,
-        "pass": all(a["pass"] for a in assertions),
-        "assertions": assertions,
-        "data": {"ratios": ratios},
-    }
+    return _check_entry(CHECK_FOURTH_MOMENT, assertions, {"ratios": ratios})
 
 
 def _histogram(increments: np.ndarray) -> dict:
@@ -330,16 +316,15 @@ def _histogram(increments: np.ndarray) -> dict:
     return {"edges": [float(e) for e in edges], "counts": [int(c) for c in counts]}
 
 
-def _check_normality(samples: list[ProcessSample], T: float, M: int) -> dict:
-    d = samples[0].dimension
-    scale = max(1.0, math.sqrt(REF_REPLICATIONS / M))
+def _check_normality(block: SampleBlock, config: RunConfig, epsilon: float) -> dict:
+    scale = max(1.0, math.sqrt(REF_REPLICATIONS / config.replications_M))
     skew_band = SKEW_BAND_REF * scale
     kurt_band = KURT_BAND_REF * scale
-    deltas = np.stack([s.at_time(T) - s.at_time(0.0) for s in samples])
+    deltas = block.at_time(config.horizon_T) - block.at_time(0.0)
     crit = KS_CRIT_1PCT / math.sqrt(deltas.shape[0])
     assertions = []
     histograms = {}
-    for c in range(d):
+    for c in range(config.theta.dimension):
         try:
             rep = normality_check(deltas[:, c])
         except DegenerateSampleError as exc:
@@ -363,17 +348,11 @@ def _check_normality(samples: list[ProcessSample], T: float, M: int) -> dict:
                        rep.ks_statistic < crit)
         )
         histograms[f"comp_{c + 1}"] = _histogram(deltas[:, c])
-    return {
-        "name": CHECK_NORMALITY,
-        "pass": all(a["pass"] for a in assertions),
-        "assertions": assertions,
-        "data": {"histograms": histograms},
-    }
+    return _check_entry(CHECK_NORMALITY, assertions, {"histograms": histograms})
 
 
-def _check_martingale(samples: list[ProcessSample], T: float) -> dict:
-    grid = samples[0].grid
-    times = grid.times  # at least 3 points: RunConfig.validate ensures it
+def _check_martingale(block: SampleBlock, config: RunConfig, epsilon: float) -> dict:
+    times = block.grid.times  # at least 3 points: RunConfig.validate ensures it
     h = len(times) // 2
     q = len(times) // 4
     s, t = float(times[h]), float(times[-1])
@@ -382,35 +361,39 @@ def _check_martingale(samples: list[ProcessSample], T: float) -> dict:
         ("one", TestFunctionSpec.one()),
         ("tanh", TestFunctionSpec.tanh_product(conditioning)),
     ]
-    d = samples[0].dimension
     assertions = []
     for label, phi in specs:
-        for c in range(d):
-            est = martingale_residual(samples, c, phi, s, t)
+        for c in range(config.theta.dimension):
+            est = martingale_residual(block, c, phi, s, t)
             band = BAND_SIGMAS * est.std_error
             assertions.append(
                 _assertion(f"residual[{label}][{c + 1}]", est.value, est.std_error,
                            0.0, band, abs(est.value) <= band)
             )
-    return {
-        "name": CHECK_MARTINGALE,
-        "pass": all(a["pass"] for a in assertions),
-        "assertions": assertions,
-        "data": {"increment": [s, t], "conditioning_times": conditioning},
-    }
+    data = {"increment": [s, t], "conditioning_times": conditioning}
+    return _check_entry(CHECK_MARTINGALE, assertions, data)
 
 
-def _check_stroock(samples: list[ProcessSample], theta: ThetaConfig, T: float) -> dict:
-    est = stroock_variance_check(samples, T)
-    rescaled = bool(theta.pi_rescaled_indices)
+def _check_stroock(block: SampleBlock, config: RunConfig, epsilon: float) -> dict:
+    T = config.horizon_T
+    est = stroock_variance_check(block, T)
+    rescaled = bool(config.theta.pi_rescaled_indices)
     target = T if rescaled else 2.0 * T
-    a = _band_assertion("variance", est, target)
-    return {
-        "name": CHECK_STROOCK,
-        "pass": a["pass"],
-        "assertions": [a],
-        "data": {"rescaled": rescaled},
-    }
+    assertions = [_band_assertion("variance", est, target)]
+    return _check_entry(CHECK_STROOCK, assertions, {"rescaled": rescaled})
+
+
+# check name -> check; every check maps (block, config, epsilon) to its
+# report entry
+CHECKS = {
+    CHECK_COVARIANCE: _check_covariance,
+    CHECK_QV: _check_qv,
+    CHECK_CROSS_MOMENTS: _check_cross_moments,
+    CHECK_FOURTH_MOMENT: _check_fourth_moment,
+    CHECK_NORMALITY: _check_normality,
+    CHECK_MARTINGALE: _check_martingale,
+    CHECK_STROOCK: _check_stroock,
+}
 
 
 # ----------------------------------------------------------------------
@@ -535,30 +518,14 @@ def run_experiment(config: RunConfig) -> RunReport:
 
     grid = EvaluationGrid.uniform(config.horizon_T, config.grid_points)
     checks = config.resolved_checks
-    T = config.horizon_T
 
     results = []
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
     for eps_index, epsilon in enumerate(config.epsilons):
         t0 = time.perf_counter()
-        samples = generate_samples(config, grid, eps_index)
-        block_checks = []
-        for name in checks:
-            if name == CHECK_COVARIANCE:
-                block_checks.append(_check_covariance(samples, T))
-            elif name == CHECK_QV:
-                block_checks.append(_check_qv(samples, T))
-            elif name == CHECK_CROSS_MOMENTS:
-                block_checks.append(_check_cross_moments(samples, config.theta, T, epsilon))
-            elif name == CHECK_FOURTH_MOMENT:
-                block_checks.append(_check_fourth_moment(samples, T))
-            elif name == CHECK_NORMALITY:
-                block_checks.append(_check_normality(samples, T, config.replications_M))
-            elif name == CHECK_MARTINGALE:
-                block_checks.append(_check_martingale(samples, T))
-            elif name == CHECK_STROOCK:
-                block_checks.append(_check_stroock(samples, config.theta, T))
+        block = generate_samples(config, grid, eps_index)
+        block_checks = [CHECKS[name](block, config, epsilon) for name in checks]
         results.append({"epsilon": float(epsilon), "checks": block_checks})
         timings[f"epsilon={epsilon:g}"] = time.perf_counter() - t0
 

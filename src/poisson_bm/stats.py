@@ -1,10 +1,11 @@
 """Monte Carlo estimators and analytic envelope evaluators.
 
-Every estimator consumes a collection of immutable process samples and
-returns point estimates with standard errors (sample standard deviation
-over sqrt(replications)). Reductions use exact compensated summation
-(math.fsum), so results are independent of accumulation order and
-bit-identical between sequential and gathered-parallel execution.
+Every estimator reads one SampleBlock, the (replications, dimension,
+grid) array of one epsilon, and returns point estimates with standard
+errors (sample standard deviation over sqrt(replications)). Reductions
+use exact compensated summation (math.fsum), so results are independent
+of accumulation order and bit-identical between sequential and
+gathered-parallel execution.
 
 The envelope evaluator assembles the epsilon^2 decay bounds governing
 increment cross-moments; its factors are 1/(1 - cos(.)) terms in the
@@ -24,7 +25,7 @@ from scipy.special import ndtr
 
 from .angles import Angle, TAU_THETA, parse_angle
 from .poisson import decay_factor
-from .process import ProcessSample
+from .process import SampleBlock
 
 TWO_PI = 2.0 * math.pi
 
@@ -149,47 +150,32 @@ class StructuralBound:
         }
 
 
-def _stack_values(samples: Sequence[ProcessSample]) -> np.ndarray:
-    """(replications, dimension, grid) array from a sample collection."""
-    if len(samples) == 0:
-        raise ValueError("empty sample collection")
-    first = samples[0]
-    for s in samples[1:]:
-        if s.config is not first.config and s.config.to_dict() != first.config.to_dict():
-            raise ValueError("samples mix different configurations")
-    return np.stack([s.values for s in samples])
+def _increments_at(block: SampleBlock, s: float, t: float) -> np.ndarray:
+    """(replications, dimension) increments x(t) - x(s)."""
+    return block.at_time(t) - block.at_time(s)
 
 
-def _increments_at(
-    samples: Sequence[ProcessSample], s: float, t: float
-) -> np.ndarray:
-    grid = samples[0].grid
-    i, j = grid.index_of(s), grid.index_of(t)
-    vals = _stack_values(samples)
-    return vals[:, :, j] - vals[:, :, i]
-
-
-def _phi_values(samples: Sequence[ProcessSample], phi: TestFunctionSpec) -> np.ndarray:
+def _phi_values(block: SampleBlock, phi: TestFunctionSpec) -> np.ndarray:
     """phi evaluated per replication; the bounded product multiplies
     tanh of the coordinate sum at each conditioning time."""
-    M = len(samples)
-    if phi.kind == PHI_CONSTANT_ONE:
-        return np.ones(M)
-    grid = samples[0].grid
-    idx = [grid.index_of(t) for t in phi.conditioning_times]
-    vals = _stack_values(samples)
-    out = np.ones(M)
-    for i in idx:
-        out *= np.tanh(vals[:, :, i].sum(axis=1))
+    out = np.ones(len(block))
+    if phi.kind == PHI_BOUNDED_PRODUCT:
+        for t in phi.conditioning_times:
+            out *= np.tanh(block.at_time(t).sum(axis=1))
     return out
 
 
-def _column_estimate(xs: np.ndarray) -> Estimate:
-    return Estimate.from_observations(xs)
+def _centered_product(a: np.ndarray, b: np.ndarray) -> Estimate:
+    """Covariance estimate from two centered columns: sum(a * b) / (M - 1),
+    with the standard error of the per-replication products."""
+    w = a * b
+    M = w.size
+    se = Estimate.from_observations(w).std_error
+    return Estimate(value=compensated_sum(w) / (M - 1), std_error=se, replications=M)
 
 
 def empirical_increment_covariance(
-    samples: Sequence[ProcessSample], s: float, t: float
+    block: SampleBlock, s: float, t: float
 ) -> list[list[Estimate]]:
     """Sample covariance matrix of the increments over (s, t).
 
@@ -197,24 +183,18 @@ def empirical_increment_covariance(
     from the per-replication centered products. In the small-epsilon
     limit the diagonal targets t - s and the off-diagonal targets 0.
     """
-    if len(samples) < 2:
+    if len(block) < 2:
         raise ValueError("need at least 2 samples for a covariance estimate")
     if not s < t:
         raise ValueError(f"need s < t, got ({s}, {t})")
-    deltas = _increments_at(samples, s, t)  # (M, d)
+    deltas = _increments_at(block, s, t)  # (M, d)
     M, d = deltas.shape
     means = np.array([compensated_sum(deltas[:, c]) / M for c in range(d)])
     centered = deltas - means
     out: list[list[Estimate]] = [[None] * d for _ in range(d)]  # type: ignore[list-item]
     for i in range(d):
         for j in range(i, d):
-            w = centered[:, i] * centered[:, j]
-            value = compensated_sum(w) / (M - 1)
-            mw = compensated_sum(w) / M
-            se = math.sqrt(compensated_sum((w - mw) ** 2) / (M - 1) / M)
-            e = Estimate(value=value, std_error=se, replications=M)
-            out[i][j] = e
-            out[j][i] = e
+            out[i][j] = out[j][i] = _centered_product(centered[:, i], centered[:, j])
     return out
 
 
@@ -229,7 +209,7 @@ def correlation_matrix(cov: Sequence[Sequence[Estimate]]) -> np.ndarray:
 
 
 def cross_moment(
-    samples: Sequence[ProcessSample],
+    block: SampleBlock,
     i: int,
     j: int,
     s: float,
@@ -247,13 +227,13 @@ def cross_moment(
         raise ValueError(f"need s < t, got ({s}, {t})")
     if phi.conditioning_times and phi.conditioning_times[-1] > s:
         raise ValueError("conditioning times must not exceed the increment start")
-    deltas = _increments_at(samples, s, t)
-    w = _phi_values(samples, phi)
-    return _column_estimate(w * deltas[:, i] * deltas[:, j])
+    deltas = _increments_at(block, s, t)
+    w = _phi_values(block, phi)
+    return Estimate.from_observations(w * deltas[:, i] * deltas[:, j])
 
 
 def martingale_residual(
-    samples: Sequence[ProcessSample],
+    block: SampleBlock,
     component: int,
     phi: TestFunctionSpec,
     s: float,
@@ -264,15 +244,16 @@ def martingale_residual(
         raise ValueError(f"need s < t, got ({s}, {t})")
     if phi.conditioning_times and phi.conditioning_times[-1] > s:
         raise ValueError("conditioning times must not exceed the increment start")
-    deltas = _increments_at(samples, s, t)
-    w = _phi_values(samples, phi)
-    return _column_estimate(w * deltas[:, component])
+    deltas = _increments_at(block, s, t)
+    w = _phi_values(block, phi)
+    return Estimate.from_observations(w * deltas[:, component])
 
 
 def quadratic_variation(
-    sample: ProcessSample, component: int, partition: Sequence[float]
-) -> float:
-    """Sum of squared increments of one component over a grid partition."""
+    block: SampleBlock, component: int, partition: Sequence[float]
+) -> np.ndarray:
+    """Per-replication sums of squared increments of one component over a
+    grid partition: one value per row of the block."""
     ts = np.asarray(partition, dtype=np.float64)
     if ts.size < 2:
         raise ValueError("partition needs at least 2 points")
@@ -281,29 +262,29 @@ def quadratic_variation(
     if np.any(np.diff(ts) <= 0.0):
         raise ValueError("partition must be strictly increasing")
     # EvaluationGrid.index_of for every point at once
-    times = sample.grid.times
+    times = block.grid.times
     idx = np.minimum(np.searchsorted(times, ts), times.size - 1)
     off_grid = np.flatnonzero(times[idx] != ts)
     if off_grid.size:
         raise ValueError(f"time {float(ts[off_grid[0]])!r} is not on the evaluation grid")
-    x = sample.values[component, idx]
-    return float(compensated_sum(np.diff(x) ** 2))
+    squares = np.diff(block.values[:, component, idx], axis=1) ** 2
+    return np.array([compensated_sum(row) for row in squares])
 
 
 def fourth_moment_ratio(
-    samples: Sequence[ProcessSample], component: int, s: float, t: float
+    block: SampleBlock, component: int, s: float, t: float
 ) -> Estimate:
     """Estimate E[Delta^4] / (t - s)^2 for one component's increment.
 
     The tightness bound asserts this is bounded uniformly in epsilon;
     the Gaussian limit pins it near 3.
     """
-    if len(samples) < 2:
+    if len(block) < 2:
         raise ValueError("need at least 2 samples")
     if not s < t:
         raise ValueError(f"need s < t, got ({s}, {t})")
-    deltas = _increments_at(samples, s, t)
-    return _column_estimate(deltas[:, component] ** 4 / (t - s) ** 2)
+    deltas = _increments_at(block, s, t)
+    return Estimate.from_observations(deltas[:, component] ** 4 / (t - s) ** 2)
 
 
 @dataclass(frozen=True)
@@ -352,29 +333,21 @@ def normality_check(increments: np.ndarray) -> NormalityReport:
     )
 
 
-def stroock_variance_check(samples: Sequence[ProcessSample], t: float) -> Estimate:
+def stroock_variance_check(block: SampleBlock, t: float) -> Estimate:
     """Empirical variance at time t of the angle-pi cosine component.
 
     The unrescaled component targets 2t; with the 1/sqrt(2) rescale the
     target is t. Errors out when the configuration has no angle-pi
     cosine component.
     """
-    if len(samples) < 2:
+    if len(block) < 2:
         raise ValueError("need at least 2 samples")
-    config = samples[0].config
-    pi_components = [i for i, a in enumerate(config.cos_block) if a.is_pi]
+    pi_components = [i for i, a in enumerate(block.config.cos_block) if a.is_pi]
     if not pi_components:
         raise ValueError("no angle-pi cosine component in this configuration")
-    c = pi_components[0]
-    vals = _stack_values(samples)
-    x = vals[:, c, samples[0].grid.index_of(t)]
-    M = x.size
-    mean = compensated_sum(x) / M
-    w = (x - mean) ** 2
-    var = compensated_sum(w) / (M - 1)
-    mw = compensated_sum(w) / M
-    se = math.sqrt(compensated_sum((w - mw) ** 2) / (M - 1) / M)
-    return Estimate(value=var, std_error=se, replications=M)
+    x = block.at_time(t)[:, pi_components[0]]
+    centered = x - compensated_sum(x) / x.size
+    return _centered_product(centered, centered)
 
 
 def _angle_mod_2pi_distance(x: float) -> float:

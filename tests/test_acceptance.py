@@ -10,7 +10,6 @@ fixed master seeds below every criterion is deterministic.
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,14 +20,12 @@ from poisson_bm import (
     RunConfig,
     TestFunctionSpec,
     ThetaConfig,
-    build_sample,
     char_fn,
     correlation_matrix,
     cross_moment,
     derive_stream,
     empirical_increment_covariance,
     fourth_moment_ratio,
-    map_to_path_time,
     martingale_residual,
     normality_check,
     quadratic_variation,
@@ -56,6 +53,7 @@ THETA_2 = 2.2
 RATE_EPSILONS = (0.4, 0.28, 0.2, 0.14, 0.1)
 RATE_M = 200_000
 RATE_THETA = ThetaConfig(cos_block=["1/2 pi", 2.2], sin_block=["1/2 pi", 2.2])
+RATE_KINDS = (("coscos", 0, 1), ("sinsin", 2, 3), ("cossin", 0, 3))
 
 _WORKERS = min(4, os.cpu_count() or 1)
 
@@ -190,11 +188,10 @@ def test_criterion_4_quadratic_variation():
     # systematic offset larger than the band
     theta = ThetaConfig(cos_block=["1/2 pi"], sin_block=["1/2 pi"])
     samples = _make_samples(theta, 0.05, 5000, SEED + 4)
-    partition = samples[0].grid.times
+    partition = samples.grid.times
     worst_z = 0.0
     for c in range(2):
-        qvs = np.array([quadratic_variation(s, c, partition) for s in samples])
-        est = Estimate.from_observations(qvs)
+        est = Estimate.from_observations(quadratic_variation(samples, c, partition))
         z = abs(est.value - 1.0) / est.std_error
         worst_z = max(worst_z, z)
         assert z <= BAND, (c, est.value)
@@ -246,47 +243,35 @@ def test_criterion_5_fourth_moment_boundedness():
 # 6. cross-moment decay and rate
 
 
-def _rate_chunk(args):
-    eps_index, eps, start, stop = args
-    grid = EvaluationGrid.uniform(1.0, 1)
-    horizon = map_to_path_time(1.0, eps)
-    out = np.empty((stop - start, 3))
-    for r in range(start, stop):
-        path = sample_poisson_path(horizon, derive_stream(SEED + 6, eps_index, r))
-        sample = build_sample(path, eps, RATE_THETA, grid)
-        x = sample.values[:, 1]  # increment over (0, 1); x(0) = 0
-        out[r - start, 0] = x[0] * x[1]  # cos/cos
-        out[r - start, 1] = x[2] * x[3]  # sin/sin
-        out[r - start, 2] = x[0] * x[3]  # cos/sin
-    return out
-
-
 def _rate_estimates():
-    """|E[Delta_i Delta_j]| estimates per kind over the epsilon sweep.
+    """E[Delta_i Delta_j] estimates per kind over the epsilon sweep.
 
-    Streams replications in chunks (full sample lists at M = 200000 per
-    epsilon would not fit); the per-replication products mirror
-    cross_moment with the constant weight, which criterion 6a exercises
-    directly through the library entry point.
+    One generate_samples call per epsilon, then cross_moment with the
+    constant weight; on the one-step grid each block is M x 4 x 2
+    doubles (12.8 MB at M = 200000).
     """
+    cfg = RunConfig(
+        theta=RATE_THETA,
+        epsilons=RATE_EPSILONS,
+        replications_M=RATE_M,
+        master_seed=SEED + 6,
+        grid_points=1,
+        workers=_WORKERS,
+        checks=("cross_moments",),
+    )
+    grid = EvaluationGrid.uniform(1.0, 1)
+    phi = TestFunctionSpec.one()
     per_eps = []
-    chunk = 4000
-    with ProcessPoolExecutor(max_workers=_WORKERS) as pool:
-        for k, eps in enumerate(RATE_EPSILONS):
-            tasks = [
-                (k, eps, lo, min(lo + chunk, RATE_M)) for lo in range(0, RATE_M, chunk)
-            ]
-            blocks = list(pool.map(_rate_chunk, tasks))
-            prods = np.concatenate(blocks, axis=0)
-            per_eps.append([Estimate.from_observations(prods[:, c]) for c in range(3)])
+    for k in range(len(RATE_EPSILONS)):
+        block = generate_samples(cfg, grid, k)
+        per_eps.append([cross_moment(block, i, j, 0.0, 1.0, phi) for _, i, j in RATE_KINDS])
     return per_eps
 
 
 def test_criterion_6_cross_moment_decay():
     # 6a: at eps = 0.05 every kind sits inside its 4-SE band around zero
     samples = _make_samples(RATE_THETA, 0.05, 5000, SEED + 6, steps=1)
-    kinds = (("coscos", 0, 1), ("sinsin", 2, 3), ("cossin", 0, 3))
-    for kind, i, j in kinds:
+    for kind, i, j in RATE_KINDS:
         est = cross_moment(samples, i, j, 0.0, 1.0, TestFunctionSpec.one())
         assert abs(est.value) <= BAND * est.std_error, (kind, est.value)
 
@@ -294,7 +279,7 @@ def test_criterion_6_cross_moment_decay():
     per_eps = _rate_estimates()
     eps = np.asarray(RATE_EPSILONS)
     details = []
-    for c, (kind, i, j) in enumerate(kinds):
+    for c, (kind, i, j) in enumerate(RATE_KINDS):
         values = np.array([per_eps[k][c].value for k in range(len(eps))])
         ses = np.array([per_eps[k][c].std_error for k in range(len(eps))])
         slope = rate_fit(list(eps), list(values), list(ses))
@@ -393,7 +378,7 @@ def test_criterion_9_counterexample_identities():
 
 
 def test_criterion_10_normality(ref_samples):
-    deltas = np.stack([s.at_time(1.0) for s in ref_samples])
+    deltas = ref_samples.at_time(1.0)
     worst_skew = worst_kurt = 0.0
     for c in range(4):
         rep = normality_check(deltas[:, c])
@@ -408,7 +393,7 @@ def test_criterion_10_normality(ref_samples):
     hits = 0
     for run in range(20):
         samples = _make_samples(theta, 0.05, 5000, SEED + 100 + run, steps=1)
-        xs = np.array([s.values[0, 1] for s in samples])
+        xs = samples.values[:, 0, 1]
         if normality_check(xs).ks_statistic < crit:
             hits += 1
     assert hits >= 18, hits

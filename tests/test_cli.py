@@ -146,6 +146,23 @@ class TestPlotCommand:
         # only one epsilon: no rate summary to plot
         assert main(["plot", report, "--kind", "RATE_LOGLOG"]) == 2
 
+    def test_rate_loglog_with_zero_cross_moment(self, cfg_file, tmp_path, capsys):
+        # sin(pi * N) = 0, so the cross moment and its SE are exactly 0: no log
+        cfg = cfg_file(
+            "cos_block = 1/2 pi\nsin_block = pi\nallow_invalid_theta = true\n"
+            "epsilons = 0.4, 0.2, 0.1\nreplications_M = 120\ngrid_points = 4\n"
+            f"master_seed = 12345\nchecks = cross_moments\noutput_dir = {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(cfg)]) == 1
+        capsys.readouterr()
+        report = str(tmp_path / "out" / "report.json")
+        assert main(["plot", report, "--kind", "RATE_LOGLOG"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 3
+        for log_eps, log_abs, log_bound in rows:
+            assert log_abs == ""
+            assert float(log_eps) < 0.0 and float(log_bound) < 0.0
+
 
 class TestVersionCommand:
     def test_version_in_process(self, capsys):

@@ -1,4 +1,4 @@
-"""Process assembly: grids, samples, increments, export."""
+"""Process assembly: grids, samples, sample blocks, export."""
 
 import math
 
@@ -8,10 +8,10 @@ import pytest
 from poisson_bm import (
     EvaluationGrid,
     PoissonPath,
+    SampleBlock,
     ThetaConfig,
     build_sample,
     derive_stream,
-    increments,
     map_to_path_time,
     sample_poisson_path,
     trig_integral,
@@ -142,6 +142,16 @@ class TestBuildSample:
         assert np.allclose(sample.values[0], sample.values[1], atol=1e-10, rtol=0)
         assert np.allclose(sample.values[2], -sample.values[3], atol=1e-10, rtol=0)
 
+    def test_stroock_increment_bound(self):
+        # |delta| <= eps * (2t/eps^2 - 2s/eps^2) for the angle-pi component
+        grid = EvaluationGrid.uniform(T, 8)
+        sample = build_sample(
+            _path_for(seed=92), EPS, ThetaConfig(cos_block=["pi"]), grid
+        )
+        delta = sample.at_time(0.75) - sample.at_time(0.25)
+        bound = EPS * (map_to_path_time(0.75, EPS) - map_to_path_time(0.25, EPS))
+        assert abs(delta[0]) <= bound * (1 + 1e-12)
+
 
 def _reference_values(path, eps, cfg, grid):
     """Per-component evaluation: one integral_from_zero call per component."""
@@ -210,40 +220,27 @@ class TestBuildSampleBitIdentity:
         assert not _LEVEL_TABLES[configs[-1]].flags.writeable
 
 
-class TestIncrements:
-    def _sample(self):
+class TestSampleBlock:
+    def test_shape_checked_once(self):
         cfg = ThetaConfig(cos_block=["1/2 pi"], sin_block=[1.1])
-        grid = EvaluationGrid.uniform(T, 8)
-        return build_sample(_path_for(seed=91), EPS, cfg, grid)
+        grid = EvaluationGrid.uniform(T, 4)
+        with pytest.raises(ValueError, match="does not match"):
+            SampleBlock(epsilon=EPS, config=cfg, grid=grid, values=np.zeros((3, 3, 5)))
+        with pytest.raises(ValueError, match="does not match"):
+            SampleBlock(epsilon=EPS, config=cfg, grid=grid, values=np.zeros((2, 5)))
 
-    def test_from_origin_equals_value(self):
-        sample = self._sample()
-        table = increments(sample, [(0.0, 0.5)])
-        assert np.array_equal(table.deltas[:, 0], sample.at_time(0.5))
-
-    def test_telescoping(self):
-        sample = self._sample()
-        table = increments(sample, [(0.0, 0.5), (0.5, 1.0), (0.0, 1.0)])
-        lhs = table.deltas[:, 0] + table.deltas[:, 1]
-        assert np.allclose(lhs, table.deltas[:, 2], rtol=0, atol=1e-12)
-
-    def test_off_grid_pair_rejected(self):
-        with pytest.raises(ValueError):
-            increments(self._sample(), [(0.0, 0.3)])
-
-    def test_unordered_pair_rejected(self):
-        with pytest.raises(ValueError):
-            increments(self._sample(), [(0.5, 0.5)])
-
-    def test_stroock_increment_bound(self):
-        # |delta| <= eps * (2t/eps^2 - 2s/eps^2) for the angle-pi component
-        grid = EvaluationGrid.uniform(T, 8)
-        sample = build_sample(
-            _path_for(seed=92), EPS, ThetaConfig(cos_block=["pi"]), grid
+    def test_at_time_stacks_the_rows(self):
+        cfg = ThetaConfig(cos_block=["1/2 pi"], sin_block=[1.1])
+        grid = EvaluationGrid.uniform(T, 4)
+        rows = [build_sample(_path_for(seed=95, rep=r), EPS, cfg, grid) for r in range(3)]
+        block = SampleBlock(
+            epsilon=EPS, config=cfg, grid=grid, values=np.stack([r.values for r in rows])
         )
-        table = increments(sample, [(0.25, 0.75)])
-        bound = EPS * (map_to_path_time(0.75, EPS) - map_to_path_time(0.25, EPS))
-        assert abs(table.deltas[0, 0]) <= bound * (1 + 1e-12)
+        assert len(block) == 3
+        want = np.stack([r.at_time(0.5) for r in rows])
+        assert np.array_equal(block.at_time(0.5), want)
+        with pytest.raises(ValueError, match="not on the evaluation grid"):
+            block.at_time(0.3)
 
 
 class TestCsvExport:

@@ -2,15 +2,22 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from poisson_bm import (
+    EvaluationGrid,
     InvalidThetaError,
     RunConfig,
     RunReport,
     ThetaConfig,
+    build_sample,
+    derive_stream,
     emit_plot_data,
+    generate_samples,
+    map_to_path_time,
     run_experiment,
+    sample_poisson_path,
 )
 from poisson_bm.report import (
     ASSERTIONS_FILENAME,
@@ -20,6 +27,8 @@ from poisson_bm.report import (
     REPORT_FILENAME,
     TIMINGS_FILENAME,
 )
+from poisson_bm.runconfig import ALL_CHECKS
+from poisson_bm.runner import CHECKS
 
 
 def minimal_config(**overrides):
@@ -34,7 +43,26 @@ def minimal_config(**overrides):
     return RunConfig(**kwargs)
 
 
+class TestGenerateSamples:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_rows_are_the_replications_in_order(self, workers):
+        theta = ThetaConfig(cos_block=["1/2 pi", 2.2], sin_block=[1.1])
+        cfg = minimal_config(theta=theta, epsilons=(0.4, 0.3), replications_M=40,
+                             grid_points=4, workers=workers, checks=("covariance",))
+        grid = EvaluationGrid.uniform(1.0, 4)
+        block = generate_samples(cfg, grid, 1)
+        assert block.values.shape == (40, 3, 5)
+        assert block.epsilon == 0.3 and block.config is theta and block.grid is grid
+        horizon = map_to_path_time(1.0, 0.3)
+        for r in (0, 17, 39):
+            path = sample_poisson_path(horizon, derive_stream(4242, 1, r))
+            assert np.array_equal(block.values[r], build_sample(path, 0.3, theta, grid).values)
+
+
 class TestRunExperiment:
+    def test_check_table_covers_every_check(self):
+        assert tuple(CHECKS) == ALL_CHECKS
+
     def test_minimal_smoke_run_covariance_passes(self):
         report = run_experiment(minimal_config())
         cov = next(
@@ -180,6 +208,30 @@ class TestReportFiles:
 
         loaded = RunReport.from_json_file(path)
         assert loaded.to_json_text() == report.to_json_text()
+
+    def test_zero_component_report_is_strict_json(self, tmp_path):
+        # sin(pi * N) = 0: its correlations and moment ratios do not exist
+        cfg = minimal_config(
+            theta=ThetaConfig(cos_block=["1/2 pi"], sin_block=["pi"]),
+            allow_invalid_theta=True,
+            replications_M=200,
+            grid_points=4,
+        )
+        path = run_experiment(cfg).write(tmp_path)
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads(path.read_text(), parse_constant=refuse)
+        checks = {c["name"]: c for c in doc["results"][0]["checks"]}
+        assert checks["covariance"]["data"]["correlation"][0][1] is None
+        skew = next(a for a in checks["normality"]["assertions"] if a["name"] == "skew[2]")
+        assert skew["value"] is None and "reason" in skew
+        # the flat table keeps its own spelling of a missing statistic, also
+        # when it is written again from the reloaded report
+        csv_text = (tmp_path / ASSERTIONS_FILENAME).read_text()
+        assert ",skew[2],nan," in csv_text
+        assert RunReport.from_json_file(path).assertions_csv_text() == csv_text
 
     def test_assertions_csv_layout(self, tmp_path):
         cfg = minimal_config(replications_M=120, grid_points=4, output_dir=tmp_path)

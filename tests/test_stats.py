@@ -1,6 +1,7 @@
 """Estimators and envelope evaluators, checked against closed-form oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,22 +11,20 @@ from poisson_bm import (
     DegenerateSampleError,
     Estimate,
     EvaluationGrid,
-    ProcessSample,
+    RunConfig,
     TestFunctionSpec,
     ThetaConfig,
-    build_sample,
     compensated_sum,
     correlation_matrix,
     cross_moment,
     derive_stream,
     empirical_increment_covariance,
     fourth_moment_ratio,
-    map_to_path_time,
+    generate_samples,
     martingale_residual,
     normality_check,
     quadratic_variation,
     rate_fit,
-    sample_poisson_path,
     stroock_variance_check,
     structural_bound_eval,
 )
@@ -38,13 +37,17 @@ from oracles import (
 
 
 def make_samples(cfg, eps, M, seed, T=1.0, steps=8):
-    grid = EvaluationGrid.uniform(T, steps)
-    horizon = map_to_path_time(T, eps)
-    out = []
-    for r in range(M):
-        path = sample_poisson_path(horizon, derive_stream(seed, 0, r))
-        out.append(build_sample(path, eps, cfg, grid))
-    return out
+    """The (M, d, steps + 1) block of replications 0 .. M-1 at one epsilon."""
+    config = RunConfig(
+        theta=cfg,
+        epsilons=(eps,),
+        replications_M=M,
+        master_seed=seed,
+        horizon_T=T,
+        grid_points=steps,
+        checks=("covariance",),
+    )
+    return generate_samples(config, EvaluationGrid.uniform(T, steps), 0)
 
 
 class TestEstimate:
@@ -123,9 +126,10 @@ class TestIncrementCovariance:
 
     def test_requires_two_samples(self):
         cfg = ThetaConfig(cos_block=[1.0])
-        samples = make_samples(cfg, 0.4, 1, seed=213)
+        block = make_samples(cfg, 0.4, 2, seed=213)
+        one = replace(block, values=block.values[:1])
         with pytest.raises(ValueError):
-            empirical_increment_covariance(samples, 0.0, 1.0)
+            empirical_increment_covariance(one, 0.0, 1.0)
 
 
 class TestCrossMoment:
@@ -235,65 +239,64 @@ class TestRateFit:
 
 
 class TestQuadraticVariation:
-    def _zero_sample(self):
+    def _zero_block(self):
         # sin(pi * N) is identically zero, an exactly-null component
         cfg = ThetaConfig(sin_block=["pi"])
-        return make_samples(cfg, 0.4, 1, seed=218)[0]
+        return make_samples(cfg, 0.4, 2, seed=218)
 
     def test_zero_path(self):
-        sample = self._zero_sample()
-        assert quadratic_variation(sample, 0, sample.grid.times) == 0.0
+        block = self._zero_block()
+        assert np.array_equal(quadratic_variation(block, 0, block.grid.times), [0.0, 0.0])
 
     def test_invariant_under_constant_shift(self):
         cfg = ThetaConfig(cos_block=[2.2])
-        sample = make_samples(cfg, 0.3, 1, seed=219)[0]
-        shifted = ProcessSample(
-            epsilon=sample.epsilon,
-            config=sample.config,
-            grid=sample.grid,
-            values=sample.values + 5.0,
-        )
-        a = quadratic_variation(sample, 0, sample.grid.times)
-        b = quadratic_variation(shifted, 0, sample.grid.times)
+        block = make_samples(cfg, 0.3, 2, seed=219)
+        shifted = replace(block, values=block.values + 5.0)
+        a = quadratic_variation(block, 0, block.grid.times)
+        b = quadratic_variation(shifted, 0, block.grid.times)
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_mean_matches_exact_value(self):
         cfg = ThetaConfig(cos_block=[2.2])
         eps, M, steps = 0.2, 1500, 8
-        samples = make_samples(cfg, eps, M, seed=220, steps=steps)
-        partition = samples[0].grid.times
-        qvs = np.array([quadratic_variation(s, 0, partition) for s in samples])
+        block = make_samples(cfg, eps, M, seed=220, steps=steps)
+        partition = block.grid.times
+        qvs = quadratic_variation(block, 0, partition)
+        assert qvs.shape == (M,)
         est = Estimate.from_observations(qvs)
         target = exact_qv_mean(2.2, "cos", partition, eps)
         assert abs(est.value - target) <= 4.0 * est.std_error
 
     def test_partition_validation(self):
-        sample = self._zero_sample()
+        block = self._zero_block()
         with pytest.raises(ValueError):
-            quadratic_variation(sample, 0, [0.0])
+            quadratic_variation(block, 0, [0.0])
         with pytest.raises(ValueError):
-            quadratic_variation(sample, 0, [0.5, 1.0])
+            quadratic_variation(block, 0, [0.5, 1.0])
 
     def test_off_grid_and_unsorted_partitions_rejected(self):
-        sample = self._zero_sample()  # grid 0, 1/8, ..., 1
+        block = self._zero_block()  # grid 0, 1/8, ..., 1
         with pytest.raises(ValueError, match="not on the evaluation grid"):
-            quadratic_variation(sample, 0, [0.0, 0.3, 1.0])
+            quadratic_variation(block, 0, [0.0, 0.3, 1.0])
         with pytest.raises(ValueError, match="not on the evaluation grid"):
-            quadratic_variation(sample, 0, [0.0, 0.5, 2.0])
+            quadratic_variation(block, 0, [0.0, 0.5, 2.0])
         with pytest.raises(ValueError, match="strictly increasing"):
-            quadratic_variation(sample, 0, [0.0, 0.5, 0.25])
+            quadratic_variation(block, 0, [0.0, 0.5, 0.25])
         with pytest.raises(ValueError, match="strictly increasing"):
-            quadratic_variation(sample, 0, [0.0, 0.5, 0.5])
+            quadratic_variation(block, 0, [0.0, 0.5, 0.5])
 
     def test_matches_index_of_lookup(self):
+        # each row is the exact sum over that replication's own path
         cfg = ThetaConfig(cos_block=[2.2], sin_block=["1/2 pi"])
-        sample = make_samples(cfg, 0.2, 1, seed=222, steps=16)[0]
-        grid = sample.grid
+        block = make_samples(cfg, 0.2, 3, seed=222, steps=16)
+        grid = block.grid
         for partition in (grid.times, list(grid.times[::4]), [0.0, 0.25, 1.0]):
             idx = [grid.index_of(t) for t in partition]
             for c in range(2):
-                expected = compensated_sum(np.diff(sample.values[c, idx]) ** 2)
-                assert quadratic_variation(sample, c, partition) == expected
+                qvs = quadratic_variation(block, c, partition)
+                for r in range(len(block)):
+                    expected = compensated_sum(np.diff(block.values[r, c, idx]) ** 2)
+                    assert qvs[r] == expected
 
 
 class TestFourthMoment:
