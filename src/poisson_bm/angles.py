@@ -163,6 +163,15 @@ class ThetaConfig:
         object.__setattr__(self, "allow_pi_in_cos", bool(allow_pi_in_cos))
         if self.dimension == 0:
             raise ValueError("empty configuration: no process components requested")
+        # the hash the dataclass would compute on every lookup, computed
+        # once; angles hash through floats and Fractions only, so the value
+        # is the same in every process
+        object.__setattr__(
+            self, "_hash", hash((self.cos_block, self.sin_block, self.allow_pi_in_cos))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:

@@ -51,7 +51,7 @@ class PoissonPath:
         if jt.size:
             if jt[0] <= 0.0 or jt[-1] > self.horizon:
                 raise ValueError("jump times must lie in (0, horizon]")
-            if np.any(np.diff(jt) <= 0.0):
+            if np.count_nonzero(jt[1:] <= jt[:-1]):
                 raise ValueError("jump times must be strictly increasing")
 
     def count(self, x: float | np.ndarray) -> int | np.ndarray:
@@ -66,9 +66,15 @@ def sample_poisson_path(horizon: float, stream: np.random.Generator) -> PoissonP
     Interarrivals are -log(U) with U uniform (inverse CDF), so the path
     is a pure function of the stream's uniform output. The same stream
     state and horizon always reproduce the same path.
+
+    Each block of uniforms is turned into jump times in place (guard,
+    log, negate, running sum, then the offset of the earlier blocks),
+    and the times past the horizon are cut with one ``searchsorted``:
+    the times never decrease, so the cut keeps exactly the times
+    <= horizon.
     """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
     if horizon == 0:
         return PoissonPath(horizon=0.0, jump_times=np.empty(0))
 
@@ -77,11 +83,15 @@ def sample_poisson_path(horizon: float, stream: np.random.Generator) -> PoissonP
     # one block covers the expected count plus a generous tail most of the time
     block = max(16, int(horizon + 4.0 * math.sqrt(horizon) + 16.0))
     while True:
-        u = stream.random(block)
-        gaps = -np.log(np.maximum(u, _TINY))  # guard U == 0.0
-        times = t + np.cumsum(gaps)
+        times = stream.random(block)
+        np.maximum(times, _TINY, out=times)  # guard U == 0.0
+        np.log(times, out=times)
+        np.negative(times, out=times)
+        np.add.accumulate(times, out=times)
+        if t != 0.0:  # 0.0 + x == x, so the first block needs no offset
+            times += t
         if times[-1] > horizon:
-            parts.append(times[times <= horizon])
+            parts.append(times[: np.searchsorted(times, horizon, side="right")])
             break
         parts.append(times)
         t = float(times[-1])
@@ -90,8 +100,8 @@ def sample_poisson_path(horizon: float, stream: np.random.Generator) -> PoissonP
     jumps = parts[0] if len(parts) == 1 else np.concatenate(parts)
     # cumsum rounding can in principle produce a tied pair once gaps fall
     # below one ulp of the running time; bump such ties by one ulp
-    while jumps.size > 1 and np.any(np.diff(jumps) <= 0.0):
-        for k in np.flatnonzero(np.diff(jumps) <= 0.0):
+    while jumps.size > 1 and np.count_nonzero(ties := jumps[1:] <= jumps[:-1]):
+        for k in np.flatnonzero(ties):
             jumps[k + 1] = np.nextafter(jumps[k], np.inf)
         jumps = jumps[jumps <= horizon]
     return PoissonPath(horizon=float(horizon), jump_times=jumps)

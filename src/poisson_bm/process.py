@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,10 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 LEVEL_CACHE_SIZE = 8
 _LEVEL_TABLES: dict[ThetaConfig, np.ndarray] = {}
 
+# Path-time plans kept per grid, one per epsilon. A run uses a few
+# epsilons; the bound keeps a long-lived grid from piling them up.
+PLAN_CACHE_SIZE = 8
+
 
 def map_to_path_time(t: float, epsilon: float) -> float:
     """Map process time t to path time 2t/eps^2, computed in extended precision."""
@@ -43,13 +47,20 @@ def map_to_path_time(t: float, epsilon: float) -> float:
 
 @dataclass(frozen=True)
 class EvaluationGrid:
-    """Strictly increasing evaluation times starting at 0, within [0, T]."""
+    """Strictly increasing evaluation times starting at 0, within [0, T].
+
+    ``times`` is the grid's own read-only copy, so the path times
+    memoized per epsilon in ``_plans`` (see ``_path_times``) never go
+    stale.
+    """
 
     times: np.ndarray
     horizon_T: float
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ts = np.asarray(self.times, dtype=np.float64)
+        ts = np.array(self.times, dtype=np.float64)
+        ts.flags.writeable = False
         object.__setattr__(self, "times", ts)
         if ts.ndim != 1 or ts.size < 1:
             raise ValueError("grid needs at least one time")
@@ -167,6 +178,27 @@ def _level_table(config: ThetaConfig, n_levels: int) -> np.ndarray:
     return table
 
 
+def _path_times(grid: EvaluationGrid, epsilon: float) -> tuple[float, np.ndarray]:
+    """2T/eps^2 and the read-only path times 2t/eps^2 of every grid time t.
+
+    Both follow the long-double steps of ``map_to_path_time``. They depend
+    only on (epsilon, grid), so each grid keeps them per epsilon, at most
+    ``PLAN_CACHE_SIZE`` epsilons at once (oldest evicted).
+    """
+    plan = grid._plans.get(epsilon)
+    if plan is None:
+        eps_ld = np.longdouble(epsilon)
+        xs = np.asarray(
+            np.longdouble(2.0) * grid.times.astype(np.longdouble) / (eps_ld * eps_ld),
+            dtype=np.float64,
+        )
+        xs.flags.writeable = False
+        if len(grid._plans) >= PLAN_CACHE_SIZE:
+            del grid._plans[next(iter(grid._plans))]
+        plan = grid._plans[epsilon] = (map_to_path_time(grid.horizon_T, epsilon), xs)
+    return plan
+
+
 def build_sample(
     path: PoissonPath,
     epsilon: float,
@@ -176,15 +208,16 @@ def build_sample(
     """Evaluate every component on the grid from one shared Poisson path.
 
     Cost is O(dimension * jumps) adds: the level values trig(theta_i * k)
-    come from a table cached per config, and one 2-D prefix sum over the
-    path's jump segments serves all components. Values at a grid time t
-    agree bit for bit with eps * trig_integral(path, theta, 0, 2t/eps^2,
-    kind), with the 1/sqrt(2) factor applied afterwards for pi-rescaled
-    components.
+    come from a table cached per config, the grid's path times 2t/eps^2
+    from a plan memoized per (epsilon, grid), and one 2-D prefix sum over
+    the path's jump segments serves all components. Values at a grid time
+    t agree bit for bit with eps * trig_integral(path, theta, 0,
+    2t/eps^2, kind), with the 1/sqrt(2) factor applied afterwards for
+    pi-rescaled components.
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    needed = map_to_path_time(grid.horizon_T, epsilon)
+    needed, xs = _path_times(grid, epsilon)
     if needed > HORIZON_CAP:
         raise ValueError(
             f"rescaled horizon 2T/eps^2 = {needed:.6g} exceeds the cap {HORIZON_CAP:.0e}"
@@ -195,12 +228,6 @@ def build_sample(
             f"need 2T/eps^2 = {needed:.6g}"
         )
 
-    # map_to_path_time over the whole grid, same long-double steps
-    eps_ld = np.longdouble(epsilon)
-    xs = np.asarray(
-        np.longdouble(2.0) * grid.times.astype(np.longdouble) / (eps_ld * eps_ld),
-        dtype=np.float64,
-    )
     # the steps of integral_from_zero, run for all components at once;
     # count level k holds on [starts[k], starts[k + 1])
     jumps = path.jump_times
@@ -212,9 +239,13 @@ def build_sample(
     prefix = np.empty((config.dimension, n + 1))
     prefix[:, 0] = 0.0
     np.multiply(levels[:, :n], starts[1:] - starts[:-1], out=prefix[:, 1:])
-    np.cumsum(prefix[:, 1:], axis=1, out=prefix[:, 1:])
+    np.add.accumulate(prefix[:, 1:], axis=1, out=prefix[:, 1:])  # cumsum's own ufunc
+    # eps * (prefix[:, j] + levels[:, j] * (xs - starts[j])), in place
     j = np.searchsorted(jumps, xs, side="right")
-    values = epsilon * (prefix[:, j] + levels[:, j] * (xs - starts[j]))
+    values = levels.take(j, axis=1)
+    values *= xs - starts.take(j)
+    values += prefix.take(j, axis=1)
+    values *= epsilon
     for i in config.pi_rescaled_indices:
         values[i - 1] *= INV_SQRT2
     return ProcessSample(epsilon=float(epsilon), config=config, grid=grid, values=values)

@@ -10,9 +10,28 @@ what makes worker-count-independent reports possible.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
+
+
+class _PhiloxKey(ISeedSequence):
+    """Hands Philox its two 64-bit key words, low word first.
+
+    ``Philox(key=k)`` would first build a ``SeedSequence`` from OS entropy
+    and then discard it; Philox built from this seed source reads its key
+    from ``generate_state(2, uint64)`` instead, with the same counter,
+    buffer and draws.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words  # Philox asks for exactly (2, uint64)
 
 
 def derive_stream(
@@ -22,7 +41,9 @@ def derive_stream(
 
     master_seed is a 64-bit unsigned integer; the two indices must fit
     in 32 bits. The key layout is (seed << 64) | (eps << 32) | rep,
-    an injection into the 128-bit Philox key space.
+    an injection into the 128-bit Philox key space. The stream equals
+    ``Generator(Philox(key=...))`` draw for draw; the key words are handed
+    over directly, so no OS entropy is read.
     """
     if not 0 <= master_seed <= _MASK64:
         raise ValueError(f"master_seed must fit in 64 bits, got {master_seed}")
@@ -30,5 +51,7 @@ def derive_stream(
         raise ValueError(f"epsilon_index must fit in 32 bits, got {epsilon_index}")
     if not 0 <= replication_index <= _MASK32:
         raise ValueError(f"replication_index must fit in 32 bits, got {replication_index}")
-    key = (master_seed << 64) | (epsilon_index << 32) | replication_index
-    return np.random.Generator(np.random.Philox(key=key))
+    words = np.array(
+        [(epsilon_index << 32) | replication_index, master_seed], dtype=np.uint64
+    )
+    return np.random.Generator(np.random.Philox(_PhiloxKey(words)))

@@ -13,6 +13,7 @@ or on execution order.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -134,7 +135,12 @@ def _chunk_values(start_stop: tuple[int, int]) -> np.ndarray:
 def generate_samples(
     config: RunConfig, grid: EvaluationGrid, eps_index: int
 ) -> SampleBlock:
-    """All replications for one epsilon, gathered in replication order."""
+    """All replications for one epsilon, gathered in replication order.
+
+    Chunks are cut from ``config.workers`` alone, so the bytes do not
+    depend on the host; the pool starts at most one process per chunk
+    and per CPU.
+    """
     epsilon = config.epsilons[eps_index]
     M = config.replications_M
     initargs = (config.theta, grid.times, grid.horizon_T, epsilon,
@@ -145,8 +151,10 @@ def generate_samples(
     else:
         chunk = max(1, -(-M // (config.workers * 8)))
         ranges = [(lo, min(lo + chunk, M)) for lo in range(0, M, chunk)]
+        # under fork the pool starts all max_workers processes at the first submit
+        pool_size = min(config.workers, len(ranges), os.cpu_count() or 1)
         with ProcessPoolExecutor(
-            max_workers=config.workers, initializer=_init_worker, initargs=initargs
+            max_workers=pool_size, initializer=_init_worker, initargs=initargs
         ) as pool:
             blocks = list(pool.map(_chunk_values, ranges))
         values = np.concatenate(blocks, axis=0)

@@ -1,5 +1,6 @@
 """Poisson path sampling and the exact trig integrator."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,11 @@ class TestSamplePoissonPath:
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError):
             sample_poisson_path(-1.0, derive_stream(1, 0, 0))
+
+    @pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan])
+    def test_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be finite and >= 0"):
+            sample_poisson_path(horizon, derive_stream(1, 0, 0))
 
     def test_construction_invariants(self):
         for rep in range(20):
@@ -63,6 +69,101 @@ class TestSamplePoissonPath:
         assert path.count(0.25) == 1
         assert path.count(1.0) == 2
         assert path.count(2.0) == 3
+
+
+def _sha256(values: np.ndarray) -> str:
+    return hashlib.sha256(values.tobytes()).hexdigest()
+
+
+class _StubStream:
+    """Uniforms from a fixed recipe: ``first`` fills the first block (with
+    optional first and last entries from ``ends``), ``rest`` every later one.
+    Records the block sizes requested."""
+
+    def __init__(self, first, rest=0.5, ends=None):
+        self.first, self.rest, self.ends = first, rest, ends
+        self.calls = []
+
+    def random(self, n):
+        self.calls.append(n)
+        if len(self.calls) > 1:
+            return np.full(n, self.rest)
+        u = np.full(n, self.first)
+        if self.ends is not None:
+            u[0], u[-1] = self.ends
+        return u
+
+
+class TestPinnedBits:
+    """Jump times recorded from the sampler before its fast path; any
+    change to the bits of a path fails here."""
+
+    @pytest.mark.parametrize(
+        "horizon,key,size,digest",
+        [
+            (0.5, (1, 0, 0), 2,
+             "1eacea0e54cfbb813a0912103e37e0535a4ae9346051db42f6c50baed0888da6"),
+            (0.5, (3, 1, 4), 1,
+             "eac6cd4cb16115e88843beba531d815da3a8364463cdb44ade235b0751e38de1"),
+            (0.5, (12345, 3, 17), 0,
+             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (12.5, (0, 0, 0), 9,
+             "4b87b00c6f78366e8a0985e4c49c48638021dff200a20cdf41e9151bed76f23e"),
+            (12.5, (12345, 3, 17), 16,
+             "c84b6610fca9a28fd3d4bce57a8a9c65deef47cba17b8a9edee27cdb8bfbfd17"),
+            (12.5, (2**64 - 1, 2**32 - 1, 2**32 - 1), 10,
+             "fecfa15d606a2805a7684f233697de8c8fdeb46ddead014b8be21b8df979af28"),
+            (20000.0, (0, 0, 0), 20042,
+             "6147eda81e347311bf1dbd616664fc79e642d2b63a56f0414404b5991b7731d0"),
+            (20000.0, (12345, 3, 17), 20172,
+             "9fff66e95bceb7c39bf9e2c28cc639c51373e9ae0aebdd942063c18b89e27a51"),
+            (20000.0, (2**64 - 1, 2**32 - 1, 2**32 - 1), 19949,
+             "2c8c5f80bac11233bbdf62c4f4b96b128f8a4e2e118c7f67cb0fd066b9efdec5"),
+        ],
+    )
+    def test_keyed_paths(self, horizon, key, size, digest):
+        jumps = sample_poisson_path(horizon, derive_stream(*key)).jump_times
+        assert jumps.size == size
+        assert _sha256(jumps) == digest
+
+    def test_second_block(self):
+        # gaps of -log(0.99) do not reach 2.0 within the first block of 23;
+        # the second block (16 = max(16, 23 // 4)) crosses the horizon
+        stream = _StubStream(0.99)
+        jumps = sample_poisson_path(2.0, stream).jump_times
+        assert stream.calls == [23, 16]
+        assert jumps.size == 25
+        assert [float(x).hex() for x in jumps[[0, 22, 23, 24]]] == [
+            "0x1.495453e6fd4bcp-7", "0x1.d969389c0c1d2p-3",
+            "0x1.d93e7e16a6a64p-1", "0x1.9e11570325229p+0",
+        ]
+        assert _sha256(jumps) == (
+            "854e3f1708552829b15e9c6d739591647cac27ba47ebb9f6a7639c74ed198112"
+        )
+
+    def test_tied_times_are_bumped_one_ulp_apart(self):
+        # one gap of 20 log 2 then gaps of 2**-53, far below an ulp of the
+        # running time: 51 tied times, each bumped one ulp past the last
+        stream = _StubStream(1.0 - 2.0**-53, ends=(2.0**-20, 2.0**-20))
+        jumps = sample_poisson_path(20.0, stream).jump_times
+        assert stream.calls == [53]
+        assert jumps.size == 52
+        assert np.all(np.diff(jumps) > 0.0)
+        assert float(jumps[0]).hex() == "0x1.bb9d3beb8c86bp+3"
+        assert float(jumps[-1]).hex() == "0x1.bb9d3beb8c89ep+3"
+        assert _sha256(jumps) == (
+            "05e2dd68a5175c310b1f3d98b8149cca7ffc93918d119e06f0f5733766e9ce1f"
+        )
+
+    def test_bumped_times_beyond_the_horizon_are_dropped(self):
+        first = float(-np.log(2.0**-20))
+        horizon = float(np.nextafter(np.nextafter(first, np.inf), np.inf))
+        stream = _StubStream(1.0 - 2.0**-53, ends=(2.0**-20, 2.0**-20))
+        jumps = sample_poisson_path(horizon, stream).jump_times
+        assert stream.calls == [44]
+        assert [float(x).hex() for x in jumps] == [
+            "0x1.bb9d3beb8c86bp+3", "0x1.bb9d3beb8c86cp+3", "0x1.bb9d3beb8c86dp+3",
+        ]
 
 
 class TestTrigIntegralExamples:

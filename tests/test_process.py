@@ -1,5 +1,6 @@
 """Process assembly: grids, samples, sample blocks, export."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,7 +18,13 @@ from poisson_bm import (
     trig_integral,
 )
 from poisson_bm.poisson import integral_from_zero
-from poisson_bm.process import _LEVEL_TABLES, INV_SQRT2, LEVEL_CACHE_SIZE
+from poisson_bm.process import (
+    _LEVEL_TABLES,
+    INV_SQRT2,
+    LEVEL_CACHE_SIZE,
+    PLAN_CACHE_SIZE,
+    _path_times,
+)
 
 EPS = 0.4
 T = 1.0
@@ -218,6 +225,96 @@ class TestBuildSampleBitIdentity:
         assert len(_LEVEL_TABLES) <= LEVEL_CACHE_SIZE
         assert configs[0] not in _LEVEL_TABLES
         assert not _LEVEL_TABLES[configs[-1]].flags.writeable
+
+
+class TestPathTimePlans:
+    """The (epsilon, grid) path times memoized on the grid."""
+
+    MIXED = TestBuildSampleBitIdentity.MIXED
+    EPSILONS = (0.4, 0.3, 0.2)
+
+    def test_path_times_are_map_to_path_time(self):
+        grid = EvaluationGrid.uniform(T, 16)
+        for eps in self.EPSILONS:
+            needed, xs = _path_times(grid, eps)
+            assert needed == map_to_path_time(grid.horizon_T, eps)
+            assert xs.tolist() == [map_to_path_time(float(t), eps) for t in grid.times]
+            assert not xs.flags.writeable
+
+    def test_alternating_grids_and_epsilons_match_fresh_grids(self):
+        grids = [EvaluationGrid.uniform(T, 4), EvaluationGrid.uniform(T, 16)]
+        paths = {eps: _path_for(eps=eps, seed=401) for eps in self.EPSILONS}
+        for _ in range(2):
+            for eps, path in paths.items():
+                for grid in grids:
+                    got = build_sample(path, eps, self.MIXED, grid).values
+                    fresh = EvaluationGrid.uniform(T, len(grid) - 1)
+                    want = build_sample(path, eps, self.MIXED, fresh).values
+                    assert got.tobytes() == want.tobytes()
+        assert [sorted(g._plans) for g in grids] == [sorted(self.EPSILONS)] * 2
+
+    def test_plans_are_bounded(self):
+        grid = EvaluationGrid.uniform(T, 4)
+        path = _path_for(eps=0.1)
+        epsilons = [0.1 + 0.01 * k for k in range(PLAN_CACHE_SIZE + 3)]
+        first = build_sample(path, epsilons[0], self.MIXED, grid).values
+        for eps in epsilons[1:]:
+            build_sample(path, eps, self.MIXED, grid)
+        assert len(grid._plans) == PLAN_CACHE_SIZE
+        assert epsilons[0] not in grid._plans and epsilons[-1] in grid._plans
+        again = build_sample(path, epsilons[0], self.MIXED, grid).values
+        assert again.tobytes() == first.tobytes()
+        assert len(grid._plans) == PLAN_CACHE_SIZE
+
+    def test_grid_times_are_a_read_only_copy(self):
+        times = np.linspace(0.0, 1.0, 5)
+        grid = EvaluationGrid(times=times, horizon_T=1.0)
+        with pytest.raises(ValueError):
+            grid.times[1] = 0.3
+        times[1] = 0.3  # the caller's array stays writable and apart
+        assert grid.times[1] == 0.25
+
+
+class TestPinnedBits:
+    """Values recorded from ``build_sample`` before the per-(epsilon, grid)
+    memo: 20 replications of (77, 1, r) on the benchmark's two configs."""
+
+    CONFIGS = {
+        "four_rational_decimal": ThetaConfig(
+            cos_block=["1/2 pi", 2.2], sin_block=["1/2 pi", 2.2]
+        ),
+        "pi_rescaled": ThetaConfig(
+            cos_block=["pi", 2.2], sin_block=["1/2 pi", 1.1], allow_pi_in_cos=True
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "name,eps,steps,digest",
+        [
+            ("four_rational_decimal", 0.4, 1,
+             "e1fc52229fb44415000545fab92845d58f6de8e85ac94afca6fe81b1e80a5604"),
+            ("four_rational_decimal", 0.2, 16,
+             "92acac4c415030048b1c55f926dd529972988a75a4e5c92d4c8319bc2d6fb94e"),
+            ("four_rational_decimal", 0.05, 64,
+             "4f6e0970438edfcad7e6d22ed6c9304ed723f6b5956d8a50fa44aa7f7dc06c10"),
+            ("pi_rescaled", 0.4, 1,
+             "f57869f104d57aeeb578cfe80ac379fcc0b4cc4e78beecc9ff62f5428c6a18d3"),
+            ("pi_rescaled", 0.2, 16,
+             "71b8795dc8b0d4e093c1045023d98ca769ac1500099947f5fd6d39a0a1d576e9"),
+            ("pi_rescaled", 0.05, 64,
+             "d75b1c0653cbeefa9336120d0afd577950ec103ab3fea9e740d70a1a2b5d6366"),
+        ],
+    )
+    def test_recorded_values(self, name, eps, steps, digest):
+        cfg = self.CONFIGS[name]
+        grid = EvaluationGrid.uniform(1.0, steps)
+        horizon = map_to_path_time(1.0, eps)
+        values = np.stack([
+            build_sample(sample_poisson_path(horizon, derive_stream(77, 1, r)),
+                         eps, cfg, grid).values
+            for r in range(20)
+        ])
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
 class TestSampleBlock:

@@ -45,3 +45,28 @@ class TestDeriveStream:
     def test_full_64_bit_seed_accepted(self):
         stream = derive_stream(2**64 - 1, 2**32 - 1, 2**32 - 1)
         assert 0.0 <= stream.random() < 1.0
+
+
+def _flat_state(stream):
+    """The bit generator's state as comparable (name, value) pairs."""
+    def flat(prefix, value):
+        if isinstance(value, dict):
+            return [kv for k, v in value.items() for kv in flat(f"{prefix}.{k}", v)]
+        return [(prefix, np.asarray(value).tolist())]
+    return flat("", stream.bit_generator.state)
+
+
+class TestPhiloxKey:
+    """Streams are numpy's Philox keyed by (seed << 64) | (eps << 32) | rep."""
+
+    @pytest.mark.parametrize(
+        "seed,eps,rep",
+        [(0, 0, 0), (12345, 3, 17), (2**64 - 1, 2**32 - 1, 2**32 - 1)],
+    )
+    def test_draws_equal_philox_with_the_packed_key(self, seed, eps, rep):
+        key = (seed << 64) | (eps << 32) | rep
+        want = np.random.Generator(np.random.Philox(key=key))
+        got = derive_stream(seed, eps, rep)
+        assert np.array_equal(got.random(1000), want.random(1000))
+        assert np.array_equal(got.integers(0, 2**63, 100), want.integers(0, 2**63, 100))
+        assert _flat_state(got) == _flat_state(want)

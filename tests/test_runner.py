@@ -1,9 +1,12 @@
 """Experiment orchestration: determinism, counterexample mode, reports."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+import poisson_bm.runner as runner
 
 from poisson_bm import (
     EvaluationGrid,
@@ -57,6 +60,42 @@ class TestGenerateSamples:
         for r in (0, 17, 39):
             path = sample_poisson_path(horizon, derive_stream(4242, 1, r))
             assert np.array_equal(block.values[r], build_sample(path, 0.3, theta, grid).values)
+
+
+    @pytest.mark.parametrize(
+        "workers,cpus,M,want",
+        [(100_000, 2, 40, 2), (100_000, None, 40, 1), (3, 8, 40, 3), (8, 64, 5, 5)],
+    )
+    def test_pool_size_is_bounded_by_chunks_and_cpus(
+        self, monkeypatch, workers, cpus, M, want
+    ):
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor: records the size, runs in process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+        grid = EvaluationGrid.uniform(1.0, 2)
+        cfg = minimal_config(replications_M=M, grid_points=2, workers=workers,
+                             checks=("covariance",))
+        block = generate_samples(cfg, grid, 0)
+        assert sizes == [want]
+        serial = generate_samples(replace(cfg, workers=1), grid, 0)
+        assert block.values.tobytes() == serial.values.tobytes()
 
 
 class TestRunExperiment:
