@@ -33,10 +33,6 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 LEVEL_CACHE_SIZE = 8
 _LEVEL_TABLES: dict[ThetaConfig, np.ndarray] = {}
 
-# Path-time plans kept per grid, one per epsilon. A run uses a few
-# epsilons; the bound keeps a long-lived grid from piling them up.
-PLAN_CACHE_SIZE = 8
-
 
 def map_to_path_time(t: float, epsilon: float) -> float:
     """Map process time t to path time 2t/eps^2, computed in extended precision."""
@@ -49,14 +45,13 @@ def map_to_path_time(t: float, epsilon: float) -> float:
 class EvaluationGrid:
     """Strictly increasing evaluation times starting at 0, within [0, T].
 
-    ``times`` is the grid's own read-only copy, so the path times
-    memoized per epsilon in ``_plans`` (see ``_path_times``) never go
-    stale.
+    ``times`` is the grid's own read-only copy, so the path times of the
+    last epsilon, kept in ``_plan`` (see ``_path_times``), never go stale.
     """
 
     times: np.ndarray
     horizon_T: float
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ts = np.array(self.times, dtype=np.float64)
@@ -182,21 +177,20 @@ def _path_times(grid: EvaluationGrid, epsilon: float) -> tuple[float, np.ndarray
     """2T/eps^2 and the read-only path times 2t/eps^2 of every grid time t.
 
     Both follow the long-double steps of ``map_to_path_time``. They depend
-    only on (epsilon, grid), so each grid keeps them per epsilon, at most
-    ``PLAN_CACHE_SIZE`` epsilons at once (oldest evicted).
+    only on (epsilon, grid); the grid keeps them for the last epsilon it
+    saw and recomputes them when epsilon changes.
     """
-    plan = grid._plans.get(epsilon)
-    if plan is None:
+    plan = grid._plan
+    if plan is None or plan[0] != epsilon:
         eps_ld = np.longdouble(epsilon)
         xs = np.asarray(
             np.longdouble(2.0) * grid.times.astype(np.longdouble) / (eps_ld * eps_ld),
             dtype=np.float64,
         )
         xs.flags.writeable = False
-        if len(grid._plans) >= PLAN_CACHE_SIZE:
-            del grid._plans[next(iter(grid._plans))]
-        plan = grid._plans[epsilon] = (map_to_path_time(grid.horizon_T, epsilon), xs)
-    return plan
+        plan = (epsilon, map_to_path_time(grid.horizon_T, epsilon), xs)
+        object.__setattr__(grid, "_plan", plan)
+    return plan[1], plan[2]
 
 
 def build_sample(
@@ -209,10 +203,10 @@ def build_sample(
 
     Cost is O(dimension * jumps) adds: the level values trig(theta_i * k)
     come from a table cached per config, the grid's path times 2t/eps^2
-    from a plan memoized per (epsilon, grid), and one 2-D prefix sum over
-    the path's jump segments serves all components. Values at a grid time
-    t agree bit for bit with eps * trig_integral(path, theta, 0,
-    2t/eps^2, kind), with the 1/sqrt(2) factor applied afterwards for
+    from a plan the grid keeps for the last epsilon, and one 2-D prefix
+    sum over the path's jump segments serves all components. Values at a
+    grid time t agree bit for bit with eps * trig_integral(path, theta,
+    0, 2t/eps^2, kind), with the 1/sqrt(2) factor applied afterwards for
     pi-rescaled components.
     """
     if not (0.0 < epsilon <= 1.0):

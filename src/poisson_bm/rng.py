@@ -31,7 +31,13 @@ class _PhiloxKey(ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return self.words  # Philox asks for exactly (2, uint64)
+        # Philox asks for exactly (2, uint64); any other request would key
+        # the stream wrongly, so it fails here instead
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(
+                f"the Philox key is 2 uint64 words, asked for {n_words} x {np.dtype(dtype)}"
+            )
+        return self.words
 
 
 def derive_stream(

@@ -1,6 +1,8 @@
 """Admissibility validation of the angle vector."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -155,3 +157,16 @@ class TestValidationProperties:
         for v in rep.violations:
             for i in v.indices:
                 assert 1 <= i <= cfg.dimension
+
+
+class TestThetaConfigCopies:
+    ARGS = {"cos_block": ["1/2 pi", 2.2], "sin_block": ["1/2 pi", 2.2]}
+
+    def test_copies_hash_like_a_config_built_here(self):
+        cfg = ThetaConfig(**self.ARGS)
+        # stands in for the hash the same config got in another process
+        object.__setattr__(cfg, "_hash", hash(cfg) + 1)
+        fresh = ThetaConfig(**self.ARGS)
+        for clone in (pickle.loads(pickle.dumps(cfg)), copy.copy(cfg), copy.deepcopy(cfg)):
+            assert clone == fresh and hash(clone) == hash(fresh)
+            assert {fresh: "table"}[clone] == "table"

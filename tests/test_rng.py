@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from poisson_bm import derive_stream
+from poisson_bm.rng import _PhiloxKey
 
 
 class TestDeriveStream:
@@ -70,3 +71,10 @@ class TestPhiloxKey:
         assert np.array_equal(got.random(1000), want.random(1000))
         assert np.array_equal(got.integers(0, 2**63, 100), want.integers(0, 2**63, 100))
         assert _flat_state(got) == _flat_state(want)
+
+    @pytest.mark.parametrize("n_words,dtype", [(4, np.uint64), (2, np.uint32), (4, np.uint32)])
+    def test_key_source_refuses_other_requests(self, n_words, dtype):
+        key = _PhiloxKey(np.array([1, 2], dtype=np.uint64))
+        assert key.generate_state(2, np.uint64).tolist() == [1, 2]
+        with pytest.raises(ValueError, match="2 uint64 words"):
+            key.generate_state(n_words, dtype)
