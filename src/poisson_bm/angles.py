@@ -163,20 +163,6 @@ class ThetaConfig:
         object.__setattr__(self, "allow_pi_in_cos", bool(allow_pi_in_cos))
         if self.dimension == 0:
             raise ValueError("empty configuration: no process components requested")
-        # the hash the dataclass would compute on every lookup, computed
-        # once per object. It is only valid in this process: hash(None), in
-        # a decimal angle's pi_fraction, follows None's address before
-        # Python 3.12. So a copy is rebuilt through __init__ (__reduce__),
-        # never handed this value.
-        object.__setattr__(
-            self, "_hash", hash((self.cos_block, self.sin_block, self.allow_pi_in_cos))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (type(self), (self.cos_block, self.sin_block, self.allow_pi_in_cos))
 
     @property
     def n(self) -> int:

@@ -140,9 +140,10 @@ def integral_from_zero(
     """Integral of trig(theta * N) over [0, x] for each x in ``xs``.
 
     Accumulates segment areas with a running prefix sum over the path's
-    jump segments; every caller that evaluates from zero (including the
-    general-interval entry point below) goes through this routine, so
-    results agree bit for bit.
+    jump segments, one component at a time. It is the per-component
+    reference: ``build_sample`` runs the same steps for all components
+    at once, and the bit-identity tests compare it against this routine.
+    ``trig_integral`` below goes through it too.
     """
     xs = np.asarray(xs, dtype=np.float64)
     jumps = path.jump_times

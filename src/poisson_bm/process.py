@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,11 +27,6 @@ from .poisson import PoissonPath, _level_values
 HORIZON_CAP = 1.0e9
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-# Level tables kept at once, one per angle configuration. A run uses one
-# config; the bound keeps a long-lived process from piling them up.
-LEVEL_CACHE_SIZE = 8
-_LEVEL_TABLES: dict[ThetaConfig, np.ndarray] = {}
 
 
 def map_to_path_time(t: float, epsilon: float) -> float:
@@ -45,13 +40,12 @@ def map_to_path_time(t: float, epsilon: float) -> float:
 class EvaluationGrid:
     """Strictly increasing evaluation times starting at 0, within [0, T].
 
-    ``times`` is the grid's own read-only copy, so the path times of the
-    last epsilon, kept in ``_plan`` (see ``_path_times``), never go stale.
+    ``times`` is the grid's own read-only copy, so path times computed
+    from it once (see ``build_sample``) never go stale.
     """
 
     times: np.ndarray
     horizon_T: float
-    _plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ts = np.array(self.times, dtype=np.float64)
@@ -150,47 +144,45 @@ class SampleBlock:
         return self.values[:, :, self.grid.index_of(t)]
 
 
-def _level_table(config: ThetaConfig, n_levels: int) -> np.ndarray:
-    """Read-only (dimension, >= n_levels) table of trig(theta_i * k), k = 0, 1, ...
+class _Plan:
+    """What ``build_sample`` needs that depends only on (config, epsilon, grid).
 
-    Row i is ``_level_values`` of component i, so every entry is the value
-    the per-component integral uses; a level's value does not depend on
-    the table length. Tables are cached per config and regrown to the
-    new need when a longer path arrives.
+    ``needed`` is 2T/eps^2 and ``xs`` the read-only path times 2t/eps^2
+    of the grid times, both in the long-double steps of
+    ``map_to_path_time``. ``levels`` is the read-only (dimension, K) table
+    of trig(theta_i * k), k < K: row i is ``_level_values`` of component
+    i, and a level's value does not depend on K, so the table is regrown
+    to exactly the levels a longer path reaches.
     """
-    table = _LEVEL_TABLES.get(config)
-    if table is not None and table.shape[1] >= n_levels:
-        return table
-    _LEVEL_TABLES.pop(config, None)  # release the short table before regrowing
-    del table
-    if len(_LEVEL_TABLES) >= LEVEL_CACHE_SIZE:
-        del _LEVEL_TABLES[next(iter(_LEVEL_TABLES))]  # evict the oldest config
-    table = np.empty((config.dimension, n_levels))
-    for c, angle in enumerate(config.angles):
-        table[c] = _level_values(angle, n_levels, config.component_kind(c))
-    table.flags.writeable = False
-    _LEVEL_TABLES[config] = table
-    return table
 
-
-def _path_times(grid: EvaluationGrid, epsilon: float) -> tuple[float, np.ndarray]:
-    """2T/eps^2 and the read-only path times 2t/eps^2 of every grid time t.
-
-    Both follow the long-double steps of ``map_to_path_time``. They depend
-    only on (epsilon, grid); the grid keeps them for the last epsilon it
-    saw and recomputes them when epsilon changes.
-    """
-    plan = grid._plan
-    if plan is None or plan[0] != epsilon:
+    def __init__(self, config: ThetaConfig, epsilon: float, grid: EvaluationGrid) -> None:
+        self.config = config
+        self.epsilon = epsilon
+        self.grid = grid
+        self.needed = map_to_path_time(grid.horizon_T, epsilon)
         eps_ld = np.longdouble(epsilon)
-        xs = np.asarray(
+        self.xs = np.asarray(
             np.longdouble(2.0) * grid.times.astype(np.longdouble) / (eps_ld * eps_ld),
             dtype=np.float64,
         )
-        xs.flags.writeable = False
-        plan = (epsilon, map_to_path_time(grid.horizon_T, epsilon), xs)
-        object.__setattr__(grid, "_plan", plan)
-    return plan[1], plan[2]
+        self.xs.flags.writeable = False
+        self.levels = np.empty((config.dimension, 0))
+
+    def level_table(self, n_levels: int) -> np.ndarray:
+        """The level table, regrown first if it has fewer than n_levels."""
+        if self.levels.shape[1] < n_levels:
+            self.levels = None  # release the short table before regrowing
+            table = np.empty((self.config.dimension, n_levels))
+            for c, angle in enumerate(self.config.angles):
+                table[c] = _level_values(angle, n_levels, self.config.component_kind(c))
+            table.flags.writeable = False
+            self.levels = table
+        return self.levels
+
+
+# the plan of the last (config, epsilon, grid) build_sample saw; a run
+# evaluates one config on one grid per epsilon
+_LAST_PLAN: _Plan | None = None
 
 
 def build_sample(
@@ -201,17 +193,24 @@ def build_sample(
 ) -> ProcessSample:
     """Evaluate every component on the grid from one shared Poisson path.
 
-    Cost is O(dimension * jumps) adds: the level values trig(theta_i * k)
-    come from a table cached per config, the grid's path times 2t/eps^2
-    from a plan the grid keeps for the last epsilon, and one 2-D prefix
-    sum over the path's jump segments serves all components. Values at a
-    grid time t agree bit for bit with eps * trig_integral(path, theta,
-    0, 2t/eps^2, kind), with the 1/sqrt(2) factor applied afterwards for
-    pi-rescaled components.
+    Cost is O(dimension * jumps) adds: everything that depends only on
+    (config, epsilon, grid), i.e. 2T/eps^2, the grid's path times
+    2t/eps^2 and the level values trig(theta_i * k), comes from the plan
+    of the last triple seen, rebuilt when any of the three changes, and
+    one 2-D prefix sum over the path's jump segments serves all
+    components. Row i agrees bit for bit with
+    eps * integral_from_zero(path, theta_i, kind_i, path times), with the
+    1/sqrt(2) factor applied afterwards for pi-rescaled components.
     """
+    global _LAST_PLAN
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    needed, xs = _path_times(grid, epsilon)
+    plan = _LAST_PLAN
+    if plan is None or not (
+        plan.config is config and plan.grid is grid and plan.epsilon == epsilon
+    ):
+        plan = _LAST_PLAN = _Plan(config, epsilon, grid)
+    needed, xs = plan.needed, plan.xs
     if needed > HORIZON_CAP:
         raise ValueError(
             f"rescaled horizon 2T/eps^2 = {needed:.6g} exceeds the cap {HORIZON_CAP:.0e}"
@@ -229,7 +228,7 @@ def build_sample(
     starts = np.empty(n + 1)
     starts[0] = 0.0
     starts[1:] = jumps
-    levels = _level_table(config, n + 1)
+    levels = plan.level_table(n + 1)
     prefix = np.empty((config.dimension, n + 1))
     prefix[:, 0] = 0.0
     np.multiply(levels[:, :n], starts[1:] - starts[:-1], out=prefix[:, 1:])

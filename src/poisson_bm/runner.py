@@ -109,25 +109,24 @@ class InvalidThetaError(ConfigError):
 _WORKER: dict = {}
 
 
-def _init_worker(theta: ThetaConfig, grid_times: np.ndarray, horizon_T: float,
-                 epsilon: float, master_seed: int, eps_index: int) -> None:
-    _WORKER["theta"] = theta
-    _WORKER["grid"] = EvaluationGrid(times=grid_times, horizon_T=horizon_T)
-    _WORKER["epsilon"] = epsilon
-    _WORKER["master_seed"] = master_seed
+def _init_worker(config: RunConfig, grid: EvaluationGrid, eps_index: int) -> None:
+    _WORKER["config"] = config
+    _WORKER["grid"] = grid
     _WORKER["eps_index"] = eps_index
-    _WORKER["horizon"] = map_to_path_time(horizon_T, epsilon)
 
 
 def _chunk_values(start_stop: tuple[int, int]) -> np.ndarray:
     start, stop = start_stop
-    theta: ThetaConfig = _WORKER["theta"]
+    config: RunConfig = _WORKER["config"]
     grid: EvaluationGrid = _WORKER["grid"]
-    eps: float = _WORKER["epsilon"]
+    eps_index: int = _WORKER["eps_index"]
+    theta = config.theta
+    eps = config.epsilons[eps_index]
+    horizon = map_to_path_time(grid.horizon_T, eps)
     out = np.empty((stop - start, theta.dimension, len(grid)))
     for r in range(start, stop):
-        stream = derive_stream(_WORKER["master_seed"], _WORKER["eps_index"], r)
-        path = sample_poisson_path(_WORKER["horizon"], stream)
+        stream = derive_stream(config.master_seed, eps_index, r)
+        path = sample_poisson_path(horizon, stream)
         out[r - start] = build_sample(path, eps, theta, grid).values
     return out
 
@@ -143,8 +142,7 @@ def generate_samples(
     """
     epsilon = config.epsilons[eps_index]
     M = config.replications_M
-    initargs = (config.theta, grid.times, grid.horizon_T, epsilon,
-                config.master_seed, eps_index)
+    initargs = (config, grid, eps_index)
     if config.workers <= 1:
         _init_worker(*initargs)
         values = _chunk_values((0, M))
@@ -412,12 +410,10 @@ def _rate_summary(results: list[dict], config: RunConfig) -> list[dict] | None:
     eps = list(config.epsilons)
     if len(eps) < RATE_MIN_EPS_COUNT or eps[0] / eps[-1] < RATE_MIN_SPREAD:
         return None
-    per_eps_pairs = []
-    for block in results:
-        check = next((c for c in block["checks"] if c["name"] == CHECK_CROSS_MOMENTS), None)
-        if check is None:
-            return None
-        per_eps_pairs.append(check["data"]["pairs"])
+    per_eps_pairs = [
+        next(c for c in block["checks"] if c["name"] == CHECK_CROSS_MOMENTS)["data"]["pairs"]
+        for block in results
+    ]
 
     fits = []
     n_pairs = len(per_eps_pairs[0])
@@ -465,20 +461,16 @@ def _rate_summary(results: list[dict], config: RunConfig) -> list[dict] | None:
     return fits or None
 
 
-def _fourth_moment_summary(results: list[dict], config: RunConfig) -> dict | None:
+def _fourth_moment_summary(results: list[dict], config: RunConfig) -> dict:
     all_ratios = []
     anchor_ratios = []
     smallest = config.epsilons[-1]
     for block, eps in zip(results, config.epsilons):
-        check = next((c for c in block["checks"] if c["name"] == CHECK_FOURTH_MOMENT), None)
-        if check is None:
-            return None
+        check = next(c for c in block["checks"] if c["name"] == CHECK_FOURTH_MOMENT)
         for r in check["data"]["ratios"]:
             all_ratios.append(r["value"])
             if eps == smallest and r["s"] == 0.0 and r["t"] == config.horizon_T:
                 anchor_ratios.append(r["value"])
-    if not all_ratios:
-        return None
     max_r, min_r = max(all_ratios), min(all_ratios)
     spread = max_r / min_r if min_r > 0.0 else math.nan
     out = {
@@ -543,9 +535,7 @@ def run_experiment(config: RunConfig) -> RunReport:
         if fits is not None:
             summary["rate_fits"] = fits
     if CHECK_FOURTH_MOMENT in checks:
-        sweep = _fourth_moment_summary(results, config)
-        if sweep is not None:
-            summary["fourth_moment_sweep"] = sweep
+        summary["fourth_moment_sweep"] = _fourth_moment_summary(results, config)
 
     ok = all(c["pass"] for block in results for c in block["checks"])
     for fit in summary.get("rate_fits", []):

@@ -140,15 +140,6 @@ class StructuralBound:
     terms: tuple[BoundTerm, ...]
     total: float
 
-    def to_dict(self) -> dict:
-        return {
-            "theta_pair": list(self.theta_pair),
-            "epsilon": self.epsilon,
-            "kind": self.kind,
-            "terms": [{"label": t.label, "factor": t.factor} for t in self.terms],
-            "total": self.total,
-        }
-
 
 def _increments_at(block: SampleBlock, s: float, t: float) -> np.ndarray:
     """(replications, dimension) increments x(t) - x(s)."""
@@ -293,14 +284,6 @@ class NormalityReport:
     excess_kurtosis: float
     ks_statistic: float
     count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "skewness": self.skewness,
-            "excess_kurtosis": self.excess_kurtosis,
-            "ks_statistic": self.ks_statistic,
-            "count": self.count,
-        }
 
 
 def normality_check(increments: np.ndarray) -> NormalityReport:

@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
 Everything here is computed by a different route than the library code
-it checks: brute-force Riemann sums for the exact integrator, and
-closed-form expectations (via E[e^{i g N_u}] = exp(-u(1 - e^{i g})))
+it checks: segment enumeration with exact rational phase reduction and
+brute-force Riemann sums for the exact integrator, and closed-form
+expectations (via E[e^{i g N_u}] = exp(-u(1 - e^{i g})))
 for the Monte Carlo estimators. Keep this module free of imports from
 the estimator implementations beyond basic data containers.
 """
@@ -11,8 +12,38 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
+
+# pi to 50 digits, as an exact rational
+_PI = Fraction("3.14159265358979323846264338327950288419716939937510")
+
+
+def _trig_level(theta: float, k: int, kind: str) -> float:
+    """trig(theta * k), with theta * k reduced mod 2*pi in rational arithmetic."""
+    phase = Fraction(theta) * k
+    phase -= 2 * _PI * math.floor(phase / (2 * _PI))
+    return math.cos(phase) if kind == "cos" else math.sin(phase)
+
+
+def segment_trig_integral(
+    jump_times: np.ndarray, theta: float, a: float, b: float, kind: str
+) -> float:
+    """Integral of trig(theta * N_x) over [a, b], one term per count level.
+
+    The count is k on [tau_k, tau_{k+1}), with tau_0 = 0 and no jump
+    after the last one, so the integral is the exactly rounded sum of
+    (min(b, tau_{k+1}) - max(a, tau_k)) * trig(theta * k) over the
+    segments that meet [a, b].
+    """
+    taus = [0.0, *(float(t) for t in jump_times), math.inf]
+    terms = []
+    for k in range(len(taus) - 1):
+        lo, hi = max(a, taus[k]), min(b, taus[k + 1])
+        if hi > lo:
+            terms.append((hi - lo) * _trig_level(theta, k, kind))
+    return math.fsum(terms)
 
 
 def riemann_trig_integral(

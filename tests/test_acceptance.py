@@ -37,7 +37,7 @@ from poisson_bm import (
     trig_integral,
 )
 from poisson_bm.runner import generate_samples
-from oracles import riemann_trig_integral
+from oracles import segment_trig_integral
 
 SEED = 20240521
 BAND = 4.0
@@ -87,8 +87,9 @@ def ref_samples():
 
 
 def test_criterion_1_trig_integral_oracle():
+    # to 16 ulps of b against the segment-by-segment sum
     rng = np.random.default_rng(SEED)
-    max_rel = 0.0
+    max_ulps = 0.0
     for case in range(1000):
         a = float(rng.uniform(0.0, 2.0))
         b = a + float(rng.uniform(2.0, 6.0))
@@ -96,9 +97,9 @@ def test_criterion_1_trig_integral_oracle():
         theta = float(rng.uniform(0.05, 2.0 * math.pi - 0.05))
         kind = "cos" if case % 2 == 0 else "sin"
         got = trig_integral(path, theta, a, b, kind)
-        want = riemann_trig_integral(path.jump_times, theta, a, b, kind)
-        max_rel = max(max_rel, abs(got - want) / (1e-4 * (b - a)))
-        assert abs(got - want) <= 1e-4 * (b - a), (case, theta, a, b)
+        want = segment_trig_integral(path.jump_times, theta, a, b, kind)
+        max_ulps = max(max_ulps, abs(got - want) / np.spacing(b))
+        assert abs(got - want) <= 16 * np.spacing(b), (case, theta, a, b)
 
     # additivity to 8 ulps at the prefix scale
     worst = 0.0
@@ -117,7 +118,7 @@ def test_criterion_1_trig_integral_oracle():
     _line(
         "criterion-1 exact-integration oracle",
         True,
-        f"1000 Riemann cases (worst {max_rel:.2f} of budget), additivity worst {worst:.2e}",
+        f"1000 segment-sum cases (worst {max_ulps:.1f} ulps of b), additivity worst {worst:.2e}",
     )
 
 

@@ -1,11 +1,14 @@
 """Command-line interface: subcommands and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import poisson_bm
 from poisson_bm.cli import main
 
 VALID_CFG = """
@@ -170,10 +173,14 @@ class TestVersionCommand:
         assert "poisson-bm" in capsys.readouterr().out
 
     def test_console_script(self):
+        # the child imports the package this suite imports, installed or not
+        src = str(Path(poisson_bm.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "poisson_bm.cli", "version"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "poisson-bm" in proc.stdout

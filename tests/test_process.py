@@ -1,5 +1,6 @@
 """Process assembly: grids, samples, sample blocks, export."""
 
+import gc
 import hashlib
 import math
 
@@ -17,13 +18,9 @@ from poisson_bm import (
     sample_poisson_path,
     trig_integral,
 )
+from poisson_bm import process
 from poisson_bm.poisson import integral_from_zero
-from poisson_bm.process import (
-    _LEVEL_TABLES,
-    INV_SQRT2,
-    LEVEL_CACHE_SIZE,
-    _path_times,
-)
+from poisson_bm.process import INV_SQRT2
 
 EPS = 0.4
 T = 1.0
@@ -171,7 +168,7 @@ def _reference_values(path, eps, cfg, grid):
 
 
 class TestBuildSampleBitIdentity:
-    """The cached level table and the 2-D prefix sum change no bit."""
+    """The plan's level table and the 2-D prefix sum change no bit."""
 
     MIXED = ThetaConfig(
         cos_block=["pi", 2.2, "2/5 pi"], sin_block=["1/2 pi", 1.1], allow_pi_in_cos=True
@@ -204,30 +201,23 @@ class TestBuildSampleBitIdentity:
 
     def test_grown_table_serves_shorter_paths(self):
         cfg = ThetaConfig(cos_block=["pi", 1.3], sin_block=[0.9], allow_pi_in_cos=True)
-        _LEVEL_TABLES.pop(cfg, None)
         grid = EvaluationGrid.uniform(T, 16)
-        short = _path_for(eps=0.3, seed=301)
-        long = _path_for(eps=0.05, seed=302)
-        self._assert_matches_reference(short, 0.3, cfg, grid)
-        assert _LEVEL_TABLES[cfg].shape == (3, short.jump_times.size + 1)
-        self._assert_matches_reference(long, 0.05, cfg, grid)
-        assert _LEVEL_TABLES[cfg].shape == (3, long.jump_times.size + 1)
-        self._assert_matches_reference(short, 0.3, cfg, grid)
-        assert _LEVEL_TABLES[cfg].shape == (3, long.jump_times.size + 1)
-
-    def test_level_cache_is_bounded(self):
-        grid = EvaluationGrid.uniform(T, 4)
-        path = _path_for()
-        configs = [ThetaConfig(cos_block=[0.5 + 0.1 * k]) for k in range(LEVEL_CACHE_SIZE + 3)]
-        for cfg in configs:
-            build_sample(path, EPS, cfg, grid)
-        assert len(_LEVEL_TABLES) <= LEVEL_CACHE_SIZE
-        assert configs[0] not in _LEVEL_TABLES
-        assert not _LEVEL_TABLES[configs[-1]].flags.writeable
+        eps = 0.3
+        short = _path_for(eps=eps, seed=301)
+        long = _path_for(eps=eps, seed=302, margin=8.0)
+        self._assert_matches_reference(short, eps, cfg, grid)
+        plan = process._LAST_PLAN
+        assert plan.levels.shape == (3, short.jump_times.size + 1)
+        self._assert_matches_reference(long, eps, cfg, grid)
+        assert process._LAST_PLAN is plan
+        assert plan.levels.shape == (3, long.jump_times.size + 1)
+        self._assert_matches_reference(short, eps, cfg, grid)
+        assert process._LAST_PLAN is plan
+        assert plan.levels.shape == (3, long.jump_times.size + 1)
 
 
 class TestPathTimePlans:
-    """The (epsilon, grid) path times the grid keeps for its last epsilon."""
+    """The plan ``build_sample`` keeps for the last (config, epsilon, grid)."""
 
     MIXED = TestBuildSampleBitIdentity.MIXED
     EPSILONS = (0.4, 0.3, 0.2)
@@ -235,10 +225,11 @@ class TestPathTimePlans:
     def test_path_times_are_map_to_path_time(self):
         grid = EvaluationGrid.uniform(T, 16)
         for eps in self.EPSILONS:
-            needed, xs = _path_times(grid, eps)
-            assert needed == map_to_path_time(grid.horizon_T, eps)
-            assert xs.tolist() == [map_to_path_time(float(t), eps) for t in grid.times]
-            assert not xs.flags.writeable
+            build_sample(_path_for(eps=eps), eps, self.MIXED, grid)
+            plan = process._LAST_PLAN
+            assert plan.needed == map_to_path_time(grid.horizon_T, eps)
+            assert plan.xs.tolist() == [map_to_path_time(float(t), eps) for t in grid.times]
+            assert not plan.xs.flags.writeable
 
     def test_alternating_grids_and_epsilons_match_fresh_grids(self):
         grids = [EvaluationGrid.uniform(T, 4), EvaluationGrid.uniform(T, 16)]
@@ -251,6 +242,41 @@ class TestPathTimePlans:
                     for _ in range(2):  # a change of epsilon, then a repeat
                         got = build_sample(path, eps, self.MIXED, grid).values
                         assert got.tobytes() == want.tobytes()
+
+    def test_alternating_configs_grids_and_epsilons_match_fresh_objects(self):
+        config_args = [
+            {"cos_block": ["pi", 2.2, "2/5 pi"], "sin_block": ["1/2 pi", 1.1],
+             "allow_pi_in_cos": True},
+            {"cos_block": [1.3, "3/5 pi", 0.4], "sin_block": [2.9, "7/4 pi"]},
+        ]
+        # two different configs, and two equal but distinct copies of each
+        configs = [ThetaConfig(**args) for args in config_args * 2]
+        grid_times = [np.linspace(0.0, T, 17), np.linspace(0.0, T, 17) ** 2]
+        grids = [EvaluationGrid(times=ts, horizon_T=T) for ts in grid_times]
+        paths = [_path_for(eps=eps, seed=402) for eps in self.EPSILONS]
+        want = {}
+        for e, c, g in np.ndindex(len(paths), len(configs), len(grids)):
+            fresh_cfg = ThetaConfig(**config_args[c % 2])
+            fresh_grid = EvaluationGrid(times=grid_times[g], horizon_T=T)
+            sample = build_sample(paths[e], self.EPSILONS[e], fresh_cfg, fresh_grid)
+            want[e, c, g] = sample.values.tobytes()
+        for axis in range(3):  # epsilon, then config, then grid varies fastest
+            order = sorted(want, key=lambda k, a=axis: k[:a] + k[a + 1:] + k[a:a + 1])
+            for e, c, g in order:
+                got = build_sample(paths[e], self.EPSILONS[e], configs[c], grids[g]).values
+                assert got.tobytes() == want[e, c, g], (e, c, g)
+
+    def test_one_plan_for_the_last_config(self):
+        grid = EvaluationGrid.uniform(T, 4)
+        path = _path_for()
+        configs = [ThetaConfig(cos_block=[0.5 + 0.1 * k]) for k in range(11)]
+        for cfg in configs:
+            build_sample(path, EPS, cfg, grid)
+        gc.collect()
+        plans = [obj for obj in gc.get_objects() if isinstance(obj, process._Plan)]
+        assert plans == [process._LAST_PLAN]
+        assert plans[0].config is configs[-1]
+        assert not plans[0].levels.flags.writeable
 
     def test_grid_times_are_a_read_only_copy(self):
         times = np.linspace(0.0, 1.0, 5)
