@@ -47,8 +47,6 @@ from .stats import (
     DegenerateSampleError,
     Estimate,
     NormalityReport,
-    StructuralBound,
-    TestFunctionSpec,
     compensated_sum,
     correlation_matrix,
     cross_moment,
@@ -79,9 +77,7 @@ __all__ = [
     "RunConfig",
     "RunReport",
     "SampleBlock",
-    "StructuralBound",
     "TAU_THETA",
-    "TestFunctionSpec",
     "ThetaConfig",
     "Violation",
     "build_sample",

@@ -36,7 +36,7 @@ def map_to_path_time(t: float, epsilon: float) -> float:
     return float(num / den)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluationGrid:
     """Strictly increasing evaluation times starting at 0, within [0, T].
 
@@ -78,7 +78,7 @@ class EvaluationGrid:
         return int(self.times.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProcessSample:
     """One evaluated path of the approximant: values[(component, grid index)]."""
 
@@ -114,7 +114,7 @@ class ProcessSample:
         return buf.getvalue()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBlock:
     """M replications at one epsilon: values[(replication, component, grid index)].
 

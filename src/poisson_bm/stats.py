@@ -7,7 +7,13 @@ use exact compensated summation (math.fsum), so results are independent
 of accumulation order and bit-identical between sequential and
 gathered-parallel execution.
 
-The envelope evaluator assembles the epsilon^2 decay bounds governing
+The martingale and cross-moment estimators weight each replication by
+a bounded function phi of the history before the increment. phi is
+given by its conditioning times: the product over them of tanh of the
+coordinate sum at that time, with no times meaning phi = 1 (the empty
+product).
+
+The envelope evaluator returns the epsilon^2 decay bound governing
 increment cross-moments; its factors are 1/(1 - cos(.)) terms in the
 difference and sum of the two angles. The unknown multiplicative
 constant in front of the analytic bound is deliberately not modeled:
@@ -29,15 +35,10 @@ from .process import SampleBlock
 
 TWO_PI = 2.0 * math.pi
 
-PHI_CONSTANT_ONE = "constant_one"
-PHI_BOUNDED_PRODUCT = "bounded_product"
-
-KIND_COSCOS = "coscos"
-KIND_SINSIN = "sinsin"
-KIND_COSSIN = "cossin"
-
-LABEL_DIFF = "DIFF"
-LABEL_SUM = "SUM"
+# a rate fit needs at least this many epsilons, spanning at least this
+# factor end to end (the acceptance sweeps span a factor of 4)
+RATE_MIN_EPS_COUNT = 3
+RATE_MIN_SPREAD = 2.0
 
 
 class DegeneratePairError(ValueError):
@@ -89,70 +90,28 @@ class Estimate:
         }
 
 
-@dataclass(frozen=True)
-class TestFunctionSpec:
-    """A bounded continuous weight applied to the pre-increment history.
-
-    ``constant_one`` is the trivial weight. ``bounded_product`` is the
-    product over the conditioning times of tanh(sum of coordinates),
-    one bounded continuous representative of the full class.
-    """
-
-    __test__ = False  # not a pytest class, despite the name
-
-    kind: str
-    conditioning_times: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in (PHI_CONSTANT_ONE, PHI_BOUNDED_PRODUCT):
-            raise ValueError(f"unknown test-function kind {self.kind!r}")
-        ts = tuple(float(t) for t in self.conditioning_times)
-        object.__setattr__(self, "conditioning_times", ts)
-        if any(b < a for a, b in zip(ts, ts[1:])):
-            raise ValueError("conditioning times must be nondecreasing")
-
-    @classmethod
-    def one(cls) -> "TestFunctionSpec":
-        return cls(kind=PHI_CONSTANT_ONE)
-
-    @classmethod
-    def tanh_product(cls, times: Sequence[float]) -> "TestFunctionSpec":
-        return cls(kind=PHI_BOUNDED_PRODUCT, conditioning_times=tuple(times))
-
-
-@dataclass(frozen=True)
-class BoundTerm:
-    label: str  # DIFF or SUM, by which trig combination the inner factor decays
-    factor: float
-
-
-@dataclass(frozen=True)
-class StructuralBound:
-    """Assembled epsilon^2 envelope for one angle pair.
-
-    total = eps^2 * sum(term factors); the unknown constant prefactor of
-    the analytic bound is not included.
-    """
-
-    theta_pair: tuple[float, float]
-    epsilon: float
-    kind: str
-    terms: tuple[BoundTerm, ...]
-    total: float
-
-
 def _increments_at(block: SampleBlock, s: float, t: float) -> np.ndarray:
     """(replications, dimension) increments x(t) - x(s)."""
     return block.at_time(t) - block.at_time(s)
 
 
-def _phi_values(block: SampleBlock, phi: TestFunctionSpec) -> np.ndarray:
-    """phi evaluated per replication; the bounded product multiplies
-    tanh of the coordinate sum at each conditioning time."""
+def _phi_values(
+    block: SampleBlock, conditioning: Sequence[float], s: float
+) -> np.ndarray:
+    """phi evaluated per replication: the product over the conditioning
+    times of tanh of the coordinate sum there, 1 when there are none.
+
+    The times must be nondecreasing and must not exceed the increment
+    start s, so that phi reads only the history before the increment.
+    """
+    ts = [float(t) for t in conditioning]
+    if any(b < a for a, b in zip(ts, ts[1:])):
+        raise ValueError("conditioning times must be nondecreasing")
+    if ts and ts[-1] > s:
+        raise ValueError("conditioning times must not exceed the increment start")
     out = np.ones(len(block))
-    if phi.kind == PHI_BOUNDED_PRODUCT:
-        for t in phi.conditioning_times:
-            out *= np.tanh(block.at_time(t).sum(axis=1))
+    for t in ts:
+        out *= np.tanh(block.at_time(t).sum(axis=1))
     return out
 
 
@@ -205,38 +164,40 @@ def cross_moment(
     j: int,
     s: float,
     t: float,
-    phi: TestFunctionSpec,
+    conditioning: Sequence[float] = (),
 ) -> Estimate:
     """Estimate E[phi(history) * Delta_i * Delta_j] over the increment (s, t).
 
-    Components are 0-based. The diagonal with the constant weight is the
-    quadratic-variation route, not a cross-moment; it is rejected here.
+    phi is the tanh product over the ``conditioning`` times
+    (nondecreasing, at most s); no times means phi = 1. Components are
+    0-based. The diagonal with phi = 1 is the quadratic-variation route,
+    not a cross-moment; it is rejected here.
     """
-    if i == j and phi.kind == PHI_CONSTANT_ONE:
+    if i == j and len(conditioning) == 0:
         raise ValueError("i == j with the constant weight is the quadratic-variation path")
     if not s < t:
         raise ValueError(f"need s < t, got ({s}, {t})")
-    if phi.conditioning_times and phi.conditioning_times[-1] > s:
-        raise ValueError("conditioning times must not exceed the increment start")
+    w = _phi_values(block, conditioning, s)
     deltas = _increments_at(block, s, t)
-    w = _phi_values(block, phi)
     return Estimate.from_observations(w * deltas[:, i] * deltas[:, j])
 
 
 def martingale_residual(
     block: SampleBlock,
     component: int,
-    phi: TestFunctionSpec,
     s: float,
     t: float,
+    conditioning: Sequence[float] = (),
 ) -> Estimate:
-    """Estimate E[phi(history) * Delta] for one component's increment over (s, t)."""
+    """Estimate E[phi(history) * Delta] for one component's increment over (s, t).
+
+    phi is the tanh product over the ``conditioning`` times
+    (nondecreasing, at most s); no times means phi = 1.
+    """
     if not s < t:
         raise ValueError(f"need s < t, got ({s}, {t})")
-    if phi.conditioning_times and phi.conditioning_times[-1] > s:
-        raise ValueError("conditioning times must not exceed the increment start")
+    w = _phi_values(block, conditioning, s)
     deltas = _increments_at(block, s, t)
-    w = _phi_values(block, phi)
     return Estimate.from_observations(w * deltas[:, component])
 
 
@@ -283,7 +244,6 @@ class NormalityReport:
     skewness: float
     excess_kurtosis: float
     ks_statistic: float
-    count: int
 
 
 def normality_check(increments: np.ndarray) -> NormalityReport:
@@ -312,7 +272,7 @@ def normality_check(increments: np.ndarray) -> NormalityReport:
     lo = cdf - np.arange(0, n) / n
     d = float(max(hi.max(), lo.max()))
     return NormalityReport(
-        skewness=float(m3), excess_kurtosis=float(m4 - 3.0), ks_statistic=d, count=n
+        skewness=float(m3), excess_kurtosis=float(m4 - 3.0), ks_statistic=d
     )
 
 
@@ -351,9 +311,8 @@ def structural_bound_eval(
     theta_i: float | Angle,
     theta_j: float | Angle,
     epsilon: float,
-    kind: str,
-) -> StructuralBound:
-    """Assemble the epsilon^2 decay envelope for one angle pair.
+) -> float:
+    """The epsilon^2 decay envelope for one angle pair, as its total.
 
     total = eps^2 * [ (1/d(th_j)) * (1/d(th_i - th_j) + 1/d(th_i + th_j))
                     + (1/d(th_i)) * (1/d(th_j - th_i) + 1/d(th_i + th_j)) ]
@@ -364,8 +323,6 @@ def structural_bound_eval(
     Raises :class:`DegeneratePairError` when any factor vanishes, which
     is exactly what the admissibility conditions rule out.
     """
-    if kind not in (KIND_COSCOS, KIND_SINSIN, KIND_COSSIN):
-        raise ValueError(f"kind must be one of coscos/sinsin/cossin, got {kind!r}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     ti = parse_angle(theta_i).radians
@@ -381,16 +338,13 @@ def structural_bound_eval(
     d_diff = decay_factor(ti - tj)
     d_sum = decay_factor(ti + tj)
 
-    terms = (
-        BoundTerm(LABEL_DIFF, (1.0 / d_j) * (1.0 / d_diff)),
-        BoundTerm(LABEL_SUM, (1.0 / d_j) * (1.0 / d_sum)),
-        BoundTerm(LABEL_DIFF, (1.0 / d_i) * (1.0 / d_diff)),
-        BoundTerm(LABEL_SUM, (1.0 / d_i) * (1.0 / d_sum)),
+    factors = (
+        (1.0 / d_j) * (1.0 / d_diff),
+        (1.0 / d_j) * (1.0 / d_sum),
+        (1.0 / d_i) * (1.0 / d_diff),
+        (1.0 / d_i) * (1.0 / d_sum),
     )
-    total = (epsilon * epsilon) * compensated_sum(t.factor for t in terms)
-    return StructuralBound(
-        theta_pair=(ti, tj), epsilon=float(epsilon), kind=kind, terms=terms, total=total
-    )
+    return (epsilon * epsilon) * compensated_sum(factors)
 
 
 def rate_fit(
@@ -406,18 +360,18 @@ def rate_fit(
     """
     eps = np.asarray(epsilons, dtype=np.float64)
     vals = np.abs(np.asarray(estimates, dtype=np.float64))
-    if eps.size < 3:
-        raise ValueError("need at least 3 epsilon values")
+    if eps.size < RATE_MIN_EPS_COUNT:
+        raise ValueError(f"need at least {RATE_MIN_EPS_COUNT} epsilon values")
     if eps.size != vals.size:
         raise ValueError("epsilons and estimates must have equal length")
     if np.any(eps <= 0):
         raise ValueError("epsilons must be positive")
     if np.any(np.diff(eps) >= 0):
         raise ValueError("epsilons must be strictly decreasing")
-    # the fit needs a real spread of scales; a factor of 2 end to end at
-    # minimum (the acceptance sweeps span a factor of 4)
-    if eps[0] / eps[-1] < 2.0:
-        raise ValueError("epsilon range too narrow for a rate fit (need a factor >= 2)")
+    if eps[0] / eps[-1] < RATE_MIN_SPREAD:
+        raise ValueError(
+            f"epsilon range too narrow for a rate fit (need a factor >= {RATE_MIN_SPREAD:g})"
+        )
     if std_errors is not None:
         ses = np.asarray(std_errors, dtype=np.float64)
         if ses.size != vals.size:

@@ -18,7 +18,6 @@ from poisson_bm import (
     Estimate,
     EvaluationGrid,
     RunConfig,
-    TestFunctionSpec,
     ThetaConfig,
     char_fn,
     correlation_matrix,
@@ -261,11 +260,10 @@ def _rate_estimates():
         checks=("cross_moments",),
     )
     grid = EvaluationGrid.uniform(1.0, 1)
-    phi = TestFunctionSpec.one()
     per_eps = []
     for k in range(len(RATE_EPSILONS)):
         block = generate_samples(cfg, grid, k)
-        per_eps.append([cross_moment(block, i, j, 0.0, 1.0, phi) for _, i, j in RATE_KINDS])
+        per_eps.append([cross_moment(block, i, j, 0.0, 1.0) for _, i, j in RATE_KINDS])
     return per_eps
 
 
@@ -273,7 +271,7 @@ def test_criterion_6_cross_moment_decay():
     # 6a: at eps = 0.05 every kind sits inside its 4-SE band around zero
     samples = _make_samples(RATE_THETA, 0.05, 5000, SEED + 6, steps=1)
     for kind, i, j in RATE_KINDS:
-        est = cross_moment(samples, i, j, 0.0, 1.0, TestFunctionSpec.one())
+        est = cross_moment(samples, i, j, 0.0, 1.0)
         assert abs(est.value) <= BAND * est.std_error, (kind, est.value)
 
     # 6b: epsilon sweep, slope and envelope domination
@@ -296,8 +294,7 @@ def test_criterion_6_cross_moment_decay():
         assert np.all(est_n[1:] < env_n[1:] + BAND * se_n[1:]), (kind, est_n, env_n)
 
         # and the raw envelope total is computable for this pair
-        bound = structural_bound_eval(THETA_1, THETA_2, float(eps[-1]), kind)
-        assert bound.total > 0
+        assert structural_bound_eval(THETA_1, THETA_2, float(eps[-1])) > 0
         details.append(f"{kind} slope={slope:.2f}")
     _line("criterion-6 cross-moment decay", True, "; ".join(details))
 
@@ -307,14 +304,10 @@ def test_criterion_6_cross_moment_decay():
 
 
 def test_criterion_7_martingale_residuals(ref_samples):
-    specs = [
-        ("one", TestFunctionSpec.one()),
-        ("tanh-k2", TestFunctionSpec.tanh_product([0.25, 0.5])),
-    ]
     worst_z = 0.0
-    for label, phi in specs:
+    for label, conditioning in (("one", ()), ("tanh-k2", (0.25, 0.5))):
         for c in range(4):
-            est = martingale_residual(ref_samples, c, phi, 0.5, 1.0)
+            est = martingale_residual(ref_samples, c, 0.5, 1.0, conditioning)
             z = abs(est.value) / est.std_error
             worst_z = max(worst_z, z)
             assert z <= BAND, (label, c, est.value)

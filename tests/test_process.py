@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -51,6 +52,15 @@ class TestEvaluationGrid:
         assert grid.index_of(0.5) == 2
         with pytest.raises(ValueError):
             grid.index_of(0.3)
+
+    def test_compares_and_hashes_by_identity(self):
+        # an ndarray field must not make == or hash() raise
+        grid = EvaluationGrid.uniform(1.0, 4)
+        clone = pickle.loads(pickle.dumps(grid))
+        assert grid == grid and clone != grid
+        assert hash(grid) == hash(grid)
+        plans = {grid: "plan"}
+        assert plans[grid] == "plan" and clone not in plans
 
 
 class TestBuildSample:
@@ -350,6 +360,16 @@ class TestSampleBlock:
         assert np.array_equal(block.at_time(0.5), want)
         with pytest.raises(ValueError, match="not on the evaluation grid"):
             block.at_time(0.3)
+
+    def test_samples_and_blocks_compare_by_identity(self):
+        cfg = ThetaConfig(cos_block=["1/2 pi"])
+        grid = EvaluationGrid.uniform(T, 4)
+        sample = build_sample(_path_for(seed=96), EPS, cfg, grid)
+        block = SampleBlock(epsilon=EPS, config=cfg, grid=grid, values=sample.values[None])
+        for obj in (sample, block):
+            clone = pickle.loads(pickle.dumps(obj))
+            assert obj == obj and clone != obj
+            assert {obj: 1}[obj] == 1
 
 
 class TestCsvExport:

@@ -12,7 +12,6 @@ from poisson_bm import (
     Estimate,
     EvaluationGrid,
     RunConfig,
-    TestFunctionSpec,
     ThetaConfig,
     compensated_sum,
     correlation_matrix,
@@ -137,7 +136,7 @@ class TestCrossMoment:
         cfg = ThetaConfig(cos_block=[1.0, 2.0])
         samples = make_samples(cfg, 0.4, 10, seed=214)
         with pytest.raises(ValueError, match="quadratic-variation"):
-            cross_moment(samples, 0, 0, 0.0, 1.0, TestFunctionSpec.one())
+            cross_moment(samples, 0, 0, 0.0, 1.0)
 
     def test_matches_exact_value_each_kind(self):
         cfg = ThetaConfig(cos_block=["1/2 pi", 2.2], sin_block=["1/2 pi", 2.2])
@@ -150,61 +149,62 @@ class TestCrossMoment:
             (0, 3, exact_cross_moment(t1, t2, "cossin", 0.0, 1.0, eps)),
         ]
         for i, j, target in cases:
-            est = cross_moment(samples, i, j, 0.0, 1.0, TestFunctionSpec.one())
+            est = cross_moment(samples, i, j, 0.0, 1.0)
             assert abs(est.value - target) <= 4.0 * est.std_error, (i, j)
 
     def test_bounded_weight_stays_in_band(self):
         cfg = ThetaConfig(cos_block=["1/2 pi"], sin_block=[2.2])
         samples = make_samples(cfg, 0.15, 2000, seed=216)
-        phi = TestFunctionSpec.tanh_product([0.25, 0.5])
-        est = cross_moment(samples, 0, 1, 0.5, 1.0, phi)
+        est = cross_moment(samples, 0, 1, 0.5, 1.0, conditioning=[0.25, 0.5])
         assert abs(est.value) <= 4.0 * est.std_error
 
     def test_conditioning_after_increment_start_rejected(self):
         cfg = ThetaConfig(cos_block=[1.0, 2.0])
         samples = make_samples(cfg, 0.4, 10, seed=217)
-        phi = TestFunctionSpec.tanh_product([0.75])
-        with pytest.raises(ValueError, match="conditioning"):
-            cross_moment(samples, 0, 1, 0.5, 1.0, phi)
+        with pytest.raises(ValueError, match="must not exceed the increment start"):
+            cross_moment(samples, 0, 1, 0.5, 1.0, conditioning=[0.75])
+
+    def test_decreasing_conditioning_times_rejected(self):
+        cfg = ThetaConfig(cos_block=[1.0, 2.0])
+        samples = make_samples(cfg, 0.4, 10, seed=217)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            cross_moment(samples, 0, 1, 0.5, 1.0, conditioning=[0.5, 0.25])
+
+    def test_diagonal_with_conditioning_accepted(self):
+        cfg = ThetaConfig(cos_block=[1.0, 2.0])
+        samples = make_samples(cfg, 0.4, 10, seed=217)
+        est = cross_moment(samples, 0, 0, 0.5, 1.0, conditioning=[0.25])
+        assert math.isfinite(est.value)
 
 
 class TestStructuralBound:
     def test_hand_computed_example(self):
         # d(pi/4) = 1 - sqrt(2)/2, d(3pi/4) = 1 + sqrt(2)/2, d(pi/2) = 1;
         # 1/d(pi/4) + 1/d(3pi/4) = (2 + sqrt(2)) + (2 - sqrt(2)) = 4
-        bound = structural_bound_eval(math.pi / 2, math.pi / 4, 0.1, "coscos")
+        total = structural_bound_eval(math.pi / 2, math.pi / 4, 0.1)
         # (1/d(pi/4)) * 4 + (1/d(pi/2)) * 4, since 1/d(pi/4) + 1/d(3pi/4)
         # = (2 + sqrt(2)) + (2 - sqrt(2)) = 4
         d_quarter = 1.0 - math.cos(math.pi / 4)
         expected = 0.01 * ((1.0 / d_quarter) * 4.0 + 4.0)
-        assert bound.total == pytest.approx(expected, rel=1e-12)
-        assert len(bound.terms) == 4
-        assert {t.label for t in bound.terms} == {"DIFF", "SUM"}
+        assert total == pytest.approx(expected, rel=1e-12)
 
     def test_symmetric_under_swap(self):
-        a = structural_bound_eval(0.9, 2.3, 0.2, "coscos")
-        b = structural_bound_eval(2.3, 0.9, 0.2, "coscos")
-        assert a.total == b.total  # exact: compensated sum of the same factors
+        a = structural_bound_eval(0.9, 2.3, 0.2)
+        b = structural_bound_eval(2.3, 0.9, 0.2)
+        assert a == b  # exact: compensated sum of the same factors
 
     def test_halving_epsilon_quarters_total_exactly(self):
-        full = structural_bound_eval(0.9, 2.3, 0.2, "sinsin")
-        half = structural_bound_eval(0.9, 2.3, 0.1, "sinsin")
-        assert half.total == full.total / 4.0
+        full = structural_bound_eval(0.9, 2.3, 0.2)
+        half = structural_bound_eval(0.9, 2.3, 0.1)
+        assert half == full / 4.0
 
     def test_sum_degenerate_pair_rejected(self):
         with pytest.raises(DegeneratePairError, match="theta_i \\+ theta_j"):
-            structural_bound_eval("1/2 pi", "3/2 pi", 0.1, "coscos")
+            structural_bound_eval("1/2 pi", "3/2 pi", 0.1)
 
     def test_equal_pair_rejected(self):
         with pytest.raises(DegeneratePairError, match="theta_i - theta_j"):
-            structural_bound_eval(1.3, 1.3, 0.1, "coscos")
-
-    def test_kinds_share_moduli(self):
-        totals = {
-            kind: structural_bound_eval(0.9, 2.3, 0.2, kind).total
-            for kind in ("coscos", "sinsin", "cossin")
-        }
-        assert len(set(totals.values())) == 1
+            structural_bound_eval(1.3, 1.3, 0.1)
 
 
 class TestRateFit:
@@ -362,7 +362,7 @@ class TestMartingaleResidual:
     def test_deterministic_zero_path(self):
         cfg = ThetaConfig(sin_block=["pi"])
         samples = make_samples(cfg, 0.4, 30, seed=227)
-        est = martingale_residual(samples, 0, TestFunctionSpec.one(), 0.5, 1.0)
+        est = martingale_residual(samples, 0, 0.5, 1.0)
         assert est.value == 0.0
         assert est.std_error == 0.0
 
@@ -373,7 +373,7 @@ class TestMartingaleResidual:
         eps, M, T, steps = 0.8, 4000, 0.32, 16
         samples = make_samples(cfg, eps, M, seed=228, T=T, steps=steps)
         s, t = 0.02, 0.3
-        est = martingale_residual(samples, 0, TestFunctionSpec.one(), s, t)
+        est = martingale_residual(samples, 0, s, t)
         target = exact_mean_increment(math.pi / 2, "cos", s, t, eps)
         assert abs(target) > 0.05  # the case is genuinely non-degenerate
         assert abs(est.value - target) <= 4.0 * est.std_error
@@ -381,10 +381,19 @@ class TestMartingaleResidual:
     def test_bounded_weight_in_band(self):
         cfg = ThetaConfig(cos_block=["1/2 pi"], sin_block=[1.1])
         samples = make_samples(cfg, 0.15, 2000, seed=229)
-        phi = TestFunctionSpec.tanh_product([0.25, 0.5])
         for c in range(2):
-            est = martingale_residual(samples, c, phi, 0.5, 1.0)
+            est = martingale_residual(samples, c, 0.5, 1.0, conditioning=[0.25, 0.5])
             assert abs(est.value) <= 4.0 * est.std_error
+
+    @pytest.mark.parametrize(
+        "conditioning, message",
+        [([0.25, 0.75], "must not exceed the increment start"), ([0.5, 0.25], "nondecreasing")],
+    )
+    def test_bad_conditioning_times_rejected(self, conditioning, message):
+        cfg = ThetaConfig(cos_block=[1.0])
+        samples = make_samples(cfg, 0.4, 10, seed=229)
+        with pytest.raises(ValueError, match=message):
+            martingale_residual(samples, 0, 0.5, 1.0, conditioning=conditioning)
 
 
 class TestStroockVariance:
