@@ -121,20 +121,20 @@ class Violation:
 class HypothesisReport:
     """Outcome of admissibility validation.
 
-    ``violations`` lists every failed check, not just the first. Index
+    ``violations`` lists every failed check, not just the first; the
+    vector is ``valid`` when that list is empty. Index
     positions are 1-based into the concatenated vector (cosine block
     first). ``pi_rescaled_indices`` are the 1-based cosine-block positions
     holding an allowed angle pi, i.e. the components that must be scaled
     by 1/sqrt(2).
     """
 
-    valid: bool
     violations: tuple[Violation, ...]
     pi_rescaled_indices: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.valid != (len(self.violations) == 0):
-            raise ValueError("valid flag inconsistent with violation list")
+    @property
+    def valid(self) -> bool:
+        return not self.violations
 
     def to_dict(self) -> dict:
         return {
@@ -235,16 +235,14 @@ def validate_hypothesis_h(config: ThetaConfig) -> HypothesisReport:
     violations: list[Violation] = []
 
     for i, a in enumerate(angles, start=1):
-        if _in_range(a):
-            continue
-        if i <= n and a.is_pi and i in rescaled:
+        if _in_range(a) or i in rescaled:
             continue
         violations.append(Violation(RULE_RANGE, (i,), (a.radians,)))
 
     for i in range(1, len(angles) + 1):
         for j in range(i, len(angles) + 1):
             a, b = angles[i - 1], angles[j - 1]
-            if i == j and a.is_pi and i in rescaled:
+            if i == j and i in rescaled:
                 # the allowed pi would trip the self-pair sum; exempt it
                 continue
             if _pair_sums_to_2pi(a, b):
@@ -261,7 +259,6 @@ def validate_hypothesis_h(config: ThetaConfig) -> HypothesisReport:
 
     violations.sort(key=lambda v: (v.indices, v.rule))
     return HypothesisReport(
-        valid=not violations,
         violations=tuple(violations),
         pi_rescaled_indices=config.pi_rescaled_indices,
     )

@@ -33,6 +33,9 @@ REPORT_FILENAME = "report.json"
 ASSERTIONS_FILENAME = "assertions.csv"
 TIMINGS_FILENAME = "timings.txt"
 
+# the keys of report.json, in the order they are written
+_CANONICAL_KEYS = ("tool", "config", "hypothesis", "results", "summary")
+
 
 def fmt17(x: float) -> str:
     return f"{x:.17g}"
@@ -77,13 +80,7 @@ class RunReport:
         return bool(self.summary.get("all_pass", False))
 
     def canonical_dict(self) -> dict:
-        return {
-            "tool": self.tool,
-            "config": self.config,
-            "hypothesis": self.hypothesis,
-            "results": self.results,
-            "summary": self.summary,
-        }
+        return {key: getattr(self, key) for key in _CANONICAL_KEYS}
 
     def to_json_text(self) -> str:
         return json.dumps(_finite_or_null(self.canonical_dict()), indent=2,
@@ -126,14 +123,19 @@ class RunReport:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "RunReport":
+        """The report in ``path``; ValueError if the file holds no report."""
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            tool=doc["tool"],
-            config=doc["config"],
-            hypothesis=doc["hypothesis"],
-            results=doc["results"],
-            summary=doc["summary"],
-        )
+        if not (
+            isinstance(doc, dict)
+            and all(key in doc for key in _CANONICAL_KEYS)
+            and isinstance(doc["results"], list)
+            and doc["results"]
+        ):
+            raise ValueError(
+                f"{path} is not a report: expected a JSON object with "
+                f"{', '.join(_CANONICAL_KEYS)} and at least one result"
+            )
+        return cls(**{key: doc[key] for key in _CANONICAL_KEYS})
 
 
 def _find_check(report: RunReport, epsilon: float | None, name: str) -> dict:

@@ -14,17 +14,24 @@ Example::
     master_seed = 12345
     output_dir = runs/demo
 
+``RunConfig`` is the schema: its fields without a default are the
+required keys, and a key the file leaves out takes the field's default.
+A value that does not parse is reported with its line, key and value;
+an empty check list is rejected, since it would pass vacuously.
+
 Only the output directory and the worker count may be overridden from
-the environment (POISSON_BM_OUTPUT_DIR, POISSON_BM_WORKERS).
+the environment (POISSON_BM_OUTPUT_DIR, POISSON_BM_WORKERS); their
+values are parsed as the file's would be.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
+from typing import Callable
 
-from .angles import ThetaConfig
+from .angles import Angle, ThetaConfig, parse_angle
 from .process import HORIZON_CAP, map_to_path_time
 
 ENV_OUTPUT_DIR = "POISSON_BM_OUTPUT_DIR"
@@ -96,6 +103,8 @@ class RunConfig:
                 f"resource cap exceeded: 2*T/min(eps)^2 = {needed:.6g} "
                 f"is above the cap {HORIZON_CAP:.0e}"
             )
+        if not self.checks:
+            raise ConfigError("checks must be nonempty: list check names or default")
         unknown = [c for c in self.checks if c != "default" and c not in ALL_CHECKS]
         if unknown:
             raise ConfigError(f"unknown checks: {', '.join(unknown)}")
@@ -149,106 +158,79 @@ class RunConfig:
         }
 
 
-_REQUIRED_KEYS = {"epsilons", "replications_M", "master_seed"}
-_KNOWN_KEYS = _REQUIRED_KEYS | {
-    "cos_block",
-    "sin_block",
-    "allow_pi_in_cos",
-    "horizon_T",
-    "grid_points",
-    "checks",
-    "output_dir",
-    "workers",
-    "allow_invalid_theta",
-}
-
 _BOOL_VALUES = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
-
-
-def _parse_bool(key: str, raw: str) -> bool:
-    try:
-        return _BOOL_VALUES[raw.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"{key}: expected true/false, got {raw!r}") from None
 
 
 def _parse_list(raw: str) -> list[str]:
     return [item.strip() for item in raw.split(",") if item.strip()]
 
 
+def _parse_angles(raw: str) -> tuple[Angle, ...]:
+    return tuple(parse_angle(a) for a in _parse_list(raw))
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() not in _BOOL_VALUES:
+        raise ValueError(raw)
+    return _BOOL_VALUES[raw.lower()]
+
+
+# file key -> (parser of its value, what the parser expects)
+_PARSERS: dict[str, tuple[Callable[[str], object], str]] = {
+    "cos_block": (_parse_angles, "angles in radians or 'p/q pi'"),
+    "sin_block": (_parse_angles, "angles in radians or 'p/q pi'"),
+    "allow_pi_in_cos": (_parse_bool, "true/false"),
+    "horizon_T": (float, "a number"),
+    "epsilons": (
+        lambda raw: tuple(float(e) for e in _parse_list(raw)), "comma-separated numbers"
+    ),
+    "replications_M": (int, "an integer"),
+    "grid_points": (int, "an integer"),
+    "master_seed": (int, "an integer"),
+    "checks": (lambda raw: tuple(_parse_list(raw)), "check names"),
+    "output_dir": (Path, "a path"),
+    "workers": (int, "an integer"),
+    "allow_invalid_theta": (_parse_bool, "true/false"),
+}
+
+_THETA_KEYS = tuple(f.name for f in fields(ThetaConfig))
+_REQUIRED_KEYS = {
+    f.name for f in fields(RunConfig) if f.default is MISSING and f.name != "theta"
+}
+
+
+def _parse_value(key: str, raw: str, where: str) -> object:
+    parse, expected = _PARSERS[key]
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ConfigError(f"{where}: expected {expected}, got {raw!r}") from None
+
+
 def parse_config_text(text: str) -> RunConfig:
     """Parse the flat key = value format into a validated RunConfig."""
-    entries: dict[str, str] = {}
+    values: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = stripped.partition("=")
+        key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in entries:
+        if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        entries[key] = value.strip()
+        values[key] = _parse_value(key, raw.strip(), f"line {lineno}: {key}")
 
-    missing = sorted(_REQUIRED_KEYS - entries.keys())
+    missing = sorted(_REQUIRED_KEYS - values.keys())
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    if not entries.get("cos_block") and not entries.get("sin_block"):
+    theta_args = {key: values.pop(key) for key in _THETA_KEYS if key in values}
+    if not theta_args.get("cos_block") and not theta_args.get("sin_block"):
         raise ConfigError("at least one of cos_block / sin_block must be nonempty")
-
-    try:
-        theta = ThetaConfig(
-            cos_block=_parse_list(entries.get("cos_block", "")),
-            sin_block=_parse_list(entries.get("sin_block", "")),
-            allow_pi_in_cos=_parse_bool("allow_pi_in_cos", entries["allow_pi_in_cos"])
-            if "allow_pi_in_cos" in entries
-            else False,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    def _float(key: str, default: float | None = None) -> float:
-        if key not in entries:
-            assert default is not None
-            return default
-        try:
-            return float(entries[key])
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {entries[key]!r}") from None
-
-    def _int(key: str, default: int | None = None) -> int:
-        if key not in entries:
-            assert default is not None
-            return default
-        try:
-            return int(entries[key])
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {entries[key]!r}") from None
-
-    try:
-        epsilons = tuple(float(e) for e in _parse_list(entries["epsilons"]))
-    except ValueError:
-        raise ConfigError(f"epsilons: could not parse {entries['epsilons']!r}") from None
-
-    checks = tuple(_parse_list(entries["checks"])) if "checks" in entries else ("default",)
-
-    return RunConfig(
-        theta=theta,
-        epsilons=epsilons,
-        replications_M=_int("replications_M"),
-        master_seed=_int("master_seed"),
-        horizon_T=_float("horizon_T", 1.0),
-        grid_points=_int("grid_points", 64),
-        checks=checks,
-        output_dir=Path(entries.get("output_dir", "runs")),
-        workers=_int("workers", 1),
-        allow_invalid_theta=_parse_bool(
-            "allow_invalid_theta", entries.get("allow_invalid_theta", "false")
-        ),
-    )
+    return RunConfig(theta=ThetaConfig(**theta_args), **values)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -262,14 +244,9 @@ def load_config(path: str | Path) -> RunConfig:
 
 def apply_env_overrides(config: RunConfig) -> RunConfig:
     """Apply the two supported environment overrides, if set."""
-    out = config
-    env_dir = os.environ.get(ENV_OUTPUT_DIR)
-    if env_dir:
-        out = replace(out, output_dir=Path(env_dir))
-    env_workers = os.environ.get(ENV_WORKERS)
-    if env_workers:
-        try:
-            out = replace(out, workers=int(env_workers))
-        except ValueError:
-            raise ConfigError(f"{ENV_WORKERS}: expected an integer, got {env_workers!r}") from None
-    return out
+    changes = {}
+    for env, key in ((ENV_OUTPUT_DIR, "output_dir"), (ENV_WORKERS, "workers")):
+        raw = os.environ.get(env)
+        if raw:
+            changes[key] = _parse_value(key, raw, env)
+    return replace(config, **changes) if changes else config

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .angles import ThetaConfig, validate_hypothesis_h
+from .angles import validate_hypothesis_h
 from .poisson import sample_poisson_path
 from .process import EvaluationGrid, SampleBlock, build_sample, map_to_path_time
 from .report import RunReport
@@ -194,9 +194,9 @@ def _check_entry(name: str, assertions: list[dict], data: dict) -> dict:
     }
 
 
-def _check_covariance(block: SampleBlock, config: RunConfig, epsilon: float) -> dict:
-    T = config.horizon_T
-    d = config.theta.dimension
+def _check_covariance(block: SampleBlock) -> tuple[list[dict], dict]:
+    T = block.grid.horizon_T
+    d = block.config.dimension
     cov = empirical_increment_covariance(block, 0.0, T)
     corr = correlation_matrix(cov)
     assertions = []
@@ -216,28 +216,19 @@ def _check_covariance(block: SampleBlock, config: RunConfig, epsilon: float) -> 
         "correlation": [[float(c) for c in row] for row in corr],
         "degenerate_pairs": degenerate,
     }
-    return _check_entry(CHECK_COVARIANCE, assertions, data)
+    return assertions, data
 
 
-def _check_qv(block: SampleBlock, config: RunConfig, epsilon: float) -> dict:
+def _check_qv(block: SampleBlock) -> tuple[list[dict], dict]:
     assertions = []
-    for c in range(config.theta.dimension):
+    for c in range(block.config.dimension):
         est = Estimate.from_observations(quadratic_variation(block, c, block.grid.times))
-        assertions.append(_band_assertion(f"qv[{c + 1}]", est, config.horizon_T))
-    return _check_entry(CHECK_QV, assertions, {})
+        assertions.append(_band_assertion(f"qv[{c + 1}]", est, block.grid.horizon_T))
+    return assertions, {}
 
 
-def _pair_kind(theta: ThetaConfig, i: int, j: int) -> str:
-    ki, kj = theta.component_kind(i), theta.component_kind(j)
-    if ki == "cos" and kj == "cos":
-        return "coscos"
-    if ki == "sin" and kj == "sin":
-        return "sinsin"
-    return "cossin"
-
-
-def _check_cross_moments(block: SampleBlock, config: RunConfig, epsilon: float) -> dict:
-    theta, T = config.theta, config.horizon_T
+def _check_cross_moments(block: SampleBlock) -> tuple[list[dict], dict]:
+    theta, T = block.config, block.grid.horizon_T
     d = theta.dimension
     assertions = []
     pairs = []
@@ -246,20 +237,23 @@ def _check_cross_moments(block: SampleBlock, config: RunConfig, epsilon: float) 
             est = cross_moment(block, i, j, 0.0, T)
             assertions.append(_band_assertion(f"cross[{i + 1},{j + 1}]", est, 0.0))
             try:
-                bound_total = structural_bound_eval(theta.angles[i], theta.angles[j], epsilon)
+                bound_total = structural_bound_eval(
+                    theta.angles[i], theta.angles[j], block.epsilon
+                )
             except DegeneratePairError:
                 bound_total = None
             pairs.append(
                 {
                     "i": i + 1,
                     "j": j + 1,
-                    "kind": _pair_kind(theta, i, j),
+                    # i < j and the cosine block comes first: coscos, cossin or sinsin
+                    "kind": theta.component_kind(i) + theta.component_kind(j),
                     "estimate": float(est.value),
                     "std_error": float(est.std_error),
                     "bound_total": bound_total,
                 }
             )
-    return _check_entry(CHECK_CROSS_MOMENTS, assertions, {"pairs": pairs})
+    return assertions, {"pairs": pairs}
 
 
 def _dyadic_pairs(T: float) -> list[tuple[float, float]]:
@@ -271,13 +265,13 @@ def _dyadic_pairs(T: float) -> list[tuple[float, float]]:
     return out
 
 
-def _check_fourth_moment(block: SampleBlock, config: RunConfig, epsilon: float) -> dict:
+def _check_fourth_moment(block: SampleBlock) -> tuple[list[dict], dict]:
     grid = block.grid
     ratios = []
     assertions = []
-    for c in range(config.theta.dimension):
+    for c in range(block.config.dimension):
         per_pair = []
-        for s, t in _dyadic_pairs(config.horizon_T):
+        for s, t in _dyadic_pairs(grid.horizon_T):
             # skip pairs that do not land on the grid (coarse grids)
             try:
                 grid.index_of(s), grid.index_of(t)
@@ -301,7 +295,7 @@ def _check_fourth_moment(block: SampleBlock, config: RunConfig, epsilon: float) 
                        spread <= SWEEP_MAX_OVER_MIN,
                        reason=None if lowest > 0.0 else ZERO_FOURTH_MOMENT)
         )
-    return _check_entry(CHECK_FOURTH_MOMENT, assertions, {"ratios": ratios})
+    return assertions, {"ratios": ratios}
 
 
 def _histogram(increments: np.ndarray) -> dict:
@@ -314,42 +308,37 @@ def _histogram(increments: np.ndarray) -> dict:
     return {"edges": [float(e) for e in edges], "counts": [int(c) for c in counts]}
 
 
-def _check_normality(block: SampleBlock, config: RunConfig, epsilon: float) -> dict:
-    scale = max(1.0, math.sqrt(REF_REPLICATIONS / config.replications_M))
+def _check_normality(block: SampleBlock) -> tuple[list[dict], dict]:
+    M = len(block)
+    scale = max(1.0, math.sqrt(REF_REPLICATIONS / M))
     skew_band = SKEW_BAND_REF * scale
     kurt_band = KURT_BAND_REF * scale
-    deltas = block.at_time(config.horizon_T) - block.at_time(0.0)
-    crit = KS_CRIT_1PCT / math.sqrt(deltas.shape[0])
+    crit = KS_CRIT_1PCT / math.sqrt(M)
+    deltas = block.at_time(block.grid.horizon_T) - block.at_time(0.0)
     assertions = []
     histograms = {}
-    for c in range(config.theta.dimension):
+    for c in range(block.config.dimension):
         try:
             rep = normality_check(deltas[:, c])
         except DegenerateSampleError as exc:
-            for label, target, band in (("skew", 0.0, skew_band), ("kurt", 0.0, kurt_band),
-                                        ("ks", None, crit)):
-                assertions.append(
-                    _assertion(f"{label}[{c + 1}]", math.nan, None, target, band, False,
-                               reason=str(exc))
-                )
-            continue  # no spread to bin: no histogram either
-        assertions.append(
-            _assertion(f"skew[{c + 1}]", rep.skewness, None, 0.0, skew_band,
-                       abs(rep.skewness) <= skew_band)
-        )
-        assertions.append(
-            _assertion(f"kurt[{c + 1}]", rep.excess_kurtosis, None, 0.0, kurt_band,
-                       abs(rep.excess_kurtosis) <= kurt_band)
-        )
-        assertions.append(
-            _assertion(f"ks[{c + 1}]", rep.ks_statistic, None, None, crit,
-                       rep.ks_statistic < crit)
-        )
-        histograms[f"comp_{c + 1}"] = _histogram(deltas[:, c])
-    return _check_entry(CHECK_NORMALITY, assertions, {"histograms": histograms})
+            # NaN fails every comparison below; no spread to bin: no histogram
+            skew = kurt = ks = math.nan
+            reason = str(exc)
+        else:
+            skew, kurt, ks = rep.skewness, rep.excess_kurtosis, rep.ks_statistic
+            reason = None
+            histograms[f"comp_{c + 1}"] = _histogram(deltas[:, c])
+        assertions += [
+            _assertion(f"skew[{c + 1}]", skew, None, 0.0, skew_band,
+                       abs(skew) <= skew_band, reason),
+            _assertion(f"kurt[{c + 1}]", kurt, None, 0.0, kurt_band,
+                       abs(kurt) <= kurt_band, reason),
+            _assertion(f"ks[{c + 1}]", ks, None, None, crit, ks < crit, reason),
+        ]
+    return assertions, {"histograms": histograms}
 
 
-def _check_martingale(block: SampleBlock, config: RunConfig, epsilon: float) -> dict:
+def _check_martingale(block: SampleBlock) -> tuple[list[dict], dict]:
     times = block.grid.times  # at least 3 points: RunConfig.validate ensures it
     h = len(times) // 2
     q = len(times) // 4
@@ -357,24 +346,21 @@ def _check_martingale(block: SampleBlock, config: RunConfig, epsilon: float) -> 
     conditioning = [float(times[q]), float(times[h])] if q >= 1 else [float(times[h])]
     assertions = []
     for label, phi_times in (("one", ()), ("tanh", conditioning)):
-        for c in range(config.theta.dimension):
+        for c in range(block.config.dimension):
             est = martingale_residual(block, c, s, t, phi_times)
             assertions.append(_band_assertion(f"residual[{label}][{c + 1}]", est, 0.0))
-    data = {"increment": [s, t], "conditioning_times": conditioning}
-    return _check_entry(CHECK_MARTINGALE, assertions, data)
+    return assertions, {"increment": [s, t], "conditioning_times": conditioning}
 
 
-def _check_stroock(block: SampleBlock, config: RunConfig, epsilon: float) -> dict:
-    T = config.horizon_T
+def _check_stroock(block: SampleBlock) -> tuple[list[dict], dict]:
+    T = block.grid.horizon_T
     est = stroock_variance_check(block, T)
-    rescaled = bool(config.theta.pi_rescaled_indices)
+    rescaled = bool(block.config.pi_rescaled_indices)
     target = T if rescaled else 2.0 * T
-    assertions = [_band_assertion("variance", est, target)]
-    return _check_entry(CHECK_STROOCK, assertions, {"rescaled": rescaled})
+    return [_band_assertion("variance", est, target)], {"rescaled": rescaled}
 
 
-# check name -> check; every check maps (block, config, epsilon) to its
-# report entry
+# check name -> check; every check maps its block to (assertions, data)
 CHECKS = {
     CHECK_COVARIANCE: _check_covariance,
     CHECK_QV: _check_qv,
@@ -509,7 +495,7 @@ def run_experiment(config: RunConfig) -> RunReport:
     for eps_index, epsilon in enumerate(config.epsilons):
         t0 = time.perf_counter()
         block = generate_samples(config, grid, eps_index)
-        block_checks = [CHECKS[name](block, config, epsilon) for name in checks]
+        block_checks = [_check_entry(name, *CHECKS[name](block)) for name in checks]
         results.append({"epsilon": float(epsilon), "checks": block_checks})
         timings[f"epsilon={epsilon:g}"] = time.perf_counter() - t0
 
@@ -521,15 +507,12 @@ def run_experiment(config: RunConfig) -> RunReport:
     if CHECK_FOURTH_MOMENT in checks:
         summary["fourth_moment_sweep"] = _fourth_moment_summary(results, config)
 
-    ok = all(c["pass"] for block in results for c in block["checks"])
-    for fit in summary.get("rate_fits", []):
-        ok = ok and fit["pass"]
-    sweep = summary.get("fourth_moment_sweep")
-    if sweep is not None:
-        ok = ok and sweep["pass"]
-        if "anchor" in sweep:
-            ok = ok and sweep["anchor"]["pass"]
-    summary["all_pass"] = bool(ok)
+    sweep = summary.get("fourth_moment_sweep", {})
+    summary["all_pass"] = all(
+        [c["pass"] for block in results for c in block["checks"]]
+        + [fit["pass"] for fit in summary.get("rate_fits", [])]
+        + [part["pass"] for part in (sweep, sweep.get("anchor")) if part]
+    )
 
     timings["total"] = time.perf_counter() - t_start
     return RunReport(

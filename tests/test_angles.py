@@ -8,7 +8,13 @@ from fractions import Fraction
 import pytest
 
 from poisson_bm import Angle, ThetaConfig, parse_angle, validate_hypothesis_h
-from poisson_bm.angles import RULE_RANGE, RULE_SAME_BLOCK_EQUAL, RULE_SUM_2PI
+from poisson_bm.angles import (
+    RULE_RANGE,
+    RULE_SAME_BLOCK_EQUAL,
+    RULE_SUM_2PI,
+    HypothesisReport,
+    Violation,
+)
 
 
 class TestParseAngle:
@@ -45,6 +51,14 @@ class TestValidateHypothesis:
         rep = validate_hypothesis_h(cfg)
         assert rep.valid
         assert rep.violations == ()
+
+    def test_valid_means_no_violations(self):
+        assert HypothesisReport(violations=(), pi_rescaled_indices=()).valid
+        broken = HypothesisReport(
+            violations=(Violation(RULE_RANGE, (1,), (0.0,)),), pi_rescaled_indices=()
+        )
+        assert not broken.valid
+        assert broken.to_dict()["valid"] is False
 
     def test_sum_2pi_pair_detected(self):
         cfg = ThetaConfig(cos_block=["1/2 pi", "3/2 pi"])

@@ -51,6 +51,10 @@ class TestValidateCommand:
     def test_broken_config_exits_two(self, cfg_file):
         assert main(["validate", str(cfg_file("nonsense"))]) == 2
 
+    def test_empty_check_list_exits_two(self, cfg_file, capsys):
+        assert main(["validate", str(cfg_file(VALID_CFG, extra="checks =\n"))]) == 2
+        assert "error: checks must be nonempty" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "extra,message",
         [
@@ -148,6 +152,15 @@ class TestPlotCommand:
         report = str(tmp_path / "out" / "report.json")
         # only one epsilon: no rate summary to plot
         assert main(["plot", report, "--kind", "RATE_LOGLOG"]) == 2
+
+    @pytest.mark.parametrize("case", ["empty_object", "no_results"])
+    def test_plot_of_a_non_report_exits_two(self, tmp_path, capsys, case):
+        demo = Path(__file__).parents[1] / "runs" / "demo" / "report.json"
+        doc = {} if case == "empty_object" else {**json.loads(demo.read_text()), "results": []}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["plot", str(path), "--kind", "COV_HEATMAP"]) == 2
+        assert "error: " in capsys.readouterr().err
 
     def test_rate_loglog_with_zero_cross_moment(self, cfg_file, tmp_path, capsys):
         # sin(pi * N) = 0, so the cross moment and its SE are exactly 0: no log

@@ -1,6 +1,9 @@
 """Run-configuration parsing and validation."""
 
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +96,45 @@ class TestParsing:
                 "cos_block = one pi\nepsilons = 0.5\nreplications_M = 100\nmaster_seed = 1\n"
             )
 
+    def test_bad_value_names_line_key_and_value(self):
+        text = "cos_block = 1.0\nepsilons = 0.5\ngrid_points = many\n"
+        with pytest.raises(ConfigError, match="line 3: grid_points: .*'many'"):
+            parse_config_text(text + "replications_M = 100\nmaster_seed = 1\n")
+
+    def test_minimal_file_takes_every_field_default(self):
+        from_file = parse_config_text(
+            "cos_block = 1.0\nepsilons = 0.5\nreplications_M = 100\nmaster_seed = 1\n"
+        )
+        direct = RunConfig(
+            theta=ThetaConfig(cos_block=[1.0]), epsilons=(0.5,), replications_M=100,
+            master_seed=1,
+        )
+        for f in dataclasses.fields(RunConfig):
+            assert getattr(from_file, f.name) == getattr(direct, f.name), f.name
+
+    def test_empty_check_list_rejected(self):
+        with pytest.raises(ConfigError, match="checks must be nonempty"):
+            parse_config_text(
+                "cos_block = 1.0\nepsilons = 0.5\nreplications_M = 100\nmaster_seed = 1\n"
+                "checks =\n"
+            )
+
+
+def _readme_config_block() -> str:
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration files", 1)[1]
+    return re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+
+
+class TestReadme:
+    def test_config_block_parses_and_sets_every_key(self):
+        block = _readme_config_block()
+        parse_config_text(block)
+        keys = {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
+        schema = {f.name for f in dataclasses.fields(RunConfig)} - {"theta"}
+        schema |= {f.name for f in dataclasses.fields(ThetaConfig)}
+        assert keys == schema
+
 
 class TestValidation:
     def _base(self, **overrides):
@@ -129,6 +171,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown checks"):
             RunConfig(**self._base(checks=("covariance", "nonsense")))
 
+    def test_empty_check_list_rejected(self):
+        with pytest.raises(ConfigError, match="checks must be nonempty"):
+            RunConfig(**self._base(checks=()))
+
     def test_martingale_needs_two_grid_steps(self):
         for checks in (("default",), ("martingale",)):
             with pytest.raises(ConfigError, match="martingale check needs grid_points >= 2"):
@@ -157,7 +203,15 @@ class TestEnvOverrides:
 
     def test_bad_workers_override_rejected(self, monkeypatch):
         monkeypatch.setenv(ENV_WORKERS, "many")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="POISSON_BM_WORKERS: expected an integer"):
+            apply_env_overrides(parse_config_text(GOOD))
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_override_below_one_gets_the_validation_message(
+        self, monkeypatch, workers
+    ):
+        monkeypatch.setenv(ENV_WORKERS, workers)
+        with pytest.raises(ConfigError, match="^workers must be at least 1$"):
             apply_env_overrides(parse_config_text(GOOD))
 
     def test_load_config_applies_overrides(self, tmp_path, monkeypatch):

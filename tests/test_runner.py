@@ -1,5 +1,6 @@
 """Experiment orchestration: determinism, counterexample mode, reports."""
 
+import inspect
 import json
 from dataclasses import replace
 
@@ -101,6 +102,10 @@ class TestGenerateSamples:
 class TestRunExperiment:
     def test_check_table_covers_every_check(self):
         assert tuple(CHECKS) == ALL_CHECKS
+
+    def test_every_check_is_a_function_of_its_block(self):
+        for check in CHECKS.values():
+            assert list(inspect.signature(check).parameters) == ["block"], check.__name__
 
     def test_minimal_smoke_run_covariance_passes(self):
         report = run_experiment(minimal_config())
