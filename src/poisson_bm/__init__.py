@@ -32,7 +32,6 @@ from .poisson import (
 )
 from .process import (
     EvaluationGrid,
-    HORIZON_CAP,
     ProcessSample,
     SampleBlock,
     build_sample,
@@ -68,7 +67,6 @@ __all__ = [
     "DegenerateSampleError",
     "Estimate",
     "EvaluationGrid",
-    "HORIZON_CAP",
     "HypothesisReport",
     "InvalidThetaError",
     "NormalityReport",

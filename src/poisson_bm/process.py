@@ -22,9 +22,9 @@ import numpy as np
 from .angles import ThetaConfig
 from .poisson import PoissonPath, _level_values
 
-# Upper bound on the rescaled horizon 2T/eps^2; runs above it would need
-# gigabyte-scale paths and are refused.
-HORIZON_CAP = 1.0e9
+# Memory cap of one replication, in bytes: build_sample holds about 26 + 16*d
+# bytes per jump (path, level table, prefix sums, starts), 2T/eps^2 jumps on average.
+REPLICATION_BYTES_CAP = 2**30
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -34,6 +34,14 @@ def map_to_path_time(t: float, epsilon: float) -> float:
     num = np.longdouble(2.0) * np.longdouble(t)
     den = np.longdouble(epsilon) * np.longdouble(epsilon)
     return float(num / den)
+
+
+def check_replication_memory(needed: float, dimension: int) -> None:
+    """Refuse ``needed`` = 2T/eps^2 jumps in ``dimension`` components above the cap."""
+    nbytes = needed * (26 + 16 * dimension)
+    if nbytes > REPLICATION_BYTES_CAP:
+        raise ValueError(f"2T/eps^2 = {needed:.6g} jumps at d = {dimension} take about "
+                         f"{nbytes:.3g} bytes, above the cap of {REPLICATION_BYTES_CAP}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,8 +155,8 @@ class SampleBlock:
 class _Plan:
     """What ``build_sample`` needs that depends only on (config, epsilon, grid).
 
-    ``needed`` is 2T/eps^2 and ``xs`` the read-only path times 2t/eps^2
-    of the grid times, both in the long-double steps of
+    ``needed`` is 2T/eps^2, within the replication cap, and ``xs`` the
+    read-only path times 2t/eps^2 of the grid times, both from
     ``map_to_path_time``. ``levels`` is the read-only (dimension, K) table
     of trig(theta_i * k), k < K: row i is ``_level_values`` of component
     i, and a level's value does not depend on K, so the table is regrown
@@ -160,11 +168,8 @@ class _Plan:
         self.epsilon = epsilon
         self.grid = grid
         self.needed = map_to_path_time(grid.horizon_T, epsilon)
-        eps_ld = np.longdouble(epsilon)
-        self.xs = np.asarray(
-            np.longdouble(2.0) * grid.times.astype(np.longdouble) / (eps_ld * eps_ld),
-            dtype=np.float64,
-        )
+        check_replication_memory(self.needed, config.dimension)
+        self.xs = np.array([map_to_path_time(t, epsilon) for t in grid.times.tolist()])
         self.xs.flags.writeable = False
         self.levels = np.empty((config.dimension, 0))
 
@@ -211,10 +216,6 @@ def build_sample(
     ):
         plan = _LAST_PLAN = _Plan(config, epsilon, grid)
     needed, xs = plan.needed, plan.xs
-    if needed > HORIZON_CAP:
-        raise ValueError(
-            f"rescaled horizon 2T/eps^2 = {needed:.6g} exceeds the cap {HORIZON_CAP:.0e}"
-        )
     if path.horizon < needed:
         raise ValueError(
             f"path horizon {path.horizon:.6g} is too short; "

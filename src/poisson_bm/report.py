@@ -212,12 +212,18 @@ def emit_plot_data(
     estimate floored to exactly 0 leaves its log cell empty.
     COV_HEATMAP: d*d rows of (i, j, value, std_error).
     MARGINAL_HIST: 50 bins spanning +-5 standard deviations, counts
-    summing to the replication count.
+    summing to the replication count. A report that lacks an entry the
+    plot reads raises ValueError naming it.
     """
-    if kind == PLOT_RATE_LOGLOG:
-        return _rate_csv(report, pair)
-    if kind == PLOT_COV_HEATMAP:
-        return _cov_csv(report, epsilon)
-    if kind == PLOT_MARGINAL_HIST:
-        return _hist_csv(report, epsilon, component)
+    try:
+        if kind == PLOT_RATE_LOGLOG:
+            return _rate_csv(report, pair)
+        if kind == PLOT_COV_HEATMAP:
+            return _cov_csv(report, epsilon)
+        if kind == PLOT_MARGINAL_HIST:
+            return _hist_csv(report, epsilon, component)
+    except KeyError as exc:
+        raise ValueError(f"malformed report: no key {exc}") from None
+    except IndexError as exc:
+        raise ValueError(f"malformed report: a list is too short ({exc})") from None
     raise ValueError(f"unknown plot kind {kind!r}")

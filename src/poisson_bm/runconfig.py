@@ -17,7 +17,8 @@ Example::
 ``RunConfig`` is the schema: its fields without a default are the
 required keys, and a key the file leaves out takes the field's default.
 A value that does not parse is reported with its line, key and value;
-an empty check list is rejected, since it would pass vacuously.
+an empty check list, or cross moments of a single component, is
+rejected, since it would pass vacuously.
 
 Only the output directory and the worker count may be overridden from
 the environment (POISSON_BM_OUTPUT_DIR, POISSON_BM_WORKERS); their
@@ -32,7 +33,7 @@ from pathlib import Path
 from typing import Callable
 
 from .angles import Angle, ThetaConfig, parse_angle
-from .process import HORIZON_CAP, map_to_path_time
+from .process import check_replication_memory, map_to_path_time
 
 ENV_OUTPUT_DIR = "POISSON_BM_OUTPUT_DIR"
 ENV_WORKERS = "POISSON_BM_WORKERS"
@@ -98,11 +99,10 @@ class RunConfig:
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         needed = map_to_path_time(self.horizon_T, min(self.epsilons))
-        if needed > HORIZON_CAP:
-            raise ConfigError(
-                f"resource cap exceeded: 2*T/min(eps)^2 = {needed:.6g} "
-                f"is above the cap {HORIZON_CAP:.0e}"
-            )
+        try:
+            check_replication_memory(needed, self.theta.dimension)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not self.checks:
             raise ConfigError("checks must be nonempty: list check names or default")
         unknown = [c for c in self.checks if c != "default" and c not in ALL_CHECKS]
@@ -119,6 +119,11 @@ class RunConfig:
                 "the martingale check needs grid_points >= 2; "
                 "raise grid_points or drop the check"
             )
+        if CHECK_CROSS_MOMENTS in checks and self.theta.dimension < 2:
+            raise ConfigError(
+                "the cross_moments check needs at least 2 components; "
+                "add an angle or drop the check"
+            )
         if CHECK_STROOCK in checks and not any(a.is_pi for a in self.theta.cos_block):
             raise ConfigError(
                 "the stroock check needs an angle-pi cosine component; "
@@ -130,11 +135,13 @@ class RunConfig:
         """Expand "default" to the standard bundle, in canonical order.
 
         The angle-pi variance check only enters the default bundle when
-        the cosine block actually contains pi.
+        the cosine block actually contains pi, and the cross-moment check
+        only when there are at least two components.
         """
         if "default" in self.checks:
             has_pi = any(a.is_pi for a in self.theta.cos_block)
-            names = [c for c in ALL_CHECKS if c != CHECK_STROOCK or has_pi]
+            unfed = {CHECK_STROOCK: not has_pi, CHECK_CROSS_MOMENTS: self.theta.dimension < 2}
+            names = [c for c in ALL_CHECKS if not unfed.get(c)]
         else:
             names = [c for c in ALL_CHECKS if c in self.checks]
         return tuple(names)

@@ -256,27 +256,35 @@ def _check_cross_moments(block: SampleBlock) -> tuple[list[dict], dict]:
     return assertions, {"pairs": pairs}
 
 
-def _dyadic_pairs(T: float) -> list[tuple[float, float]]:
+def _dyadic_pairs(grid: EvaluationGrid) -> list[tuple[float, float]]:
+    """The dyadic subintervals of [0, T] that end on grid times."""
+    T = grid.horizon_T
     out = []
     for level in range(DYADIC_LEVELS + 1):
         pieces = 2**level
         for k in range(pieces):
-            out.append((k * T / pieces, (k + 1) * T / pieces))
-    return out
-
-
-def _check_fourth_moment(block: SampleBlock) -> tuple[list[dict], dict]:
-    grid = block.grid
-    ratios = []
-    assertions = []
-    for c in range(block.config.dimension):
-        per_pair = []
-        for s, t in _dyadic_pairs(grid.horizon_T):
-            # skip pairs that do not land on the grid (coarse grids)
+            s, t = k * T / pieces, (k + 1) * T / pieces
             try:
                 grid.index_of(s), grid.index_of(t)
             except ValueError:
                 continue
+            out.append((s, t))
+    return out
+
+
+def _spread(values: list[float]) -> tuple[float, str | None]:
+    """max/min of fourth-moment ratios, or NaN and why if the smallest is 0."""
+    lowest = min(values)
+    return (max(values) / lowest, None) if lowest > 0.0 else (math.nan, ZERO_FOURTH_MOMENT)
+
+
+def _check_fourth_moment(block: SampleBlock) -> tuple[list[dict], dict]:
+    pairs = _dyadic_pairs(block.grid)
+    ratios = []
+    assertions = []
+    for c in range(block.config.dimension):
+        per_pair = []
+        for s, t in pairs:
             est = fourth_moment_ratio(block, c, s, t)
             per_pair.append(est.value)
             ratios.append(
@@ -288,12 +296,10 @@ def _check_fourth_moment(block: SampleBlock) -> tuple[list[dict], dict]:
                     "std_error": float(est.std_error),
                 }
             )
-        lowest = min(per_pair)
-        spread = max(per_pair) / lowest if lowest > 0.0 else math.nan
+        spread, reason = _spread(per_pair)
         assertions.append(
             _assertion(f"r4_spread[{c + 1}]", spread, None, None, SWEEP_MAX_OVER_MIN,
-                       spread <= SWEEP_MAX_OVER_MIN,
-                       reason=None if lowest > 0.0 else ZERO_FOURTH_MOMENT)
+                       spread <= SWEEP_MAX_OVER_MIN, reason)
         )
     return assertions, {"ratios": ratios}
 
@@ -376,19 +382,14 @@ CHECKS = {
 # cross-epsilon summary
 
 
-def _rate_summary(results: list[dict], config: RunConfig) -> list[dict] | None:
+def _rate_summary(per_eps: list[dict], config: RunConfig) -> list[dict] | None:
+    """Rate fits from the cross-moment check's data at each epsilon."""
     eps = list(config.epsilons)
     if len(eps) < RATE_MIN_EPS_COUNT or eps[0] / eps[-1] < RATE_MIN_SPREAD:
         return None
-    per_eps_pairs = [
-        next(c for c in block["checks"] if c["name"] == CHECK_CROSS_MOMENTS)["data"]["pairs"]
-        for block in results
-    ]
 
     fits = []
-    n_pairs = len(per_eps_pairs[0])
-    for p in range(n_pairs):
-        entries = [per_eps_pairs[k][p] for k in range(len(eps))]
+    for entries in zip(*(data["pairs"] for data in per_eps)):
         if any(e["bound_total"] is None for e in entries):
             continue  # degenerate pair: no envelope to compare against
         values = np.array([e["estimate"] for e in entries])
@@ -431,26 +432,21 @@ def _rate_summary(results: list[dict], config: RunConfig) -> list[dict] | None:
     return fits or None
 
 
-def _fourth_moment_summary(results: list[dict], config: RunConfig) -> dict:
-    all_ratios = []
-    anchor_ratios = []
-    smallest = config.epsilons[-1]
-    for block, eps in zip(results, config.epsilons):
-        check = next(c for c in block["checks"] if c["name"] == CHECK_FOURTH_MOMENT)
-        for r in check["data"]["ratios"]:
-            all_ratios.append(r["value"])
-            if eps == smallest and r["s"] == 0.0 and r["t"] == config.horizon_T:
-                anchor_ratios.append(r["value"])
-    max_r, min_r = max(all_ratios), min(all_ratios)
-    spread = max_r / min_r if min_r > 0.0 else math.nan
+def _fourth_moment_summary(per_eps: list[dict], config: RunConfig) -> dict:
+    """The sweep over every epsilon's ratios; the anchor reads the last's."""
+    all_ratios = [r["value"] for data in per_eps for r in data["ratios"]]
+    spread, reason = _spread(all_ratios)
     out = {
-        "max": float(max_r),
-        "min": float(min_r),
+        "max": float(max(all_ratios)),
+        "min": float(min(all_ratios)),
         "max_over_min": float(spread),
         "pass": bool(spread <= SWEEP_MAX_OVER_MIN),
     }
-    if min_r <= 0.0:
-        out["reason"] = ZERO_FOURTH_MOMENT
+    if reason is not None:
+        out["reason"] = reason
+    smallest = config.epsilons[-1]
+    anchor_ratios = [r["value"] for r in per_eps[-1]["ratios"]
+                     if r["s"] == 0.0 and r["t"] == config.horizon_T]
     # Gaussian-limit anchor is only meaningful close to the limit
     if smallest <= ANCHOR_EPSILON and anchor_ratios:
         ok = all(abs(r - ANCHOR_TARGET) <= ANCHOR_HALF_WIDTH for r in anchor_ratios)
@@ -499,13 +495,17 @@ def run_experiment(config: RunConfig) -> RunReport:
         results.append({"epsilon": float(epsilon), "checks": block_checks})
         timings[f"epsilon={epsilon:g}"] = time.perf_counter() - t0
 
+    # each check's data across epsilon, for the summaries that read it
+    data = {name: [b["checks"][k]["data"] for b in results] for k, name in enumerate(checks)}
     summary: dict = {}
     if CHECK_CROSS_MOMENTS in checks:
-        fits = _rate_summary(results, config)
+        fits = _rate_summary(data[CHECK_CROSS_MOMENTS], config)
         if fits is not None:
             summary["rate_fits"] = fits
     if CHECK_FOURTH_MOMENT in checks:
-        summary["fourth_moment_sweep"] = _fourth_moment_summary(results, config)
+        summary["fourth_moment_sweep"] = _fourth_moment_summary(
+            data[CHECK_FOURTH_MOMENT], config
+        )
 
     sweep = summary.get("fourth_moment_sweep", {})
     summary["all_pass"] = all(

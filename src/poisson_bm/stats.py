@@ -7,6 +7,10 @@ use exact compensated summation (math.fsum), so results are independent
 of accumulation order and bit-identical between sequential and
 gathered-parallel execution.
 
+Two rules hold for every estimator, each stated once: an increment
+needs s < t (``_increments_at``, checked before anything else), and an
+estimate needs at least two observations (``Estimate.from_observations``).
+
 The martingale and cross-moment estimators weight each replication by
 a bounded function phi of the history before the increment. phi is
 given by its conditioning times: the product over them of tanh of the
@@ -91,7 +95,9 @@ class Estimate:
 
 
 def _increments_at(block: SampleBlock, s: float, t: float) -> np.ndarray:
-    """(replications, dimension) increments x(t) - x(s)."""
+    """(replications, dimension) increments x(t) - x(s); needs s < t."""
+    if not s < t:
+        raise ValueError(f"need s < t, got ({s}, {t})")
     return block.at_time(t) - block.at_time(s)
 
 
@@ -133,13 +139,9 @@ def empirical_increment_covariance(
     from the per-replication centered products. In the small-epsilon
     limit the diagonal targets t - s and the off-diagonal targets 0.
     """
-    if len(block) < 2:
-        raise ValueError("need at least 2 samples for a covariance estimate")
-    if not s < t:
-        raise ValueError(f"need s < t, got ({s}, {t})")
     deltas = _increments_at(block, s, t)  # (M, d)
-    M, d = deltas.shape
-    means = np.array([compensated_sum(deltas[:, c]) / M for c in range(d)])
+    d = deltas.shape[1]
+    means = np.array([Estimate.from_observations(deltas[:, c]).value for c in range(d)])
     centered = deltas - means
     out: list[list[Estimate]] = [[None] * d for _ in range(d)]  # type: ignore[list-item]
     for i in range(d):
@@ -175,10 +177,8 @@ def cross_moment(
     """
     if i == j and len(conditioning) == 0:
         raise ValueError("i == j with the constant weight is the quadratic-variation path")
-    if not s < t:
-        raise ValueError(f"need s < t, got ({s}, {t})")
-    w = _phi_values(block, conditioning, s)
     deltas = _increments_at(block, s, t)
+    w = _phi_values(block, conditioning, s)
     return Estimate.from_observations(w * deltas[:, i] * deltas[:, j])
 
 
@@ -194,10 +194,8 @@ def martingale_residual(
     phi is the tanh product over the ``conditioning`` times
     (nondecreasing, at most s); no times means phi = 1.
     """
-    if not s < t:
-        raise ValueError(f"need s < t, got ({s}, {t})")
-    w = _phi_values(block, conditioning, s)
     deltas = _increments_at(block, s, t)
+    w = _phi_values(block, conditioning, s)
     return Estimate.from_observations(w * deltas[:, component])
 
 
@@ -213,12 +211,7 @@ def quadratic_variation(
         raise ValueError("partition must start at 0")
     if np.any(np.diff(ts) <= 0.0):
         raise ValueError("partition must be strictly increasing")
-    # EvaluationGrid.index_of for every point at once
-    times = block.grid.times
-    idx = np.minimum(np.searchsorted(times, ts), times.size - 1)
-    off_grid = np.flatnonzero(times[idx] != ts)
-    if off_grid.size:
-        raise ValueError(f"time {float(ts[off_grid[0]])!r} is not on the evaluation grid")
+    idx = [block.grid.index_of(t) for t in ts.tolist()]
     squares = np.diff(block.values[:, component, idx], axis=1) ** 2
     return np.array([compensated_sum(row) for row in squares])
 
@@ -231,10 +224,6 @@ def fourth_moment_ratio(
     The tightness bound asserts this is bounded uniformly in epsilon;
     the Gaussian limit pins it near 3.
     """
-    if len(block) < 2:
-        raise ValueError("need at least 2 samples")
-    if not s < t:
-        raise ValueError(f"need s < t, got ({s}, {t})")
     deltas = _increments_at(block, s, t)
     return Estimate.from_observations(deltas[:, component] ** 4 / (t - s) ** 2)
 
@@ -283,24 +272,17 @@ def stroock_variance_check(block: SampleBlock, t: float) -> Estimate:
     target is t. Errors out when the configuration has no angle-pi
     cosine component.
     """
-    if len(block) < 2:
-        raise ValueError("need at least 2 samples")
     pi_components = [i for i, a in enumerate(block.config.cos_block) if a.is_pi]
     if not pi_components:
         raise ValueError("no angle-pi cosine component in this configuration")
     x = block.at_time(t)[:, pi_components[0]]
-    centered = x - compensated_sum(x) / x.size
+    centered = x - Estimate.from_observations(x).value
     return _centered_product(centered, centered)
 
 
-def _angle_mod_2pi_distance(x: float) -> float:
-    """Distance from x to the nearest multiple of 2*pi."""
-    r = math.remainder(x, TWO_PI)
-    return abs(r)
-
-
 def _check_nondegenerate(label: str, angle_value: float) -> None:
-    if _angle_mod_2pi_distance(angle_value) <= TAU_THETA:
+    # distance from the angle to the nearest multiple of 2*pi
+    if abs(math.remainder(angle_value, TWO_PI)) <= TAU_THETA:
         raise DegeneratePairError(
             f"envelope factor for {label} is degenerate: "
             f"angle {angle_value!r} is within {TAU_THETA} of a multiple of 2*pi"
@@ -319,9 +301,9 @@ def structural_bound_eval(
 
     with d(.) = 1 - cos(.). The cosine/cosine, sine/sine and cosine/sine
     pairings share these moduli (the mixed case is the imaginary part of
-    the same complex integrals), so ``kind`` only labels the record.
-    Raises :class:`DegeneratePairError` when any factor vanishes, which
-    is exactly what the admissibility conditions rule out.
+    the same complex integrals). Raises :class:`DegeneratePairError`
+    when any factor vanishes, which is exactly what the admissibility
+    conditions rule out.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")

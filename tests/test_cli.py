@@ -27,6 +27,23 @@ master_seed = 4242
 """
 
 
+def _without_covariance_data(doc):
+    for block in doc["results"]:
+        for check in block["checks"]:
+            if check["name"] == "covariance":
+                del check["data"]
+    return doc
+
+
+# broken copies of the demo report, each with the name its error must carry
+NON_REPORTS = {
+    "empty_object": (lambda doc: {}, ""),
+    "no_results": (lambda doc: {**doc, "results": []}, ""),
+    "empty_result": (lambda doc: {**doc, "results": [{}]}, "'checks'"),
+    "no_covariance_data": (_without_covariance_data, "'data'"),
+}
+
+
 @pytest.fixture()
 def cfg_file(tmp_path):
     def write(text, extra=""):
@@ -60,6 +77,7 @@ class TestValidateCommand:
         [
             ("checks = martingale\ngrid_points = 1\n", "martingale check needs"),
             ("checks = stroock\n", "stroock check needs"),
+            ("checks = cross_moments\n", "cross_moments check needs"),
         ],
     )
     def test_check_needing_what_the_config_lacks_exits_two(
@@ -153,14 +171,15 @@ class TestPlotCommand:
         # only one epsilon: no rate summary to plot
         assert main(["plot", report, "--kind", "RATE_LOGLOG"]) == 2
 
-    @pytest.mark.parametrize("case", ["empty_object", "no_results"])
+    @pytest.mark.parametrize("case", NON_REPORTS)
     def test_plot_of_a_non_report_exits_two(self, tmp_path, capsys, case):
+        breaks, named = NON_REPORTS[case]
         demo = Path(__file__).parents[1] / "runs" / "demo" / "report.json"
-        doc = {} if case == "empty_object" else {**json.loads(demo.read_text()), "results": []}
         path = tmp_path / "report.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_text(json.dumps(breaks(json.loads(demo.read_text()))), encoding="utf-8")
         assert main(["plot", str(path), "--kind", "COV_HEATMAP"]) == 2
-        assert "error: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
 
     def test_rate_loglog_with_zero_cross_moment(self, cfg_file, tmp_path, capsys):
         # sin(pi * N) = 0, so the cross moment and its SE are exactly 0: no log

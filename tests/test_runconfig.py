@@ -189,6 +189,27 @@ class TestValidation:
         cfg = RunConfig(**self._base(theta=pi_theta, checks=("stroock",)))
         assert cfg.resolved_checks == ("stroock",)
 
+    def test_cross_moments_need_two_components(self):
+        # one component has no pair: the check would pass vacuously
+        with pytest.raises(ConfigError, match="cross_moments check needs at least 2"):
+            RunConfig(**self._base(checks=("covariance", "cross_moments")))
+        assert "cross_moments" not in RunConfig(**self._base()).resolved_checks
+        two = ThetaConfig(cos_block=[1.0], sin_block=[2.0])
+        assert "cross_moments" in RunConfig(**self._base(theta=two)).resolved_checks
+
+    @pytest.mark.parametrize("d", [4, 32])
+    def test_replication_memory_cap_boundary(self, d):
+        # 2T/eps^2 jumps at 26 + 16 d bytes each; at eps = 1 that is 2T jumps
+        angles = [f"{k}/17 pi" for k in range(1, d // 2 + 1)]
+        theta = ThetaConfig(cos_block=angles, sin_block=angles)
+        boundary_T = 2**30 / (2 * (26 + 16 * d))
+        below = RunConfig(**self._base(theta=theta, epsilons=(1.0,),
+                                       horizon_T=boundary_T * (1 - 1e-9)))
+        assert below.theta.dimension == d
+        with pytest.raises(ConfigError, match="cap"):
+            RunConfig(**self._base(theta=theta, epsilons=(1.0,),
+                                   horizon_T=boundary_T * (1 + 1e-9)))
+
 
 class TestEnvOverrides:
     def test_output_dir_override(self, monkeypatch):

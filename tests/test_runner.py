@@ -114,9 +114,11 @@ class TestRunExperiment:
         )
         assert cov["pass"]
 
-    def test_every_requested_check_appears_once_per_epsilon(self):
+    @pytest.mark.parametrize("sin_block", [(), (2.2,)], ids=["d1", "d2"])
+    def test_every_requested_check_appears_once_per_epsilon(self, sin_block):
+        # every check that runs asserts something: none passes vacuously
         cfg = minimal_config(
-            theta=ThetaConfig(cos_block=["1/2 pi"], sin_block=[2.2]),
+            theta=ThetaConfig(cos_block=["1/2 pi"], sin_block=sin_block),
             epsilons=(0.3, 0.2),
             replications_M=120,
             grid_points=4,

@@ -123,12 +123,48 @@ class TestIncrementCovariance:
         assert abs(corr[0, 1] - 1.0) <= 1e-12
         assert abs(corr[2, 3] + 1.0) <= 1e-12
 
-    def test_requires_two_samples(self):
-        cfg = ThetaConfig(cos_block=[1.0])
-        block = make_samples(cfg, 0.4, 2, seed=213)
+
+# every estimator of a block, called on (0, 1] where it takes an increment
+BLOCK_ESTIMATORS = {
+    "empirical_increment_covariance": lambda b: empirical_increment_covariance(b, 0.0, 1.0),
+    "cross_moment": lambda b: cross_moment(b, 0, 1, 0.0, 1.0),
+    "martingale_residual": lambda b: martingale_residual(b, 0, 0.0, 1.0),
+    "fourth_moment_ratio": lambda b: fourth_moment_ratio(b, 0, 0.0, 1.0),
+    "stroock_variance_check": lambda b: stroock_variance_check(b, 1.0),
+}
+
+# the estimators of an increment over (s, t), with conditioning times
+# that are themselves invalid where the estimator takes them
+INCREMENT_ESTIMATORS = {
+    "empirical_increment_covariance": lambda b, s, t: empirical_increment_covariance(b, s, t),
+    "cross_moment": lambda b, s, t: cross_moment(b, 0, 1, s, t, conditioning=[1.0, 0.5]),
+    "martingale_residual": lambda b, s, t: martingale_residual(
+        b, 0, s, t, conditioning=[1.0, 0.5]
+    ),
+    "fourth_moment_ratio": lambda b, s, t: fourth_moment_ratio(b, 0, s, t),
+}
+
+
+class TestSharedRules:
+    """Each rule every estimator obeys is stated once, in stats."""
+
+    @pytest.fixture(scope="class")
+    def block(self):
+        cfg = ThetaConfig(cos_block=["pi"], sin_block=[1.0], allow_pi_in_cos=True)
+        return make_samples(cfg, 0.4, 2, seed=213)
+
+    @pytest.mark.parametrize("estimator", BLOCK_ESTIMATORS)
+    def test_requires_two_observations(self, block, estimator):
         one = replace(block, values=block.values[:1])
-        with pytest.raises(ValueError):
-            empirical_increment_covariance(one, 0.0, 1.0)
+        with pytest.raises(ValueError, match="^need at least 2 observations$"):
+            BLOCK_ESTIMATORS[estimator](one)
+
+    @pytest.mark.parametrize("s,t", [(0.5, 0.5), (1.0, 0.5)])
+    @pytest.mark.parametrize("estimator", INCREMENT_ESTIMATORS)
+    def test_rejects_s_not_below_t(self, block, estimator, s, t):
+        # reported before the conditioning times are looked at
+        with pytest.raises(ValueError, match=rf"^need s < t, got \({s}, {t}\)$"):
+            INCREMENT_ESTIMATORS[estimator](block, s, t)
 
 
 class TestCrossMoment:
@@ -284,6 +320,11 @@ class TestQuadraticVariation:
             quadratic_variation(block, 0, [0.0, 0.5, 0.25])
         with pytest.raises(ValueError, match="strictly increasing"):
             quadratic_variation(block, 0, [0.0, 0.5, 0.5])
+
+    def test_off_grid_time_is_named_as_a_plain_float(self):
+        block = self._zero_block()
+        with pytest.raises(ValueError, match=r"^time 0\.3 is not on the evaluation grid$"):
+            quadratic_variation(block, 0, np.array([0.0, 0.3, 1.0]))
 
     def test_matches_index_of_lookup(self):
         # each row is the exact sum over that replication's own path
