@@ -5,9 +5,10 @@ stream, samples one Poisson path, and evaluates all components on the
 shared grid. Workers fill row blocks of one (replications, dimension,
 grid) array, gathered in replication order into the epsilon's
 SampleBlock. Each check is a function of that block, looked up by name
-in CHECKS, and every statistic is reduced with exact compensated
-summation. The report bytes therefore do not depend on the worker count
-or on execution order.
+in CHECKS, and every statistic is reduced with exactly rounded sums.
+The report bytes therefore do not depend on the worker count or on
+execution order. Wall-clock seconds per epsilon, per generation and per
+check go to the report's timings, outside the canonical JSON.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .stats import (
     DegeneratePairError,
     DegenerateSampleError,
     Estimate,
+    _increments_at,
     correlation_matrix,
     cross_moment,
     empirical_increment_covariance,
@@ -320,7 +322,7 @@ def _check_normality(block: SampleBlock) -> tuple[list[dict], dict]:
     skew_band = SKEW_BAND_REF * scale
     kurt_band = KURT_BAND_REF * scale
     crit = KS_CRIT_1PCT / math.sqrt(M)
-    deltas = block.at_time(block.grid.horizon_T) - block.at_time(0.0)
+    deltas = _increments_at(block, 0.0, block.grid.horizon_T)
     assertions = []
     histograms = {}
     for c in range(block.config.dimension):
@@ -489,11 +491,17 @@ def run_experiment(config: RunConfig) -> RunReport:
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
     for eps_index, epsilon in enumerate(config.epsilons):
+        key = f"epsilon={epsilon:g}"
         t0 = time.perf_counter()
         block = generate_samples(config, grid, eps_index)
-        block_checks = [_check_entry(name, *CHECKS[name](block)) for name in checks]
+        timings[f"{key}/generate"] = time.perf_counter() - t0
+        block_checks = []
+        for name in checks:
+            t = time.perf_counter()
+            block_checks.append(_check_entry(name, *CHECKS[name](block)))
+            timings[f"{key}/{name}"] = time.perf_counter() - t
         results.append({"epsilon": float(epsilon), "checks": block_checks})
-        timings[f"epsilon={epsilon:g}"] = time.perf_counter() - t0
+        timings[key] = time.perf_counter() - t0
 
     # each check's data across epsilon, for the summaries that read it
     data = {name: [b["checks"][k]["data"] for b in results] for k, name in enumerate(checks)}

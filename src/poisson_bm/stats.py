@@ -2,14 +2,18 @@
 
 Every estimator reads one SampleBlock, the (replications, dimension,
 grid) array of one epsilon, and returns point estimates with standard
-errors (sample standard deviation over sqrt(replications)). Reductions
-use exact compensated summation (math.fsum), so results are independent
-of accumulation order and bit-identical between sequential and
-gathered-parallel execution.
+errors (sample standard deviation over sqrt(replications)). Every
+reduction is exactly rounded: each lane of a sum equals math.fsum of
+that lane bit for bit, so results are independent of accumulation order
+and bit-identical between sequential and gathered-parallel execution.
+The sums run as a few numpy passes per lane (AccSum's error-free
+extraction, Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1), 2008);
+math.fsum rounds each lane's few exact partial sums once, and takes
+whole any lane that holds a non-finite value or is near overflow.
 
 Two rules hold for every estimator, each stated once: an increment
 needs s < t (``_increments_at``, checked before anything else), and an
-estimate needs at least two observations (``Estimate.from_observations``).
+estimate needs at least two observations (``_sums_and_std_errors``).
 
 The martingale and cross-moment estimators weight each replication by
 a bounded function phi of the history before the increment. phi is
@@ -53,13 +57,93 @@ class DegenerateSampleError(ValueError):
     """A statistic is undefined because its input has zero spread."""
 
 
-def compensated_sum(values: Iterable[float]) -> float:
-    """Exactly rounded sum (Shewchuk compensation via math.fsum).
+# Extraction runs while sigma lies in [2^SIGMA_EXP_MIN, 2^SIGMA_EXP_MAX]:
+# above, a lane could overflow and goes whole to math.fsum; below, the
+# ulp of sigma nears the subnormal range and the lane's remaining
+# elements join its partial sums as they are.
+_SIGMA_EXP_MAX = 1000
+_SIGMA_EXP_MIN = -1000
 
-    Order-independent up to the final rounding, which is what makes the
-    parallel-gather reduction bit-identical to the sequential one.
+
+def _lane_sums(lanes: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of the (L, n) array ``lanes``, bit for bit.
+
+    Each round takes sigma = 2^(e + k) per lane, with 2^e above the
+    largest remaining |x| and 2^k >= n + 2. Then q = (x + sigma) - sigma
+    is x rounded to a multiple of ulp(sigma)/2 with |q| <= 2^e, so every
+    partial sum of the q's is a multiple of ulp(sigma)/2 below sigma:
+    exact in any order. x - q is exact too, and at most ulp(sigma)/2,
+    so each round strips at least 52 - k bits. A lane ends when its
+    remainder is zero, and math.fsum rounds the sum of its exact
+    partials once.
     """
-    return math.fsum(values)
+    L, n = lanes.shape
+    if n == 0:
+        return np.zeros(L)
+    # reduce along the longer side: many short lanes run down the columns
+    ax = 0 if L > n else 1
+    rest = np.array(lanes.T if ax == 0 else lanes, order="C")
+    rows = rest.T if ax == 0 else rest  # (L, n) view of the remainder
+    q = np.empty_like(rest)
+    k = (n + 1).bit_length()  # the least k with 2^k >= n + 2
+    np.abs(rest, out=q)
+    top = q.max(axis=ax, keepdims=True)
+    # non-finite (NaN compares false) or near overflow: fsum's own result or error
+    whole = ~(top < 2.0 ** (_SIGMA_EXP_MAX - k))
+    fallback = {}
+    if whole.any():
+        fallback = {j: math.fsum(lanes[j].tolist()) for j in np.flatnonzero(whole)}
+        np.copyto(rest, 0.0, where=whole)
+        top[whole] = 0.0
+    parts = [np.zeros(L)]
+    tails: dict[int, list[float]] = {}
+    while top.any():
+        s = np.frexp(top)[1] + k
+        if s.min() < _SIGMA_EXP_MIN:
+            low = (top > 0.0) & (s < _SIGMA_EXP_MIN)
+            for j in np.flatnonzero(low):
+                tails[j] = rows[j][rows[j] != 0.0].tolist()
+            np.copyto(rest, 0.0, where=low)
+        sigma = np.ldexp(1.0, s)
+        np.add(rest, sigma, out=q)
+        q -= sigma
+        rest -= q
+        parts.append(q.sum(axis=ax))
+        np.abs(rest, out=q)
+        top = q.max(axis=ax, keepdims=True)
+    sums = np.array([math.fsum(p) for p in zip(*(p.tolist() for p in parts))])
+    for j, tail in tails.items():
+        sums[j] = math.fsum([p[j] for p in parts] + tail)
+    for j, value in fallback.items():
+        sums[j] = value
+    return sums
+
+
+def _exact_sum(values: np.ndarray, axis: int | None = None):
+    """math.fsum of every lane of ``values`` along ``axis``, bit for bit:
+    an array of the other axes' shape, or a float when ``axis`` is None
+    (the sum of all elements)."""
+    x = np.asarray(values, dtype=np.float64)
+    if axis is None:
+        return float(_lane_sums(x.reshape(1, -1))[0])
+    moved = np.moveaxis(x, axis, -1)
+    sums = _lane_sums(moved.reshape(math.prod(moved.shape[:-1]), x.shape[axis]))
+    return sums.reshape(moved.shape[:-1])
+
+
+def compensated_sum(values: Iterable[float]) -> float:
+    """Exactly rounded sum: math.fsum(values), bit for bit.
+
+    Runs AccSum's error-free extraction in numpy and rounds the few
+    exact partial sums once with math.fsum; input with a NaN or an
+    infinity, or near overflow, goes whole to math.fsum, so its result
+    and its ValueError or OverflowError are fsum's own. Order-independent,
+    which is what makes the parallel-gather reduction bit-identical to
+    the sequential one.
+    """
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    return _exact_sum(values)
 
 
 @dataclass(frozen=True)
@@ -78,13 +162,10 @@ class Estimate:
 
     @classmethod
     def from_observations(cls, xs: np.ndarray) -> "Estimate":
-        xs = np.asarray(xs, dtype=np.float64)
-        n = xs.size
-        if n < 2:
-            raise ValueError("need at least 2 observations")
-        mean = compensated_sum(xs) / n
-        var = compensated_sum((xs - mean) ** 2) / (n - 1)
-        return cls(value=mean, std_error=math.sqrt(var / n), replications=n)
+        column = np.array(xs, dtype=np.float64).reshape(-1, 1)
+        n = column.shape[0]
+        total, se = _sums_and_std_errors(column)
+        return cls(value=float(total[0] / n), std_error=float(se[0]), replications=n)
 
     def to_dict(self) -> dict:
         return {
@@ -92,6 +173,20 @@ class Estimate:
             "std_error": self.std_error,
             "replications": self.replications,
         }
+
+
+def _sums_and_std_errors(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of the (n, L) observations: the exact sum, and the
+    standard error of the mean (sample standard deviation / sqrt(n)).
+    Overwrites xs with the squared deviations from the mean."""
+    n = xs.shape[0]
+    if n < 2:
+        raise ValueError("need at least 2 observations")
+    total = _exact_sum(xs, axis=0)
+    xs -= total / n
+    xs *= xs
+    var = _exact_sum(xs, axis=0) / (n - 1)
+    return total, np.sqrt(var / n)
 
 
 def _increments_at(block: SampleBlock, s: float, t: float) -> np.ndarray:
@@ -121,13 +216,16 @@ def _phi_values(
     return out
 
 
-def _centered_product(a: np.ndarray, b: np.ndarray) -> Estimate:
-    """Covariance estimate from two centered columns: sum(a * b) / (M - 1),
-    with the standard error of the per-replication products."""
-    w = a * b
-    M = w.size
-    se = Estimate.from_observations(w).std_error
-    return Estimate(value=compensated_sum(w) / (M - 1), std_error=se, replications=M)
+def _centered_products(w: np.ndarray) -> list[Estimate]:
+    """Covariance estimates from the (M, L) per-replication products of
+    centered columns: each column's sum / (M - 1), with the standard
+    error of its products."""
+    M = w.shape[0]
+    total, se = _sums_and_std_errors(w)
+    return [
+        Estimate(value=value, std_error=std_error, replications=M)
+        for value, std_error in zip((total / (M - 1)).tolist(), se.tolist())
+    ]
 
 
 def empirical_increment_covariance(
@@ -139,14 +237,14 @@ def empirical_increment_covariance(
     from the per-replication centered products. In the small-epsilon
     limit the diagonal targets t - s and the off-diagonal targets 0.
     """
-    deltas = _increments_at(block, s, t)  # (M, d)
-    d = deltas.shape[1]
-    means = np.array([Estimate.from_observations(deltas[:, c]).value for c in range(d)])
-    centered = deltas - means
+    centered = _increments_at(block, s, t)  # (M, d)
+    M, d = centered.shape
+    centered -= _exact_sum(centered, axis=0) / M
     out: list[list[Estimate]] = [[None] * d for _ in range(d)]  # type: ignore[list-item]
     for i in range(d):
-        for j in range(i, d):
-            out[i][j] = out[j][i] = _centered_product(centered[:, i], centered[:, j])
+        row = _centered_products(centered[:, i : i + 1] * centered[:, i:])
+        for j, est in enumerate(row, start=i):
+            out[i][j] = out[j][i] = est
     return out
 
 
@@ -213,7 +311,7 @@ def quadratic_variation(
         raise ValueError("partition must be strictly increasing")
     idx = [block.grid.index_of(t) for t in ts.tolist()]
     squares = np.diff(block.values[:, component, idx], axis=1) ** 2
-    return np.array([compensated_sum(row) for row in squares])
+    return _exact_sum(squares, axis=1)
 
 
 def fourth_moment_ratio(
@@ -247,13 +345,13 @@ def normality_check(increments: np.ndarray) -> NormalityReport:
     if xs.size < 100:
         raise ValueError(f"need at least 100 values, got {xs.size}")
     n = xs.size
-    mean = compensated_sum(xs) / n
-    var = compensated_sum((xs - mean) ** 2) / n
+    mean = _exact_sum(xs) / n
+    var = _exact_sum((xs - mean) ** 2) / n
     if var <= 0.0:
         raise DegenerateSampleError("degenerate input: zero variance")
     z = (xs - mean) / math.sqrt(var)
-    m3 = compensated_sum(z**3) / n
-    m4 = compensated_sum(z**4) / n
+    m3 = _exact_sum(z**3) / n
+    m4 = _exact_sum(z**4) / n
 
     zs = np.sort(z)
     cdf = ndtr(zs)
@@ -277,7 +375,7 @@ def stroock_variance_check(block: SampleBlock, t: float) -> Estimate:
         raise ValueError("no angle-pi cosine component in this configuration")
     x = block.at_time(t)[:, pi_components[0]]
     centered = x - Estimate.from_observations(x).value
-    return _centered_product(centered, centered)
+    return _centered_products((centered * centered)[:, None])[0]
 
 
 def _check_nondegenerate(label: str, angle_value: float) -> None:

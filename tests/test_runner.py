@@ -255,6 +255,20 @@ class TestReportFiles:
         loaded = RunReport.from_json_file(path)
         assert loaded.to_json_text() == report.to_json_text()
 
+    def test_timings_per_generation_and_check(self, tmp_path):
+        cfg = minimal_config(epsilons=(0.4, 0.2), replications_M=120, grid_points=4)
+        report = run_experiment(cfg)
+        report.write(tmp_path)
+        lines = (tmp_path / TIMINGS_FILENAME).read_text().splitlines()[1:]
+        expected = []
+        for eps in ("0.4", "0.2"):
+            expected += [f"epsilon={eps}/generate"]
+            expected += [f"epsilon={eps}/{name}" for name in cfg.resolved_checks]
+            expected += [f"epsilon={eps}"]
+        assert [line.split(" = ")[0] for line in lines] == expected + ["total"]
+        # the seconds do not reach the canonical report
+        assert report.to_json_text() == replace(report, timings={}).to_json_text()
+
     def test_zero_component_report_is_strict_json(self, tmp_path):
         # sin(pi * N) = 0: its correlations and moment ratios do not exist
         cfg = minimal_config(

@@ -1,6 +1,7 @@
 """Estimators and envelope evaluators, checked against closed-form oracles."""
 
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,8 @@ from poisson_bm import (
     stroock_variance_check,
     structural_bound_eval,
 )
+from poisson_bm.stats import _exact_sum
+
 from oracles import (
     exact_cross_moment,
     exact_increment_variance,
@@ -75,6 +78,43 @@ class TestEstimate:
         assert all(0.6 <= r <= 0.82 for r in ratios)
 
 
+def _fsum_or_error(lane):
+    """math.fsum of a lane as its bits, or the type of the error it raises."""
+    try:
+        return struct.pack("<d", math.fsum(lane))
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _random_lane(rng, n):
+    """One seeded lane of length n from a mix of hard cases for an exact sum."""
+    kind = rng.integers(9)
+    x = rng.normal(size=n)
+    if kind == 1:  # magnitudes from 1e-30 to 1e30
+        x *= 10.0 ** rng.integers(-30, 31, size=n)
+    elif kind == 2:  # heavy cancellation: pairs x, -x around a tiny residue
+        half = x[: n // 2] * 10.0 ** rng.integers(-12, 13, size=n // 2)
+        x = np.concatenate([half, -half, x[2 * (n // 2):] * 1e-25])
+    elif kind == 3 and n >= 3:  # a sum exactly half an ulp from two doubles
+        a = 1.0 + rng.integers(2**52) * 2.0**-52  # even and odd last bits
+        m = (n - 3) // 2
+        x = np.concatenate([[a, 2.0**-54, 2.0**-54], x[:m], -x[:m], np.zeros(n - 3 - 2 * m)])
+    elif kind == 4:  # subnormals
+        x = rng.integers(-(2**40), 2**40, size=n) * 5e-324
+    elif kind == 5:  # zero sums, including all -0.0
+        half = x[: n // 2]
+        x = -np.zeros(n) if rng.integers(2) else np.concatenate([half, -half, np.zeros(n % 2)])
+    elif kind == 6:  # fourth powers, as in the fourth-moment ratio
+        x = x**4
+    elif kind == 7 and n:  # nan, +-inf and inf - inf
+        picks = rng.choice([math.nan, math.inf, -math.inf], size=rng.integers(1, 3))
+        x[rng.integers(n, size=picks.size)] = picks
+    elif kind == 8 and n >= 3:  # intermediate overflow, or a sum that overflows
+        x[:3] = 1e308, 1e308, -1e308 if rng.integers(2) else 1e308
+    rng.shuffle(x)
+    return x
+
+
 class TestCompensatedSum:
     def test_exactly_rounded(self):
         xs = [1e16, 1.0, -1e16, 1.0]
@@ -87,6 +127,51 @@ class TestCompensatedSum:
         for _ in range(5):
             rng.shuffle(xs)
             assert compensated_sum(xs) == base
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [1.0, 2.0**-53],  # a tie: to the even neighbour, down
+            [1.0 + 2.0**-52, 2.0**-53],  # a tie: to the even neighbour, up
+            [1.0, 2.0**-53, 2.0**-200],  # just above the tie, a third partial sum
+            [1.0, 2.0**-53, -(2.0**-200)],  # just below it
+            [1.0, 2.0**-53, 2.0**-1074],  # just above it, below the extraction
+            [-0.0, -0.0],
+            [],
+            [3e-310, -1e-310, 5e-324],
+            [1e303, -1e303, 1.0],  # near overflow: math.fsum takes the lane
+            [math.inf, 1.0],
+            [math.nan, 1.0],
+            [math.inf, -math.inf],
+            [1e308, 1e308, -1e308],
+            [1.7e308, 1.7e308],
+        ],
+    )
+    def test_equals_fsum_on_edge_cases(self, xs):
+        try:
+            got = struct.pack("<d", compensated_sum(xs))
+        except (ValueError, OverflowError) as exc:
+            got = type(exc)
+        assert got == _fsum_or_error(xs)
+
+    @pytest.mark.parametrize("axis", [None, 0, 1])
+    def test_equals_fsum_bit_for_bit(self, axis):
+        rng = np.random.default_rng(20260 + (axis or 0))
+        for trial in range(400):
+            if axis is None:  # one lane: all of a 1-D array
+                lanes, n = 1, int(rng.choice([0, 1, 2, 3, 7, 100, 3000]))
+            else:
+                lanes, n = int(rng.integers(1, 5)), int(rng.choice([0, 1, 2, 5, 64]))
+            block = np.array([_random_lane(rng, n) for _ in range(lanes)]).reshape(lanes, n)
+            expected = [_fsum_or_error(row) for row in block.tolist()]
+            values = {None: block[0], 0: block.T, 1: block}[axis]
+            error = next((e for e in expected if isinstance(e, type)), None)
+            if error is not None:  # the first failing lane's error, as fsum raises it
+                with pytest.raises(error):
+                    _exact_sum(values, axis)
+                continue
+            got = np.atleast_1d(_exact_sum(values, axis)).tolist()
+            assert [struct.pack("<d", g) for g in got] == expected, (trial, axis)
 
 
 class TestIncrementCovariance:
@@ -165,6 +250,64 @@ class TestSharedRules:
         # reported before the conditioning times are looked at
         with pytest.raises(ValueError, match=rf"^need s < t, got \({s}, {t}\)$"):
             INCREMENT_ESTIMATORS[estimator](block, s, t)
+
+
+def _fsum_estimate(xs):
+    """Estimate.from_observations with math.fsum: (mean, standard error)."""
+    n = len(xs)
+    mean = math.fsum(xs) / n
+    return mean, math.sqrt(math.fsum((xs - mean) ** 2) / (n - 1) / n)
+
+
+class TestEstimatorsMatchFsum:
+    """Every estimator's reductions equal the same formula with math.fsum."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[
+            ThetaConfig(cos_block=["1/2 pi", 2.2], sin_block=["1/2 pi", 2.2]),
+            ThetaConfig(cos_block=["1/3 pi", 1.1, 2.2, 0.7], sin_block=["1/2 pi", 2.5, 1.3]),
+        ],
+        ids=["d4", "d7"],
+    )
+    def block(self, request):
+        return make_samples(request.param, 0.3, 600, seed=230, steps=8)
+
+    def test_covariance_values_and_std_errors(self, block):
+        deltas = block.values[:, :, -1] - block.values[:, :, 0]
+        M, d = deltas.shape
+        centered = deltas - np.array([math.fsum(deltas[:, c]) / M for c in range(d)])
+        cov = empirical_increment_covariance(block, 0.0, 1.0)
+        for i in range(d):
+            for j in range(d):
+                w = centered[:, i] * centered[:, j]
+                _, se = _fsum_estimate(w)
+                assert (cov[i][j].value, cov[i][j].std_error) == (math.fsum(w) / (M - 1), se)
+
+    def test_quadratic_variation_per_row(self, block):
+        for c in range(block.config.dimension):
+            squares = np.diff(block.values[:, c, :], axis=1) ** 2
+            expected = [math.fsum(row) for row in squares]
+            assert quadratic_variation(block, c, block.grid.times).tolist() == expected
+
+    def test_normality_moments(self, block):
+        deltas = block.values[:, :, -1] - block.values[:, :, 0]
+        for c in range(block.config.dimension):
+            xs = deltas[:, c]
+            n = xs.size
+            mean = math.fsum(xs) / n
+            var = math.fsum((xs - mean) ** 2) / n
+            z = (xs - mean) / math.sqrt(var)
+            rep = normality_check(xs)
+            assert rep.skewness == math.fsum(z**3) / n
+            assert rep.excess_kurtosis == math.fsum(z**4) / n - 3.0
+
+    def test_one_column_estimators(self, block):
+        deltas = block.values[:, :, -1] - block.values[:, :, 0]
+        est = cross_moment(block, 0, 1, 0.0, 1.0)
+        assert (est.value, est.std_error) == _fsum_estimate(deltas[:, 0] * deltas[:, 1])
+        est = fourth_moment_ratio(block, 2, 0.0, 1.0)
+        assert (est.value, est.std_error) == _fsum_estimate(deltas[:, 2] ** 4)
 
 
 class TestCrossMoment:

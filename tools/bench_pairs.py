@@ -1,0 +1,190 @@
+"""Alternating parent/change benchmark pairs, written to one BENCH_<n>.json.
+
+    python3 tools/bench_pairs.py --parent REV --out BENCH_9.json \
+        [--pairs 10] [--seconds 10] [--seed N]
+
+The checkout that holds this script, as it stands, is the change. The
+parent is a ``git worktree`` of REV in a temporary directory (under
+``TMPDIR``), removed at the end. Standard library and git only.
+
+For each workload in ``BENCHMARK.json``, pair i runs the benchmark
+command (``--workload W --seconds S --trace 0``) once on each side,
+parent first in even pairs and change first in odd ones. Every run's
+metrics, ``failed`` and ``attempted`` are kept; each end-to-end metric
+gets both sides' median, quartiles and IQR and the number of pairs the
+change won (ties count for neither).
+
+Then, for as many pairs, the change's ``configs/d32.cfg`` (16 cosine
+and 16 sine components) runs on both sides in the same alternating
+order, in fresh interpreters; the seconds of ``run_experiment`` alone are recorded, and
+the two sides' ``report.json`` and ``assertions.csv`` are compared byte
+for byte.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+D32_CONFIG = Path("configs/d32.cfg")
+OUTPUT_FILES = ("report.json", "assertions.csv")
+
+# Runs in a fresh interpreter with the side's checkout as working directory.
+TIME_RUN = """
+import json, sys, time
+from dataclasses import replace
+sys.path.insert(0, "src")
+from poisson_bm import load_config, run_experiment
+config = replace(load_config(sys.argv[1]), output_dir=sys.argv[2])
+t = time.perf_counter()
+report = run_experiment(config)
+seconds = time.perf_counter() - t
+report.write(config.output_dir)
+print(json.dumps({"run_experiment_s": seconds}))
+"""
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def last_json_line(cmd: list[str], cwd: Path) -> dict:
+    proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} in {cwd} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def spread(values: list[float]) -> dict:
+    q1, med, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                   if len(values) > 1 else values * 3)
+    return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
+
+
+def compare(parent: list[float], change: list[float], better: str) -> dict:
+    """Both sides' spread and the pairs the change won."""
+    sign = -1.0 if better == "lower" else 1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    ties = sum(c == p for p, c in zip(parent, change))
+    p, c = spread(parent), spread(change)
+    return {
+        "better": better, "parent": p, "change": c, "change_wins": wins, "ties": ties,
+        "pairs": len(parent), "median_change": c["median"] / p["median"] - 1.0,
+    }
+
+
+def pair_order(i: int, sides: dict[str, Path]) -> list[tuple[str, Path]]:
+    order = list(sides.items())
+    return order if i % 2 == 0 else order[::-1]
+
+
+def bench_workloads(sides: dict[str, Path], bench: dict, pairs: int, seconds: float,
+                    seed: int | None) -> dict:
+    out = {}
+    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    for workload in (w["name"] for w in bench["workloads"]):
+        cmd = [*bench["command"], "--workload", workload, "--seconds", repr(seconds),
+               "--trace", "0"] + ([] if seed is None else ["--seed", str(seed)])
+        runs = []
+        for i in range(pairs):
+            for order, (side, root) in enumerate(pair_order(i, sides)):
+                result = last_json_line(cmd, root)
+                runs.append({"pair": i, "side": side, "order": order,
+                             "failed": result["failed"], "attempted": result["attempted"],
+                             "metrics": {k: v["value"] for k, v in result["metrics"].items()}})
+                print(f"{workload} pair {i} {side}: failed {result['failed']}, "
+                      f"run_s {runs[-1]['metrics'].get('run_s')}", file=sys.stderr)
+        by_side = {side: [r for r in runs if r["side"] == side] for side in sides}
+        out[workload] = {
+            "command": cmd,
+            "failed": {side: [r["failed"] for r in rs] for side, rs in by_side.items()},
+            "metrics": {name: compare([r["metrics"][name] for r in by_side["parent"]],
+                                      [r["metrics"][name] for r in by_side["change"]], better)
+                        for name, better in metrics.items()},
+            "runs": runs,
+        }
+    return out
+
+
+def bench_d32(sides: dict[str, Path], pairs: int, scratch: Path) -> dict:
+    config = (ROOT / D32_CONFIG).resolve()
+    seconds: dict[str, list[float]] = {side: [] for side in sides}
+    digests: dict[str, set] = {side: set() for side in sides}
+    for i in range(pairs):
+        for side, root in pair_order(i, sides):
+            out_dir = scratch / f"d32-{side}"
+            shutil.rmtree(out_dir, ignore_errors=True)
+            result = last_json_line([sys.executable, "-c", TIME_RUN, str(config), str(out_dir)],
+                                    root)
+            seconds[side].append(result["run_experiment_s"])
+            digests[side].add(tuple(hashlib.sha256((out_dir / n).read_bytes()).hexdigest()
+                                    for n in OUTPUT_FILES))
+            print(f"d32 pair {i} {side}: {result['run_experiment_s']:.3f} s", file=sys.stderr)
+    return {
+        "config": D32_CONFIG.as_posix(),
+        "run_experiment_s": compare(seconds["parent"], seconds["change"], "lower"),
+        "same_bytes": len(digests["parent"] | digests["change"]) == 1,
+    }
+
+
+def environment() -> dict:
+    numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
+                           capture_output=True, text=True, check=True).stdout.strip()
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": numpy,
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent")
+    parser.add_argument("--out", required=True, type=Path, help="BENCH_<n>.json to write")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="workload seed (default: the benchmark's own)")
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or args.seconds <= 0:
+        parser.error("--pairs must be at least 1 and --seconds positive")
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    change = {"commit": git("rev-parse", "HEAD"),
+              "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+    scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
+    tree = scratch / "parent"
+    git("worktree", "add", "--detach", str(tree), parent_commit)
+    try:
+        sides = {"parent": tree, "change": ROOT}
+        record = {
+            "parent": {"commit": parent_commit},
+            "change": change,
+            "environment": environment(),
+            "settings": {"pairs": args.pairs, "seconds": args.seconds,
+                         "seed": "benchmark default" if args.seed is None else args.seed},
+            "workloads": bench_workloads(sides, bench, args.pairs, args.seconds, args.seed),
+            "d32": bench_d32(sides, args.pairs, scratch),
+        }
+    finally:
+        git("worktree", "remove", "--force", str(tree))
+        shutil.rmtree(scratch, ignore_errors=True)
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
