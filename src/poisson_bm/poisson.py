@@ -91,7 +91,8 @@ def sample_poisson_path(horizon: float, stream: np.random.Generator) -> PoissonP
         if t != 0.0:  # 0.0 + x == x, so the first block needs no offset
             times += t
         if times[-1] > horizon:
-            parts.append(times[: np.searchsorted(times, horizon, side="right")])
+            # the method skips np.searchsorted's dispatch, a fixed cost per path
+            parts.append(times[: times.searchsorted(horizon, side="right")])
             break
         parts.append(times)
         t = float(times[-1])
@@ -107,8 +108,14 @@ def sample_poisson_path(horizon: float, stream: np.random.Generator) -> PoissonP
     return PoissonPath(horizon=float(horizon), jump_times=jumps)
 
 
-def _level_values(theta: Angle | float, n_levels: int, kind: str) -> np.ndarray:
-    """trig(theta * k) for k = 0 .. n_levels-1, with careful phase reduction."""
+def _level_values(
+    theta: Angle | float, n_levels: int, kind: str, start: int = 0
+) -> np.ndarray:
+    """trig(theta * k) for k = start .. n_levels-1, with careful phase reduction.
+
+    Each value depends on k alone, so a slice from ``start`` equals the
+    same slice of the levels from 0, bit for bit. No value is -0.0.
+    """
     if kind not in (KIND_COS, KIND_SIN):
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
     ang = parse_angle(theta)
@@ -118,7 +125,7 @@ def _level_values(theta: Angle | float, n_levels: int, kind: str) -> np.ndarray:
         # folded onto [0, q] so theta and 2*pi - theta share trig values
         p = ang.pi_fraction.numerator
         q = ang.pi_fraction.denominator
-        m = (p * np.arange(n_levels, dtype=np.int64)) % (2 * q)
+        m = (p * np.arange(start, n_levels, dtype=np.int64)) % (2 * q)
         folded = np.minimum(m, 2 * q - m)
         phases = folded * (math.pi / q)
         if kind == KIND_COS:
@@ -128,7 +135,7 @@ def _level_values(theta: Angle | float, n_levels: int, kind: str) -> np.ndarray:
         vals[m > q] = -vals[m > q]
         return vals
 
-    k = np.arange(n_levels, dtype=np.float64)
+    k = np.arange(start, n_levels, dtype=np.float64)
     ph_ld = np.mod(np.longdouble(ang.radians) * k.astype(np.longdouble), _TWO_PI_LD)
     phases = np.asarray(ph_ld, dtype=np.float64)
     return np.cos(phases) if kind == KIND_COS else np.sin(phases)

@@ -22,8 +22,9 @@ import numpy as np
 from .angles import ThetaConfig
 from .poisson import PoissonPath, _level_values
 
-# Memory cap of one replication, in bytes: build_sample holds about 26 + 16*d
-# bytes per jump (path, level table, prefix sums, starts), 2T/eps^2 jumps on average.
+# Memory cap of one replication, in bytes: build_sample holds about
+# 26 + 32*ceil(d/2) bytes per jump (path and starts, then the level table and
+# the prefix sums in ceil(d/2) complex rows), 2T/eps^2 jumps on average.
 REPLICATION_BYTES_CAP = 2**30
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -38,7 +39,7 @@ def map_to_path_time(t: float, epsilon: float) -> float:
 
 def check_replication_memory(needed: float, dimension: int) -> None:
     """Refuse ``needed`` = 2T/eps^2 jumps in ``dimension`` components above the cap."""
-    nbytes = needed * (26 + 16 * dimension)
+    nbytes = needed * (26 + 32 * _rows(dimension))
     if nbytes > REPLICATION_BYTES_CAP:
         raise ValueError(f"2T/eps^2 = {needed:.6g} jumps at d = {dimension} take about "
                          f"{nbytes:.3g} bytes, above the cap of {REPLICATION_BYTES_CAP}")
@@ -95,14 +96,17 @@ class ProcessSample:
     grid: EvaluationGrid
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", v)
-        if v.shape != (self.config.dimension, len(self.grid)):
+    def __init__(
+        self, epsilon: float, config: ThetaConfig, grid: EvaluationGrid, values: np.ndarray
+    ) -> None:
+        # build_sample makes one sample per replication: check the shape,
+        # then set all four fields with one __dict__ update
+        v = np.asarray(values, dtype=np.float64)
+        if v.shape != (config.dimension, len(grid)):
             raise ValueError(
-                f"values shape {v.shape} does not match "
-                f"({self.config.dimension}, {len(self.grid)})"
+                f"values shape {v.shape} does not match ({config.dimension}, {len(grid)})"
             )
+        self.__dict__.update(epsilon=epsilon, config=config, grid=grid, values=v)
 
     @property
     def dimension(self) -> int:
@@ -157,10 +161,15 @@ class _Plan:
 
     ``needed`` is 2T/eps^2, within the replication cap, and ``xs`` the
     read-only path times 2t/eps^2 of the grid times, both from
-    ``map_to_path_time``. ``levels`` is the read-only (dimension, K) table
-    of trig(theta_i * k), k < K: row i is ``_level_values`` of component
-    i, and a level's value does not depend on K, so the table is regrown
-    to exactly the levels a longer path reaches.
+    ``map_to_path_time``. ``levels`` is the read-only table of
+    trig(theta_i * k), k < K, two components to a row: ceil(d/2)
+    complex128 rows, component 2l in the real part of row l and
+    component 2l + 1 in its imaginary part (an odd d pads the last
+    imaginary parts with +0.0). ``level_floats`` is the same memory as a
+    (rows, K, 2) float64 array. Component i's lane holds
+    ``_level_values`` of component i, and a level's value does not
+    depend on K, so a longer path appends only the levels [K_old, K_new):
+    the table always holds exactly the levels reached.
     """
 
     def __init__(self, config: ThetaConfig, epsilon: float, grid: EvaluationGrid) -> None:
@@ -171,18 +180,35 @@ class _Plan:
         check_replication_memory(self.needed, config.dimension)
         self.xs = np.array([map_to_path_time(t, epsilon) for t in grid.times.tolist()])
         self.xs.flags.writeable = False
-        self.levels = np.empty((config.dimension, 0))
+        self.rescaled = tuple(i - 1 for i in config.pi_rescaled_indices)
+        self._set_levels(np.empty((_rows(config.dimension), 0), dtype=np.complex128))
+
+    def _set_levels(self, table: np.ndarray) -> None:
+        table.flags.writeable = False
+        self.levels = table
+        self.level_floats = table.view(np.float64).reshape(*table.shape, 2)
 
     def level_table(self, n_levels: int) -> np.ndarray:
-        """The level table, regrown first if it has fewer than n_levels."""
-        if self.levels.shape[1] < n_levels:
-            self.levels = None  # release the short table before regrowing
-            table = np.empty((self.config.dimension, n_levels))
+        """The level table, first grown by its missing tail if shorter than n_levels."""
+        old = self.levels
+        k_old = old.shape[1]
+        if k_old < n_levels:
+            table = np.empty((old.shape[0], n_levels), dtype=np.complex128)
+            table[:, :k_old] = old
+            tail = table[:, k_old:].view(np.float64)  # per row: re, im, re, im, ...
             for c, angle in enumerate(self.config.angles):
-                table[c] = _level_values(angle, n_levels, self.config.component_kind(c))
-            table.flags.writeable = False
-            self.levels = table
+                tail[c // 2, c % 2::2] = _level_values(
+                    angle, n_levels, self.config.component_kind(c), start=k_old
+                )
+            if self.config.dimension % 2:
+                tail[-1, 1::2] = 0.0
+            self._set_levels(table)
         return self.levels
+
+
+def _rows(dimension: int) -> int:
+    """Complex rows of a table that holds ``dimension`` components, two to a row."""
+    return -(-dimension // 2)
 
 
 # the plan of the last (config, epsilon, grid) build_sample saw; a run
@@ -201,9 +227,14 @@ def build_sample(
     Cost is O(dimension * jumps) adds: everything that depends only on
     (config, epsilon, grid), i.e. 2T/eps^2, the grid's path times
     2t/eps^2 and the level values trig(theta_i * k), comes from the plan
-    of the last triple seen, rebuilt when any of the three changes, and
-    one 2-D prefix sum over the path's jump segments serves all
-    components. Row i agrees bit for bit with
+    of the last triple seen, rebuilt when any of the three changes. The
+    plan pairs the components two to a complex128 row (see ``_Plan``), so
+    one prefix sum over the path's jump segments runs ceil(d/2) dependent
+    add chains, each with two independent lanes. A complex addition is
+    two IEEE additions, and a complex level times a real width is exactly
+    the two real products, since no level is -0.0 and every width is
+    > 0; so each lane rounds exactly as a float64 row of its own would.
+    Row i agrees bit for bit with
     eps * integral_from_zero(path, theta_i, kind_i, path times), with the
     1/sqrt(2) factor applied afterwards for pi-rescaled components.
     """
@@ -222,24 +253,29 @@ def build_sample(
             f"need 2T/eps^2 = {needed:.6g}"
         )
 
-    # the steps of integral_from_zero, run for all components at once;
-    # count level k holds on [starts[k], starts[k + 1])
+    # the steps of integral_from_zero, run for all components at once, two
+    # to a complex row; count level k holds on [starts[k], starts[k + 1])
     jumps = path.jump_times
     n = jumps.size
+    levels = plan.level_table(n + 1)  # first: growth briefly holds the old and new table
     starts = np.empty(n + 1)
     starts[0] = 0.0
     starts[1:] = jumps
-    levels = plan.level_table(n + 1)
-    prefix = np.empty((config.dimension, n + 1))
+    prefix = np.empty((levels.shape[0], n + 1), dtype=np.complex128)
     prefix[:, 0] = 0.0
-    np.multiply(levels[:, :n], starts[1:] - starts[:-1], out=prefix[:, 1:])
-    np.add.accumulate(prefix[:, 1:], axis=1, out=prefix[:, 1:])  # cumsum's own ufunc
-    # eps * (prefix[:, j] + levels[:, j] * (xs - starts[j])), in place
-    j = np.searchsorted(jumps, xs, side="right")
-    values = levels.take(j, axis=1)
-    values *= xs - starts.take(j)
-    values += prefix.take(j, axis=1)
-    values *= epsilon
-    for i in config.pi_rescaled_indices:
-        values[i - 1] *= INV_SQRT2
-    return ProcessSample(epsilon=float(epsilon), config=config, grid=grid, values=values)
+    segments = prefix[:, 1:]
+    # (a + bi)(w + 0i) = a w + b w i exactly: no level is -0.0 and w > 0
+    np.multiply(levels[:, :n], jumps - starts[:-1], out=segments)
+    # one chain per row, two independent lanes in it; cumsum's own ufunc
+    np.add.accumulate(segments, axis=1, out=segments)
+    # eps * (prefix[:, j] + levels[:, j] * (xs - starts[j])) in float64, in
+    # place, on (rows, G, 2) views; then the rows in component order
+    j = jumps.searchsorted(xs, side="right")  # as in sample_poisson_path
+    lanes = plan.level_floats.take(j, axis=1)
+    lanes *= (xs - starts.take(j))[:, None]
+    lanes += prefix.view(np.float64).reshape(lanes.shape[0], n + 1, 2).take(j, axis=1)
+    lanes *= epsilon
+    values = lanes.transpose(0, 2, 1).reshape(-1, j.size)[: config.dimension]
+    for i in plan.rescaled:
+        values[i] *= INV_SQRT2
+    return ProcessSample(float(epsilon), config, grid, values)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from poisson_bm import (
     sample_poisson_path,
     trig_integral,
 )
+from poisson_bm.angles import Angle
+from poisson_bm.poisson import KIND_COS, KIND_SIN, _level_values
 from oracles import riemann_trig_integral
 
 
@@ -164,6 +167,50 @@ class TestPinnedBits:
         assert [float(x).hex() for x in jumps] == [
             "0x1.bb9d3beb8c86bp+3", "0x1.bb9d3beb8c86cp+3", "0x1.bb9d3beb8c86dp+3",
         ]
+
+
+def _rational_angles(max_q):
+    """Every reduced p/q pi with q <= max_q and -2q - 1 <= p <= 4q + 1, p != 0."""
+    return [
+        Angle(radians=float(f) * math.pi, pi_fraction=f)
+        for f in sorted({Fraction(p, q) for q in range(1, max_q + 1)
+                         for p in range(-2 * q - 1, 4 * q + 2) if p != 0})
+    ]
+
+
+DECIMAL_ANGLES = [1e-3, 0.4, 1.1, 2.2, 3.0, math.pi, 4.0, 6.0, 2.0 * math.pi, 7.5, 100.3,
+                  0.0, -0.0, -1e-3, -0.4, -2.2, -math.pi, -7.1, -100.3]
+
+
+class TestLevelValues:
+    """Properties of trig(theta * k) that the two-lane kernel relies on."""
+
+    N_LEVELS = 300  # more than one period 2q of every rational angle here
+
+    @staticmethod
+    def _negative_zeros(values):
+        return int(np.count_nonzero(np.signbit(values) & (values == 0.0)))
+
+    @pytest.mark.parametrize("kind", [KIND_COS, KIND_SIN])
+    def test_no_negative_zero_for_rational_angles(self, kind):
+        # a level of -0.0 would turn (a + bi)(w + 0i) into a different zero
+        for angle in _rational_angles(64):
+            assert self._negative_zeros(_level_values(angle, self.N_LEVELS, kind)) == 0, angle
+
+    @pytest.mark.parametrize("kind", [KIND_COS, KIND_SIN])
+    @pytest.mark.parametrize("radians", DECIMAL_ANGLES)
+    def test_no_negative_zero_for_decimal_angles(self, kind, radians):
+        values = _level_values(radians, 20_000, kind)
+        assert self._negative_zeros(values) == 0
+
+    @pytest.mark.parametrize("kind", [KIND_COS, KIND_SIN])
+    def test_a_tail_equals_the_same_slice_of_the_whole(self, kind):
+        angles = _rational_angles(12) + [Angle(radians=r) for r in DECIMAL_ANGLES]
+        for angle in angles:
+            whole = _level_values(angle, self.N_LEVELS, kind)
+            for start in (0, 1, 2, 7, 25, 128, self.N_LEVELS - 1, self.N_LEVELS):
+                tail = _level_values(angle, self.N_LEVELS, kind, start=start)
+                assert tail.tobytes() == whole[start:].tobytes(), (angle, start)
 
 
 class TestTrigIntegralExamples:

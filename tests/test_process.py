@@ -20,7 +20,7 @@ from poisson_bm import (
     trig_integral,
 )
 from poisson_bm import process
-from poisson_bm.poisson import integral_from_zero
+from poisson_bm.poisson import _level_values, integral_from_zero
 from poisson_bm.process import INV_SQRT2
 
 EPS = 0.4
@@ -210,6 +210,7 @@ class TestBuildSampleBitIdentity:
         assert np.all(build_sample(empty, EPS, self.MIXED, grid).values[3:] == 0.0)
 
     def test_grown_table_serves_shorter_paths(self):
+        # d = 3: two complex rows, the second one's imaginary lane padded
         cfg = ThetaConfig(cos_block=["pi", 1.3], sin_block=[0.9], allow_pi_in_cos=True)
         grid = EvaluationGrid.uniform(T, 16)
         eps = 0.3
@@ -217,13 +218,109 @@ class TestBuildSampleBitIdentity:
         long = _path_for(eps=eps, seed=302, margin=8.0)
         self._assert_matches_reference(short, eps, cfg, grid)
         plan = process._LAST_PLAN
-        assert plan.levels.shape == (3, short.jump_times.size + 1)
+        assert plan.levels.shape == (2, short.jump_times.size + 1)
         self._assert_matches_reference(long, eps, cfg, grid)
         assert process._LAST_PLAN is plan
-        assert plan.levels.shape == (3, long.jump_times.size + 1)
+        assert plan.levels.shape == (2, long.jump_times.size + 1)
         self._assert_matches_reference(short, eps, cfg, grid)
         assert process._LAST_PLAN is plan
-        assert plan.levels.shape == (3, long.jump_times.size + 1)
+        assert plan.levels.shape == (2, long.jump_times.size + 1)
+        # the table grown by its tail equals one built in a single step
+        fresh = process._Plan(cfg, eps, grid).level_table(long.jump_times.size + 1)
+        assert plan.levels.tobytes() == fresh.tobytes()
+
+
+def _on_jump_path(horizon, xs):
+    """A path whose first jump is at xs[1] and with a jump exactly at each
+    later path time in ``xs``, so the grid offset x - starts[j] is exactly
+    0 there; more jumps fall between them."""
+    jumps = np.union1d(xs[1:], np.arange(xs[1] + 0.7, horizon, 1.3))
+    return PoissonPath(horizon=horizon, jump_times=jumps)
+
+
+class _FirstBlockTooShort:
+    """A Philox stream whose first block of uniforms lies close to 1, so that
+    its jump times stay far below the horizon and the sampler needs a
+    second block. Records the block sizes requested."""
+
+    def __init__(self, seed):
+        self.stream = derive_stream(seed, 0, 0)
+        self.calls = []
+
+    def random(self, n):
+        self.calls.append(n)
+        u = self.stream.random(n)
+        return 1.0 - 0.01 * u if len(self.calls) == 1 else u
+
+
+class TestTwoLaneKernel:
+    """Each component of the two-lane kernel, whichever lane and part it
+    takes, equals its own ``integral_from_zero`` bit for bit."""
+
+    CONFIGS = {
+        "d1_rational": ThetaConfig(cos_block=["2/5 pi"]),
+        "d1_decimal": ThetaConfig(sin_block=[2.2]),
+        "d1_pi": ThetaConfig(cos_block=["pi"], allow_pi_in_cos=True),
+        "d2_rational": ThetaConfig(cos_block=["1/2 pi"], sin_block=["7/4 pi"]),
+        "d2_decimal": ThetaConfig(cos_block=[2.2], sin_block=[4.0]),
+        "d2_pi_last": ThetaConfig(cos_block=[1.3, "pi"], allow_pi_in_cos=True),
+        "d3_rational": ThetaConfig(cos_block=["3/5 pi"], sin_block=["1/2 pi", "7/4 pi"]),
+        "d3_decimal": ThetaConfig(cos_block=[2.2, 0.4], sin_block=[4.0]),
+        "d3_pi_last": ThetaConfig(cos_block=[2.2, "2/5 pi", "pi"], allow_pi_in_cos=True),
+        "d5_mixed": ThetaConfig(cos_block=[0.4, "1/3 pi", 2.9], sin_block=["5/7 pi", 4.0]),
+        "d5_pi_last": ThetaConfig(
+            cos_block=[0.4, "1/3 pi", 2.9, "5/7 pi", "pi"], allow_pi_in_cos=True
+        ),
+    }
+
+    def _assert_rows_match(self, path, eps, cfg, grid):
+        got = build_sample(path, eps, cfg, grid).values
+        want = _reference_values(path, eps, cfg, grid)
+        assert got.shape == want.shape == (cfg.dimension, len(grid))
+        for c in range(cfg.dimension):
+            assert got[c].tobytes() == want[c].tobytes(), c
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    @pytest.mark.parametrize("eps,steps", [(0.4, 1), (0.2, 16), (0.05, 64)])
+    def test_sampled_paths(self, name, eps, steps):
+        grid = EvaluationGrid.uniform(T, steps)
+        for rep in range(4):
+            self._assert_rows_match(_path_for(eps=eps, rep=rep), eps, self.CONFIGS[name], grid)
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_zero_jump_path(self, name):
+        grid = EvaluationGrid.uniform(T, 8)
+        empty = PoissonPath(horizon=map_to_path_time(T, EPS), jump_times=np.empty(0))
+        self._assert_rows_match(empty, EPS, self.CONFIGS[name], grid)
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_path_from_a_second_uniform_block(self, name):
+        eps = 0.4
+        stream = _FirstBlockTooShort(seed=501)
+        path = sample_poisson_path(map_to_path_time(T, eps), stream)
+        assert len(stream.calls) >= 2
+        self._assert_rows_match(path, eps, self.CONFIGS[name], EvaluationGrid.uniform(T, 4))
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_grid_time_on_a_jump_with_a_negative_level(self, name):
+        # eps = 0.5: path times 0, 2, 4, 6, 8. The first jump sits at 2, so
+        # there a sine component adds its level times an offset of exactly 0
+        # to a prefix of +0.0: the sign-of-zero corner
+        eps, cfg = 0.5, self.CONFIGS[name]
+        grid = EvaluationGrid.uniform(T, 4)
+        xs = np.array([map_to_path_time(t, eps) for t in grid.times])
+        path = _on_jump_path(map_to_path_time(T, eps), xs)
+        assert path.jump_times[0] == xs[1] == 2.0
+        counts = path.count(xs[1:])
+        kinds = [cfg.component_kind(c) for c in range(cfg.dimension)]
+        negative = [
+            _level_values(a, path.jump_times.size + 1, kind)[counts]
+            for a, kind in zip(cfg.angles, kinds)
+        ]
+        assert any(np.any(v < 0.0) for v in negative)
+        self._assert_rows_match(path, eps, cfg, grid)
+        values = build_sample(path, eps, cfg, grid).values
+        assert not np.any(np.signbit(values[:, :2]) & (values[:, :2] == 0.0))
 
 
 class TestPathTimePlans:
@@ -286,7 +383,9 @@ class TestPathTimePlans:
         plans = [obj for obj in gc.get_objects() if isinstance(obj, process._Plan)]
         assert plans == [process._LAST_PLAN]
         assert plans[0].config is configs[-1]
+        assert plans[0].levels.shape == (1, path.jump_times.size + 1)
         assert not plans[0].levels.flags.writeable
+        assert not plans[0].level_floats.flags.writeable
 
     def test_grid_times_are_a_read_only_copy(self):
         times = np.linspace(0.0, 1.0, 5)

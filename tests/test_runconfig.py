@@ -211,6 +211,18 @@ class TestValidation:
                                    horizon_T=boundary_T * (1 + 1e-9)))
 
 
+    def test_replication_memory_cap_boundary_odd_d(self):
+        # d = 3 pads one lane: 26 + 32 ceil(d/2) = 26 + 16 (d + 1) bytes per jump
+        theta = ThetaConfig(cos_block=["1/17 pi", "2/17 pi"], sin_block=["1/17 pi"])
+        boundary_T = 2**30 / (2 * (26 + 32 * 2))
+        below = RunConfig(**self._base(theta=theta, epsilons=(1.0,),
+                                       horizon_T=boundary_T * (1 - 1e-9)))
+        assert below.theta.dimension == 3
+        with pytest.raises(ConfigError, match="cap"):
+            RunConfig(**self._base(theta=theta, epsilons=(1.0,),
+                                   horizon_T=boundary_T * (1 + 1e-9)))
+
+
 class TestEnvOverrides:
     def test_output_dir_override(self, monkeypatch):
         monkeypatch.setenv(ENV_OUTPUT_DIR, "/tmp/elsewhere")
