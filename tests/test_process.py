@@ -312,12 +312,11 @@ class TestTwoLaneKernel:
         path = _on_jump_path(map_to_path_time(T, eps), xs)
         assert path.jump_times[0] == xs[1] == 2.0
         counts = path.count(xs[1:])
-        kinds = [cfg.component_kind(c) for c in range(cfg.dimension)]
-        negative = [
-            _level_values(a, path.jump_times.size + 1, kind)[counts]
-            for a, kind in zip(cfg.angles, kinds)
+        levels_there = [
+            _level_values(a, path.jump_times.size + 1, cfg.component_kind(c))[counts]
+            for c, a in enumerate(cfg.angles)
         ]
-        assert any(np.any(v < 0.0) for v in negative)
+        assert any(np.any(v < 0.0) for v in levels_there)
         self._assert_rows_match(path, eps, cfg, grid)
         values = build_sample(path, eps, cfg, grid).values
         assert not np.any(np.signbit(values[:, :2]) & (values[:, :2] == 0.0))
