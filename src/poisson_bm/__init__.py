@@ -31,6 +31,7 @@ from .poisson import (
     trig_integral,
 )
 from .process import (
+    BuildPlan,
     EvaluationGrid,
     ProcessSample,
     SampleBlock,
@@ -46,7 +47,6 @@ from .stats import (
     DegenerateSampleError,
     Estimate,
     NormalityReport,
-    compensated_sum,
     correlation_matrix,
     cross_moment,
     empirical_increment_covariance,
@@ -62,6 +62,7 @@ from .version import VERSION as __version__
 
 __all__ = [
     "Angle",
+    "BuildPlan",
     "ConfigError",
     "DegeneratePairError",
     "DegenerateSampleError",
@@ -80,7 +81,6 @@ __all__ = [
     "Violation",
     "build_sample",
     "char_fn",
-    "compensated_sum",
     "correlation_matrix",
     "cross_moment",
     "decay_factor",

@@ -50,7 +50,7 @@ class EvaluationGrid:
     """Strictly increasing evaluation times starting at 0, within [0, T].
 
     ``times`` is the grid's own read-only copy, so path times computed
-    from it once (see ``build_sample``) never go stale.
+    from it once (see ``BuildPlan``) never go stale.
     """
 
     times: np.ndarray
@@ -156,32 +156,38 @@ class SampleBlock:
         return self.values[:, :, self.grid.index_of(t)]
 
 
-class _Plan:
+class BuildPlan:
     """What ``build_sample`` needs that depends only on (config, epsilon, grid).
 
-    ``needed`` is 2T/eps^2, within the replication cap, and ``xs`` the
-    read-only path times 2t/eps^2 of the grid times, both from
-    ``map_to_path_time``. ``levels`` is the read-only table of
-    trig(theta_i * k), k < K, two components to a row: ceil(d/2)
-    complex128 rows, component 2l in the real part of row l and
-    component 2l + 1 in its imaginary part (an odd d pads the last
+    Made once per epsilon by the caller, which passes it with every path.
+    epsilon must lie in (0, 1]. ``needed`` is 2T/eps^2, within the
+    replication cap, and ``xs`` the read-only path times 2t/eps^2 of the
+    grid times, both from ``map_to_path_time``. ``levels`` is the
+    read-only table of trig(theta_i * k), k < K, two components to a
+    row: ceil(d/2) complex128 rows, component 2l in the real part of row
+    l and component 2l + 1 in its imaginary part (an odd d pads the last
     imaginary parts with +0.0). ``level_floats`` is the same memory as a
     (rows, K, 2) float64 array. Component i's lane holds
     ``_level_values`` of component i, and a level's value does not
     depend on K, so a longer path appends only the levels [K_old, K_new):
-    the table always holds exactly the levels reached.
+    the table always holds exactly the levels reached. A pickled plan
+    carries only (config, epsilon, grid); it is rebuilt with an empty
+    table where it is loaded.
     """
 
     def __init__(self, config: ThetaConfig, epsilon: float, grid: EvaluationGrid) -> None:
-        self.config = config
-        self.epsilon = epsilon
-        self.grid = grid
-        self.needed = map_to_path_time(grid.horizon_T, epsilon)
+        if not (0.0 < epsilon <= 1.0):
+            raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+        self.config, self.epsilon, self.grid = config, float(epsilon), grid
+        self.needed = map_to_path_time(grid.horizon_T, self.epsilon)
         check_replication_memory(self.needed, config.dimension)
-        self.xs = np.array([map_to_path_time(t, epsilon) for t in grid.times.tolist()])
+        self.xs = np.array([map_to_path_time(t, self.epsilon) for t in grid.times.tolist()])
         self.xs.flags.writeable = False
         self.rescaled = tuple(i - 1 for i in config.pi_rescaled_indices)
         self._set_levels(np.empty((_rows(config.dimension), 0), dtype=np.complex128))
+
+    def __reduce__(self):
+        return BuildPlan, (self.config, self.epsilon, self.grid)
 
     def _set_levels(self, table: np.ndarray) -> None:
         table.flags.writeable = False
@@ -211,41 +217,23 @@ def _rows(dimension: int) -> int:
     return -(-dimension // 2)
 
 
-# the plan of the last (config, epsilon, grid) build_sample saw; a run
-# evaluates one config on one grid per epsilon
-_LAST_PLAN: _Plan | None = None
-
-
-def build_sample(
-    path: PoissonPath,
-    epsilon: float,
-    config: ThetaConfig,
-    grid: EvaluationGrid,
-) -> ProcessSample:
+def build_sample(path: PoissonPath, plan: BuildPlan) -> ProcessSample:
     """Evaluate every component on the grid from one shared Poisson path.
 
     Cost is O(dimension * jumps) adds: everything that depends only on
     (config, epsilon, grid), i.e. 2T/eps^2, the grid's path times
-    2t/eps^2 and the level values trig(theta_i * k), comes from the plan
-    of the last triple seen, rebuilt when any of the three changes. The
-    plan pairs the components two to a complex128 row (see ``_Plan``), so
-    one prefix sum over the path's jump segments runs ceil(d/2) dependent
-    add chains, each with two independent lanes. A complex addition is
-    two IEEE additions, and a complex level times a real width is exactly
-    the two real products, since no level is -0.0 and every width is
-    > 0; so each lane rounds exactly as a float64 row of its own would.
-    Row i agrees bit for bit with
+    2t/eps^2 and the level values trig(theta_i * k), comes from ``plan``,
+    whose level table only a path longer than every earlier one grows.
+    The plan pairs the components two to a complex128 row (see
+    ``BuildPlan``), so one prefix sum over the path's jump segments runs
+    ceil(d/2) dependent add chains, each with two independent lanes. A
+    complex addition is two IEEE additions, and a complex level times a
+    real width is exactly the two real products, since no level is -0.0
+    and every width is > 0; so each lane rounds exactly as a float64 row
+    of its own would. Row i agrees bit for bit with
     eps * integral_from_zero(path, theta_i, kind_i, path times), with the
     1/sqrt(2) factor applied afterwards for pi-rescaled components.
     """
-    global _LAST_PLAN
-    if not (0.0 < epsilon <= 1.0):
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    plan = _LAST_PLAN
-    if plan is None or not (
-        plan.config is config and plan.grid is grid and plan.epsilon == epsilon
-    ):
-        plan = _LAST_PLAN = _Plan(config, epsilon, grid)
     needed, xs = plan.needed, plan.xs
     if path.horizon < needed:
         raise ValueError(
@@ -274,8 +262,8 @@ def build_sample(
     lanes = plan.level_floats.take(j, axis=1)
     lanes *= (xs - starts.take(j))[:, None]
     lanes += prefix.view(np.float64).reshape(lanes.shape[0], n + 1, 2).take(j, axis=1)
-    lanes *= epsilon
-    values = lanes.transpose(0, 2, 1).reshape(-1, j.size)[: config.dimension]
+    lanes *= plan.epsilon
+    values = lanes.transpose(0, 2, 1).reshape(-1, j.size)[: plan.config.dimension]
     for i in plan.rescaled:
         values[i] *= INV_SQRT2
-    return ProcessSample(float(epsilon), config, grid, values)
+    return ProcessSample(plan.epsilon, plan.config, plan.grid, values)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .angles import validate_hypothesis_h
 from .poisson import sample_poisson_path
-from .process import EvaluationGrid, SampleBlock, build_sample, map_to_path_time
+from .process import BuildPlan, EvaluationGrid, SampleBlock, build_sample
 from .report import RunReport
 from .runconfig import (
     CHECK_COVARIANCE,
@@ -107,28 +107,16 @@ class InvalidThetaError(ConfigError):
 # ----------------------------------------------------------------------
 # sample generation (serial and pooled)
 
-_WORKER: dict = {}
 
-
-def _init_worker(config: RunConfig, grid: EvaluationGrid, eps_index: int) -> None:
-    _WORKER["config"] = config
-    _WORKER["grid"] = grid
-    _WORKER["eps_index"] = eps_index
-
-
-def _chunk_values(start_stop: tuple[int, int]) -> np.ndarray:
-    start, stop = start_stop
-    config: RunConfig = _WORKER["config"]
-    grid: EvaluationGrid = _WORKER["grid"]
-    eps_index: int = _WORKER["eps_index"]
-    theta = config.theta
-    eps = config.epsilons[eps_index]
-    horizon = map_to_path_time(grid.horizon_T, eps)
-    out = np.empty((stop - start, theta.dimension, len(grid)))
+def _chunk_values(job: tuple[BuildPlan, int, int, int, int]) -> np.ndarray:
+    """Rows [start, stop) of one epsilon's block; ``job`` is
+    (plan, master_seed, eps_index, start, stop)."""
+    plan, master_seed, eps_index, start, stop = job
+    out = np.empty((stop - start, plan.config.dimension, len(plan.grid)))
     for r in range(start, stop):
-        stream = derive_stream(config.master_seed, eps_index, r)
-        path = sample_poisson_path(horizon, stream)
-        out[r - start] = build_sample(path, eps, theta, grid).values
+        stream = derive_stream(master_seed, eps_index, r)
+        path = sample_poisson_path(plan.needed, stream)
+        out[r - start] = build_sample(path, plan).values
     return out
 
 
@@ -137,25 +125,24 @@ def generate_samples(
 ) -> SampleBlock:
     """All replications for one epsilon, gathered in replication order.
 
-    Chunks are cut from ``config.workers`` alone, so the bytes do not
-    depend on the host; the pool starts at most one process per chunk
-    and per CPU.
+    One ``BuildPlan`` serves the epsilon; each chunk's job carries it,
+    and a pool worker rebuilds it from (theta, epsilon, grid). Chunks
+    are cut from ``config.workers`` alone, so the bytes do not depend on
+    the host; the pool starts at most one process per chunk and per CPU.
     """
     epsilon = config.epsilons[eps_index]
+    plan = BuildPlan(config.theta, epsilon, grid)
     M = config.replications_M
-    initargs = (config, grid, eps_index)
     if config.workers <= 1:
-        _init_worker(*initargs)
-        values = _chunk_values((0, M))
+        values = _chunk_values((plan, config.master_seed, eps_index, 0, M))
     else:
         chunk = max(1, -(-M // (config.workers * 8)))
-        ranges = [(lo, min(lo + chunk, M)) for lo in range(0, M, chunk)]
+        jobs = [(plan, config.master_seed, eps_index, lo, min(lo + chunk, M))
+                for lo in range(0, M, chunk)]
         # under fork the pool starts all max_workers processes at the first submit
-        pool_size = min(config.workers, len(ranges), os.cpu_count() or 1)
-        with ProcessPoolExecutor(
-            max_workers=pool_size, initializer=_init_worker, initargs=initargs
-        ) as pool:
-            blocks = list(pool.map(_chunk_values, ranges))
+        pool_size = min(config.workers, len(jobs), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            blocks = list(pool.map(_chunk_values, jobs))
         values = np.concatenate(blocks, axis=0)
     return SampleBlock(epsilon=epsilon, config=config.theta, grid=grid, values=values)
 

@@ -9,7 +9,8 @@ and bit-identical between sequential and gathered-parallel execution.
 The sums run as a few numpy passes per lane (AccSum's error-free
 extraction, Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1), 2008);
 math.fsum rounds each lane's few exact partial sums once, and takes
-whole any lane that holds a non-finite value or is near overflow.
+whole any lane that holds a non-finite value or lies near overflow or
+the subnormal range.
 
 Two rules hold for every estimator, each stated once: an increment
 needs s < t (``_increments_at``, checked before anything else), and an
@@ -32,16 +33,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
-from .angles import Angle, TAU_THETA, parse_angle
+from .angles import TWO_PI, Angle, TAU_THETA, parse_angle
 from .poisson import decay_factor
 from .process import SampleBlock
-
-TWO_PI = 2.0 * math.pi
 
 # a rate fit needs at least this many epsilons, spanning at least this
 # factor end to end (the acceptance sweeps span a factor of 4)
@@ -57,10 +56,11 @@ class DegenerateSampleError(ValueError):
     """A statistic is undefined because its input has zero spread."""
 
 
-# Extraction runs while sigma lies in [2^SIGMA_EXP_MIN, 2^SIGMA_EXP_MAX]:
-# above, a lane could overflow and goes whole to math.fsum; below, the
-# ulp of sigma nears the subnormal range and the lane's remaining
-# elements join its partial sums as they are.
+# Extraction runs while sigma lies in [2^SIGMA_EXP_MIN, 2^SIGMA_EXP_MAX].
+# A lane whose sigma would leave it goes whole to math.fsum, as a lane
+# with a NaN or an infinity does: above, the lane could overflow, and
+# fsum's result or error is the right one; below, the ulp of sigma nears
+# the subnormal range.
 _SIGMA_EXP_MAX = 1000
 _SIGMA_EXP_MIN = -1000
 
@@ -83,39 +83,31 @@ def _lane_sums(lanes: np.ndarray) -> np.ndarray:
     # reduce along the longer side: many short lanes run down the columns
     ax = 0 if L > n else 1
     rest = np.array(lanes.T if ax == 0 else lanes, order="C")
-    rows = rest.T if ax == 0 else rest  # (L, n) view of the remainder
     q = np.empty_like(rest)
     k = (n + 1).bit_length()  # the least k with 2^k >= n + 2
-    np.abs(rest, out=q)
-    top = q.max(axis=ax, keepdims=True)
-    # non-finite (NaN compares false) or near overflow: fsum's own result or error
-    whole = ~(top < 2.0 ** (_SIGMA_EXP_MAX - k))
-    fallback = {}
-    if whole.any():
-        fallback = {j: math.fsum(lanes[j].tolist()) for j in np.flatnonzero(whole)}
-        np.copyto(rest, 0.0, where=whole)
-        top[whole] = 0.0
+    whole = np.zeros(L, dtype=bool)
     parts = [np.zeros(L)]
-    tails: dict[int, list[float]] = {}
-    while top.any():
+    while True:
+        np.abs(rest, out=q)
+        top = q.max(axis=ax, keepdims=True)
         s = np.frexp(top)[1] + k
-        if s.min() < _SIGMA_EXP_MIN:
-            low = (top > 0.0) & (s < _SIGMA_EXP_MIN)
-            for j in np.flatnonzero(low):
-                tails[j] = rows[j][rows[j] != 0.0].tolist()
-            np.copyto(rest, 0.0, where=low)
+        # sigma out of range, or a NaN (compares false) or an infinity
+        leave = (top != 0.0) & ~((top < 2.0 ** (_SIGMA_EXP_MAX - k)) & (s >= _SIGMA_EXP_MIN))
+        if leave.any():
+            whole |= leave.ravel()
+            np.copyto(rest, 0.0, where=leave)
+            top[leave] = 0.0
+            s[leave] = k  # a zeroed lane stays zero at sigma = 2^k
+        if not top.any():
+            break
         sigma = np.ldexp(1.0, s)
         np.add(rest, sigma, out=q)
         q -= sigma
         rest -= q
         parts.append(q.sum(axis=ax))
-        np.abs(rest, out=q)
-        top = q.max(axis=ax, keepdims=True)
     sums = np.array([math.fsum(p) for p in zip(*(p.tolist() for p in parts))])
-    for j, tail in tails.items():
-        sums[j] = math.fsum([p[j] for p in parts] + tail)
-    for j, value in fallback.items():
-        sums[j] = value
+    for j in np.flatnonzero(whole):
+        sums[j] = math.fsum(lanes[j].tolist())
     return sums
 
 
@@ -129,21 +121,6 @@ def _exact_sum(values: np.ndarray, axis: int | None = None):
     moved = np.moveaxis(x, axis, -1)
     sums = _lane_sums(moved.reshape(math.prod(moved.shape[:-1]), x.shape[axis]))
     return sums.reshape(moved.shape[:-1])
-
-
-def compensated_sum(values: Iterable[float]) -> float:
-    """Exactly rounded sum: math.fsum(values), bit for bit.
-
-    Runs AccSum's error-free extraction in numpy and rounds the few
-    exact partial sums once with math.fsum; input with a NaN or an
-    infinity, or near overflow, goes whole to math.fsum, so its result
-    and its ValueError or OverflowError are fsum's own. Order-independent,
-    which is what makes the parallel-gather reduction bit-identical to
-    the sequential one.
-    """
-    if not isinstance(values, np.ndarray):
-        values = list(values)
-    return _exact_sum(values)
 
 
 @dataclass(frozen=True)
@@ -424,7 +401,7 @@ def structural_bound_eval(
         (1.0 / d_i) * (1.0 / d_diff),
         (1.0 / d_i) * (1.0 / d_sum),
     )
-    return (epsilon * epsilon) * compensated_sum(factors)
+    return (epsilon * epsilon) * math.fsum(factors)
 
 
 def rate_fit(

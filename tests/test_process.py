@@ -9,17 +9,19 @@ import numpy as np
 import pytest
 
 from poisson_bm import (
+    BuildPlan,
     EvaluationGrid,
     PoissonPath,
+    RunConfig,
     SampleBlock,
     ThetaConfig,
     build_sample,
     derive_stream,
     map_to_path_time,
+    run_experiment,
     sample_poisson_path,
     trig_integral,
 )
-from poisson_bm import process
 from poisson_bm.poisson import _level_values, integral_from_zero
 from poisson_bm.process import INV_SQRT2
 
@@ -68,14 +70,14 @@ class TestBuildSample:
         cfg = ThetaConfig(cos_block=["1/2 pi", 2.2], sin_block=[1.1])
         grid = EvaluationGrid.uniform(T, 16)
         for rep in range(5):
-            sample = build_sample(_path_for(rep=rep), EPS, cfg, grid)
+            sample = build_sample(_path_for(rep=rep), BuildPlan(cfg, EPS, grid))
             assert np.all(sample.values[:, 0] == 0.0)
 
     def test_bitwise_consistency_with_integral(self):
         cfg = ThetaConfig(cos_block=["1/2 pi"])
         grid = EvaluationGrid.uniform(T, 16)
         path = _path_for()
-        sample = build_sample(path, EPS, cfg, grid)
+        sample = build_sample(path, BuildPlan(cfg, EPS, grid))
         for g, t in enumerate(grid.times):
             x = map_to_path_time(t, EPS)
             expected = EPS * trig_integral(path, cfg.angles[0], 0.0, x, "cos")
@@ -84,10 +86,9 @@ class TestBuildSample:
     def test_pi_rescale_is_exactly_inv_sqrt2(self):
         grid = EvaluationGrid.uniform(T, 16)
         path = _path_for()
-        plain = build_sample(path, EPS, ThetaConfig(cos_block=["pi"]), grid)
-        scaled = build_sample(
-            path, EPS, ThetaConfig(cos_block=["pi"], allow_pi_in_cos=True), grid
-        )
+        plain = build_sample(path, BuildPlan(ThetaConfig(cos_block=["pi"]), EPS, grid))
+        rescaled = ThetaConfig(cos_block=["pi"], allow_pi_in_cos=True)
+        scaled = build_sample(path, BuildPlan(rescaled, EPS, grid))
         assert np.array_equal(scaled.values, plain.values * (1.0 / math.sqrt(2.0)))
 
     def test_horizon_too_short_names_requirement(self):
@@ -95,29 +96,28 @@ class TestBuildSample:
         grid = EvaluationGrid.uniform(T, 8)
         short = sample_poisson_path(5.0, derive_stream(1, 0, 0))
         with pytest.raises(ValueError, match="2T/eps"):
-            build_sample(short, EPS, cfg, grid)
+            build_sample(short, BuildPlan(cfg, EPS, grid))
 
     def test_epsilon_bounds(self):
         cfg = ThetaConfig(cos_block=[1.0])
         grid = EvaluationGrid.uniform(T, 8)
-        path = _path_for()
-        with pytest.raises(ValueError):
-            build_sample(path, 0.0, cfg, grid)
-        with pytest.raises(ValueError):
-            build_sample(path, 1.5, cfg, grid)
+        for eps in (0.0, -0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"^epsilon must be in \(0, 1\]"):
+                BuildPlan(cfg, eps, grid)
+        assert BuildPlan(cfg, 1.0, grid).epsilon == 1.0
 
     def test_horizon_cap_enforced(self):
+        # the plan refuses 2T/eps^2 above the cap before any path is drawn
         cfg = ThetaConfig(cos_block=[1.0])
         grid = EvaluationGrid.uniform(1000.0, 4)
-        path = sample_poisson_path(1.0, derive_stream(1, 0, 0))
         with pytest.raises(ValueError, match="cap"):
-            build_sample(path, 1e-4, cfg, grid)
+            BuildPlan(cfg, 1e-4, grid)
 
     def test_determinism(self):
         cfg = ThetaConfig(cos_block=[2.2], sin_block=[1.1])
         grid = EvaluationGrid.uniform(T, 16)
-        a = build_sample(_path_for(seed=55), EPS, cfg, grid)
-        b = build_sample(_path_for(seed=55), EPS, cfg, grid)
+        a = build_sample(_path_for(seed=55), BuildPlan(cfg, EPS, grid))
+        b = build_sample(_path_for(seed=55), BuildPlan(cfg, EPS, grid))
         assert np.array_equal(a.values, b.values)
 
     def test_lipschitz_between_grid_points(self):
@@ -125,7 +125,7 @@ class TestBuildSample:
         cfg = ThetaConfig(cos_block=[2.2, "1/2 pi"], sin_block=[1.1])
         grid = EvaluationGrid.uniform(T, 64)
         for rep in range(5):
-            sample = build_sample(_path_for(rep=rep), EPS, cfg, grid)
+            sample = build_sample(_path_for(rep=rep), BuildPlan(cfg, EPS, grid))
             steps = np.abs(np.diff(sample.values, axis=1))
             bounds = 2.0 * np.diff(grid.times) / EPS
             slack = 8 * EPS * np.spacing(map_to_path_time(T, EPS))
@@ -138,7 +138,7 @@ class TestBuildSample:
         cfg = ThetaConfig(
             cos_block=["2/5 pi", "8/5 pi"], sin_block=["2/5 pi", "8/5 pi"]
         )
-        sample = build_sample(path, EPS, cfg, grid)
+        sample = build_sample(path, BuildPlan(cfg, EPS, grid))
         assert np.array_equal(sample.values[0], sample.values[1])
         assert np.array_equal(sample.values[2], -sample.values[3])
 
@@ -151,7 +151,7 @@ class TestBuildSample:
             cos_block=[theta, 2.0 * math.pi - theta],
             sin_block=[theta, 2.0 * math.pi - theta],
         )
-        sample = build_sample(path, EPS, cfg, grid)
+        sample = build_sample(path, BuildPlan(cfg, EPS, grid))
         assert np.allclose(sample.values[0], sample.values[1], atol=1e-10, rtol=0)
         assert np.allclose(sample.values[2], -sample.values[3], atol=1e-10, rtol=0)
 
@@ -159,7 +159,7 @@ class TestBuildSample:
         # |delta| <= eps * (2t/eps^2 - 2s/eps^2) for the angle-pi component
         grid = EvaluationGrid.uniform(T, 8)
         sample = build_sample(
-            _path_for(seed=92), EPS, ThetaConfig(cos_block=["pi"]), grid
+            _path_for(seed=92), BuildPlan(ThetaConfig(cos_block=["pi"]), EPS, grid)
         )
         delta = sample.at_time(0.75) - sample.at_time(0.25)
         bound = EPS * (map_to_path_time(0.75, EPS) - map_to_path_time(0.25, EPS))
@@ -184,9 +184,10 @@ class TestBuildSampleBitIdentity:
         cos_block=["pi", 2.2, "2/5 pi"], sin_block=["1/2 pi", 1.1], allow_pi_in_cos=True
     )
 
-    def _assert_matches_reference(self, path, eps, cfg, grid):
-        got = build_sample(path, eps, cfg, grid).values
-        assert got.tobytes() == _reference_values(path, eps, cfg, grid).tobytes()
+    def _assert_matches_reference(self, path, plan):
+        got = build_sample(path, plan).values
+        want = _reference_values(path, plan.epsilon, plan.config, plan.grid)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "cfg",
@@ -199,15 +200,15 @@ class TestBuildSampleBitIdentity:
     )
     @pytest.mark.parametrize("eps,steps", [(0.4, 1), (0.2, 16), (0.05, 64)])
     def test_matches_per_component_integral(self, cfg, eps, steps):
-        grid = EvaluationGrid.uniform(T, steps)
+        plan = BuildPlan(cfg, eps, EvaluationGrid.uniform(T, steps))
         for rep in range(6):
-            self._assert_matches_reference(_path_for(eps=eps, rep=rep), eps, cfg, grid)
+            self._assert_matches_reference(_path_for(eps=eps, rep=rep), plan)
 
     def test_zero_jump_path(self):
-        grid = EvaluationGrid.uniform(T, 8)
+        plan = BuildPlan(self.MIXED, EPS, EvaluationGrid.uniform(T, 8))
         empty = PoissonPath(horizon=map_to_path_time(T, EPS), jump_times=np.empty(0))
-        self._assert_matches_reference(empty, EPS, self.MIXED, grid)
-        assert np.all(build_sample(empty, EPS, self.MIXED, grid).values[3:] == 0.0)
+        self._assert_matches_reference(empty, plan)
+        assert np.all(build_sample(empty, plan).values[3:] == 0.0)
 
     def test_grown_table_serves_shorter_paths(self):
         # d = 3: two complex rows, the second one's imaginary lane padded
@@ -216,17 +217,16 @@ class TestBuildSampleBitIdentity:
         eps = 0.3
         short = _path_for(eps=eps, seed=301)
         long = _path_for(eps=eps, seed=302, margin=8.0)
-        self._assert_matches_reference(short, eps, cfg, grid)
-        plan = process._LAST_PLAN
+        plan = BuildPlan(cfg, eps, grid)
+        assert plan.levels.shape == (2, 0)
+        self._assert_matches_reference(short, plan)
         assert plan.levels.shape == (2, short.jump_times.size + 1)
-        self._assert_matches_reference(long, eps, cfg, grid)
-        assert process._LAST_PLAN is plan
+        self._assert_matches_reference(long, plan)
         assert plan.levels.shape == (2, long.jump_times.size + 1)
-        self._assert_matches_reference(short, eps, cfg, grid)
-        assert process._LAST_PLAN is plan
+        self._assert_matches_reference(short, plan)
         assert plan.levels.shape == (2, long.jump_times.size + 1)
         # the table grown by its tail equals one built in a single step
-        fresh = process._Plan(cfg, eps, grid).level_table(long.jump_times.size + 1)
+        fresh = BuildPlan(cfg, eps, grid).level_table(long.jump_times.size + 1)
         assert plan.levels.tobytes() == fresh.tobytes()
 
 
@@ -274,7 +274,7 @@ class TestTwoLaneKernel:
     }
 
     def _assert_rows_match(self, path, eps, cfg, grid):
-        got = build_sample(path, eps, cfg, grid).values
+        got = build_sample(path, BuildPlan(cfg, eps, grid)).values
         want = _reference_values(path, eps, cfg, grid)
         assert got.shape == want.shape == (cfg.dimension, len(grid))
         for c in range(cfg.dimension):
@@ -318,12 +318,12 @@ class TestTwoLaneKernel:
         ]
         assert any(np.any(v < 0.0) for v in levels_there)
         self._assert_rows_match(path, eps, cfg, grid)
-        values = build_sample(path, eps, cfg, grid).values
+        values = build_sample(path, BuildPlan(cfg, eps, grid)).values
         assert not np.any(np.signbit(values[:, :2]) & (values[:, :2] == 0.0))
 
 
 class TestPathTimePlans:
-    """The plan ``build_sample`` keeps for the last (config, epsilon, grid)."""
+    """``BuildPlan``: what one (config, epsilon, grid) fixes, held by its caller."""
 
     MIXED = TestBuildSampleBitIdentity.MIXED
     EPSILONS = (0.4, 0.3, 0.2)
@@ -331,22 +331,24 @@ class TestPathTimePlans:
     def test_path_times_are_map_to_path_time(self):
         grid = EvaluationGrid.uniform(T, 16)
         for eps in self.EPSILONS:
-            build_sample(_path_for(eps=eps), eps, self.MIXED, grid)
-            plan = process._LAST_PLAN
+            plan = BuildPlan(self.MIXED, eps, grid)
             assert plan.needed == map_to_path_time(grid.horizon_T, eps)
             assert plan.xs.tolist() == [map_to_path_time(float(t), eps) for t in grid.times]
             assert not plan.xs.flags.writeable
 
     def test_alternating_grids_and_epsilons_match_fresh_grids(self):
+        # plans share no state: several in use by turns give a fresh grid's bits
         grids = [EvaluationGrid.uniform(T, 4), EvaluationGrid.uniform(T, 16)]
         paths = {eps: _path_for(eps=eps, seed=401) for eps in self.EPSILONS}
+        plans = {(eps, g): BuildPlan(self.MIXED, eps, grid)
+                 for eps in paths for g, grid in enumerate(grids)}
         for _ in range(2):
             for eps, path in paths.items():
-                for grid in grids:
+                for g, grid in enumerate(grids):
                     fresh = EvaluationGrid.uniform(T, len(grid) - 1)
-                    want = build_sample(path, eps, self.MIXED, fresh).values
+                    want = build_sample(path, BuildPlan(self.MIXED, eps, fresh)).values
                     for _ in range(2):  # a change of epsilon, then a repeat
-                        got = build_sample(path, eps, self.MIXED, grid).values
+                        got = build_sample(path, plans[eps, g]).values
                         assert got.tobytes() == want.tobytes()
 
     def test_alternating_configs_grids_and_epsilons_match_fresh_objects(self):
@@ -364,27 +366,43 @@ class TestPathTimePlans:
         for e, c, g in np.ndindex(len(paths), len(configs), len(grids)):
             fresh_cfg = ThetaConfig(**config_args[c % 2])
             fresh_grid = EvaluationGrid(times=grid_times[g], horizon_T=T)
-            sample = build_sample(paths[e], self.EPSILONS[e], fresh_cfg, fresh_grid)
-            want[e, c, g] = sample.values.tobytes()
+            fresh = BuildPlan(fresh_cfg, self.EPSILONS[e], fresh_grid)
+            want[e, c, g] = build_sample(paths[e], fresh).values.tobytes()
+        plans = {(e, c, g): BuildPlan(configs[c], self.EPSILONS[e], grids[g])
+                 for e, c, g in want}
         for axis in range(3):  # epsilon, then config, then grid varies fastest
             order = sorted(want, key=lambda k, a=axis: k[:a] + k[a + 1:] + k[a:a + 1])
             for e, c, g in order:
-                got = build_sample(paths[e], self.EPSILONS[e], configs[c], grids[g]).values
+                got = build_sample(paths[e], plans[e, c, g]).values
                 assert got.tobytes() == want[e, c, g], (e, c, g)
 
-    def test_one_plan_for_the_last_config(self):
-        grid = EvaluationGrid.uniform(T, 4)
-        path = _path_for()
-        configs = [ThetaConfig(cos_block=[0.5 + 0.1 * k]) for k in range(11)]
-        for cfg in configs:
-            build_sample(path, EPS, cfg, grid)
+    def test_pickled_plan_is_rebuilt_from_config_epsilon_and_grid(self):
+        grid = EvaluationGrid.uniform(T, 16)
+        plan = BuildPlan(self.MIXED, 0.3, grid)
+        margins = (1.0, 4.0, 1.0)  # the long path grows the table
+        paths = [_path_for(eps=0.3, seed=403, rep=r, margin=m) for r, m in enumerate(margins)]
+        want = [build_sample(path, plan).values.tobytes() for path in paths]
+        assert plan.levels.shape == (3, paths[1].jump_times.size + 1)
+        assert plan.__reduce__() == (BuildPlan, (plan.config, plan.epsilon, grid))
+        clone = pickle.loads(pickle.dumps(plan))
+        assert (clone.levels.shape, clone.level_floats.shape) == ((3, 0), (3, 0, 2))
+        assert (clone.epsilon, clone.needed) == (plan.epsilon, plan.needed)
+        assert clone.xs.tobytes() == plan.xs.tobytes()
+        assert [build_sample(path, clone).values.tobytes() for path in paths] == want
+        assert clone.levels.tobytes() == plan.levels.tobytes()
+        for array in (clone.xs, clone.levels, clone.level_floats):
+            assert not array.flags.writeable
+        assert np.shares_memory(clone.level_floats, clone.levels)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_plan_outlives_a_run(self, workers):
+        config = RunConfig(
+            theta=self.MIXED, epsilons=(0.4, 0.3), replications_M=40, master_seed=404,
+            grid_points=4, workers=workers, checks=("covariance",),
+        )
+        run_experiment(config)
         gc.collect()
-        plans = [obj for obj in gc.get_objects() if isinstance(obj, process._Plan)]
-        assert plans == [process._LAST_PLAN]
-        assert plans[0].config is configs[-1]
-        assert plans[0].levels.shape == (1, path.jump_times.size + 1)
-        assert not plans[0].levels.flags.writeable
-        assert not plans[0].level_floats.flags.writeable
+        assert not [obj for obj in gc.get_objects() if isinstance(obj, BuildPlan)]
 
     def test_grid_times_are_a_read_only_copy(self):
         times = np.linspace(0.0, 1.0, 5)
@@ -429,9 +447,9 @@ class TestPinnedBits:
         cfg = self.CONFIGS[name]
         grid = EvaluationGrid.uniform(1.0, steps)
         horizon = map_to_path_time(1.0, eps)
+        plan = BuildPlan(cfg, eps, grid)
         values = np.stack([
-            build_sample(sample_poisson_path(horizon, derive_stream(77, 1, r)),
-                         eps, cfg, grid).values
+            build_sample(sample_poisson_path(horizon, derive_stream(77, 1, r)), plan).values
             for r in range(20)
         ])
         assert hashlib.sha256(values.tobytes()).hexdigest() == digest
@@ -449,7 +467,8 @@ class TestSampleBlock:
     def test_at_time_stacks_the_rows(self):
         cfg = ThetaConfig(cos_block=["1/2 pi"], sin_block=[1.1])
         grid = EvaluationGrid.uniform(T, 4)
-        rows = [build_sample(_path_for(seed=95, rep=r), EPS, cfg, grid) for r in range(3)]
+        plan = BuildPlan(cfg, EPS, grid)
+        rows = [build_sample(_path_for(seed=95, rep=r), plan) for r in range(3)]
         block = SampleBlock(
             epsilon=EPS, config=cfg, grid=grid, values=np.stack([r.values for r in rows])
         )
@@ -462,7 +481,7 @@ class TestSampleBlock:
     def test_samples_and_blocks_compare_by_identity(self):
         cfg = ThetaConfig(cos_block=["1/2 pi"])
         grid = EvaluationGrid.uniform(T, 4)
-        sample = build_sample(_path_for(seed=96), EPS, cfg, grid)
+        sample = build_sample(_path_for(seed=96), BuildPlan(cfg, EPS, grid))
         block = SampleBlock(epsilon=EPS, config=cfg, grid=grid, values=sample.values[None])
         for obj in (sample, block):
             clone = pickle.loads(pickle.dumps(obj))
@@ -474,7 +493,7 @@ class TestCsvExport:
     def test_header_and_shape(self):
         cfg = ThetaConfig(cos_block=[2.2], sin_block=[1.1])
         grid = EvaluationGrid.uniform(T, 4)
-        sample = build_sample(_path_for(seed=93), EPS, cfg, grid)
+        sample = build_sample(_path_for(seed=93), BuildPlan(cfg, EPS, grid))
         lines = sample.to_csv().splitlines()
         assert lines[0] == "t,comp_1,comp_2"
         assert len(lines) == 1 + 5
@@ -485,6 +504,6 @@ class TestCsvExport:
     def test_lf_line_endings(self):
         cfg = ThetaConfig(cos_block=[2.2])
         grid = EvaluationGrid.uniform(T, 2)
-        text = build_sample(_path_for(seed=94), EPS, cfg, grid).to_csv()
+        text = build_sample(_path_for(seed=94), BuildPlan(cfg, EPS, grid)).to_csv()
         assert "\r" not in text
         assert text.endswith("\n")

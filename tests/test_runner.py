@@ -10,6 +10,7 @@ import pytest
 import poisson_bm.runner as runner
 
 from poisson_bm import (
+    BuildPlan,
     EvaluationGrid,
     InvalidThetaError,
     RunConfig,
@@ -58,9 +59,10 @@ class TestGenerateSamples:
         assert block.values.shape == (40, 3, 5)
         assert block.epsilon == 0.3 and block.config is theta and block.grid is grid
         horizon = map_to_path_time(1.0, 0.3)
+        plan = BuildPlan(theta, 0.3, grid)
         for r in (0, 17, 39):
             path = sample_poisson_path(horizon, derive_stream(4242, 1, r))
-            assert np.array_equal(block.values[r], build_sample(path, 0.3, theta, grid).values)
+            assert np.array_equal(block.values[r], build_sample(path, plan).values)
 
 
     @pytest.mark.parametrize(
@@ -75,9 +77,8 @@ class TestGenerateSamples:
         class RecordingPool:
             """Stands in for ProcessPoolExecutor: records the size, runs in process."""
 
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 sizes.append(max_workers)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self

@@ -14,7 +14,6 @@ from poisson_bm import (
     EvaluationGrid,
     RunConfig,
     ThetaConfig,
-    compensated_sum,
     correlation_matrix,
     cross_moment,
     derive_stream,
@@ -118,15 +117,15 @@ def _random_lane(rng, n):
 class TestCompensatedSum:
     def test_exactly_rounded(self):
         xs = [1e16, 1.0, -1e16, 1.0]
-        assert compensated_sum(xs) == 2.0
+        assert _exact_sum(xs) == 2.0
 
     def test_order_independent(self):
         rng = np.random.default_rng(3)
         xs = list(rng.normal(size=1000) * 10.0 ** rng.integers(-8, 8, size=1000))
-        base = compensated_sum(xs)
+        base = _exact_sum(xs)
         for _ in range(5):
             rng.shuffle(xs)
-            assert compensated_sum(xs) == base
+            assert _exact_sum(xs) == base
 
     @pytest.mark.parametrize(
         "xs",
@@ -149,7 +148,7 @@ class TestCompensatedSum:
     )
     def test_equals_fsum_on_edge_cases(self, xs):
         try:
-            got = struct.pack("<d", compensated_sum(xs))
+            got = struct.pack("<d", _exact_sum(xs))
         except (ValueError, OverflowError) as exc:
             got = type(exc)
         assert got == _fsum_or_error(xs)
@@ -370,7 +369,7 @@ class TestStructuralBound:
     def test_symmetric_under_swap(self):
         a = structural_bound_eval(0.9, 2.3, 0.2)
         b = structural_bound_eval(2.3, 0.9, 0.2)
-        assert a == b  # exact: compensated sum of the same factors
+        assert a == b  # exact: math.fsum of the same factors
 
     def test_halving_epsilon_quarters_total_exactly(self):
         full = structural_bound_eval(0.9, 2.3, 0.2)
@@ -479,7 +478,7 @@ class TestQuadraticVariation:
             for c in range(2):
                 qvs = quadratic_variation(block, c, partition)
                 for r in range(len(block)):
-                    expected = compensated_sum(np.diff(block.values[r, c, idx]) ** 2)
+                    expected = _exact_sum(np.diff(block.values[r, c, idx]) ** 2)
                     assert qvs[r] == expected
 
 

@@ -4,8 +4,9 @@
         [--pairs 10] [--seconds 10] [--seed N]
 
 The checkout that holds this script, as it stands, is the change. The
-parent is a ``git worktree`` of REV in a temporary directory (under
-``TMPDIR``), removed at the end. Standard library and git only.
+parent is REV's tree, extracted with ``git archive`` into a temporary
+directory (under ``TMPDIR``) and removed at the end. Standard library,
+git and tar only.
 
 For each workload in ``BENCHMARK.json``, pair i runs the benchmark
 command (``--workload W --seconds S --trace 0``) once on each side,
@@ -19,6 +20,16 @@ and 16 sine components) runs on both sides in the same alternating
 order, in fresh interpreters; the seconds of ``run_experiment`` alone are recorded, and
 the two sides' ``report.json`` and ``assertions.csv`` are compared byte
 for byte.
+
+Last, for as many pairs, both sides run ``generate_samples`` for every
+epsilon of the benchmark's ``rate_sweep`` config (as the change's
+``perfbench/run.py`` writes it), at workers 1 and at workers 2, each in
+a fresh interpreter, in the same alternating order. The record is CPU
+microseconds per replication: ``time.process_time`` at workers 1, and
+at workers 2 the user+sys time of the interpreter plus its joined pool
+workers from ``resource.getrusage``. Wall time on a shared host
+wanders more than CPU time does, so a per-replication change shows
+here before it shows in ``rate_sweep``'s ``run_s``.
 """
 
 from __future__ import annotations
@@ -52,6 +63,34 @@ seconds = time.perf_counter() - t
 report.write(config.output_dir)
 print(json.dumps({"run_experiment_s": seconds}))
 """
+
+# Runs in a fresh interpreter with the side's checkout as working directory:
+# CPU seconds of generate_samples over every epsilon of a config, at a
+# given worker count. The pool is joined before generate_samples
+# returns, so RUSAGE_CHILDREN then holds its workers' time.
+TIME_GENERATE = """
+import json, resource, sys, time
+from dataclasses import replace
+sys.path.insert(0, "src")
+from poisson_bm import EvaluationGrid, generate_samples, load_config
+config = replace(load_config(sys.argv[1]), workers=int(sys.argv[2]))
+grid = EvaluationGrid.uniform(config.horizon_T, config.grid_points)
+
+def cpu():
+    if config.workers <= 1:
+        return time.process_time()
+    return sum(u.ru_utime + u.ru_stime for u in
+               map(resource.getrusage, (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
+
+c, t = cpu(), time.perf_counter()
+for eps_index in range(len(config.epsilons)):
+    generate_samples(config, grid, eps_index)
+c, t = cpu() - c, time.perf_counter() - t
+reps = config.replications_M * len(config.epsilons)
+print(json.dumps({"cpu_us_per_rep": c / reps * 1e6, "wall_us_per_rep": t / reps * 1e6}))
+"""
+GENERATE_WORKLOAD = "rate_sweep"
+GENERATE_WORKERS = (1, 2)
 
 
 def git(*args: str) -> str:
@@ -138,6 +177,34 @@ def bench_d32(sides: dict[str, Path], pairs: int, scratch: Path) -> dict:
     }
 
 
+def bench_generate(sides: dict[str, Path], pairs: int, scratch: Path,
+                   seed: int | None) -> dict:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from run import DEFAULT_SEED, config_text
+
+    seed = DEFAULT_SEED if seed is None else seed
+    config = scratch / f"{GENERATE_WORKLOAD}.cfg"
+    config.write_text(config_text(GENERATE_WORKLOAD, seed, scratch / "generate-out"))
+    runs: dict[int, dict[str, list[dict]]] = {w: {side: [] for side in sides}
+                                              for w in GENERATE_WORKERS}
+    for i in range(pairs):
+        for side, root in pair_order(i, sides):
+            for workers in GENERATE_WORKERS:
+                result = last_json_line([sys.executable, "-c", TIME_GENERATE, str(config),
+                                         str(workers)], root)
+                runs[workers][side].append(result)
+                print(f"generate pair {i} {side} workers {workers}: "
+                      f"{result['cpu_us_per_rep']:.2f} us cpu/rep", file=sys.stderr)
+    out = {"workload": GENERATE_WORKLOAD, "seed": seed}
+    for workers, by_side in runs.items():
+        out[f"workers_{workers}"] = {
+            name: compare([r[name] for r in by_side["parent"]],
+                          [r[name] for r in by_side["change"]], "lower")
+            for name in ("cpu_us_per_rep", "wall_us_per_rep")
+        }
+    return out
+
+
 def environment() -> dict:
     numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                            capture_output=True, text=True, check=True).stdout.strip()
@@ -167,7 +234,10 @@ def main(argv: list[str] | None = None) -> int:
               "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     tree = scratch / "parent"
-    git("worktree", "add", "--detach", str(tree), parent_commit)
+    tree.mkdir()
+    archive = subprocess.run(["git", "archive", parent_commit], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
     try:
         sides = {"parent": tree, "change": ROOT}
         record = {
@@ -178,9 +248,9 @@ def main(argv: list[str] | None = None) -> int:
                          "seed": "benchmark default" if args.seed is None else args.seed},
             "workloads": bench_workloads(sides, bench, args.pairs, args.seconds, args.seed),
             "d32": bench_d32(sides, args.pairs, scratch),
+            "generate": bench_generate(sides, args.pairs, scratch, args.seed),
         }
     finally:
-        git("worktree", "remove", "--force", str(tree))
         shutil.rmtree(scratch, ignore_errors=True)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
