@@ -347,7 +347,7 @@ class TestPathTimePlans:
                 for g, grid in enumerate(grids):
                     fresh = EvaluationGrid.uniform(T, len(grid) - 1)
                     want = build_sample(path, BuildPlan(self.MIXED, eps, fresh)).values
-                    for _ in range(2):  # a change of epsilon, then a repeat
+                    for _ in range(2):  # a first use, then a repeat
                         got = build_sample(path, plans[eps, g]).values
                         assert got.tobytes() == want.tobytes()
 

@@ -27,9 +27,9 @@ epsilon of the benchmark's ``rate_sweep`` config (as the change's
 a fresh interpreter, in the same alternating order. The record is CPU
 microseconds per replication: ``time.process_time`` at workers 1, and
 at workers 2 the user+sys time of the interpreter plus its joined pool
-workers from ``resource.getrusage``. Wall time on a shared host
-wanders more than CPU time does, so a per-replication change shows
-here before it shows in ``rate_sweep``'s ``run_s``.
+workers from ``resource.getrusage``. Unlike ``rate_sweep``'s
+``run_s``, it leaves out time spent waiting for a core, and unlike
+both ``run_s`` and ``cpu_s`` it leaves out the checks and the report.
 """
 
 from __future__ import annotations
@@ -65,9 +65,9 @@ print(json.dumps({"run_experiment_s": seconds}))
 """
 
 # Runs in a fresh interpreter with the side's checkout as working directory:
-# CPU seconds of generate_samples over every epsilon of a config, at a
-# given worker count. The pool is joined before generate_samples
-# returns, so RUSAGE_CHILDREN then holds its workers' time.
+# CPU and wall microseconds per replication of generate_samples over every
+# epsilon of a config, at a given worker count. The pool is joined before
+# generate_samples returns, so RUSAGE_CHILDREN then holds its workers' time.
 TIME_GENERATE = """
 import json, resource, sys, time
 from dataclasses import replace
@@ -234,11 +234,11 @@ def main(argv: list[str] | None = None) -> int:
               "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     tree = scratch / "parent"
-    tree.mkdir()
-    archive = subprocess.run(["git", "archive", parent_commit], cwd=ROOT, check=True,
-                             capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
     try:
+        tree.mkdir()
+        archive = subprocess.run(["git", "archive", parent_commit], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
         sides = {"parent": tree, "change": ROOT}
         record = {
             "parent": {"commit": parent_commit},
