@@ -54,6 +54,18 @@ class PoissonPath:
             if np.count_nonzero(jt[1:] <= jt[:-1]):
                 raise ValueError("jump times must be strictly increasing")
 
+    @classmethod
+    def _unchecked(cls, horizon: float, jump_times: np.ndarray) -> "PoissonPath":
+        """A path built without ``__post_init__``'s checks.
+
+        For ``sample_poisson_path`` only, whose output already holds what
+        they check: a finite float horizon >= 0 and a one-dimensional
+        float64 array, strictly increasing in (0, horizon].
+        """
+        path = object.__new__(cls)
+        path.__dict__.update(horizon=horizon, jump_times=jump_times)
+        return path
+
     def count(self, x: float | np.ndarray) -> int | np.ndarray:
         """N_x: number of jumps at or before time x (N_0 = 0)."""
         c = np.searchsorted(self.jump_times, x, side="right")
@@ -76,7 +88,7 @@ def sample_poisson_path(horizon: float, stream: np.random.Generator) -> PoissonP
     if not (math.isfinite(horizon) and horizon >= 0):
         raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
     if horizon == 0:
-        return PoissonPath(horizon=0.0, jump_times=np.empty(0))
+        return PoissonPath._unchecked(0.0, np.empty(0))
 
     parts: list[np.ndarray] = []
     t = 0.0
@@ -105,7 +117,9 @@ def sample_poisson_path(horizon: float, stream: np.random.Generator) -> PoissonP
         for k in np.flatnonzero(ties):
             jumps[k + 1] = np.nextafter(jumps[k], np.inf)
         jumps = jumps[jumps <= horizon]
-    return PoissonPath(horizon=float(horizon), jump_times=jumps)
+    # every interarrival -log(U), U < 1, is > 0, the cut keeps the times
+    # <= horizon and the loop above leaves no ties: PoissonPath's checks hold
+    return PoissonPath._unchecked(float(horizon), jumps)
 
 
 def _level_values(

@@ -99,14 +99,25 @@ class ProcessSample:
     def __init__(
         self, epsilon: float, config: ThetaConfig, grid: EvaluationGrid, values: np.ndarray
     ) -> None:
-        # build_sample makes one sample per replication: check the shape,
-        # then set all four fields with one __dict__ update
         v = np.asarray(values, dtype=np.float64)
         if v.shape != (config.dimension, len(grid)):
             raise ValueError(
                 f"values shape {v.shape} does not match ({config.dimension}, {len(grid)})"
             )
         self.__dict__.update(epsilon=epsilon, config=config, grid=grid, values=v)
+
+    @classmethod
+    def _unchecked(
+        cls, epsilon: float, config: ThetaConfig, grid: EvaluationGrid, values: np.ndarray
+    ) -> "ProcessSample":
+        """A sample built without ``__init__``'s shape check.
+
+        For ``build_sample`` only, whose ``values`` is already a float64
+        (dimension, len(grid)) array.
+        """
+        sample = object.__new__(cls)
+        sample.__dict__.update(epsilon=epsilon, config=config, grid=grid, values=values)
+        return sample
 
     @property
     def dimension(self) -> int:
@@ -266,4 +277,4 @@ def build_sample(path: PoissonPath, plan: BuildPlan) -> ProcessSample:
     values = lanes.transpose(0, 2, 1).reshape(-1, j.size)[: plan.config.dimension]
     for i in plan.rescaled:
         values[i] *= INV_SQRT2
-    return ProcessSample(plan.epsilon, plan.config, plan.grid, values)
+    return ProcessSample._unchecked(plan.epsilon, plan.config, plan.grid, values)

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .angles import TWO_PI, Angle, TAU_THETA, parse_angle
 from .poisson import decay_factor
@@ -329,6 +328,10 @@ def normality_check(increments: np.ndarray) -> NormalityReport:
     z = (xs - mean) / math.sqrt(var)
     m3 = _exact_sum(z**3) / n
     m4 = _exact_sum(z**4) / n
+
+    # the one use of scipy in the package, imported here so that runs
+    # without a normality check, and the package import, never load it
+    from scipy.special import ndtr
 
     zs = np.sort(z)
     cdf = ndtr(zs)

@@ -1,0 +1,88 @@
+"""Only the normality check loads scipy.
+
+Each case runs in a fresh interpreter, since this one has long since
+imported whatever the other tests needed.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# argv: config path, output dir. Prints, after each stage, whether scipy
+# is in sys.modules.
+STAGES = """
+import json, sys
+from dataclasses import replace
+from pathlib import Path
+
+loaded = {}
+
+def note(stage):
+    loaded[stage] = "scipy" in sys.modules
+
+import poisson_bm
+from poisson_bm import cli
+note("import")
+config = poisson_bm.load_config(sys.argv[1])
+poisson_bm.validate_hypothesis_h(config.theta)
+note("setup")
+assert cli.main(["validate", sys.argv[1]]) == 0
+note("validate")
+for workers in (1, 2):
+    out = Path(sys.argv[2]) / str(workers)
+    run = replace(config, workers=workers, output_dir=out)
+    poisson_bm.run_experiment(run).write(out)
+    note(f"run_workers_{workers}")
+assert cli.main(["plot", str(out / "report.json"), "--kind", "COV_HEATMAP",
+                 "--out", str(out / "cov.csv")]) == 0
+note("plot")
+print(json.dumps(loaded))
+"""
+
+CONFIG = """\
+cos_block = 1/2 pi
+sin_block = 1/2 pi
+epsilons = 0.4, 0.3, 0.2
+replications_M = 200
+grid_points = 4
+master_seed = 7
+checks = {checks}
+"""
+
+
+def _stages(tmp_path, checks):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG.format(checks=checks), encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", STAGES, str(cfg), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_runs_without_normality_never_load_scipy(tmp_path):
+    loaded = _stages(tmp_path, "covariance, cross_moments, fourth_moment")
+    assert loaded == {
+        "import": False, "setup": False, "validate": False,
+        "run_workers_1": False, "run_workers_2": False, "plot": False,
+    }
+
+
+@pytest.mark.parametrize("checks", ["covariance, normality", "default"])
+def test_a_normality_check_loads_scipy(tmp_path, checks):
+    loaded = _stages(tmp_path, checks)
+    assert loaded == {
+        "import": False, "setup": False, "validate": False,
+        "run_workers_1": True, "run_workers_2": True, "plot": True,
+    }

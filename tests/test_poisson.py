@@ -169,6 +169,55 @@ class TestPinnedBits:
         ]
 
 
+def _assert_passes_public_checks(path):
+    rebuilt = PoissonPath(path.horizon, path.jump_times)
+    assert type(path.horizon) is float
+    # already a one-dimensional float64 array: np.asarray hands it back as is
+    assert rebuilt.jump_times is path.jump_times
+
+
+class TestSampledPathsPassPublicChecks:
+    """``sample_poisson_path`` builds its path without PoissonPath's checks;
+    every path it returns must pass them through the public constructor."""
+
+    @pytest.mark.parametrize("horizon", [0.0, 1e-3, 0.5, 2.0, 12.5, 200.0, 5000.0])
+    def test_keyed_paths(self, horizon):
+        for rep in range(40):
+            for seed in (0, 12345, 2**64 - 1):
+                _assert_passes_public_checks(
+                    sample_poisson_path(horizon, derive_stream(seed, rep % 3, rep))
+                )
+
+    def test_zero_jumps(self):
+        # every gap -log(0.01) ~ 4.6 overshoots the horizon
+        path = sample_poisson_path(0.5, _StubStream(0.01))
+        assert path.jump_times.size == 0
+        _assert_passes_public_checks(path)
+
+    def test_second_block(self):
+        path = sample_poisson_path(2.0, _StubStream(0.99))
+        assert path.jump_times.size == 25
+        _assert_passes_public_checks(path)
+
+    def test_bumped_ties(self):
+        path = sample_poisson_path(20.0, _StubStream(1.0 - 2.0**-53, ends=(2.0**-20, 2.0**-20)))
+        assert path.jump_times.size == 52
+        _assert_passes_public_checks(path)
+
+    def test_bumped_ties_cut_at_the_horizon(self):
+        first = float(-np.log(2.0**-20))
+        horizon = float(np.nextafter(np.nextafter(first, np.inf), np.inf))
+        stream = _StubStream(1.0 - 2.0**-53, ends=(2.0**-20, 2.0**-20))
+        path = sample_poisson_path(horizon, stream)
+        assert path.jump_times[-1] == horizon
+        _assert_passes_public_checks(path)
+
+    def test_integer_horizon_becomes_a_float(self):
+        path = sample_poisson_path(3, derive_stream(5, 0, 0))
+        assert path.horizon == 3.0
+        _assert_passes_public_checks(path)
+
+
 def _rational_angles(max_q):
     """Every reduced p/q pi with q <= max_q and -2q - 1 <= p <= 4q + 1, p != 0."""
     return [

@@ -12,6 +12,7 @@ from poisson_bm import (
     BuildPlan,
     EvaluationGrid,
     PoissonPath,
+    ProcessSample,
     RunConfig,
     SampleBlock,
     ThetaConfig,
@@ -453,6 +454,33 @@ class TestPinnedBits:
             for r in range(20)
         ])
         assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+
+class TestProcessSample:
+    def test_public_constructor_checks_the_shape(self):
+        cfg = ThetaConfig(cos_block=["1/2 pi"], sin_block=[1.1])
+        grid = EvaluationGrid.uniform(T, 4)
+        with pytest.raises(ValueError, match="does not match"):
+            ProcessSample(EPS, cfg, grid, np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="does not match"):
+            ProcessSample(EPS, cfg, grid, np.zeros((1, 2, 5)))
+        assert ProcessSample(EPS, cfg, grid, [[0] * 5] * 2).values.dtype == np.float64
+
+    @pytest.mark.parametrize("cfg", [
+        ThetaConfig(cos_block=["1/2 pi"]),
+        ThetaConfig(cos_block=[2.2, "pi"], sin_block=[1.1], allow_pi_in_cos=True),
+    ])
+    def test_built_samples_pass_the_public_check(self, cfg):
+        # build_sample skips the check; what it returns must pass it
+        for steps in (1, 16):
+            plan = BuildPlan(cfg, EPS, EvaluationGrid.uniform(T, steps))
+            for rep in range(10):
+                sample = build_sample(_path_for(rep=rep), plan)
+                rebuilt = ProcessSample(sample.epsilon, sample.config, sample.grid,
+                                        sample.values)
+                assert rebuilt.values is sample.values
+                assert (sample.epsilon, sample.config, sample.grid) == (
+                    plan.epsilon, plan.config, plan.grid)
 
 
 class TestSampleBlock:
