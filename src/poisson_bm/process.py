@@ -27,6 +27,10 @@ from .poisson import PoissonPath, _level_values
 # the prefix sums in ceil(d/2) complex rows), 2T/eps^2 jumps on average.
 REPLICATION_BYTES_CAP = 2**30
 
+# Memory cap of one epsilon's sample block, the (M, d, G) float64 array
+# that generate_samples gathers, in bytes.
+BLOCK_BYTES_CAP = 2**31
+
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Callable
 
 from .angles import Angle, ThetaConfig, parse_angle
-from .process import check_replication_memory, map_to_path_time
+from .process import BLOCK_BYTES_CAP, check_replication_memory, map_to_path_time
 
 ENV_OUTPUT_DIR = "POISSON_BM_OUTPUT_DIR"
 ENV_WORKERS = "POISSON_BM_WORKERS"
@@ -103,6 +103,11 @@ class RunConfig:
             check_replication_memory(needed, self.theta.dimension)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        M, d, G = self.replications_M, self.theta.dimension, self.grid_points + 1
+        if M * d * G * 8 > BLOCK_BYTES_CAP:
+            raise ConfigError(f"the sample block of M = {M} replications, d = {d} components "
+                              f"and G = {G} grid times takes {M * d * G * 8:.3g} bytes, "
+                              f"above the cap of {BLOCK_BYTES_CAP}")
         if not self.checks:
             raise ConfigError("checks must be nonempty: list check names or default")
         unknown = [c for c in self.checks if c != "default" and c not in ALL_CHECKS]

@@ -42,6 +42,7 @@ from .stats import (
     DegeneratePairError,
     DegenerateSampleError,
     Estimate,
+    _estimates,
     _increments_at,
     correlation_matrix,
     cross_moment,
@@ -209,39 +210,34 @@ def _check_covariance(block: SampleBlock) -> tuple[list[dict], dict]:
 
 
 def _check_qv(block: SampleBlock) -> tuple[list[dict], dict]:
-    assertions = []
-    for c in range(block.config.dimension):
-        est = Estimate.from_observations(quadratic_variation(block, c, block.grid.times))
-        assertions.append(_band_assertion(f"qv[{c + 1}]", est, block.grid.horizon_T))
-    return assertions, {}
+    qvs = quadratic_variation(block, block.grid.times)
+    return [_band_assertion(f"qv[{c + 1}]", est, block.grid.horizon_T)
+            for c, est in enumerate(_estimates(qvs, len(qvs)))], {}
 
 
 def _check_cross_moments(block: SampleBlock) -> tuple[list[dict], dict]:
     theta, T = block.config, block.grid.horizon_T
-    d = theta.dimension
     assertions = []
     pairs = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            est = cross_moment(block, i, j, 0.0, T)
-            assertions.append(_band_assertion(f"cross[{i + 1},{j + 1}]", est, 0.0))
-            try:
-                bound_total = structural_bound_eval(
-                    theta.angles[i], theta.angles[j], block.epsilon
-                )
-            except DegeneratePairError:
-                bound_total = None
-            pairs.append(
-                {
-                    "i": i + 1,
-                    "j": j + 1,
-                    # i < j and the cosine block comes first: coscos, cossin or sinsin
-                    "kind": theta.component_kind(i) + theta.component_kind(j),
-                    "estimate": float(est.value),
-                    "std_error": float(est.std_error),
-                    "bound_total": bound_total,
-                }
+    for (i, j), est in cross_moment(block, 0.0, T).items():
+        assertions.append(_band_assertion(f"cross[{i + 1},{j + 1}]", est, 0.0))
+        try:
+            bound_total = structural_bound_eval(
+                theta.angles[i], theta.angles[j], block.epsilon
             )
+        except DegeneratePairError:
+            bound_total = None
+        pairs.append(
+            {
+                "i": i + 1,
+                "j": j + 1,
+                # i < j and the cosine block comes first: coscos, cossin or sinsin
+                "kind": theta.component_kind(i) + theta.component_kind(j),
+                "estimate": float(est.value),
+                "std_error": float(est.std_error),
+                "bound_total": bound_total,
+            }
+        )
     return assertions, {"pairs": pairs}
 
 
@@ -269,23 +265,21 @@ def _spread(values: list[float]) -> tuple[float, str | None]:
 
 def _check_fourth_moment(block: SampleBlock) -> tuple[list[dict], dict]:
     pairs = _dyadic_pairs(block.grid)
+    per_pair = [fourth_moment_ratio(block, s, t) for s, t in pairs]
     ratios = []
     assertions = []
-    for c in range(block.config.dimension):
-        per_pair = []
-        for s, t in pairs:
-            est = fourth_moment_ratio(block, c, s, t)
-            per_pair.append(est.value)
-            ratios.append(
-                {
-                    "component": c + 1,
-                    "s": float(s),
-                    "t": float(t),
-                    "value": float(est.value),
-                    "std_error": float(est.std_error),
-                }
-            )
-        spread, reason = _spread(per_pair)
+    for c, ests in enumerate(zip(*per_pair)):
+        ratios += [
+            {
+                "component": c + 1,
+                "s": float(s),
+                "t": float(t),
+                "value": float(est.value),
+                "std_error": float(est.std_error),
+            }
+            for (s, t), est in zip(pairs, ests)
+        ]
+        spread, reason = _spread([est.value for est in ests])
         assertions.append(
             _assertion(f"r4_spread[{c + 1}]", spread, None, None, SWEEP_MAX_OVER_MIN,
                        spread <= SWEEP_MAX_OVER_MIN, reason)
@@ -341,8 +335,7 @@ def _check_martingale(block: SampleBlock) -> tuple[list[dict], dict]:
     conditioning = [float(times[q]), float(times[h])] if q >= 1 else [float(times[h])]
     assertions = []
     for label, phi_times in (("one", ()), ("tanh", conditioning)):
-        for c in range(block.config.dimension):
-            est = martingale_residual(block, c, s, t, phi_times)
+        for c, est in enumerate(martingale_residual(block, s, t, phi_times)):
             assertions.append(_band_assertion(f"residual[{label}][{c + 1}]", est, 0.0))
     return assertions, {"increment": [s, t], "conditioning_times": conditioning}
 

@@ -14,7 +14,9 @@ the subnormal range.
 
 Two rules hold for every estimator, each stated once: an increment
 needs s < t (``_increments_at``, checked before anything else), and an
-estimate needs at least two observations (``_sums_and_std_errors``).
+estimate needs at least two observations (``_estimates``). Each
+estimator of an increment reads the block once and returns every
+component, or every pair of components, at once.
 
 The martingale and cross-moment estimators weight each replication by
 a bounded function phi of the history before the increment. phi is
@@ -139,9 +141,7 @@ class Estimate:
     @classmethod
     def from_observations(cls, xs: np.ndarray) -> "Estimate":
         column = np.array(xs, dtype=np.float64).reshape(-1, 1)
-        n = column.shape[0]
-        total, se = _sums_and_std_errors(column)
-        return cls(value=float(total[0] / n), std_error=float(se[0]), replications=n)
+        return _estimates(column, column.shape[0])[0]
 
     def to_dict(self) -> dict:
         return {
@@ -151,18 +151,22 @@ class Estimate:
         }
 
 
-def _sums_and_std_errors(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of the (n, L) observations: the exact sum, and the
-    standard error of the mean (sample standard deviation / sqrt(n)).
-    Overwrites xs with the squared deviations from the mean."""
-    n = xs.shape[0]
+def _estimates(obs: np.ndarray, divisor: float) -> list[Estimate]:
+    """One estimate per column of the (n, L) observations: the column's
+    exact sum / ``divisor``, with the standard error of its mean (sample
+    standard deviation / sqrt(n)). Overwrites obs with the squared
+    deviations from the mean."""
+    n = obs.shape[0]
     if n < 2:
         raise ValueError("need at least 2 observations")
-    total = _exact_sum(xs, axis=0)
-    xs -= total / n
-    xs *= xs
-    var = _exact_sum(xs, axis=0) / (n - 1)
-    return total, np.sqrt(var / n)
+    total = _exact_sum(obs, axis=0)
+    obs -= total / n
+    obs *= obs
+    se = np.sqrt(_exact_sum(obs, axis=0) / (n - 1) / n)
+    return [
+        Estimate(value=value, std_error=std_error, replications=n)
+        for value, std_error in zip((total / divisor).tolist(), se.tolist())
+    ]
 
 
 def _increments_at(block: SampleBlock, s: float, t: float) -> np.ndarray:
@@ -192,16 +196,18 @@ def _phi_values(
     return out
 
 
-def _centered_products(w: np.ndarray) -> list[Estimate]:
-    """Covariance estimates from the (M, L) per-replication products of
-    centered columns: each column's sum / (M - 1), with the standard
-    error of its products."""
-    M = w.shape[0]
-    total, se = _sums_and_std_errors(w)
-    return [
-        Estimate(value=value, std_error=std_error, replications=M)
-        for value, std_error in zip((total / (M - 1)).tolist(), se.tolist())
-    ]
+def _pair_estimates(
+    x: np.ndarray, w: np.ndarray | float, first: int, divisor: float
+) -> dict[tuple[int, int], Estimate]:
+    """Estimates of w * x_i * x_j over the (M, d) columns x, for every
+    pair with j >= i + first, in row-major order: one row of products,
+    and one exact reduction, per i."""
+    d = x.shape[1]
+    out: dict[tuple[int, int], Estimate] = {}
+    for i in range(d - first):
+        row = _estimates((w * x[:, i])[:, None] * x[:, i + first :], divisor)
+        out.update(zip([(i, j) for j in range(i + first, d)], row))
+    return out
 
 
 def empirical_increment_covariance(
@@ -216,12 +222,8 @@ def empirical_increment_covariance(
     centered = _increments_at(block, s, t)  # (M, d)
     M, d = centered.shape
     centered -= _exact_sum(centered, axis=0) / M
-    out: list[list[Estimate]] = [[None] * d for _ in range(d)]  # type: ignore[list-item]
-    for i in range(d):
-        row = _centered_products(centered[:, i : i + 1] * centered[:, i:])
-        for j, est in enumerate(row, start=i):
-            out[i][j] = out[j][i] = est
-    return out
+    upper = _pair_estimates(centered, 1.0, 0, M - 1)
+    return [[upper[min(i, j), max(i, j)] for j in range(d)] for i in range(d)]
 
 
 def correlation_matrix(cov: Sequence[Sequence[Estimate]]) -> np.ndarray:
@@ -236,48 +238,41 @@ def correlation_matrix(cov: Sequence[Sequence[Estimate]]) -> np.ndarray:
 
 def cross_moment(
     block: SampleBlock,
-    i: int,
-    j: int,
     s: float,
     t: float,
     conditioning: Sequence[float] = (),
-) -> Estimate:
-    """Estimate E[phi(history) * Delta_i * Delta_j] over the increment (s, t).
-
-    phi is the tanh product over the ``conditioning`` times
-    (nondecreasing, at most s); no times means phi = 1. Components are
-    0-based. The diagonal with phi = 1 is the quadratic-variation route,
-    not a cross-moment; it is rejected here.
-    """
-    if i == j and len(conditioning) == 0:
-        raise ValueError("i == j with the constant weight is the quadratic-variation path")
-    deltas = _increments_at(block, s, t)
-    w = _phi_values(block, conditioning, s)
-    return Estimate.from_observations(w * deltas[:, i] * deltas[:, j])
-
-
-def martingale_residual(
-    block: SampleBlock,
-    component: int,
-    s: float,
-    t: float,
-    conditioning: Sequence[float] = (),
-) -> Estimate:
-    """Estimate E[phi(history) * Delta] for one component's increment over (s, t).
+) -> dict[tuple[int, int], Estimate]:
+    """Estimate E[phi(history) * Delta_i * Delta_j] over the increment (s, t)
+    for every pair of 0-based components i < j, keyed (i, j) in row-major
+    order; one component has no pair and gives {}.
 
     phi is the tanh product over the ``conditioning`` times
     (nondecreasing, at most s); no times means phi = 1.
     """
     deltas = _increments_at(block, s, t)
-    w = _phi_values(block, conditioning, s)
-    return Estimate.from_observations(w * deltas[:, component])
+    return _pair_estimates(deltas, _phi_values(block, conditioning, s), 1, len(deltas))
 
 
-def quadratic_variation(
-    block: SampleBlock, component: int, partition: Sequence[float]
-) -> np.ndarray:
-    """Per-replication sums of squared increments of one component over a
-    grid partition: one value per row of the block."""
+def martingale_residual(
+    block: SampleBlock,
+    s: float,
+    t: float,
+    conditioning: Sequence[float] = (),
+) -> list[Estimate]:
+    """Estimate E[phi(history) * Delta] for each component's increment
+    over (s, t), in component order.
+
+    phi is the tanh product over the ``conditioning`` times
+    (nondecreasing, at most s); no times means phi = 1.
+    """
+    deltas = _increments_at(block, s, t)
+    deltas *= _phi_values(block, conditioning, s)[:, None]
+    return _estimates(deltas, len(deltas))
+
+
+def quadratic_variation(block: SampleBlock, partition: Sequence[float]) -> np.ndarray:
+    """Per-replication sums of squared increments over a grid partition:
+    the (replications, dimension) array of each row's QV per component."""
     ts = np.asarray(partition, dtype=np.float64)
     if ts.size < 2:
         raise ValueError("partition needs at least 2 points")
@@ -286,20 +281,22 @@ def quadratic_variation(
     if np.any(np.diff(ts) <= 0.0):
         raise ValueError("partition must be strictly increasing")
     idx = [block.grid.index_of(t) for t in ts.tolist()]
-    squares = np.diff(block.values[:, component, idx], axis=1) ** 2
-    return _exact_sum(squares, axis=1)
+    # one reduction per component: the extraction runs until its worst lane is done
+    qvs = [_exact_sum(np.diff(block.values[:, c, idx], axis=1) ** 2, axis=1)
+           for c in range(block.values.shape[1])]
+    return np.stack(qvs, axis=1)
 
 
-def fourth_moment_ratio(
-    block: SampleBlock, component: int, s: float, t: float
-) -> Estimate:
-    """Estimate E[Delta^4] / (t - s)^2 for one component's increment.
+def fourth_moment_ratio(block: SampleBlock, s: float, t: float) -> list[Estimate]:
+    """Estimate E[Delta^4] / (t - s)^2 for each component's increment,
+    in component order.
 
     The tightness bound asserts this is bounded uniformly in epsilon;
     the Gaussian limit pins it near 3.
     """
-    deltas = _increments_at(block, s, t)
-    return Estimate.from_observations(deltas[:, component] ** 4 / (t - s) ** 2)
+    ratios = _increments_at(block, s, t) ** 4
+    ratios /= (t - s) ** 2
+    return _estimates(ratios, len(ratios))
 
 
 @dataclass(frozen=True)
@@ -354,8 +351,8 @@ def stroock_variance_check(block: SampleBlock, t: float) -> Estimate:
     if not pi_components:
         raise ValueError("no angle-pi cosine component in this configuration")
     x = block.at_time(t)[:, pi_components[0]]
-    centered = x - Estimate.from_observations(x).value
-    return _centered_products((centered * centered)[:, None])[0]
+    centered = x - _exact_sum(x) / len(x)
+    return _estimates((centered * centered)[:, None], len(x) - 1)[0]
 
 
 def _check_nondegenerate(label: str, angle_value: float) -> None:

@@ -189,9 +189,10 @@ def test_criterion_4_quadratic_variation():
     theta = ThetaConfig(cos_block=["1/2 pi"], sin_block=["1/2 pi"])
     samples = _make_samples(theta, 0.05, 5000, SEED + 4)
     partition = samples.grid.times
+    qvs = quadratic_variation(samples, partition)
     worst_z = 0.0
     for c in range(2):
-        est = Estimate.from_observations(quadratic_variation(samples, c, partition))
+        est = Estimate.from_observations(qvs[:, c])
         z = abs(est.value - 1.0) / est.std_error
         worst_z = max(worst_z, z)
         assert z <= BAND, (c, est.value)
@@ -223,7 +224,7 @@ def test_criterion_5_fourth_moment_boundedness():
         samples = _make_samples(theta, eps, 5000, SEED + 5, steps=4)
         for c in range(2):
             for s, t in _dyadic_pairs():
-                est = fourth_moment_ratio(samples, c, s, t)
+                est = fourth_moment_ratio(samples, s, t)[c]
                 ratios.append(est.value)
                 if eps == 0.05 and (s, t) == (0.0, 1.0):
                     anchors.append(est.value)
@@ -263,15 +264,17 @@ def _rate_estimates():
     per_eps = []
     for k in range(len(RATE_EPSILONS)):
         block = generate_samples(cfg, grid, k)
-        per_eps.append([cross_moment(block, i, j, 0.0, 1.0) for _, i, j in RATE_KINDS])
+        ests = cross_moment(block, 0.0, 1.0)
+        per_eps.append([ests[i, j] for _, i, j in RATE_KINDS])
     return per_eps
 
 
 def test_criterion_6_cross_moment_decay():
     # 6a: at eps = 0.05 every kind sits inside its 4-SE band around zero
     samples = _make_samples(RATE_THETA, 0.05, 5000, SEED + 6, steps=1)
+    ests = cross_moment(samples, 0.0, 1.0)
     for kind, i, j in RATE_KINDS:
-        est = cross_moment(samples, i, j, 0.0, 1.0)
+        est = ests[i, j]
         assert abs(est.value) <= BAND * est.std_error, (kind, est.value)
 
     # 6b: epsilon sweep, slope and envelope domination
@@ -306,8 +309,9 @@ def test_criterion_6_cross_moment_decay():
 def test_criterion_7_martingale_residuals(ref_samples):
     worst_z = 0.0
     for label, conditioning in (("one", ()), ("tanh-k2", (0.25, 0.5))):
+        ests = martingale_residual(ref_samples, 0.5, 1.0, conditioning)
         for c in range(4):
-            est = martingale_residual(ref_samples, c, 0.5, 1.0, conditioning)
+            est = ests[c]
             z = abs(est.value) / est.std_error
             worst_z = max(worst_z, z)
             assert z <= BAND, (label, c, est.value)

@@ -87,6 +87,23 @@ class TestValidateCommand:
         assert main(["validate", str(cfg_file(text, extra=extra))]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sizes,message",
+        [
+            ("replications_M = 1000000000000\ngrid_points = 16\n",
+             "M = 1000000000000 replications, d = 2 components and G = 17 grid times"),
+            ("replications_M = 100\ngrid_points = 1099511627776\n",
+             "M = 100 replications, d = 2 components and G = 1099511627777 grid times"),
+        ],
+    )
+    def test_sample_block_above_cap_exits_two(self, cfg_file, capsys, sizes, message):
+        # refused at validation: a run would otherwise die allocating the block
+        text = "cos_block = 1/2 pi\nsin_block = 1/2 pi\nepsilons = 0.2\nmaster_seed = 1\n"
+        cfg = cfg_file(text, extra=sizes)
+        for command in ("validate", "run"):
+            assert main([command, str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert message in err and "above the cap" in err
 
 class TestRunCommand:
     def test_run_writes_report(self, cfg_file, tmp_path, capsys):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from poisson_bm import ConfigError, RunConfig, ThetaConfig, parse_config_text
+from poisson_bm.process import BLOCK_BYTES_CAP
 from poisson_bm.runconfig import (
     ENV_OUTPUT_DIR,
     ENV_WORKERS,
@@ -221,6 +222,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="cap"):
             RunConfig(**self._base(theta=theta, epsilons=(1.0,),
                                    horizon_T=boundary_T * (1 + 1e-9)))
+
+
+    def test_sample_block_cap_boundary(self):
+        # M d (grid_points + 1) doubles; validating allocates none of them
+        theta = ThetaConfig(cos_block=["1/2 pi", 2.2], sin_block=["1/2 pi", 1.1])
+        M_cap = BLOCK_BYTES_CAP // (4 * 64 * 8)
+        at_cap = RunConfig(**self._base(theta=theta, grid_points=63, replications_M=M_cap))
+        assert at_cap.replications_M * 4 * 64 * 8 == BLOCK_BYTES_CAP
+        with pytest.raises(ConfigError, match=rf"M = {M_cap + 1} replications, d = 4 "
+                                              r"components and G = 64 grid times"):
+            RunConfig(**self._base(theta=theta, grid_points=63, replications_M=M_cap + 1))
+        with pytest.raises(ConfigError, match=r"G = 1099511627777 grid times .* cap"):
+            RunConfig(**self._base(grid_points=2**40))
 
 
 class TestEnvOverrides:

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -238,6 +239,34 @@ class TestRunExperiment:
     def test_repeat_runs_identical(self):
         cfg = minimal_config(replications_M=120, grid_points=4)
         assert run_experiment(cfg).to_json_text() == run_experiment(cfg).to_json_text()
+
+    def test_one_estimator_call_per_check_and_increment(self, monkeypatch):
+        # each estimator returns every component or pair of one increment at once
+        theta = ThetaConfig(cos_block=["pi", "1/2 pi"], sin_block=["1/2 pi", 2.2],
+                            allow_pi_in_cos=True)
+        cfg = minimal_config(theta=theta, epsilons=(0.4, 0.3), grid_points=4,
+                             checks=ALL_CHECKS)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        per_eps = {
+            "empirical_increment_covariance": 1,
+            "quadratic_variation": 1,
+            "cross_moment": 1,
+            "fourth_moment_ratio": 7,  # the dyadic increments of [0, 1] to level 2
+            "martingale_residual": 2,  # phi = 1 and the tanh product
+            "stroock_variance_check": 1,
+        }
+        for name in per_eps:
+            monkeypatch.setattr(runner, name, counted(name, getattr(runner, name)))
+        report = run_experiment(cfg)
+        assert [c["name"] for c in report.results[0]["checks"]] == list(ALL_CHECKS)
+        assert calls == {name: n * len(cfg.epsilons) for name, n in per_eps.items()}
 
 
 class TestReportFiles:

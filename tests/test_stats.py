@@ -211,9 +211,9 @@ class TestIncrementCovariance:
 # every estimator of a block, called on (0, 1] where it takes an increment
 BLOCK_ESTIMATORS = {
     "empirical_increment_covariance": lambda b: empirical_increment_covariance(b, 0.0, 1.0),
-    "cross_moment": lambda b: cross_moment(b, 0, 1, 0.0, 1.0),
-    "martingale_residual": lambda b: martingale_residual(b, 0, 0.0, 1.0),
-    "fourth_moment_ratio": lambda b: fourth_moment_ratio(b, 0, 0.0, 1.0),
+    "cross_moment": lambda b: cross_moment(b, 0.0, 1.0),
+    "martingale_residual": lambda b: martingale_residual(b, 0.0, 1.0),
+    "fourth_moment_ratio": lambda b: fourth_moment_ratio(b, 0.0, 1.0),
     "stroock_variance_check": lambda b: stroock_variance_check(b, 1.0),
 }
 
@@ -221,11 +221,11 @@ BLOCK_ESTIMATORS = {
 # that are themselves invalid where the estimator takes them
 INCREMENT_ESTIMATORS = {
     "empirical_increment_covariance": lambda b, s, t: empirical_increment_covariance(b, s, t),
-    "cross_moment": lambda b, s, t: cross_moment(b, 0, 1, s, t, conditioning=[1.0, 0.5]),
+    "cross_moment": lambda b, s, t: cross_moment(b, s, t, conditioning=[1.0, 0.5]),
     "martingale_residual": lambda b, s, t: martingale_residual(
-        b, 0, s, t, conditioning=[1.0, 0.5]
+        b, s, t, conditioning=[1.0, 0.5]
     ),
-    "fourth_moment_ratio": lambda b, s, t: fourth_moment_ratio(b, 0, s, t),
+    "fourth_moment_ratio": lambda b, s, t: fourth_moment_ratio(b, s, t),
 }
 
 
@@ -258,6 +258,22 @@ def _fsum_estimate(xs):
     return mean, math.sqrt(math.fsum((xs - mean) ** 2) / (n - 1) / n)
 
 
+# increments (s, t) with their conditioning times: phi = 1 over the whole
+# horizon, and the tanh product over an increment that starts at s > 0
+WEIGHTED_INCREMENTS = [(0.0, 1.0, ()), (0.5, 1.0, (0.25, 0.5))]
+
+
+def _deltas_and_phi(block, s, t, conditioning):
+    """The (M, d) increments over (s, t) and phi per replication: the
+    tanh product of the coordinate sums at the conditioning times."""
+    grid = block.grid
+    deltas = block.values[:, :, grid.index_of(t)] - block.values[:, :, grid.index_of(s)]
+    w = np.ones(len(block))
+    for u in conditioning:
+        w *= np.tanh(block.values[:, :, grid.index_of(u)].sum(axis=1))
+    return deltas, w
+
+
 class TestEstimatorsMatchFsum:
     """Every estimator's reductions equal the same formula with math.fsum."""
 
@@ -284,10 +300,12 @@ class TestEstimatorsMatchFsum:
                 assert (cov[i][j].value, cov[i][j].std_error) == (math.fsum(w) / (M - 1), se)
 
     def test_quadratic_variation_per_row(self, block):
+        qvs = quadratic_variation(block, block.grid.times)
+        assert qvs.shape == block.values.shape[:2]
         for c in range(block.config.dimension):
             squares = np.diff(block.values[:, c, :], axis=1) ** 2
             expected = [math.fsum(row) for row in squares]
-            assert quadratic_variation(block, c, block.grid.times).tolist() == expected
+            assert qvs[:, c].tolist() == expected
 
     def test_normality_moments(self, block):
         deltas = block.values[:, :, -1] - block.values[:, :, 0]
@@ -301,21 +319,49 @@ class TestEstimatorsMatchFsum:
             assert rep.skewness == math.fsum(z**3) / n
             assert rep.excess_kurtosis == math.fsum(z**4) / n - 3.0
 
-    def test_one_column_estimators(self, block):
-        deltas = block.values[:, :, -1] - block.values[:, :, 0]
-        est = cross_moment(block, 0, 1, 0.0, 1.0)
-        assert (est.value, est.std_error) == _fsum_estimate(deltas[:, 0] * deltas[:, 1])
-        est = fourth_moment_ratio(block, 2, 0.0, 1.0)
-        assert (est.value, est.std_error) == _fsum_estimate(deltas[:, 2] ** 4)
+    @pytest.mark.parametrize("s,t,conditioning", WEIGHTED_INCREMENTS, ids=["one", "tanh"])
+    def test_cross_moment_every_pair(self, block, s, t, conditioning):
+        deltas, w = _deltas_and_phi(block, s, t, conditioning)
+        d = block.config.dimension
+        ests = cross_moment(block, s, t, conditioning)
+        assert list(ests) == [(i, j) for i in range(d) for j in range(i + 1, d)]
+        for (i, j), est in ests.items():
+            expected = _fsum_estimate(w * deltas[:, i] * deltas[:, j])
+            assert (est.value, est.std_error) == expected, (i, j)
+
+    @pytest.mark.parametrize("s,t,conditioning", WEIGHTED_INCREMENTS, ids=["one", "tanh"])
+    def test_martingale_residual_every_component(self, block, s, t, conditioning):
+        deltas, w = _deltas_and_phi(block, s, t, conditioning)
+        ests = martingale_residual(block, s, t, conditioning)
+        assert len(ests) == block.config.dimension
+        for c, est in enumerate(ests):
+            assert (est.value, est.std_error) == _fsum_estimate(w * deltas[:, c]), c
+
+    def test_fourth_moment_ratio_every_dyadic_increment(self, block):
+        for level in range(3):
+            pieces = 2**level
+            for k in range(pieces):
+                s, t = k / pieces, (k + 1) / pieces
+                deltas, _ = _deltas_and_phi(block, s, t, ())
+                ests = fourth_moment_ratio(block, s, t)
+                assert len(ests) == block.config.dimension
+                for c, est in enumerate(ests):
+                    expected = _fsum_estimate(deltas[:, c] ** 4 / (t - s) ** 2)
+                    assert (est.value, est.std_error) == expected, (s, t, c)
+
+    def test_one_component(self):
+        # d = 1 has no pair; the per-component estimators return one estimate
+        block = make_samples(ThetaConfig(cos_block=[2.2]), 0.3, 50, seed=234, steps=8)
+        assert cross_moment(block, 0.0, 1.0) == {}
+        assert cross_moment(block, 0.5, 1.0, conditioning=[0.25, 0.5]) == {}
+        deltas, _ = _deltas_and_phi(block, 0.0, 1.0, ())
+        (est,) = martingale_residual(block, 0.0, 1.0)
+        assert (est.value, est.std_error) == _fsum_estimate(deltas[:, 0])
+        (est,) = fourth_moment_ratio(block, 0.0, 1.0)
+        assert (est.value, est.std_error) == _fsum_estimate(deltas[:, 0] ** 4)
 
 
 class TestCrossMoment:
-    def test_diagonal_with_constant_weight_rejected(self):
-        cfg = ThetaConfig(cos_block=[1.0, 2.0])
-        samples = make_samples(cfg, 0.4, 10, seed=214)
-        with pytest.raises(ValueError, match="quadratic-variation"):
-            cross_moment(samples, 0, 0, 0.0, 1.0)
-
     def test_matches_exact_value_each_kind(self):
         cfg = ThetaConfig(cos_block=["1/2 pi", 2.2], sin_block=["1/2 pi", 2.2])
         eps, M = 0.3, 3000
@@ -326,33 +372,28 @@ class TestCrossMoment:
             (2, 3, exact_cross_moment(t1, t2, "sinsin", 0.0, 1.0, eps)),
             (0, 3, exact_cross_moment(t1, t2, "cossin", 0.0, 1.0, eps)),
         ]
+        ests = cross_moment(samples, 0.0, 1.0)
         for i, j, target in cases:
-            est = cross_moment(samples, i, j, 0.0, 1.0)
+            est = ests[i, j]
             assert abs(est.value - target) <= 4.0 * est.std_error, (i, j)
 
     def test_bounded_weight_stays_in_band(self):
         cfg = ThetaConfig(cos_block=["1/2 pi"], sin_block=[2.2])
         samples = make_samples(cfg, 0.15, 2000, seed=216)
-        est = cross_moment(samples, 0, 1, 0.5, 1.0, conditioning=[0.25, 0.5])
+        est = cross_moment(samples, 0.5, 1.0, conditioning=[0.25, 0.5])[0, 1]
         assert abs(est.value) <= 4.0 * est.std_error
 
     def test_conditioning_after_increment_start_rejected(self):
         cfg = ThetaConfig(cos_block=[1.0, 2.0])
         samples = make_samples(cfg, 0.4, 10, seed=217)
         with pytest.raises(ValueError, match="must not exceed the increment start"):
-            cross_moment(samples, 0, 1, 0.5, 1.0, conditioning=[0.75])
+            cross_moment(samples, 0.5, 1.0, conditioning=[0.75])
 
     def test_decreasing_conditioning_times_rejected(self):
         cfg = ThetaConfig(cos_block=[1.0, 2.0])
         samples = make_samples(cfg, 0.4, 10, seed=217)
         with pytest.raises(ValueError, match="nondecreasing"):
-            cross_moment(samples, 0, 1, 0.5, 1.0, conditioning=[0.5, 0.25])
-
-    def test_diagonal_with_conditioning_accepted(self):
-        cfg = ThetaConfig(cos_block=[1.0, 2.0])
-        samples = make_samples(cfg, 0.4, 10, seed=217)
-        est = cross_moment(samples, 0, 0, 0.5, 1.0, conditioning=[0.25])
-        assert math.isfinite(est.value)
+            cross_moment(samples, 0.5, 1.0, conditioning=[0.5, 0.25])
 
 
 class TestStructuralBound:
@@ -424,14 +465,14 @@ class TestQuadraticVariation:
 
     def test_zero_path(self):
         block = self._zero_block()
-        assert np.array_equal(quadratic_variation(block, 0, block.grid.times), [0.0, 0.0])
+        assert np.array_equal(quadratic_variation(block, block.grid.times), [[0.0], [0.0]])
 
     def test_invariant_under_constant_shift(self):
         cfg = ThetaConfig(cos_block=[2.2])
         block = make_samples(cfg, 0.3, 2, seed=219)
         shifted = replace(block, values=block.values + 5.0)
-        a = quadratic_variation(block, 0, block.grid.times)
-        b = quadratic_variation(shifted, 0, block.grid.times)
+        a = quadratic_variation(block, block.grid.times)
+        b = quadratic_variation(shifted, block.grid.times)
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_mean_matches_exact_value(self):
@@ -439,34 +480,34 @@ class TestQuadraticVariation:
         eps, M, steps = 0.2, 1500, 8
         block = make_samples(cfg, eps, M, seed=220, steps=steps)
         partition = block.grid.times
-        qvs = quadratic_variation(block, 0, partition)
-        assert qvs.shape == (M,)
-        est = Estimate.from_observations(qvs)
+        qvs = quadratic_variation(block, partition)
+        assert qvs.shape == (M, 1)
+        est = Estimate.from_observations(qvs[:, 0])
         target = exact_qv_mean(2.2, "cos", partition, eps)
         assert abs(est.value - target) <= 4.0 * est.std_error
 
     def test_partition_validation(self):
         block = self._zero_block()
         with pytest.raises(ValueError):
-            quadratic_variation(block, 0, [0.0])
+            quadratic_variation(block, [0.0])
         with pytest.raises(ValueError):
-            quadratic_variation(block, 0, [0.5, 1.0])
+            quadratic_variation(block, [0.5, 1.0])
 
     def test_off_grid_and_unsorted_partitions_rejected(self):
         block = self._zero_block()  # grid 0, 1/8, ..., 1
         with pytest.raises(ValueError, match="not on the evaluation grid"):
-            quadratic_variation(block, 0, [0.0, 0.3, 1.0])
+            quadratic_variation(block, [0.0, 0.3, 1.0])
         with pytest.raises(ValueError, match="not on the evaluation grid"):
-            quadratic_variation(block, 0, [0.0, 0.5, 2.0])
+            quadratic_variation(block, [0.0, 0.5, 2.0])
         with pytest.raises(ValueError, match="strictly increasing"):
-            quadratic_variation(block, 0, [0.0, 0.5, 0.25])
+            quadratic_variation(block, [0.0, 0.5, 0.25])
         with pytest.raises(ValueError, match="strictly increasing"):
-            quadratic_variation(block, 0, [0.0, 0.5, 0.5])
+            quadratic_variation(block, [0.0, 0.5, 0.5])
 
     def test_off_grid_time_is_named_as_a_plain_float(self):
         block = self._zero_block()
         with pytest.raises(ValueError, match=r"^time 0\.3 is not on the evaluation grid$"):
-            quadratic_variation(block, 0, np.array([0.0, 0.3, 1.0]))
+            quadratic_variation(block, np.array([0.0, 0.3, 1.0]))
 
     def test_matches_index_of_lookup(self):
         # each row is the exact sum over that replication's own path
@@ -475,25 +516,25 @@ class TestQuadraticVariation:
         grid = block.grid
         for partition in (grid.times, list(grid.times[::4]), [0.0, 0.25, 1.0]):
             idx = [grid.index_of(t) for t in partition]
+            qvs = quadratic_variation(block, partition)
             for c in range(2):
-                qvs = quadratic_variation(block, c, partition)
                 for r in range(len(block)):
                     expected = _exact_sum(np.diff(block.values[r, c, idx]) ** 2)
-                    assert qvs[r] == expected
+                    assert qvs[r, c] == expected
 
 
 class TestFourthMoment:
     def test_zero_increments(self):
         cfg = ThetaConfig(sin_block=["pi"])
         samples = make_samples(cfg, 0.4, 50, seed=221)
-        est = fourth_moment_ratio(samples, 0, 0.0, 1.0)
+        (est,) = fourth_moment_ratio(samples, 0.0, 1.0)
         assert est.value == 0.0
 
     def test_requires_ordered_times(self):
         cfg = ThetaConfig(cos_block=[1.0])
         samples = make_samples(cfg, 0.4, 10, seed=222)
         with pytest.raises(ValueError):
-            fourth_moment_ratio(samples, 0, 1.0, 0.5)
+            fourth_moment_ratio(samples, 1.0, 0.5)
 
 
 class TestNormalityCheck:
@@ -545,7 +586,7 @@ class TestMartingaleResidual:
     def test_deterministic_zero_path(self):
         cfg = ThetaConfig(sin_block=["pi"])
         samples = make_samples(cfg, 0.4, 30, seed=227)
-        est = martingale_residual(samples, 0, 0.5, 1.0)
+        (est,) = martingale_residual(samples, 0.5, 1.0)
         assert est.value == 0.0
         assert est.std_error == 0.0
 
@@ -556,7 +597,7 @@ class TestMartingaleResidual:
         eps, M, T, steps = 0.8, 4000, 0.32, 16
         samples = make_samples(cfg, eps, M, seed=228, T=T, steps=steps)
         s, t = 0.02, 0.3
-        est = martingale_residual(samples, 0, s, t)
+        (est,) = martingale_residual(samples, s, t)
         target = exact_mean_increment(math.pi / 2, "cos", s, t, eps)
         assert abs(target) > 0.05  # the case is genuinely non-degenerate
         assert abs(est.value - target) <= 4.0 * est.std_error
@@ -564,8 +605,7 @@ class TestMartingaleResidual:
     def test_bounded_weight_in_band(self):
         cfg = ThetaConfig(cos_block=["1/2 pi"], sin_block=[1.1])
         samples = make_samples(cfg, 0.15, 2000, seed=229)
-        for c in range(2):
-            est = martingale_residual(samples, c, 0.5, 1.0, conditioning=[0.25, 0.5])
+        for est in martingale_residual(samples, 0.5, 1.0, conditioning=[0.25, 0.5]):
             assert abs(est.value) <= 4.0 * est.std_error
 
     @pytest.mark.parametrize(
@@ -576,7 +616,7 @@ class TestMartingaleResidual:
         cfg = ThetaConfig(cos_block=[1.0])
         samples = make_samples(cfg, 0.4, 10, seed=229)
         with pytest.raises(ValueError, match=message):
-            martingale_residual(samples, 0, 0.5, 1.0, conditioning=conditioning)
+            martingale_residual(samples, 0.5, 1.0, conditioning=conditioning)
 
 
 class TestStroockVariance:
