@@ -72,6 +72,15 @@ class PoissonPath:
         return int(c) if np.isscalar(x) else c
 
 
+def _first_block_size(horizon: float) -> int:
+    """Uniforms in ``sample_poisson_path``'s first block at ``horizon``.
+
+    The block covers the expected count plus a generous tail, so almost
+    every path ends in it and has at most this many jumps.
+    """
+    return max(16, int(horizon + 4.0 * math.sqrt(horizon) + 16.0))
+
+
 def sample_poisson_path(horizon: float, stream: np.random.Generator) -> PoissonPath:
     """Draw a path by accumulating unit-mean exponential interarrivals.
 
@@ -92,8 +101,7 @@ def sample_poisson_path(horizon: float, stream: np.random.Generator) -> PoissonP
 
     parts: list[np.ndarray] = []
     t = 0.0
-    # one block covers the expected count plus a generous tail most of the time
-    block = max(16, int(horizon + 4.0 * math.sqrt(horizon) + 16.0))
+    block = _first_block_size(horizon)
     while True:
         times = stream.random(block)
         np.maximum(times, _TINY, out=times)  # guard U == 0.0

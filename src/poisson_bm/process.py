@@ -20,16 +20,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import ThetaConfig
-from .poisson import PoissonPath, _level_values
+from .poisson import PoissonPath, _first_block_size, _level_values
 
-# Memory cap of one replication, in bytes: build_sample holds about
-# 26 + 32*ceil(d/2) bytes per jump (path and starts, then the level table and
-# the prefix sums in ceil(d/2) complex rows), 2T/eps^2 jumps on average.
+# Memory cap of one replication, in bytes, charged at 26 + 32*ceil(d/2)
+# bytes per jump, 2T/eps^2 jumps on average. That over-counts: a path holds
+# 8 bytes per jump (plus its block's uncut tail) and the level table
+# 16*ceil(d/2), while build_sample holds its prefix sums one sub-block at a
+# time. The charge stays until the cap becomes a time budget.
 REPLICATION_BYTES_CAP = 2**30
 
 # Memory cap of one epsilon's sample block, the (M, d, G) float64 array
 # that generate_samples gathers, in bytes.
 BLOCK_BYTES_CAP = 2**31
+
+# Jump segments per sub-block of build_sample's prefix sums. Its working
+# memory is about (16*ceil(d/2) + 32) * SUB_BLOCK bytes whatever the path's
+# length: the prefix rows, the segment starts, their widths, and numpy's
+# default ufunc buffer (8192 elements) casting the widths to complex.
+SUB_BLOCK = 8192
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -184,10 +192,12 @@ class BuildPlan:
     imaginary parts with +0.0). ``level_floats`` is the same memory as a
     (rows, K, 2) float64 array. Component i's lane holds
     ``_level_values`` of component i, and a level's value does not
-    depend on K, so a longer path appends only the levels [K_old, K_new):
-    the table always holds exactly the levels reached. A pickled plan
-    carries only (config, epsilon, grid); it is rebuilt with an empty
-    table where it is loaded.
+    depend on K. The first path sizes the table for the longest path
+    that ``sample_poisson_path`` draws from its first block of uniforms
+    at 2T/eps^2, so the table grows once; only a path that needed a
+    second block appends the levels [K_old, K_new) it reaches. A pickled
+    plan carries only (config, epsilon, grid); it is rebuilt with an
+    empty table where it is loaded.
     """
 
     def __init__(self, config: ThetaConfig, epsilon: float, grid: EvaluationGrid) -> None:
@@ -210,19 +220,29 @@ class BuildPlan:
         self.level_floats = table.view(np.float64).reshape(*table.shape, 2)
 
     def level_table(self, n_levels: int) -> np.ndarray:
-        """The level table, first grown by its missing tail if shorter than n_levels."""
+        """The level table, first grown by its missing tail if shorter than n_levels.
+
+        An empty table grows to at least one level per jump of a path
+        drawn from one block of uniforms, plus level 0. The tail is filled
+        ``SUB_BLOCK`` levels at a time, which bounds the temporaries of
+        ``_level_values`` (long double phases for decimal angles).
+        """
         old = self.levels
         k_old = old.shape[1]
         if k_old < n_levels:
+            if k_old == 0:
+                n_levels = max(n_levels, _first_block_size(self.needed) + 1)
             table = np.empty((old.shape[0], n_levels), dtype=np.complex128)
             table[:, :k_old] = old
-            tail = table[:, k_old:].view(np.float64)  # per row: re, im, re, im, ...
-            for c, angle in enumerate(self.config.angles):
-                tail[c // 2, c % 2::2] = _level_values(
-                    angle, n_levels, self.config.component_kind(c), start=k_old
-                )
-            if self.config.dimension % 2:
-                tail[-1, 1::2] = 0.0
+            for lo in range(k_old, n_levels, SUB_BLOCK):
+                hi = min(lo + SUB_BLOCK, n_levels)
+                part = table[:, lo:hi].view(np.float64)  # per row: re, im, re, im, ...
+                for c, angle in enumerate(self.config.angles):
+                    part[c // 2, c % 2::2] = _level_values(
+                        angle, hi, self.config.component_kind(c), start=lo
+                    )
+                if self.config.dimension % 2:
+                    part[-1, 1::2] = 0.0
             self._set_levels(table)
         return self.levels
 
@@ -238,14 +258,21 @@ def build_sample(path: PoissonPath, plan: BuildPlan) -> ProcessSample:
     Cost is O(dimension * jumps) adds: everything that depends only on
     (config, epsilon, grid), i.e. 2T/eps^2, the grid's path times
     2t/eps^2 and the level values trig(theta_i * k), comes from ``plan``,
-    whose level table only a path longer than every earlier one grows.
-    The plan pairs the components two to a complex128 row (see
-    ``BuildPlan``), so one prefix sum over the path's jump segments runs
-    ceil(d/2) dependent add chains, each with two independent lanes. A
-    complex addition is two IEEE additions, and a complex level times a
-    real width is exactly the two real products, since no level is -0.0
-    and every width is > 0; so each lane rounds exactly as a float64 row
-    of its own would. Row i agrees bit for bit with
+    whose level table the first path sizes (see ``BuildPlan``). The plan
+    pairs the components two to a complex128 row, so one prefix sum over
+    the path's jump segments runs ceil(d/2) dependent add chains, each
+    with two independent lanes. A complex addition is two IEEE
+    additions, and a complex level times a real width is exactly the two
+    real products, since no level is -0.0 and every width is > 0; so
+    each lane rounds exactly as a float64 row of its own would.
+
+    The prefix sum walks the segments in sub-blocks of ``SUB_BLOCK``,
+    in one buffer whose column 0 carries the previous sub-block's last
+    prefix, so one accumulate continues the chain with carry + x0, the
+    addition an unblocked accumulate makes there. Only the prefix values
+    at the grid's path times are kept, so the working memory does not
+    grow with the path; a path of at most ``SUB_BLOCK`` jumps is one
+    sub-block. Row i agrees bit for bit with
     eps * integral_from_zero(path, theta_i, kind_i, path times), with the
     1/sqrt(2) factor applied afterwards for pi-rescaled components.
     """
@@ -257,27 +284,49 @@ def build_sample(path: PoissonPath, plan: BuildPlan) -> ProcessSample:
         )
 
     # the steps of integral_from_zero, run for all components at once, two
-    # to a complex row; count level k holds on [starts[k], starts[k + 1])
+    # to a complex row; count level k holds on [starts[k], starts[k + 1]).
+    # Within the sub-block of segments [lo, hi), starts[i] and prefix[:, i]
+    # hold level lo + i
     jumps = path.jump_times
     n = jumps.size
-    levels = plan.level_table(n + 1)  # first: growth briefly holds the old and new table
-    starts = np.empty(n + 1)
+    levels = plan.level_table(n + 1)
+    rows = levels.shape[0]
+    starts = np.empty(min(n, SUB_BLOCK) + 1)
     starts[0] = 0.0
-    starts[1:] = jumps
-    prefix = np.empty((levels.shape[0], n + 1), dtype=np.complex128)
+    prefix = np.empty((rows, starts.size), dtype=np.complex128)
     prefix[:, 0] = 0.0
-    segments = prefix[:, 1:]
-    # (a + bi)(w + 0i) = a w + b w i exactly: no level is -0.0 and w > 0
-    np.multiply(levels[:, :n], jumps - starts[:-1], out=segments)
-    # one chain per row, two independent lanes in it; cumsum's own ufunc
-    np.add.accumulate(segments, axis=1, out=segments)
-    # eps * (prefix[:, j] + levels[:, j] * (xs - starts[j])) in float64, in
-    # place, on (rows, G, 2) views; then the rows in component order
+    prefix_floats = prefix.view(np.float64).reshape(rows, starts.size, 2)
     j = jumps.searchsorted(xs, side="right")  # as in sample_poisson_path
-    lanes = plan.level_floats.take(j, axis=1)
-    lanes *= (xs - starts.take(j))[:, None]
-    lanes += prefix.view(np.float64).reshape(lanes.shape[0], n + 1, 2).take(j, axis=1)
+    lanes = plan.level_floats.take(j, axis=1)  # (rows, G, 2)
+    lo = g0 = 0
+    while True:
+        hi = min(lo + SUB_BLOCK, n)
+        m = hi - lo
+        ends = jumps[lo:hi]
+        starts[1 : m + 1] = ends
+        segments = prefix[:, 1 : m + 1]
+        # (a + bi)(w + 0i) = a w + b w i exactly: no level is -0.0 and w > 0
+        np.multiply(levels[:, lo:hi], ends - starts[:m], out=segments)
+        # one chain per row, two independent lanes in it; cumsum's own ufunc.
+        # Past the first sub-block it starts from the carry in column 0
+        chain = prefix[:, : m + 1] if lo else segments
+        np.add.accumulate(chain, axis=1, out=chain)
+        # eps * (prefix[:, j] + levels[:, j] * (xs - starts[j])) in float64,
+        # in place, for the grid times whose level j lies in this sub-block
+        if lo == 0 and hi == n:  # the whole path: no slicing
+            k, x, part = j, xs, lanes
+        else:
+            g1 = j.size if hi == n else int(j.searchsorted(hi, side="right"))
+            k, x, part = j[g0:g1] - lo, xs[g0:g1], lanes[:, g0:g1]
+        part *= (x - starts.take(k))[:, None]
+        part += prefix_floats.take(k, axis=1)
+        if hi == n:
+            break
+        starts[0] = starts[m]
+        prefix[:, 0] = prefix[:, m]
+        lo, g0 = hi, g1
     lanes *= plan.epsilon
+    # the rows in component order
     values = lanes.transpose(0, 2, 1).reshape(-1, j.size)[: plan.config.dimension]
     for i in plan.rescaled:
         values[i] *= INV_SQRT2

@@ -130,6 +130,7 @@ def generate_samples(
     and a pool worker rebuilds it from (theta, epsilon, grid). Chunks
     are cut from ``config.workers`` alone, so the bytes do not depend on
     the host; the pool starts at most one process per chunk and per CPU.
+    Each chunk is copied into the one (M, d, G) block as it arrives.
     """
     epsilon = config.epsilons[eps_index]
     plan = BuildPlan(config.theta, epsilon, grid)
@@ -142,9 +143,10 @@ def generate_samples(
                 for lo in range(0, M, chunk)]
         # under fork the pool starts all max_workers processes at the first submit
         pool_size = min(config.workers, len(jobs), os.cpu_count() or 1)
+        values = np.empty((M, config.theta.dimension, len(grid)))
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            blocks = list(pool.map(_chunk_values, jobs))
-        values = np.concatenate(blocks, axis=0)
+            for (*_, lo, hi), rows in zip(jobs, pool.map(_chunk_values, jobs)):
+                values[lo:hi] = rows
     return SampleBlock(epsilon=epsilon, config=config.theta, grid=grid, values=values)
 
 
@@ -481,6 +483,7 @@ def run_experiment(config: RunConfig) -> RunReport:
             block_checks.append(_check_entry(name, *CHECKS[name](block)))
             timings[f"{key}/{name}"] = time.perf_counter() - t
         results.append({"epsilon": float(epsilon), "checks": block_checks})
+        del block  # the next epsilon's block is made without this one alive
         timings[key] = time.perf_counter() - t0
 
     # each check's data across epsilon, for the summaries that read it

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from poisson_bm import (
     sample_poisson_path,
     trig_integral,
 )
-from poisson_bm.poisson import _level_values, integral_from_zero
-from poisson_bm.process import INV_SQRT2
+from poisson_bm.poisson import _first_block_size, _level_values, integral_from_zero
+from poisson_bm.process import INV_SQRT2, SUB_BLOCK
 
 EPS = 0.4
 T = 1.0
@@ -178,17 +179,18 @@ def _reference_values(path, eps, cfg, grid):
     return np.vstack(rows)
 
 
+def _assert_matches_reference(path, plan):
+    got = build_sample(path, plan).values
+    want = _reference_values(path, plan.epsilon, plan.config, plan.grid)
+    assert got.tobytes() == want.tobytes()
+
+
 class TestBuildSampleBitIdentity:
     """The plan's level table and the 2-D prefix sum change no bit."""
 
     MIXED = ThetaConfig(
         cos_block=["pi", 2.2, "2/5 pi"], sin_block=["1/2 pi", 1.1], allow_pi_in_cos=True
     )
-
-    def _assert_matches_reference(self, path, plan):
-        got = build_sample(path, plan).values
-        want = _reference_values(path, plan.epsilon, plan.config, plan.grid)
-        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "cfg",
@@ -203,12 +205,12 @@ class TestBuildSampleBitIdentity:
     def test_matches_per_component_integral(self, cfg, eps, steps):
         plan = BuildPlan(cfg, eps, EvaluationGrid.uniform(T, steps))
         for rep in range(6):
-            self._assert_matches_reference(_path_for(eps=eps, rep=rep), plan)
+            _assert_matches_reference(_path_for(eps=eps, rep=rep), plan)
 
     def test_zero_jump_path(self):
         plan = BuildPlan(self.MIXED, EPS, EvaluationGrid.uniform(T, 8))
         empty = PoissonPath(horizon=map_to_path_time(T, EPS), jump_times=np.empty(0))
-        self._assert_matches_reference(empty, plan)
+        _assert_matches_reference(empty, plan)
         assert np.all(build_sample(empty, plan).values[3:] == 0.0)
 
     def test_grown_table_serves_shorter_paths(self):
@@ -220,11 +222,14 @@ class TestBuildSampleBitIdentity:
         long = _path_for(eps=eps, seed=302, margin=8.0)
         plan = BuildPlan(cfg, eps, grid)
         assert plan.levels.shape == (2, 0)
-        self._assert_matches_reference(short, plan)
-        assert plan.levels.shape == (2, short.jump_times.size + 1)
-        self._assert_matches_reference(long, plan)
+        _assert_matches_reference(short, plan)
+        # the first path sizes the table for any path from one block of uniforms
+        first = _first_block_size(plan.needed) + 1
+        assert short.jump_times.size + 1 < first < long.jump_times.size + 1
+        assert plan.levels.shape == (2, first)
+        _assert_matches_reference(long, plan)
         assert plan.levels.shape == (2, long.jump_times.size + 1)
-        self._assert_matches_reference(short, plan)
+        _assert_matches_reference(short, plan)
         assert plan.levels.shape == (2, long.jump_times.size + 1)
         # the table grown by its tail equals one built in a single step
         fresh = BuildPlan(cfg, eps, grid).level_table(long.jump_times.size + 1)
@@ -383,6 +388,7 @@ class TestPathTimePlans:
         margins = (1.0, 4.0, 1.0)  # the long path grows the table
         paths = [_path_for(eps=0.3, seed=403, rep=r, margin=m) for r, m in enumerate(margins)]
         want = [build_sample(path, plan).values.tobytes() for path in paths]
+        assert _first_block_size(plan.needed) + 1 < paths[1].jump_times.size + 1
         assert plan.levels.shape == (3, paths[1].jump_times.size + 1)
         assert plan.__reduce__() == (BuildPlan, (plan.config, plan.epsilon, grid))
         clone = pickle.loads(pickle.dumps(plan))
@@ -394,6 +400,14 @@ class TestPathTimePlans:
         for array in (clone.xs, clone.levels, clone.level_floats):
             assert not array.flags.writeable
         assert np.shares_memory(clone.level_floats, clone.levels)
+
+    def test_table_grows_once_for_paths_from_one_block(self):
+        plan = BuildPlan(self.MIXED, 0.2, EvaluationGrid.uniform(T, 4))
+        shapes = set()
+        for rep in range(200):
+            build_sample(sample_poisson_path(plan.needed, derive_stream(405, 0, rep)), plan)
+            shapes.add(plan.levels.shape)
+        assert shapes == {(3, _first_block_size(plan.needed) + 1)}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_plan_outlives_a_run(self, workers):
@@ -454,6 +468,93 @@ class TestPinnedBits:
             for r in range(20)
         ])
         assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+
+class TestSubBlocks:
+    """``build_sample`` walks the jump segments ``SUB_BLOCK`` at a time. Each
+    row still equals its own ``integral_from_zero`` bit for bit, wherever
+    the sub-block boundaries fall, and the working memory of a call does
+    not grow with the path."""
+
+    CONFIGS = {
+        "d5_mixed_pi": TestBuildSampleBitIdentity.MIXED,  # odd d, a pi-rescaled lane
+        "d1_decimal": ThetaConfig(sin_block=[2.2]),
+    }
+
+    @staticmethod
+    def _plan_and_path(cfg, n, seed):
+        """A plan whose 2T/eps^2 is about n, and a path of exactly n sorted
+        uniform jumps on (0, 2T/eps^2]."""
+        plan = BuildPlan(cfg, math.sqrt(2.0 * T / (n + 0.5)), EvaluationGrid.uniform(T, 16))
+        jumps = np.sort(derive_stream(seed, 0, n).random(n)) * plan.needed
+        return plan, PoissonPath(horizon=plan.needed, jump_times=jumps)
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    @pytest.mark.parametrize(
+        "n", [SUB_BLOCK - 1, SUB_BLOCK, SUB_BLOCK + 1, 2 * SUB_BLOCK + 1]
+    )
+    def test_matches_reference_around_sub_block_sizes(self, name, n):
+        plan, path = self._plan_and_path(self.CONFIGS[name], n, seed=601)
+        assert path.jump_times.size == n
+        _assert_matches_reference(path, plan)
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_grid_times_on_the_last_jump_of_a_sub_block(self, name):
+        # grid path times 0, N/4, N/2, 3N/4 and N, with N = 2T/eps^2 about
+        # 2.5 sub-blocks. Jump SUB_BLOCK - 1, the last of the first sub-block,
+        # sits at N/4 and jump 2 SUB_BLOCK - 1 at N/2: there the level is the
+        # sub-block's end and the offset from its start exactly 0
+        eps = math.sqrt(2.0 * T / (2.5 * SUB_BLOCK))
+        plan = BuildPlan(self.CONFIGS[name], eps, EvaluationGrid.uniform(T, 4))
+        xs = plan.xs
+        jumps = np.concatenate((
+            np.linspace(xs[1] / SUB_BLOCK, xs[1], SUB_BLOCK),
+            np.linspace(xs[1], xs[2], SUB_BLOCK + 1)[1:],
+            np.arange(xs[2] + 0.7, plan.needed, 1.3),
+        ))
+        path = PoissonPath(horizon=plan.needed, jump_times=jumps)
+        assert path.count(xs).tolist()[1:3] == [SUB_BLOCK, 2 * SUB_BLOCK]
+        assert path.jump_times.size > 2 * SUB_BLOCK
+        _assert_matches_reference(path, plan)
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_zero_jump_path_at_a_long_horizon(self, name):
+        plan = BuildPlan(self.CONFIGS[name], 0.01, EvaluationGrid.uniform(T, 16))
+        _assert_matches_reference(
+            PoissonPath(horizon=plan.needed, jump_times=np.empty(0)), plan
+        )
+
+    def test_long_paths_config_recorded_bits(self):
+        # recorded before the sub-blocked prefix sums: 5 replications of
+        # (12345, 1, r) on the benchmark's long_paths config at eps = 0.01,
+        # paths of about 20k jumps, three sub-blocks each
+        plan = BuildPlan(TestPinnedBits.CONFIGS["pi_rescaled"], 0.01,
+                         EvaluationGrid.uniform(1.0, 16))
+        paths = [sample_poisson_path(plan.needed, derive_stream(12345, 1, r))
+                 for r in range(5)]
+        assert min(path.jump_times.size for path in paths) > 2 * SUB_BLOCK
+        values = np.stack([build_sample(path, plan).values for path in paths])
+        assert hashlib.sha256(values.tobytes()).hexdigest() == (
+            "5c7618f5f189129674765017ca510ad5ce844c407053bd6ee77cac1c08fef26c"
+        )
+
+    @pytest.mark.parametrize(
+        "cfg", [CONFIGS["d5_mixed_pi"], TestPinnedBits.CONFIGS["pi_rescaled"]], ids=["d5", "d4"]
+    )
+    def test_working_memory_is_bounded_by_the_sub_block(self, cfg):
+        plan, path = self._plan_and_path(cfg, 3 * SUB_BLOCK, seed=602)
+        build_sample(path, plan)  # the level table is the plan's, not the call's
+        tracemalloc.start()
+        try:
+            build_sample(path, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # per sub-block: the starts (8 bytes), the prefix rows (16 each), the
+        # widths (8) and numpy's buffer casting them to complex (16); what
+        # scales with the grid and the call's own objects fit in 16 KiB
+        rows = plan.levels.shape[0]
+        assert peak <= (8 + 16 * rows + 8 + 16) * (SUB_BLOCK + 1) + 16 * 1024
 
 
 class TestProcessSample:

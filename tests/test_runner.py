@@ -2,6 +2,8 @@
 
 import inspect
 import json
+import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -101,6 +103,38 @@ class TestGenerateSamples:
         assert block.values.tobytes() == serial.values.tobytes()
 
 
+    def test_pooled_chunks_are_gathered_into_one_block(self, monkeypatch):
+        class InProcessPool:
+            """Stands in for ProcessPoolExecutor: makes each chunk as it is read."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+        M, steps = 400, 64
+        cfg = minimal_config(replications_M=M, grid_points=steps, workers=2,
+                             checks=("covariance",))
+        tracemalloc.start()
+        try:
+            block = generate_samples(cfg, EvaluationGrid.uniform(1.0, steps), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the block, one chunk of 16 and one replication's work; not the
+        # chunks and their concatenation, two blocks
+        assert block.values.nbytes == M * (steps + 1) * 8
+        assert peak < 1.5 * block.values.nbytes
+
+
 class TestRunExperiment:
     def test_check_table_covers_every_check(self):
         assert tuple(CHECKS) == ALL_CHECKS
@@ -108,6 +142,24 @@ class TestRunExperiment:
     def test_every_check_is_a_function_of_its_block(self):
         for check in CHECKS.values():
             assert list(inspect.signature(check).parameters) == ["block"], check.__name__
+
+    def test_each_epsilons_block_is_dropped_before_the_next_is_made(self, monkeypatch):
+        made = []
+        generate = runner.generate_samples
+
+        def recording(config, grid, eps_index):
+            # run_experiment no longer reaches any earlier block, nor its values
+            assert [ref() for refs in made for ref in refs] == [None] * (2 * len(made))
+            block = generate(config, grid, eps_index)
+            made.append((weakref.ref(block), weakref.ref(block.values)))
+            return block
+
+        monkeypatch.setattr(runner, "generate_samples", recording)
+        theta = ThetaConfig(cos_block=["pi", "1/2 pi"], sin_block=[1.1], allow_pi_in_cos=True)
+        cfg = minimal_config(theta=theta, epsilons=(0.4, 0.3, 0.2), replications_M=120,
+                             grid_points=4, checks=ALL_CHECKS)
+        run_experiment(cfg)
+        assert len(made) == 3
 
     def test_minimal_smoke_run_covariance_passes(self):
         report = run_experiment(minimal_config())

@@ -30,6 +30,13 @@ at workers 2 the user+sys time of the interpreter plus its joined pool
 workers from ``resource.getrusage``. Unlike ``rate_sweep``'s
 ``run_s``, it leaves out time spent waiting for a core, and unlike
 both ``run_s`` and ``cpu_s`` it leaves out the checks and the report.
+
+Then, for as many pairs, both sides trace ``generate_samples`` with
+``tracemalloc`` for every epsilon of the benchmark's ``long_paths``
+config, at workers 1, each side in a fresh interpreter, in the same
+alternating order. The record is each epsilon's peak of traced memory in
+KiB: the block it returns plus the working memory of making it. Unlike
+``peak_rss_mb``, it has no floor at the harness's own RSS.
 """
 
 from __future__ import annotations
@@ -91,6 +98,26 @@ print(json.dumps({"cpu_us_per_rep": c / reps * 1e6, "wall_us_per_rep": t / reps 
 """
 GENERATE_WORKLOAD = "rate_sweep"
 GENERATE_WORKERS = (1, 2)
+
+# Runs in a fresh interpreter with the side's checkout as working directory:
+# the tracemalloc peak of generate_samples at each epsilon of a config, at
+# workers 1, in KiB.
+TRACE_MEMORY = """
+import json, sys, tracemalloc
+from dataclasses import replace
+sys.path.insert(0, "src")
+from poisson_bm import EvaluationGrid, generate_samples, load_config
+config = replace(load_config(sys.argv[1]), workers=1)
+grid = EvaluationGrid.uniform(config.horizon_T, config.grid_points)
+peaks = {}
+for eps_index, epsilon in enumerate(config.epsilons):
+    tracemalloc.start()
+    generate_samples(config, grid, eps_index)
+    peaks[f"{epsilon:g}"] = tracemalloc.get_traced_memory()[1] / 1024
+    tracemalloc.stop()
+print(json.dumps(peaks))
+"""
+MEMORY_WORKLOAD = "long_paths"
 
 
 def git(*args: str) -> str:
@@ -177,14 +204,21 @@ def bench_d32(sides: dict[str, Path], pairs: int, scratch: Path) -> dict:
     }
 
 
-def bench_generate(sides: dict[str, Path], pairs: int, scratch: Path,
-                   seed: int | None) -> dict:
+def workload_config(workload: str, scratch: Path, seed: int | None) -> tuple[Path, int]:
+    """The benchmark's config file for ``workload``, as the change's
+    ``perfbench/run.py`` writes it, and its seed."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from run import DEFAULT_SEED, config_text
 
     seed = DEFAULT_SEED if seed is None else seed
-    config = scratch / f"{GENERATE_WORKLOAD}.cfg"
-    config.write_text(config_text(GENERATE_WORKLOAD, seed, scratch / "generate-out"))
+    config = scratch / f"{workload}.cfg"
+    config.write_text(config_text(workload, seed, scratch / f"{workload}-out"))
+    return config, seed
+
+
+def bench_generate(sides: dict[str, Path], pairs: int, scratch: Path,
+                   seed: int | None) -> dict:
+    config, seed = workload_config(GENERATE_WORKLOAD, scratch, seed)
     runs: dict[int, dict[str, list[dict]]] = {w: {side: [] for side in sides}
                                               for w in GENERATE_WORKERS}
     for i in range(pairs):
@@ -203,6 +237,23 @@ def bench_generate(sides: dict[str, Path], pairs: int, scratch: Path,
             for name in ("cpu_us_per_rep", "wall_us_per_rep")
         }
     return out
+
+
+def bench_memory(sides: dict[str, Path], pairs: int, scratch: Path,
+                 seed: int | None) -> dict:
+    config, seed = workload_config(MEMORY_WORKLOAD, scratch, seed)
+    runs: dict[str, list[dict]] = {side: [] for side in sides}
+    for i in range(pairs):
+        for side, root in pair_order(i, sides):
+            runs[side].append(last_json_line([sys.executable, "-c", TRACE_MEMORY, str(config)],
+                                             root))
+            print(f"memory pair {i} {side}: {runs[side][-1]} KiB", file=sys.stderr)
+    return {
+        "workload": MEMORY_WORKLOAD, "seed": seed, "workers": 1, "unit": "KiB",
+        "peak_kib": {eps: compare([r[eps] for r in runs["parent"]],
+                                  [r[eps] for r in runs["change"]], "lower")
+                     for eps in runs["parent"][0]},
+    }
 
 
 def environment() -> dict:
@@ -249,6 +300,7 @@ def main(argv: list[str] | None = None) -> int:
             "workloads": bench_workloads(sides, bench, args.pairs, args.seconds, args.seed),
             "d32": bench_d32(sides, args.pairs, scratch),
             "generate": bench_generate(sides, args.pairs, scratch, args.seed),
+            "memory": bench_memory(sides, args.pairs, scratch, args.seed),
         }
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
