@@ -102,7 +102,6 @@ class TestGenerateSamples:
         serial = generate_samples(replace(cfg, workers=1), grid, 0)
         assert block.values.tobytes() == serial.values.tobytes()
 
-
     def test_pooled_chunks_are_gathered_into_one_block(self, monkeypatch):
         class InProcessPool:
             """Stands in for ProcessPoolExecutor: makes each chunk as it is read."""
