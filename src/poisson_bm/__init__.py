@@ -33,7 +33,6 @@ from .poisson import (
 from .process import (
     BuildPlan,
     EvaluationGrid,
-    ProcessSample,
     SampleBlock,
     build_sample,
     map_to_path_time,
@@ -72,7 +71,6 @@ __all__ = [
     "InvalidThetaError",
     "NormalityReport",
     "PoissonPath",
-    "ProcessSample",
     "RunConfig",
     "RunReport",
     "SampleBlock",

@@ -13,7 +13,6 @@ scaled by 1/sqrt(2).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -100,61 +99,12 @@ class EvaluationGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class ProcessSample:
-    """One evaluated path of the approximant: values[(component, grid index)]."""
-
-    epsilon: float
-    config: ThetaConfig
-    grid: EvaluationGrid
-    values: np.ndarray
-
-    def __init__(
-        self, epsilon: float, config: ThetaConfig, grid: EvaluationGrid, values: np.ndarray
-    ) -> None:
-        v = np.asarray(values, dtype=np.float64)
-        if v.shape != (config.dimension, len(grid)):
-            raise ValueError(
-                f"values shape {v.shape} does not match ({config.dimension}, {len(grid)})"
-            )
-        self.__dict__.update(epsilon=epsilon, config=config, grid=grid, values=v)
-
-    @classmethod
-    def _unchecked(
-        cls, epsilon: float, config: ThetaConfig, grid: EvaluationGrid, values: np.ndarray
-    ) -> "ProcessSample":
-        """A sample built without ``__init__``'s shape check.
-
-        For ``build_sample`` only, whose ``values`` is already a float64
-        (dimension, len(grid)) array.
-        """
-        sample = object.__new__(cls)
-        sample.__dict__.update(epsilon=epsilon, config=config, grid=grid, values=values)
-        return sample
-
-    @property
-    def dimension(self) -> int:
-        return self.config.dimension
-
-    def at_time(self, t: float) -> np.ndarray:
-        return self.values[:, self.grid.index_of(t)]
-
-    def to_csv(self) -> str:
-        """CSV export: header t,comp_1,...,comp_d; 17 significant digits; LF."""
-        buf = io.StringIO()
-        d = self.dimension
-        buf.write("t," + ",".join(f"comp_{i}" for i in range(1, d + 1)) + "\n")
-        for g, t in enumerate(self.grid.times):
-            row = [f"{t:.17g}"] + [f"{self.values[c, g]:.17g}" for c in range(d)]
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
-
-
-@dataclass(frozen=True, eq=False)
 class SampleBlock:
     """M replications at one epsilon: values[(replication, component, grid index)].
 
-    The in-memory form of a set of paths that share a config, an epsilon
-    and a grid; every estimator in ``stats`` reads ``values`` directly.
+    The one in-memory form of paths that share a config, an epsilon and
+    a grid, one (``build_sample``) or M of them (``generate_samples``);
+    every estimator in ``stats`` reads ``values`` directly.
     """
 
     epsilon: float
@@ -170,6 +120,19 @@ class SampleBlock:
                 f"values shape {v.shape} does not match "
                 f"(M, {self.config.dimension}, {len(self.grid)})"
             )
+
+    @classmethod
+    def _unchecked(
+        cls, epsilon: float, config: ThetaConfig, grid: EvaluationGrid, values: np.ndarray
+    ) -> "SampleBlock":
+        """A block without the shape check, for ``build_sample``'s (1, d, G) float64."""
+        block = object.__new__(cls)
+        block.__dict__.update(epsilon=epsilon, config=config, grid=grid, values=values)
+        return block
+
+    @property
+    def dimension(self) -> int:
+        return self.config.dimension
 
     def __len__(self) -> int:
         return int(self.values.shape[0])
@@ -252,8 +215,9 @@ def _rows(dimension: int) -> int:
     return -(-dimension // 2)
 
 
-def build_sample(path: PoissonPath, plan: BuildPlan) -> ProcessSample:
-    """Evaluate every component on the grid from one shared Poisson path.
+def build_sample(path: PoissonPath, plan: BuildPlan) -> SampleBlock:
+    """Evaluate every component on the grid from one shared Poisson path,
+    as a one-replication block of shape (1, dimension, len(grid)).
 
     Cost is O(dimension * jumps) adds: everything that depends only on
     (config, epsilon, grid), i.e. 2T/eps^2, the grid's path times
@@ -269,7 +233,9 @@ def build_sample(path: PoissonPath, plan: BuildPlan) -> ProcessSample:
     The prefix sum walks the segments in sub-blocks of ``SUB_BLOCK``,
     in one buffer whose column 0 carries the previous sub-block's last
     prefix, so one accumulate continues the chain with carry + x0, the
-    addition an unblocked accumulate makes there. Only the prefix values
+    addition an unblocked accumulate makes there. On the first sub-block
+    column 0 holds +0.0, and +0.0 + x0 is x0 for every product the
+    kernel makes, since none is -0.0. Only the prefix values
     at the grid's path times are kept, so the working memory does not
     grow with the path; a path of at most ``SUB_BLOCK`` jumps is one
     sub-block. Row i agrees bit for bit with
@@ -307,9 +273,9 @@ def build_sample(path: PoissonPath, plan: BuildPlan) -> ProcessSample:
         segments = prefix[:, 1 : m + 1]
         # (a + bi)(w + 0i) = a w + b w i exactly: no level is -0.0 and w > 0
         np.multiply(levels[:, lo:hi], ends - starts[:m], out=segments)
-        # one chain per row, two independent lanes in it; cumsum's own ufunc.
-        # Past the first sub-block it starts from the carry in column 0
-        chain = prefix[:, : m + 1] if lo else segments
+        # one chain per row, two independent lanes in it; cumsum's own ufunc,
+        # started from the carry in column 0 (+0.0 on the first sub-block)
+        chain = prefix[:, : m + 1]
         np.add.accumulate(chain, axis=1, out=chain)
         # eps * (prefix[:, j] + levels[:, j] * (xs - starts[j])) in float64,
         # in place, for the grid times whose level j lies in this sub-block
@@ -330,4 +296,4 @@ def build_sample(path: PoissonPath, plan: BuildPlan) -> ProcessSample:
     values = lanes.transpose(0, 2, 1).reshape(-1, j.size)[: plan.config.dimension]
     for i in plan.rescaled:
         values[i] *= INV_SQRT2
-    return ProcessSample._unchecked(plan.epsilon, plan.config, plan.grid, values)
+    return SampleBlock._unchecked(plan.epsilon, plan.config, plan.grid, values[None])

@@ -18,7 +18,8 @@ Example::
 required keys, and a key the file leaves out takes the field's default.
 A value that does not parse is reported with its line, key and value;
 an empty check list, or cross moments of a single component, is
-rejected, since it would pass vacuously.
+rejected, since it would pass vacuously, and so is "default" listed
+with check names.
 
 Only the output directory and the worker count may be overridden from
 the environment (POISSON_BM_OUTPUT_DIR, POISSON_BM_WORKERS); their
@@ -56,6 +57,22 @@ ALL_CHECKS = (
     CHECK_MARTINGALE,
     CHECK_STROOCK,
 )
+
+# check -> (its test on the config, what it needs, the fix), in the order
+# validation reports them. The default bundle leaves out an unfed check named
+# in _DEFAULT_DROPS_UNFED; any other unfed check is refused
+_NEEDS: dict[str, tuple[Callable[["RunConfig"], bool], str, str]] = {
+    CHECK_NORMALITY: (lambda c: c.replications_M >= 100, "replications_M >= 100", "raise M"),
+    CHECK_MARTINGALE: (lambda c: c.grid_points >= 2, "grid_points >= 2", "raise grid_points"),
+    CHECK_CROSS_MOMENTS: (
+        lambda c: c.theta.dimension >= 2, "at least 2 components", "add an angle"
+    ),
+    CHECK_STROOCK: (
+        lambda c: any(a.is_pi for a in c.theta.cos_block),
+        "an angle-pi cosine component", "add pi to cos_block",
+    ),
+}
+_DEFAULT_DROPS_UNFED = (CHECK_CROSS_MOMENTS, CHECK_STROOCK)
 
 
 class ConfigError(ValueError):
@@ -113,43 +130,26 @@ class RunConfig:
         unknown = [c for c in self.checks if c != "default" and c not in ALL_CHECKS]
         if unknown:
             raise ConfigError(f"unknown checks: {', '.join(unknown)}")
+        if "default" in self.checks and len(set(self.checks)) > 1:
+            raise ConfigError("checks: default cannot be mixed with check names; "
+                              "list check names or default alone")
         checks = self.resolved_checks
-        if CHECK_NORMALITY in checks and self.replications_M < 100:
-            raise ConfigError(
-                "the normality check needs replications_M >= 100; "
-                "raise M or drop the check"
-            )
-        if CHECK_MARTINGALE in checks and self.grid_points < 2:
-            raise ConfigError(
-                "the martingale check needs grid_points >= 2; "
-                "raise grid_points or drop the check"
-            )
-        if CHECK_CROSS_MOMENTS in checks and self.theta.dimension < 2:
-            raise ConfigError(
-                "the cross_moments check needs at least 2 components; "
-                "add an angle or drop the check"
-            )
-        if CHECK_STROOCK in checks and not any(a.is_pi for a in self.theta.cos_block):
-            raise ConfigError(
-                "the stroock check needs an angle-pi cosine component; "
-                "add pi to cos_block or drop the check"
-            )
+        for name, (fed, need, fix) in _NEEDS.items():
+            if name in checks and not fed(self):
+                raise ConfigError(f"the {name} check needs {need}; {fix} or drop the check")
 
     @property
     def resolved_checks(self) -> tuple[str, ...]:
         """Expand "default" to the standard bundle, in canonical order.
 
-        The angle-pi variance check only enters the default bundle when
-        the cosine block actually contains pi, and the cross-moment check
-        only when there are at least two components.
+        The bundle leaves out the angle-pi variance check when the cosine
+        block holds no pi, and the cross-moment check when there are
+        fewer than two components.
         """
         if "default" in self.checks:
-            has_pi = any(a.is_pi for a in self.theta.cos_block)
-            unfed = {CHECK_STROOCK: not has_pi, CHECK_CROSS_MOMENTS: self.theta.dimension < 2}
-            names = [c for c in ALL_CHECKS if not unfed.get(c)]
-        else:
-            names = [c for c in ALL_CHECKS if c in self.checks]
-        return tuple(names)
+            return tuple(c for c in ALL_CHECKS
+                         if c not in _DEFAULT_DROPS_UNFED or _NEEDS[c][0](self))
+        return tuple(c for c in ALL_CHECKS if c in self.checks)
 
     def echo(self) -> dict:
         """Configuration echo for the canonical report.

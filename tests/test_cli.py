@@ -87,6 +87,11 @@ class TestValidateCommand:
         assert main(["validate", str(cfg_file(text, extra=extra))]) == 2
         assert message in capsys.readouterr().err
 
+    def test_default_mixed_with_check_names_exits_two(self, cfg_file, capsys):
+        cfg = cfg_file(VALID_CFG, extra="checks = default, stroock\n")
+        assert main(["validate", str(cfg)]) == 2
+        assert "default cannot be mixed with check names" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "sizes,message",
         [

@@ -1,4 +1,4 @@
-"""Process assembly: grids, samples, sample blocks, export."""
+"""Process assembly: grids, samples, sample blocks."""
 
 import gc
 import hashlib
@@ -13,12 +13,12 @@ from poisson_bm import (
     BuildPlan,
     EvaluationGrid,
     PoissonPath,
-    ProcessSample,
     RunConfig,
     SampleBlock,
     ThetaConfig,
     build_sample,
     derive_stream,
+    generate_samples,
     map_to_path_time,
     run_experiment,
     sample_poisson_path,
@@ -73,7 +73,7 @@ class TestBuildSample:
         grid = EvaluationGrid.uniform(T, 16)
         for rep in range(5):
             sample = build_sample(_path_for(rep=rep), BuildPlan(cfg, EPS, grid))
-            assert np.all(sample.values[:, 0] == 0.0)
+            assert np.all(sample.values[0][:, 0] == 0.0)
 
     def test_bitwise_consistency_with_integral(self):
         cfg = ThetaConfig(cos_block=["1/2 pi"])
@@ -83,7 +83,7 @@ class TestBuildSample:
         for g, t in enumerate(grid.times):
             x = map_to_path_time(t, EPS)
             expected = EPS * trig_integral(path, cfg.angles[0], 0.0, x, "cos")
-            assert sample.values[0, g] == expected  # bit-for-bit
+            assert sample.values[0][0, g] == expected  # bit-for-bit
 
     def test_pi_rescale_is_exactly_inv_sqrt2(self):
         grid = EvaluationGrid.uniform(T, 16)
@@ -91,7 +91,7 @@ class TestBuildSample:
         plain = build_sample(path, BuildPlan(ThetaConfig(cos_block=["pi"]), EPS, grid))
         rescaled = ThetaConfig(cos_block=["pi"], allow_pi_in_cos=True)
         scaled = build_sample(path, BuildPlan(rescaled, EPS, grid))
-        assert np.array_equal(scaled.values, plain.values * (1.0 / math.sqrt(2.0)))
+        assert np.array_equal(scaled.values[0], plain.values[0] * (1.0 / math.sqrt(2.0)))
 
     def test_horizon_too_short_names_requirement(self):
         cfg = ThetaConfig(cos_block=[1.0])
@@ -120,7 +120,7 @@ class TestBuildSample:
         grid = EvaluationGrid.uniform(T, 16)
         a = build_sample(_path_for(seed=55), BuildPlan(cfg, EPS, grid))
         b = build_sample(_path_for(seed=55), BuildPlan(cfg, EPS, grid))
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.values[0], b.values[0])
 
     def test_lipschitz_between_grid_points(self):
         # |x(t2) - x(t1)| <= 2 (t2 - t1) / eps: integrand bounded by one
@@ -128,7 +128,7 @@ class TestBuildSample:
         grid = EvaluationGrid.uniform(T, 64)
         for rep in range(5):
             sample = build_sample(_path_for(rep=rep), BuildPlan(cfg, EPS, grid))
-            steps = np.abs(np.diff(sample.values, axis=1))
+            steps = np.abs(np.diff(sample.values[0], axis=1))
             bounds = 2.0 * np.diff(grid.times) / EPS
             slack = 8 * EPS * np.spacing(map_to_path_time(T, EPS))
             assert np.all(steps <= bounds + slack)
@@ -141,8 +141,8 @@ class TestBuildSample:
             cos_block=["2/5 pi", "8/5 pi"], sin_block=["2/5 pi", "8/5 pi"]
         )
         sample = build_sample(path, BuildPlan(cfg, EPS, grid))
-        assert np.array_equal(sample.values[0], sample.values[1])
-        assert np.array_equal(sample.values[2], -sample.values[3])
+        assert np.array_equal(sample.values[0][0], sample.values[0][1])
+        assert np.array_equal(sample.values[0][2], -sample.values[0][3])
 
     def test_sum_2pi_degeneracy_decimal_inputs_close(self):
         # decimal angles cannot be bit-exact; phase drift stays tiny
@@ -154,8 +154,8 @@ class TestBuildSample:
             sin_block=[theta, 2.0 * math.pi - theta],
         )
         sample = build_sample(path, BuildPlan(cfg, EPS, grid))
-        assert np.allclose(sample.values[0], sample.values[1], atol=1e-10, rtol=0)
-        assert np.allclose(sample.values[2], -sample.values[3], atol=1e-10, rtol=0)
+        assert np.allclose(sample.values[0][0], sample.values[0][1], atol=1e-10, rtol=0)
+        assert np.allclose(sample.values[0][2], -sample.values[0][3], atol=1e-10, rtol=0)
 
     def test_stroock_increment_bound(self):
         # |delta| <= eps * (2t/eps^2 - 2s/eps^2) for the angle-pi component
@@ -180,7 +180,7 @@ def _reference_values(path, eps, cfg, grid):
 
 
 def _assert_matches_reference(path, plan):
-    got = build_sample(path, plan).values
+    got = build_sample(path, plan).values[0]
     want = _reference_values(path, plan.epsilon, plan.config, plan.grid)
     assert got.tobytes() == want.tobytes()
 
@@ -211,7 +211,7 @@ class TestBuildSampleBitIdentity:
         plan = BuildPlan(self.MIXED, EPS, EvaluationGrid.uniform(T, 8))
         empty = PoissonPath(horizon=map_to_path_time(T, EPS), jump_times=np.empty(0))
         _assert_matches_reference(empty, plan)
-        assert np.all(build_sample(empty, plan).values[3:] == 0.0)
+        assert np.all(build_sample(empty, plan).values[0][3:] == 0.0)
 
     def test_grown_table_serves_shorter_paths(self):
         # d = 3: two complex rows, the second one's imaginary lane padded
@@ -280,7 +280,7 @@ class TestTwoLaneKernel:
     }
 
     def _assert_rows_match(self, path, eps, cfg, grid):
-        got = build_sample(path, BuildPlan(cfg, eps, grid)).values
+        got = build_sample(path, BuildPlan(cfg, eps, grid)).values[0]
         want = _reference_values(path, eps, cfg, grid)
         assert got.shape == want.shape == (cfg.dimension, len(grid))
         for c in range(cfg.dimension):
@@ -324,7 +324,7 @@ class TestTwoLaneKernel:
         ]
         assert any(np.any(v < 0.0) for v in levels_there)
         self._assert_rows_match(path, eps, cfg, grid)
-        values = build_sample(path, BuildPlan(cfg, eps, grid)).values
+        values = build_sample(path, BuildPlan(cfg, eps, grid)).values[0]
         assert not np.any(np.signbit(values[:, :2]) & (values[:, :2] == 0.0))
 
 
@@ -557,33 +557,6 @@ class TestSubBlocks:
         assert peak <= (8 + 16 * rows + 8 + 16) * (SUB_BLOCK + 1) + 16 * 1024
 
 
-class TestProcessSample:
-    def test_public_constructor_checks_the_shape(self):
-        cfg = ThetaConfig(cos_block=["1/2 pi"], sin_block=[1.1])
-        grid = EvaluationGrid.uniform(T, 4)
-        with pytest.raises(ValueError, match="does not match"):
-            ProcessSample(EPS, cfg, grid, np.zeros((2, 4)))
-        with pytest.raises(ValueError, match="does not match"):
-            ProcessSample(EPS, cfg, grid, np.zeros((1, 2, 5)))
-        assert ProcessSample(EPS, cfg, grid, [[0] * 5] * 2).values.dtype == np.float64
-
-    @pytest.mark.parametrize("cfg", [
-        ThetaConfig(cos_block=["1/2 pi"]),
-        ThetaConfig(cos_block=[2.2, "pi"], sin_block=[1.1], allow_pi_in_cos=True),
-    ])
-    def test_built_samples_pass_the_public_check(self, cfg):
-        # build_sample skips the check; what it returns must pass it
-        for steps in (1, 16):
-            plan = BuildPlan(cfg, EPS, EvaluationGrid.uniform(T, steps))
-            for rep in range(10):
-                sample = build_sample(_path_for(rep=rep), plan)
-                rebuilt = ProcessSample(sample.epsilon, sample.config, sample.grid,
-                                        sample.values)
-                assert rebuilt.values is sample.values
-                assert (sample.epsilon, sample.config, sample.grid) == (
-                    plan.epsilon, plan.config, plan.grid)
-
-
 class TestSampleBlock:
     def test_shape_checked_once(self):
         cfg = ThetaConfig(cos_block=["1/2 pi"], sin_block=[1.1])
@@ -599,40 +572,49 @@ class TestSampleBlock:
         plan = BuildPlan(cfg, EPS, grid)
         rows = [build_sample(_path_for(seed=95, rep=r), plan) for r in range(3)]
         block = SampleBlock(
-            epsilon=EPS, config=cfg, grid=grid, values=np.stack([r.values for r in rows])
+            epsilon=EPS, config=cfg, grid=grid, values=np.stack([r.values[0] for r in rows])
         )
         assert len(block) == 3
-        want = np.stack([r.at_time(0.5) for r in rows])
+        want = np.stack([r.at_time(0.5)[0] for r in rows])
         assert np.array_equal(block.at_time(0.5), want)
         with pytest.raises(ValueError, match="not on the evaluation grid"):
             block.at_time(0.3)
+
+    @pytest.mark.parametrize("cfg", [
+        ThetaConfig(cos_block=["1/2 pi"]),
+        ThetaConfig(cos_block=[2.2, "pi"], sin_block=[1.1], allow_pi_in_cos=True),
+    ])
+    def test_built_samples_pass_the_public_check(self, cfg):
+        # build_sample skips the check; what it returns must pass it
+        for steps in (1, 16):
+            plan = BuildPlan(cfg, EPS, EvaluationGrid.uniform(T, steps))
+            for rep in range(10):
+                sample = build_sample(_path_for(rep=rep), plan)
+                rebuilt = SampleBlock(epsilon=sample.epsilon, config=sample.config,
+                                      grid=sample.grid, values=sample.values)
+                assert rebuilt.values is sample.values
+                assert (sample.epsilon, sample.config, sample.grid) == (
+                    plan.epsilon, plan.config, plan.grid)
+
+    def test_build_sample_is_one_row_of_generate_samples(self):
+        theta = ThetaConfig(cos_block=["1/2 pi", 2.2], sin_block=[1.1])
+        config = RunConfig(theta=theta, epsilons=(0.4, 0.3), replications_M=6,
+                           master_seed=97, grid_points=4, checks=("covariance",))
+        grid = EvaluationGrid.uniform(T, 4)
+        block = generate_samples(config, grid, 1)
+        plan = BuildPlan(theta, 0.3, grid)
+        for r in range(6):
+            sample = build_sample(sample_poisson_path(plan.needed, derive_stream(97, 1, r)), plan)
+            assert isinstance(sample, SampleBlock)
+            assert (len(sample), sample.dimension, sample.values.shape) == (1, 3, (1, 3, 5))
+            assert sample.values[0].tobytes() == block.values[r].tobytes()
 
     def test_samples_and_blocks_compare_by_identity(self):
         cfg = ThetaConfig(cos_block=["1/2 pi"])
         grid = EvaluationGrid.uniform(T, 4)
         sample = build_sample(_path_for(seed=96), BuildPlan(cfg, EPS, grid))
-        block = SampleBlock(epsilon=EPS, config=cfg, grid=grid, values=sample.values[None])
+        block = SampleBlock(epsilon=EPS, config=cfg, grid=grid, values=sample.values[0][None])
         for obj in (sample, block):
             clone = pickle.loads(pickle.dumps(obj))
             assert obj == obj and clone != obj
             assert {obj: 1}[obj] == 1
-
-
-class TestCsvExport:
-    def test_header_and_shape(self):
-        cfg = ThetaConfig(cos_block=[2.2], sin_block=[1.1])
-        grid = EvaluationGrid.uniform(T, 4)
-        sample = build_sample(_path_for(seed=93), BuildPlan(cfg, EPS, grid))
-        lines = sample.to_csv().splitlines()
-        assert lines[0] == "t,comp_1,comp_2"
-        assert len(lines) == 1 + 5
-        # 17 significant digits round-trip
-        row = lines[2].split(",")
-        assert float(row[1]) == sample.values[0, 1]
-
-    def test_lf_line_endings(self):
-        cfg = ThetaConfig(cos_block=[2.2])
-        grid = EvaluationGrid.uniform(T, 2)
-        text = build_sample(_path_for(seed=94), BuildPlan(cfg, EPS, grid)).to_csv()
-        assert "\r" not in text
-        assert text.endswith("\n")

@@ -190,6 +190,16 @@ class TestValidation:
         cfg = RunConfig(**self._base(theta=pi_theta, checks=("stroock",)))
         assert cfg.resolved_checks == ("stroock",)
 
+    def test_default_mixed_with_check_names_rejected(self):
+        # the bundle would run and the named check would be dropped unseen
+        pi_theta = ThetaConfig(cos_block=["pi"], allow_pi_in_cos=True)
+        for theta, checks in ((ThetaConfig(cos_block=[1.0]), ("default", "stroock")),
+                              (ThetaConfig(cos_block=[1.0]), ("default", "cross_moments")),
+                              (pi_theta, ("covariance", "default"))):
+            with pytest.raises(ConfigError, match="default cannot be mixed with check names"):
+                RunConfig(**self._base(theta=theta, checks=checks))
+        assert RunConfig(**self._base(theta=pi_theta)).resolved_checks[-1] == "stroock"
+
     def test_cross_moments_need_two_components(self):
         # one component has no pair: the check would pass vacuously
         with pytest.raises(ConfigError, match="cross_moments check needs at least 2"):

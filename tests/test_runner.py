@@ -65,7 +65,7 @@ class TestGenerateSamples:
         plan = BuildPlan(theta, 0.3, grid)
         for r in (0, 17, 39):
             path = sample_poisson_path(horizon, derive_stream(4242, 1, r))
-            assert np.array_equal(block.values[r], build_sample(path, plan).values)
+            assert np.array_equal(block.values[r], build_sample(path, plan).values[0])
 
 
     @pytest.mark.parametrize(
