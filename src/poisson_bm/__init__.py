@@ -23,13 +23,7 @@ from .angles import (
     parse_angle,
     validate_hypothesis_h,
 )
-from .poisson import (
-    PoissonPath,
-    char_fn,
-    decay_factor,
-    sample_poisson_path,
-    trig_integral,
-)
+from .poisson import PoissonPath, decay_factor, sample_poisson_path
 from .process import (
     BuildPlan,
     EvaluationGrid,
@@ -78,7 +72,6 @@ __all__ = [
     "ThetaConfig",
     "Violation",
     "build_sample",
-    "char_fn",
     "correlation_matrix",
     "cross_moment",
     "decay_factor",
@@ -99,7 +92,6 @@ __all__ = [
     "sample_poisson_path",
     "stroock_variance_check",
     "structural_bound_eval",
-    "trig_integral",
     "validate_hypothesis_h",
     "__version__",
 ]

@@ -68,9 +68,6 @@ class Angle:
             return self.pi_fraction == 1
         return abs(self.radians - math.pi) <= TAU_THETA
 
-    def __float__(self) -> float:
-        return self.radians
-
     def __str__(self) -> str:
         if self.pi_fraction is not None:
             return f"{self.pi_fraction.numerator}/{self.pi_fraction.denominator} pi"

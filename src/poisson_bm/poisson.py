@@ -16,7 +16,6 @@ the degenerate-pair identities then hold exactly.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,9 +28,6 @@ from .angles import Angle, parse_angle
 _TWO_PI_LD = np.longdouble("6.283185307179586476925286766559005768394")
 
 _TINY = float(np.finfo(np.float64).tiny)
-
-KIND_COS = "cos"
-KIND_SIN = "sin"
 
 
 @dataclass(frozen=True)
@@ -65,11 +61,6 @@ class PoissonPath:
         path = object.__new__(cls)
         path.__dict__.update(horizon=horizon, jump_times=jump_times)
         return path
-
-    def count(self, x: float | np.ndarray) -> int | np.ndarray:
-        """N_x: number of jumps at or before time x (N_0 = 0)."""
-        c = np.searchsorted(self.jump_times, x, side="right")
-        return int(c) if np.isscalar(x) else c
 
 
 def _first_block_size(horizon: float) -> int:
@@ -138,7 +129,7 @@ def _level_values(
     Each value depends on k alone, so a slice from ``start`` equals the
     same slice of the levels from 0, bit for bit. No value is -0.0.
     """
-    if kind not in (KIND_COS, KIND_SIN):
+    if kind not in ("cos", "sin"):
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
     ang = parse_angle(theta)
 
@@ -150,7 +141,7 @@ def _level_values(
         m = (p * np.arange(start, n_levels, dtype=np.int64)) % (2 * q)
         folded = np.minimum(m, 2 * q - m)
         phases = folded * (math.pi / q)
-        if kind == KIND_COS:
+        if kind == "cos":
             return np.cos(phases)
         vals = np.sin(phases)
         vals[(m == 0) | (m == q)] = 0.0  # sin of an exact multiple of pi
@@ -160,7 +151,7 @@ def _level_values(
     k = np.arange(start, n_levels, dtype=np.float64)
     ph_ld = np.mod(np.longdouble(ang.radians) * k.astype(np.longdouble), _TWO_PI_LD)
     phases = np.asarray(ph_ld, dtype=np.float64)
-    return np.cos(phases) if kind == KIND_COS else np.sin(phases)
+    return np.cos(phases) if kind == "cos" else np.sin(phases)
 
 
 def integral_from_zero(
@@ -172,7 +163,6 @@ def integral_from_zero(
     jump segments, one component at a time. It is the per-component
     reference: ``build_sample`` runs the same steps for all components
     at once, and the bit-identity tests compare it against this routine.
-    ``trig_integral`` below goes through it too.
     """
     xs = np.asarray(xs, dtype=np.float64)
     jumps = path.jump_times
@@ -184,34 +174,6 @@ def integral_from_zero(
     j = np.searchsorted(jumps, xs, side="right")
     base = np.where(j > 0, jumps[np.maximum(j - 1, 0)], 0.0)
     return prefix[j] + vals[j] * (xs - base)
-
-
-def trig_integral(
-    path: PoissonPath, theta: Angle | float, a: float, b: float, kind: str
-) -> float:
-    """Exact integral of trig(theta * N_x) dx over [a, b].
-
-    The value is sum_k trig(theta*k) * |[a,b] inter {N = k}|, computed
-    from the jump times directly. Requires 0 <= a <= b <= horizon.
-    """
-    if not (0.0 <= a <= b <= path.horizon):
-        raise ValueError(
-            f"need 0 <= a <= b <= horizon, got a={a}, b={b}, horizon={path.horizon}"
-        )
-    pa, pb = integral_from_zero(path, theta, kind, np.array([a, b]))
-    return float(pb - pa)
-
-
-def char_fn(theta: float | Angle, s: float) -> complex:
-    """E[exp(i*theta*N_s)] = exp(-s*(1 - e^{i*theta})) for a unit-rate count.
-
-    Returned as a complex number; the real part is E[cos(theta*N_s)] and
-    the imaginary part E[sin(theta*N_s)].
-    """
-    th = parse_angle(theta).radians
-    if not math.isfinite(s) or s < 0:
-        raise ValueError(f"s must be finite and >= 0, got {s}")
-    return cmath.exp(-s * (1.0 - cmath.exp(1j * th)))
 
 
 def decay_factor(theta: float | Angle) -> float:

@@ -17,14 +17,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-__all__ = [
-    "RunReport",
-    "emit_plot_data",
-    "PLOT_RATE_LOGLOG",
-    "PLOT_COV_HEATMAP",
-    "PLOT_MARGINAL_HIST",
-]
-
 PLOT_RATE_LOGLOG = "RATE_LOGLOG"
 PLOT_COV_HEATMAP = "COV_HEATMAP"
 PLOT_MARGINAL_HIST = "MARGINAL_HIST"

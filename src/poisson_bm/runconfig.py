@@ -39,40 +39,32 @@ from .process import BLOCK_BYTES_CAP, check_replication_memory, map_to_path_time
 ENV_OUTPUT_DIR = "POISSON_BM_OUTPUT_DIR"
 ENV_WORKERS = "POISSON_BM_WORKERS"
 
-CHECK_COVARIANCE = "covariance"
-CHECK_QV = "quadratic_variation"
-CHECK_CROSS_MOMENTS = "cross_moments"
-CHECK_FOURTH_MOMENT = "fourth_moment"
-CHECK_NORMALITY = "normality"
-CHECK_MARTINGALE = "martingale"
-CHECK_STROOCK = "stroock"
-
 # canonical ordering for report emission
 ALL_CHECKS = (
-    CHECK_COVARIANCE,
-    CHECK_QV,
-    CHECK_CROSS_MOMENTS,
-    CHECK_FOURTH_MOMENT,
-    CHECK_NORMALITY,
-    CHECK_MARTINGALE,
-    CHECK_STROOCK,
+    "covariance",
+    "quadratic_variation",
+    "cross_moments",
+    "fourth_moment",
+    "normality",
+    "martingale",
+    "stroock",
 )
 
 # check -> (its test on the config, what it needs, the fix), in the order
 # validation reports them. The default bundle leaves out an unfed check named
 # in _DEFAULT_DROPS_UNFED; any other unfed check is refused
 _NEEDS: dict[str, tuple[Callable[["RunConfig"], bool], str, str]] = {
-    CHECK_NORMALITY: (lambda c: c.replications_M >= 100, "replications_M >= 100", "raise M"),
-    CHECK_MARTINGALE: (lambda c: c.grid_points >= 2, "grid_points >= 2", "raise grid_points"),
-    CHECK_CROSS_MOMENTS: (
+    "normality": (lambda c: c.replications_M >= 100, "replications_M >= 100", "raise M"),
+    "martingale": (lambda c: c.grid_points >= 2, "grid_points >= 2", "raise grid_points"),
+    "cross_moments": (
         lambda c: c.theta.dimension >= 2, "at least 2 components", "add an angle"
     ),
-    CHECK_STROOCK: (
+    "stroock": (
         lambda c: any(a.is_pi for a in c.theta.cos_block),
         "an angle-pi cosine component", "add pi to cos_block",
     ),
 }
-_DEFAULT_DROPS_UNFED = (CHECK_CROSS_MOMENTS, CHECK_STROOCK)
+_DEFAULT_DROPS_UNFED = ("cross_moments", "stroock")
 
 
 class ConfigError(ValueError):

@@ -24,17 +24,7 @@ from .angles import validate_hypothesis_h
 from .poisson import sample_poisson_path
 from .process import BuildPlan, EvaluationGrid, SampleBlock, build_sample
 from .report import RunReport
-from .runconfig import (
-    CHECK_COVARIANCE,
-    CHECK_CROSS_MOMENTS,
-    CHECK_FOURTH_MOMENT,
-    CHECK_MARTINGALE,
-    CHECK_NORMALITY,
-    CHECK_QV,
-    CHECK_STROOCK,
-    ConfigError,
-    RunConfig,
-)
+from .runconfig import ConfigError, RunConfig
 from .rng import derive_stream
 from .stats import (
     RATE_MIN_EPS_COUNT,
@@ -129,20 +119,22 @@ def generate_samples(
     One ``BuildPlan`` serves the epsilon; each chunk's job carries it,
     and a pool worker rebuilds it from (theta, epsilon, grid). Chunks
     are cut from ``config.workers`` alone, so the bytes do not depend on
-    the host; the pool starts at most one process per chunk and per CPU.
+    the host. The pool starts at most one process per chunk and per CPU;
+    where that bound is one, no pool starts and this process makes
+    every row.
     Each chunk is copied into the one (M, d, G) block as it arrives.
     """
     epsilon = config.epsilons[eps_index]
     plan = BuildPlan(config.theta, epsilon, grid)
     M = config.replications_M
-    if config.workers <= 1:
+    chunk = max(1, -(-M // (config.workers * 8)))
+    # under fork the pool starts all max_workers processes at the first submit
+    pool_size = min(config.workers, -(-M // chunk), os.cpu_count() or 1)
+    if pool_size == 1:
         values = _chunk_values((plan, config.master_seed, eps_index, 0, M))
     else:
-        chunk = max(1, -(-M // (config.workers * 8)))
         jobs = [(plan, config.master_seed, eps_index, lo, min(lo + chunk, M))
                 for lo in range(0, M, chunk)]
-        # under fork the pool starts all max_workers processes at the first submit
-        pool_size = min(config.workers, len(jobs), os.cpu_count() or 1)
         values = np.empty((M, config.theta.dimension, len(grid)))
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             for (*_, lo, hi), rows in zip(jobs, pool.map(_chunk_values, jobs)):
@@ -352,13 +344,13 @@ def _check_stroock(block: SampleBlock) -> tuple[list[dict], dict]:
 
 # check name -> check; every check maps its block to (assertions, data)
 CHECKS = {
-    CHECK_COVARIANCE: _check_covariance,
-    CHECK_QV: _check_qv,
-    CHECK_CROSS_MOMENTS: _check_cross_moments,
-    CHECK_FOURTH_MOMENT: _check_fourth_moment,
-    CHECK_NORMALITY: _check_normality,
-    CHECK_MARTINGALE: _check_martingale,
-    CHECK_STROOCK: _check_stroock,
+    "covariance": _check_covariance,
+    "quadratic_variation": _check_qv,
+    "cross_moments": _check_cross_moments,
+    "fourth_moment": _check_fourth_moment,
+    "normality": _check_normality,
+    "martingale": _check_martingale,
+    "stroock": _check_stroock,
 }
 
 
@@ -489,14 +481,12 @@ def run_experiment(config: RunConfig) -> RunReport:
     # each check's data across epsilon, for the summaries that read it
     data = {name: [b["checks"][k]["data"] for b in results] for k, name in enumerate(checks)}
     summary: dict = {}
-    if CHECK_CROSS_MOMENTS in checks:
-        fits = _rate_summary(data[CHECK_CROSS_MOMENTS], config)
+    if "cross_moments" in checks:
+        fits = _rate_summary(data["cross_moments"], config)
         if fits is not None:
             summary["rate_fits"] = fits
-    if CHECK_FOURTH_MOMENT in checks:
-        summary["fourth_moment_sweep"] = _fourth_moment_summary(
-            data[CHECK_FOURTH_MOMENT], config
-        )
+    if "fourth_moment" in checks:
+        summary["fourth_moment_sweep"] = _fourth_moment_summary(data["fourth_moment"], config)
 
     sweep = summary.get("fourth_moment_sweep", {})
     summary["all_pass"] = all(

@@ -62,6 +62,14 @@ def _w(g: float) -> complex:
     return 1.0 - cmath.exp(1j * g)
 
 
+def char_fn(theta: float, s: float) -> complex:
+    """E[exp(i*theta*N_s)] = exp(-s*(1 - e^{i*theta})) for a unit-rate count.
+
+    The real part is E[cos(theta*N_s)] and the imaginary part E[sin(theta*N_s)].
+    """
+    return cmath.exp(-s * _w(theta))
+
+
 def _a0(wv: complex, ell: float) -> complex:
     # int_0^ell e^{-b w} db
     if wv == 0:

@@ -19,7 +19,6 @@ from poisson_bm import (
     EvaluationGrid,
     RunConfig,
     ThetaConfig,
-    char_fn,
     correlation_matrix,
     cross_moment,
     derive_stream,
@@ -33,10 +32,10 @@ from poisson_bm import (
     sample_poisson_path,
     stroock_variance_check,
     structural_bound_eval,
-    trig_integral,
 )
 from poisson_bm.runner import generate_samples
-from oracles import segment_trig_integral
+from oracles import char_fn, segment_trig_integral
+from test_poisson import trig_integral
 
 SEED = 20240521
 BAND = 4.0

@@ -7,17 +7,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poisson_bm import (
-    PoissonPath,
-    char_fn,
-    decay_factor,
-    derive_stream,
-    sample_poisson_path,
-    trig_integral,
-)
+from poisson_bm import PoissonPath, decay_factor, derive_stream, sample_poisson_path
 from poisson_bm.angles import Angle
-from poisson_bm.poisson import KIND_COS, KIND_SIN, _level_values
-from oracles import riemann_trig_integral
+from poisson_bm.poisson import _level_values, integral_from_zero
+from oracles import char_fn, riemann_trig_integral
+
+
+def trig_integral(path, theta, a, b, kind):
+    """Integral of trig(theta * N_x) over [a, b], from the prefixes at a and b."""
+    pa, pb = integral_from_zero(path, theta, kind, [a, b])
+    return float(pb - pa)
 
 
 class TestSamplePoissonPath:
@@ -65,13 +64,6 @@ class TestSamplePoissonPath:
             PoissonPath(1.0, np.array([0.5, 1.5]))
         with pytest.raises(ValueError):
             PoissonPath(1.0, np.array([-0.1]))
-
-    def test_count_recovers_jumps(self):
-        path = PoissonPath(2.0, np.array([0.25, 1.0, 1.75]))
-        assert path.count(0.0) == 0
-        assert path.count(0.25) == 1
-        assert path.count(1.0) == 2
-        assert path.count(2.0) == 3
 
 
 def _sha256(values: np.ndarray) -> str:
@@ -240,19 +232,19 @@ class TestLevelValues:
     def _negative_zeros(values):
         return int(np.count_nonzero(np.signbit(values) & (values == 0.0)))
 
-    @pytest.mark.parametrize("kind", [KIND_COS, KIND_SIN])
+    @pytest.mark.parametrize("kind", ["cos", "sin"])
     def test_no_negative_zero_for_rational_angles(self, kind):
         # a level of -0.0 would turn (a + bi)(w + 0i) into a different zero
         for angle in _rational_angles(64):
             assert self._negative_zeros(_level_values(angle, self.N_LEVELS, kind)) == 0, angle
 
-    @pytest.mark.parametrize("kind", [KIND_COS, KIND_SIN])
+    @pytest.mark.parametrize("kind", ["cos", "sin"])
     @pytest.mark.parametrize("radians", DECIMAL_ANGLES)
     def test_no_negative_zero_for_decimal_angles(self, kind, radians):
         values = _level_values(radians, 20_000, kind)
         assert self._negative_zeros(values) == 0
 
-    @pytest.mark.parametrize("kind", [KIND_COS, KIND_SIN])
+    @pytest.mark.parametrize("kind", ["cos", "sin"])
     def test_a_tail_equals_the_same_slice_of_the_whole(self, kind):
         angles = _rational_angles(12) + [Angle(radians=r) for r in DECIMAL_ANGLES]
         for angle in angles:
@@ -281,10 +273,6 @@ class TestTrigIntegralExamples:
 
     def test_bounds_validation(self):
         path = PoissonPath(1.0, np.array([0.5]))
-        with pytest.raises(ValueError):
-            trig_integral(path, 1.0, 0.5, 1.5, "cos")
-        with pytest.raises(ValueError):
-            trig_integral(path, 1.0, 0.8, 0.2, "cos")
         with pytest.raises(ValueError):
             trig_integral(path, 1.0, 0.0, 1.0, "tan")
 
@@ -333,14 +321,6 @@ class TestTrigIntegralProperties:
 
 
 class TestCharFn:
-    def test_at_zero_time(self):
-        assert char_fn(1.7, 0.0) == 1.0 + 0.0j
-
-    def test_angle_pi(self):
-        v = char_fn("pi", 1.0)
-        assert v.real == pytest.approx(math.exp(-2.0), rel=1e-15)
-        assert v.imag == pytest.approx(0.0, abs=1e-15)
-
     def test_closed_form(self):
         theta, s = 2.0, 3.0
         v = char_fn(theta, s)
@@ -350,18 +330,6 @@ class TestCharFn:
         assert v.imag == pytest.approx(
             math.exp(-s * (1 - math.cos(theta))) * math.sin(s * math.sin(theta)), rel=1e-14
         )
-
-    def test_modulus_below_one(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            theta = float(rng.uniform(0.05, 6.2))
-            s = float(rng.uniform(0.01, 10.0))
-            assert abs(char_fn(theta, s)) < 1.0
-        assert abs(char_fn(1.0, 0.0)) == 1.0
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            char_fn(1.0, -0.5)
 
     def test_monte_carlo_consistency(self):
         # empirical mean of cos(theta*N_s) vs the closed form, small grid

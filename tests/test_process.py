@@ -22,7 +22,6 @@ from poisson_bm import (
     map_to_path_time,
     run_experiment,
     sample_poisson_path,
-    trig_integral,
 )
 from poisson_bm.poisson import _first_block_size, _level_values, integral_from_zero
 from poisson_bm.process import INV_SQRT2, SUB_BLOCK
@@ -82,7 +81,7 @@ class TestBuildSample:
         sample = build_sample(path, BuildPlan(cfg, EPS, grid))
         for g, t in enumerate(grid.times):
             x = map_to_path_time(t, EPS)
-            expected = EPS * trig_integral(path, cfg.angles[0], 0.0, x, "cos")
+            expected = EPS * integral_from_zero(path, cfg.angles[0], "cos", [x])[0]
             assert sample.values[0][0, g] == expected  # bit-for-bit
 
     def test_pi_rescale_is_exactly_inv_sqrt2(self):
@@ -317,7 +316,7 @@ class TestTwoLaneKernel:
         xs = np.array([map_to_path_time(t, eps) for t in grid.times])
         path = _on_jump_path(map_to_path_time(T, eps), xs)
         assert path.jump_times[0] == xs[1] == 2.0
-        counts = path.count(xs[1:])
+        counts = path.jump_times.searchsorted(xs[1:], side="right")
         levels_there = [
             _level_values(a, path.jump_times.size + 1, cfg.component_kind(c))[counts]
             for c, a in enumerate(cfg.angles)
@@ -513,7 +512,8 @@ class TestSubBlocks:
             np.arange(xs[2] + 0.7, plan.needed, 1.3),
         ))
         path = PoissonPath(horizon=plan.needed, jump_times=jumps)
-        assert path.count(xs).tolist()[1:3] == [SUB_BLOCK, 2 * SUB_BLOCK]
+        counts = path.jump_times.searchsorted(xs, side="right")
+        assert counts.tolist()[1:3] == [SUB_BLOCK, 2 * SUB_BLOCK]
         assert path.jump_times.size > 2 * SUB_BLOCK
         _assert_matches_reference(path, plan)
 
