@@ -81,7 +81,7 @@ class EvaluationGrid:
             raise ValueError(f"grid exceeds horizon T = {self.horizon_T}")
 
     @classmethod
-    def uniform(cls, horizon_T: float, steps: int = 64) -> "EvaluationGrid":
+    def uniform(cls, horizon_T: float, steps: int) -> "EvaluationGrid":
         """0 to T in ``steps`` uniform steps (steps+1 grid times)."""
         if steps < 1:
             raise ValueError("need at least one step")

@@ -123,7 +123,14 @@ def generate_samples(
     where that bound is one, no pool starts and this process makes
     every row.
     Each chunk is copied into the one (M, d, G) block as it arrives.
+    ``grid`` must be the config's own: ``RunConfig.validate`` capped the
+    block at its grid_points + 1 times.
     """
+    if len(grid) != config.grid_points + 1 or grid.horizon_T != config.horizon_T:
+        raise ValueError(
+            f"grid of {len(grid)} times to T = {grid.horizon_T} is not the config's "
+            f"{config.grid_points + 1} times to T = {config.horizon_T}"
+        )
     epsilon = config.epsilons[eps_index]
     plan = BuildPlan(config.theta, epsilon, grid)
     M = config.replications_M
@@ -181,7 +188,7 @@ def _check_entry(name: str, assertions: list[dict], data: dict) -> dict:
 def _check_covariance(block: SampleBlock) -> tuple[list[dict], dict]:
     T = block.grid.horizon_T
     d = block.config.dimension
-    cov = empirical_increment_covariance(block, 0.0, T)
+    cov = empirical_increment_covariance(block)
     corr = correlation_matrix(cov)
     assertions = []
     for i in range(d):
@@ -204,7 +211,7 @@ def _check_covariance(block: SampleBlock) -> tuple[list[dict], dict]:
 
 
 def _check_qv(block: SampleBlock) -> tuple[list[dict], dict]:
-    qvs = quadratic_variation(block, block.grid.times)
+    qvs = quadratic_variation(block)
     return [_band_assertion(f"qv[{c + 1}]", est, block.grid.horizon_T)
             for c, est in enumerate(_estimates(qvs, len(qvs)))], {}
 
@@ -336,7 +343,7 @@ def _check_martingale(block: SampleBlock) -> tuple[list[dict], dict]:
 
 def _check_stroock(block: SampleBlock) -> tuple[list[dict], dict]:
     T = block.grid.horizon_T
-    est = stroock_variance_check(block, T)
+    est = stroock_variance_check(block)
     rescaled = bool(block.config.pi_rescaled_indices)
     target = T if rescaled else 2.0 * T
     return [_band_assertion("variance", est, target)], {"rescaled": rescaled}
@@ -372,7 +379,7 @@ def _rate_summary(per_eps: list[dict], config: RunConfig) -> list[dict] | None:
         ses = np.array([e["std_error"] for e in entries])
         floored = np.maximum(np.abs(values), ses)
         if np.all(floored > 0.0):
-            slope = rate_fit(eps, values, ses)
+            slope = rate_fit(eps, floored)
             # normalize both curves at the largest epsilon, then require the
             # envelope shape to dominate up to the Monte Carlo band
             anchor = floored[0]

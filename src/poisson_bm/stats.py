@@ -210,16 +210,14 @@ def _pair_estimates(
     return out
 
 
-def empirical_increment_covariance(
-    block: SampleBlock, s: float, t: float
-) -> list[list[Estimate]]:
-    """Sample covariance matrix of the increments over (s, t).
+def empirical_increment_covariance(block: SampleBlock) -> list[list[Estimate]]:
+    """Sample covariance matrix of the increments over (0, T).
 
     Entry (i, j) estimates Cov(Delta_i, Delta_j) with a standard error
     from the per-replication centered products. In the small-epsilon
-    limit the diagonal targets t - s and the off-diagonal targets 0.
+    limit the diagonal targets T and the off-diagonal targets 0.
     """
-    centered = _increments_at(block, s, t)  # (M, d)
+    centered = _increments_at(block, 0.0, block.grid.horizon_T)  # (M, d)
     M, d = centered.shape
     centered -= _exact_sum(centered, axis=0) / M
     upper = _pair_estimates(centered, 1.0, 0, M - 1)
@@ -270,19 +268,11 @@ def martingale_residual(
     return _estimates(deltas, len(deltas))
 
 
-def quadratic_variation(block: SampleBlock, partition: Sequence[float]) -> np.ndarray:
-    """Per-replication sums of squared increments over a grid partition:
+def quadratic_variation(block: SampleBlock) -> np.ndarray:
+    """Per-replication sums of squared increments over the block's grid:
     the (replications, dimension) array of each row's QV per component."""
-    ts = np.asarray(partition, dtype=np.float64)
-    if ts.size < 2:
-        raise ValueError("partition needs at least 2 points")
-    if ts[0] != 0.0:
-        raise ValueError("partition must start at 0")
-    if np.any(np.diff(ts) <= 0.0):
-        raise ValueError("partition must be strictly increasing")
-    idx = [block.grid.index_of(t) for t in ts.tolist()]
     # one reduction per component: the extraction runs until its worst lane is done
-    qvs = [_exact_sum(np.diff(block.values[:, c, idx], axis=1) ** 2, axis=1)
+    qvs = [_exact_sum(np.diff(block.values[:, c], axis=1) ** 2, axis=1)
            for c in range(block.values.shape[1])]
     return np.stack(qvs, axis=1)
 
@@ -340,17 +330,17 @@ def normality_check(increments: np.ndarray) -> NormalityReport:
     )
 
 
-def stroock_variance_check(block: SampleBlock, t: float) -> Estimate:
-    """Empirical variance at time t of the angle-pi cosine component.
+def stroock_variance_check(block: SampleBlock) -> Estimate:
+    """Empirical variance at the horizon T of the angle-pi cosine component.
 
-    The unrescaled component targets 2t; with the 1/sqrt(2) rescale the
-    target is t. Errors out when the configuration has no angle-pi
+    The unrescaled component targets 2T; with the 1/sqrt(2) rescale the
+    target is T. Errors out when the configuration has no angle-pi
     cosine component.
     """
     pi_components = [i for i, a in enumerate(block.config.cos_block) if a.is_pi]
     if not pi_components:
         raise ValueError("no angle-pi cosine component in this configuration")
-    x = block.at_time(t)[:, pi_components[0]]
+    x = block.at_time(block.grid.horizon_T)[:, pi_components[0]]
     centered = x - _exact_sum(x) / len(x)
     return _estimates((centered * centered)[:, None], len(x) - 1)[0]
 
@@ -404,23 +394,19 @@ def structural_bound_eval(
     return (epsilon * epsilon) * math.fsum(factors)
 
 
-def rate_fit(
-    epsilons: Sequence[float],
-    estimates: Sequence[float],
-    std_errors: Sequence[float] | None = None,
-) -> float:
-    """Least-squares slope of log|estimate| against log(epsilon).
+def rate_fit(epsilons: Sequence[float], magnitudes: Sequence[float]) -> float:
+    """Least-squares slope of log(magnitude) against log(epsilon).
 
-    Estimates are floored at their standard errors before taking logs:
+    The caller floors each magnitude, |estimate| at its standard error:
     once the true moment falls below Monte Carlo resolution the raw
     magnitude is pure noise and would corrupt the fit.
     """
     eps = np.asarray(epsilons, dtype=np.float64)
-    vals = np.abs(np.asarray(estimates, dtype=np.float64))
+    vals = np.asarray(magnitudes, dtype=np.float64)
     if eps.size < RATE_MIN_EPS_COUNT:
         raise ValueError(f"need at least {RATE_MIN_EPS_COUNT} epsilon values")
     if eps.size != vals.size:
-        raise ValueError("epsilons and estimates must have equal length")
+        raise ValueError("epsilons and magnitudes must have equal length")
     if np.any(eps <= 0):
         raise ValueError("epsilons must be positive")
     if np.any(np.diff(eps) >= 0):
@@ -429,12 +415,7 @@ def rate_fit(
         raise ValueError(
             f"epsilon range too narrow for a rate fit (need a factor >= {RATE_MIN_SPREAD:g})"
         )
-    if std_errors is not None:
-        ses = np.asarray(std_errors, dtype=np.float64)
-        if ses.size != vals.size:
-            raise ValueError("std_errors length mismatch")
-        vals = np.maximum(vals, ses)
     if np.any(vals <= 0):
-        raise ValueError("estimates must be positive after flooring")
+        raise ValueError("magnitudes must be positive")
     slope, _ = np.polyfit(np.log(eps), np.log(vals), 1)
     return float(slope)

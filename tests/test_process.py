@@ -37,7 +37,7 @@ def _path_for(eps=EPS, T_=T, seed=101, rep=0, margin=1.0):
 
 class TestEvaluationGrid:
     def test_uniform_default(self):
-        grid = EvaluationGrid.uniform(1.0)
+        grid = EvaluationGrid.uniform(1.0, 64)
         assert len(grid) == 65
         assert grid.times[0] == 0.0
         assert grid.times[-1] == 1.0

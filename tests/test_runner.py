@@ -24,6 +24,7 @@ from poisson_bm import (
     emit_plot_data,
     generate_samples,
     map_to_path_time,
+    rate_fit,
     run_experiment,
     sample_poisson_path,
 )
@@ -134,6 +135,13 @@ class TestGenerateSamples:
         # chunks and their concatenation, two blocks
         assert block.values.nbytes == M * (steps + 1) * 8
         assert peak < 1.5 * block.values.nbytes
+
+    @pytest.mark.parametrize("steps,T", [(4, 1.0), (2, 2.0)])
+    def test_grid_must_be_the_configs_own(self, steps, T):
+        # validate capped the block at grid_points + 1 times to horizon_T
+        cfg = minimal_config(replications_M=4, grid_points=2, checks=("covariance",))
+        with pytest.raises(ValueError, match="is not the config's 3 times to T = 1.0"):
+            generate_samples(cfg, EvaluationGrid.uniform(T, steps), 0)
 
 
 class TestRunExperiment:
@@ -281,6 +289,26 @@ class TestRunExperiment:
         assert len(fit["points"]) == 3
         for point in fit["points"]:
             assert point["bound_total"] > 0
+
+    def test_slope_is_the_fit_of_the_floored_magnitudes(self):
+        cfg = minimal_config(
+            theta=ThetaConfig(cos_block=["1/2 pi", 2.2], sin_block=[1.1]),
+            epsilons=(0.4, 0.28, 0.2),
+            replications_M=200,
+            grid_points=4,
+            checks=("cross_moments",),
+        )
+        fits = run_experiment(cfg).summary["rate_fits"]
+        assert len(fits) == 3
+        below_se = 0
+        for fit in fits:
+            points = fit["points"]
+            for p in points:
+                assert p["floored_abs_estimate"] == max(abs(p["estimate"]), p["std_error"])
+                below_se += abs(p["estimate"]) < p["std_error"]
+            assert fit["slope"] == rate_fit([p["epsilon"] for p in points],
+                                            [p["floored_abs_estimate"] for p in points])
+        assert below_se > 0  # some point is floored at its standard error
 
     def test_workers_do_not_change_report_bytes(self):
         cfg1 = minimal_config(replications_M=120, grid_points=4)

@@ -178,7 +178,7 @@ class TestIncrementCovariance:
         cfg = ThetaConfig(cos_block=["1/2 pi", 2.2], sin_block=[1.1])
         eps, M = 0.25, 2500
         samples = make_samples(cfg, eps, M, seed=210)
-        cov = empirical_increment_covariance(samples, 0.0, 1.0)
+        cov = empirical_increment_covariance(samples)
         for c, (theta, kind) in enumerate(
             [(math.pi / 2, "cos"), (2.2, "cos"), (1.1, "sin")]
         ):
@@ -191,7 +191,7 @@ class TestIncrementCovariance:
         cfg = ThetaConfig(cos_block=["1/2 pi", 2.2])
         eps, M = 0.3, 2500
         samples = make_samples(cfg, eps, M, seed=211)
-        cov = empirical_increment_covariance(samples, 0.0, 1.0)
+        cov = empirical_increment_covariance(samples)
         target = exact_cross_moment(math.pi / 2, 2.2, "coscos", 0.0, 1.0, eps)
         est = cov[0][1]
         assert abs(est.value - target) <= 4.0 * est.std_error
@@ -202,7 +202,7 @@ class TestIncrementCovariance:
             cos_block=["2/5 pi", "8/5 pi"], sin_block=["2/5 pi", "8/5 pi"]
         )
         samples = make_samples(cfg, 0.4, 60, seed=212)
-        cov = empirical_increment_covariance(samples, 0.0, 1.0)
+        cov = empirical_increment_covariance(samples)
         corr = correlation_matrix(cov)
         assert abs(corr[0, 1] - 1.0) <= 1e-12
         assert abs(corr[2, 3] + 1.0) <= 1e-12
@@ -210,17 +210,16 @@ class TestIncrementCovariance:
 
 # every estimator of a block, called on (0, 1] where it takes an increment
 BLOCK_ESTIMATORS = {
-    "empirical_increment_covariance": lambda b: empirical_increment_covariance(b, 0.0, 1.0),
+    "empirical_increment_covariance": empirical_increment_covariance,
     "cross_moment": lambda b: cross_moment(b, 0.0, 1.0),
     "martingale_residual": lambda b: martingale_residual(b, 0.0, 1.0),
     "fourth_moment_ratio": lambda b: fourth_moment_ratio(b, 0.0, 1.0),
-    "stroock_variance_check": lambda b: stroock_variance_check(b, 1.0),
+    "stroock_variance_check": stroock_variance_check,
 }
 
 # the estimators of an increment over (s, t), with conditioning times
 # that are themselves invalid where the estimator takes them
 INCREMENT_ESTIMATORS = {
-    "empirical_increment_covariance": lambda b, s, t: empirical_increment_covariance(b, s, t),
     "cross_moment": lambda b, s, t: cross_moment(b, s, t, conditioning=[1.0, 0.5]),
     "martingale_residual": lambda b, s, t: martingale_residual(
         b, s, t, conditioning=[1.0, 0.5]
@@ -292,7 +291,7 @@ class TestEstimatorsMatchFsum:
         deltas = block.values[:, :, -1] - block.values[:, :, 0]
         M, d = deltas.shape
         centered = deltas - np.array([math.fsum(deltas[:, c]) / M for c in range(d)])
-        cov = empirical_increment_covariance(block, 0.0, 1.0)
+        cov = empirical_increment_covariance(block)
         for i in range(d):
             for j in range(d):
                 w = centered[:, i] * centered[:, j]
@@ -300,7 +299,7 @@ class TestEstimatorsMatchFsum:
                 assert (cov[i][j].value, cov[i][j].std_error) == (math.fsum(w) / (M - 1), se)
 
     def test_quadratic_variation_per_row(self, block):
-        qvs = quadratic_variation(block, block.grid.times)
+        qvs = quadratic_variation(block)
         assert qvs.shape == block.values.shape[:2]
         for c in range(block.config.dimension):
             squares = np.diff(block.values[:, c, :], axis=1) ** 2
@@ -435,15 +434,6 @@ class TestRateFit:
     def test_constant_gives_slope_zero(self):
         assert rate_fit([0.4, 0.2, 0.1], [0.5, 0.5, 0.5]) == pytest.approx(0.0, abs=1e-12)
 
-    def test_flooring_at_std_error(self):
-        eps = [0.4, 0.2, 0.1]
-        vals = [0.16, 0.04, 1e-9]
-        ses = [1e-3, 1e-3, 1e-2]
-        floored = rate_fit(eps, vals, ses)
-        raw = rate_fit(eps, vals)
-        assert floored < raw  # the tiny last point no longer drags the slope up
-        assert floored == pytest.approx(rate_fit(eps, [0.16, 0.04, 1e-2]), rel=1e-12)
-
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             rate_fit([0.4, 0.2], [1.0, 0.5])
@@ -465,62 +455,38 @@ class TestQuadraticVariation:
 
     def test_zero_path(self):
         block = self._zero_block()
-        assert np.array_equal(quadratic_variation(block, block.grid.times), [[0.0], [0.0]])
+        assert np.array_equal(quadratic_variation(block), [[0.0], [0.0]])
 
     def test_invariant_under_constant_shift(self):
         cfg = ThetaConfig(cos_block=[2.2])
         block = make_samples(cfg, 0.3, 2, seed=219)
         shifted = replace(block, values=block.values + 5.0)
-        a = quadratic_variation(block, block.grid.times)
-        b = quadratic_variation(shifted, block.grid.times)
+        a = quadratic_variation(block)
+        b = quadratic_variation(shifted)
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_mean_matches_exact_value(self):
         cfg = ThetaConfig(cos_block=[2.2])
         eps, M, steps = 0.2, 1500, 8
         block = make_samples(cfg, eps, M, seed=220, steps=steps)
-        partition = block.grid.times
-        qvs = quadratic_variation(block, partition)
+        qvs = quadratic_variation(block)
         assert qvs.shape == (M, 1)
         est = Estimate.from_observations(qvs[:, 0])
-        target = exact_qv_mean(2.2, "cos", partition, eps)
+        target = exact_qv_mean(2.2, "cos", block.grid.times, eps)
         assert abs(est.value - target) <= 4.0 * est.std_error
 
-    def test_partition_validation(self):
-        block = self._zero_block()
-        with pytest.raises(ValueError):
-            quadratic_variation(block, [0.0])
-        with pytest.raises(ValueError):
-            quadratic_variation(block, [0.5, 1.0])
-
-    def test_off_grid_and_unsorted_partitions_rejected(self):
-        block = self._zero_block()  # grid 0, 1/8, ..., 1
-        with pytest.raises(ValueError, match="not on the evaluation grid"):
-            quadratic_variation(block, [0.0, 0.3, 1.0])
-        with pytest.raises(ValueError, match="not on the evaluation grid"):
-            quadratic_variation(block, [0.0, 0.5, 2.0])
-        with pytest.raises(ValueError, match="strictly increasing"):
-            quadratic_variation(block, [0.0, 0.5, 0.25])
-        with pytest.raises(ValueError, match="strictly increasing"):
-            quadratic_variation(block, [0.0, 0.5, 0.5])
-
-    def test_off_grid_time_is_named_as_a_plain_float(self):
-        block = self._zero_block()
-        with pytest.raises(ValueError, match=r"^time 0\.3 is not on the evaluation grid$"):
-            quadratic_variation(block, np.array([0.0, 0.3, 1.0]))
-
     def test_matches_index_of_lookup(self):
-        # each row is the exact sum over that replication's own path
+        # each row is the exact sum over that replication's own path, at
+        # every grid time in order
         cfg = ThetaConfig(cos_block=[2.2], sin_block=["1/2 pi"])
         block = make_samples(cfg, 0.2, 3, seed=222, steps=16)
         grid = block.grid
-        for partition in (grid.times, list(grid.times[::4]), [0.0, 0.25, 1.0]):
-            idx = [grid.index_of(t) for t in partition]
-            qvs = quadratic_variation(block, partition)
-            for c in range(2):
-                for r in range(len(block)):
-                    expected = _exact_sum(np.diff(block.values[r, c, idx]) ** 2)
-                    assert qvs[r, c] == expected
+        idx = [grid.index_of(t) for t in grid.times]
+        qvs = quadratic_variation(block)
+        for c in range(2):
+            for r in range(len(block)):
+                expected = _exact_sum(np.diff(block.values[r, c, idx]) ** 2)
+                assert qvs[r, c] == expected
 
 
 class TestFourthMoment:
@@ -624,19 +590,13 @@ class TestStroockVariance:
         cfg = ThetaConfig(cos_block=[1.0])
         samples = make_samples(cfg, 0.4, 10, seed=230)
         with pytest.raises(ValueError, match="angle-pi"):
-            stroock_variance_check(samples, 1.0)
-
-    def test_variance_at_time_zero(self):
-        cfg = ThetaConfig(cos_block=["pi"])
-        samples = make_samples(cfg, 0.4, 30, seed=231)
-        est = stroock_variance_check(samples, 0.0)
-        assert est.value == 0.0
+            stroock_variance_check(samples)
 
     def test_unrescaled_matches_exact_second_moment(self):
         cfg = ThetaConfig(cos_block=["pi"])
         eps, M = 0.2, 2000
         samples = make_samples(cfg, eps, M, seed=232)
-        est = stroock_variance_check(samples, 1.0)
+        est = stroock_variance_check(samples)
         target = exact_increment_variance(math.pi, "cos", 0.0, 1.0, eps)
         assert abs(est.value - target) <= 4.0 * est.std_error
         assert target == pytest.approx(2.0, abs=0.05)
@@ -647,6 +607,6 @@ class TestStroockVariance:
         scaled = make_samples(
             ThetaConfig(cos_block=["pi"], allow_pi_in_cos=True), eps, M, seed=233
         )
-        v_plain = stroock_variance_check(plain, 1.0)
-        v_scaled = stroock_variance_check(scaled, 1.0)
+        v_plain = stroock_variance_check(plain)
+        v_scaled = stroock_variance_check(scaled)
         assert v_scaled.value == pytest.approx(v_plain.value / 2.0, rel=1e-12)
