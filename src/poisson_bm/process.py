@@ -58,14 +58,13 @@ def check_replication_memory(needed: float, dimension: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class EvaluationGrid:
-    """Strictly increasing evaluation times starting at 0, within [0, T].
+    """Strictly increasing evaluation times starting at 0; the last one is T.
 
     ``times`` is the grid's own read-only copy, so path times computed
     from it once (see ``BuildPlan``) never go stale.
     """
 
     times: np.ndarray
-    horizon_T: float
 
     def __post_init__(self) -> None:
         ts = np.array(self.times, dtype=np.float64)
@@ -77,15 +76,17 @@ class EvaluationGrid:
             raise ValueError("grid must start at t = 0")
         if ts.size > 1 and np.any(np.diff(ts) <= 0.0):
             raise ValueError("grid times must be strictly increasing")
-        if ts[-1] > self.horizon_T:
-            raise ValueError(f"grid exceeds horizon T = {self.horizon_T}")
+
+    @property
+    def horizon_T(self) -> float:
+        return float(self.times[-1])
 
     @classmethod
     def uniform(cls, horizon_T: float, steps: int) -> "EvaluationGrid":
         """0 to T in ``steps`` uniform steps (steps+1 grid times)."""
         if steps < 1:
             raise ValueError("need at least one step")
-        return cls(times=np.linspace(0.0, horizon_T, steps + 1), horizon_T=float(horizon_T))
+        return cls(times=np.linspace(0.0, horizon_T, steps + 1))
 
     def index_of(self, t: float) -> int:
         """Index of an exact grid time; raises for off-grid values."""

@@ -217,10 +217,10 @@ def _check_qv(block: SampleBlock) -> tuple[list[dict], dict]:
 
 
 def _check_cross_moments(block: SampleBlock) -> tuple[list[dict], dict]:
-    theta, T = block.config, block.grid.horizon_T
+    theta = block.config
     assertions = []
     pairs = []
-    for (i, j), est in cross_moment(block, 0.0, T).items():
+    for (i, j), est in cross_moment(block).items():
         assertions.append(_band_assertion(f"cross[{i + 1},{j + 1}]", est, 0.0))
         try:
             bound_total = structural_bound_eval(
@@ -243,18 +243,15 @@ def _check_cross_moments(block: SampleBlock) -> tuple[list[dict], dict]:
 
 
 def _dyadic_pairs(grid: EvaluationGrid) -> list[tuple[float, float]]:
-    """The dyadic subintervals of [0, T] that end on grid times."""
-    T = grid.horizon_T
+    """The dyadic pieces of [0, T], level by level, at each level whose
+    piece count divides the grid's steps: (times[k n/p], times[(k+1) n/p])."""
+    times, steps = grid.times.tolist(), len(grid) - 1
     out = []
     for level in range(DYADIC_LEVELS + 1):
         pieces = 2**level
-        for k in range(pieces):
-            s, t = k * T / pieces, (k + 1) * T / pieces
-            try:
-                grid.index_of(s), grid.index_of(t)
-            except ValueError:
-                continue
-            out.append((s, t))
+        if steps % pieces == 0:
+            out += [(times[k * steps // pieces], times[(k + 1) * steps // pieces])
+                    for k in range(pieces)]
     return out
 
 

@@ -18,8 +18,8 @@ estimate needs at least two observations (``_estimates``). Each
 estimator of an increment reads the block once and returns every
 component, or every pair of components, at once.
 
-The martingale and cross-moment estimators weight each replication by
-a bounded function phi of the history before the increment. phi is
+The martingale estimator weights each replication by a bounded
+function phi of the history before the increment. phi is
 given by its conditioning times: the product over them of tanh of the
 coordinate sum at that time, with no times meaning phi = 1 (the empty
 product).
@@ -197,15 +197,15 @@ def _phi_values(
 
 
 def _pair_estimates(
-    x: np.ndarray, w: np.ndarray | float, first: int, divisor: float
+    x: np.ndarray, first: int, divisor: float
 ) -> dict[tuple[int, int], Estimate]:
-    """Estimates of w * x_i * x_j over the (M, d) columns x, for every
-    pair with j >= i + first, in row-major order: one row of products,
-    and one exact reduction, per i."""
+    """Estimates of x_i * x_j over the (M, d) columns x, for every pair
+    with j >= i + first, in row-major order: one row of products, and
+    one exact reduction, per i."""
     d = x.shape[1]
     out: dict[tuple[int, int], Estimate] = {}
     for i in range(d - first):
-        row = _estimates((w * x[:, i])[:, None] * x[:, i + first :], divisor)
+        row = _estimates(x[:, i][:, None] * x[:, i + first :], divisor)
         out.update(zip([(i, j) for j in range(i + first, d)], row))
     return out
 
@@ -220,7 +220,7 @@ def empirical_increment_covariance(block: SampleBlock) -> list[list[Estimate]]:
     centered = _increments_at(block, 0.0, block.grid.horizon_T)  # (M, d)
     M, d = centered.shape
     centered -= _exact_sum(centered, axis=0) / M
-    upper = _pair_estimates(centered, 1.0, 0, M - 1)
+    upper = _pair_estimates(centered, 0, M - 1)
     return [[upper[min(i, j), max(i, j)] for j in range(d)] for i in range(d)]
 
 
@@ -234,21 +234,13 @@ def correlation_matrix(cov: Sequence[Sequence[Estimate]]) -> np.ndarray:
     return corr
 
 
-def cross_moment(
-    block: SampleBlock,
-    s: float,
-    t: float,
-    conditioning: Sequence[float] = (),
-) -> dict[tuple[int, int], Estimate]:
-    """Estimate E[phi(history) * Delta_i * Delta_j] over the increment (s, t)
-    for every pair of 0-based components i < j, keyed (i, j) in row-major
-    order; one component has no pair and gives {}.
-
-    phi is the tanh product over the ``conditioning`` times
-    (nondecreasing, at most s); no times means phi = 1.
+def cross_moment(block: SampleBlock) -> dict[tuple[int, int], Estimate]:
+    """Estimate E[Delta_i * Delta_j] over the increment (0, T) for every
+    pair of 0-based components i < j, keyed (i, j) in row-major order;
+    one component has no pair and gives {}.
     """
-    deltas = _increments_at(block, s, t)
-    return _pair_estimates(deltas, _phi_values(block, conditioning, s), 1, len(deltas))
+    deltas = _increments_at(block, 0.0, block.grid.horizon_T)
+    return _pair_estimates(deltas, 1, len(deltas))
 
 
 def martingale_residual(

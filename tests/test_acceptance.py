@@ -245,8 +245,8 @@ def test_criterion_5_fourth_moment_boundedness():
 def _rate_estimates():
     """E[Delta_i Delta_j] estimates per kind over the epsilon sweep.
 
-    One generate_samples call per epsilon, then cross_moment with the
-    constant weight; on the one-step grid each block is M x 4 x 2
+    One generate_samples call per epsilon, then cross_moment over
+    (0, 1); on the one-step grid each block is M x 4 x 2
     doubles (12.8 MB at M = 200000).
     """
     cfg = RunConfig(
@@ -262,7 +262,7 @@ def _rate_estimates():
     per_eps = []
     for k in range(len(RATE_EPSILONS)):
         block = generate_samples(cfg, grid, k)
-        ests = cross_moment(block, 0.0, 1.0)
+        ests = cross_moment(block)
         per_eps.append([ests[i, j] for _, i, j in RATE_KINDS])
     return per_eps
 
@@ -270,7 +270,7 @@ def _rate_estimates():
 def test_criterion_6_cross_moment_decay():
     # 6a: at eps = 0.05 every kind sits inside its 4-SE band around zero
     samples = _make_samples(RATE_THETA, 0.05, 5000, SEED + 6, steps=1)
-    ests = cross_moment(samples, 0.0, 1.0)
+    ests = cross_moment(samples)
     for kind, i, j in RATE_KINDS:
         est = ests[i, j]
         assert abs(est.value) <= BAND * est.std_error, (kind, est.value)

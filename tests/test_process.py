@@ -44,11 +44,18 @@ class TestEvaluationGrid:
 
     def test_must_start_at_zero(self):
         with pytest.raises(ValueError):
-            EvaluationGrid(times=np.array([0.5, 1.0]), horizon_T=1.0)
+            EvaluationGrid(times=np.array([0.5, 1.0]))
 
     def test_strictly_increasing(self):
         with pytest.raises(ValueError):
-            EvaluationGrid(times=np.array([0.0, 0.5, 0.5]), horizon_T=1.0)
+            EvaluationGrid(times=np.array([0.0, 0.5, 0.5]))
+
+    def test_horizon_is_the_last_time(self):
+        assert EvaluationGrid(times=[0.0, 0.25, 0.5]).horizon_T == 0.5
+        for T in (0.9, 7.5, 1.0, 1.7, 5.3, 1.0 / 3.0):
+            for steps in (1, 12, 64, 100):
+                # linspace ends on T exactly, so 2T/eps^2 keeps its bits
+                assert EvaluationGrid.uniform(T, steps).horizon_T == T, (T, steps)
 
     def test_index_of_exact_match_only(self):
         grid = EvaluationGrid.uniform(1.0, 4)
@@ -365,12 +372,12 @@ class TestPathTimePlans:
         # two different configs, and two equal but distinct copies of each
         configs = [ThetaConfig(**args) for args in config_args * 2]
         grid_times = [np.linspace(0.0, T, 17), np.linspace(0.0, T, 17) ** 2]
-        grids = [EvaluationGrid(times=ts, horizon_T=T) for ts in grid_times]
+        grids = [EvaluationGrid(times=ts) for ts in grid_times]
         paths = [_path_for(eps=eps, seed=402) for eps in self.EPSILONS]
         want = {}
         for e, c, g in np.ndindex(len(paths), len(configs), len(grids)):
             fresh_cfg = ThetaConfig(**config_args[c % 2])
-            fresh_grid = EvaluationGrid(times=grid_times[g], horizon_T=T)
+            fresh_grid = EvaluationGrid(times=grid_times[g])
             fresh = BuildPlan(fresh_cfg, self.EPSILONS[e], fresh_grid)
             want[e, c, g] = build_sample(paths[e], fresh).values.tobytes()
         plans = {(e, c, g): BuildPlan(configs[c], self.EPSILONS[e], grids[g])
@@ -420,7 +427,7 @@ class TestPathTimePlans:
 
     def test_grid_times_are_a_read_only_copy(self):
         times = np.linspace(0.0, 1.0, 5)
-        grid = EvaluationGrid(times=times, horizon_T=1.0)
+        grid = EvaluationGrid(times=times)
         with pytest.raises(ValueError):
             grid.times[1] = 0.3
         times[1] = 0.3  # the caller's array stays writable and apart

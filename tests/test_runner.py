@@ -349,6 +349,21 @@ class TestRunExperiment:
         assert [c["name"] for c in report.results[0]["checks"]] == list(ALL_CHECKS)
         assert calls == {name: n * len(cfg.epsilons) for name, n in per_eps.items()}
 
+    @pytest.mark.parametrize("T,steps", [(0.9, 12), (1.7, 20), (5.3, 100)])
+    def test_fourth_moment_gets_every_dyadic_window(self, T, steps):
+        # k*T/p need not be a grid time bit for bit; the windows are grid indices
+        theta = ThetaConfig(cos_block=["1/2 pi"], sin_block=[1.1])
+        cfg = minimal_config(theta=theta, epsilons=(0.4,), replications_M=20,
+                             horizon_T=T, grid_points=steps, checks=("fourth_moment",))
+        (check,) = run_experiment(cfg).results[0]["checks"]
+        times = EvaluationGrid.uniform(T, steps).times.tolist()
+        want = [(times[k * steps // p], times[(k + 1) * steps // p])
+                for p in (1, 2, 4) for k in range(p)]
+        for c in (1, 2):
+            got = [(r["s"], r["t"]) for r in check["data"]["ratios"] if r["component"] == c]
+            assert got == want
+            assert all(s in times and t in times for s, t in got)
+
 
 class TestReportFiles:
     def test_write_and_reload(self, tmp_path):

@@ -13,6 +13,7 @@ from poisson_bm import (
     Estimate,
     EvaluationGrid,
     RunConfig,
+    SampleBlock,
     ThetaConfig,
     correlation_matrix,
     cross_moment,
@@ -211,7 +212,7 @@ class TestIncrementCovariance:
 # every estimator of a block, called on (0, 1] where it takes an increment
 BLOCK_ESTIMATORS = {
     "empirical_increment_covariance": empirical_increment_covariance,
-    "cross_moment": lambda b: cross_moment(b, 0.0, 1.0),
+    "cross_moment": cross_moment,
     "martingale_residual": lambda b: martingale_residual(b, 0.0, 1.0),
     "fourth_moment_ratio": lambda b: fourth_moment_ratio(b, 0.0, 1.0),
     "stroock_variance_check": stroock_variance_check,
@@ -220,7 +221,6 @@ BLOCK_ESTIMATORS = {
 # the estimators of an increment over (s, t), with conditioning times
 # that are themselves invalid where the estimator takes them
 INCREMENT_ESTIMATORS = {
-    "cross_moment": lambda b, s, t: cross_moment(b, s, t, conditioning=[1.0, 0.5]),
     "martingale_residual": lambda b, s, t: martingale_residual(
         b, s, t, conditioning=[1.0, 0.5]
     ),
@@ -318,14 +318,13 @@ class TestEstimatorsMatchFsum:
             assert rep.skewness == math.fsum(z**3) / n
             assert rep.excess_kurtosis == math.fsum(z**4) / n - 3.0
 
-    @pytest.mark.parametrize("s,t,conditioning", WEIGHTED_INCREMENTS, ids=["one", "tanh"])
-    def test_cross_moment_every_pair(self, block, s, t, conditioning):
-        deltas, w = _deltas_and_phi(block, s, t, conditioning)
+    def test_cross_moment_every_pair(self, block):
+        deltas, _ = _deltas_and_phi(block, 0.0, 1.0, ())
         d = block.config.dimension
-        ests = cross_moment(block, s, t, conditioning)
+        ests = cross_moment(block)
         assert list(ests) == [(i, j) for i in range(d) for j in range(i + 1, d)]
         for (i, j), est in ests.items():
-            expected = _fsum_estimate(w * deltas[:, i] * deltas[:, j])
+            expected = _fsum_estimate(deltas[:, i] * deltas[:, j])
             assert (est.value, est.std_error) == expected, (i, j)
 
     @pytest.mark.parametrize("s,t,conditioning", WEIGHTED_INCREMENTS, ids=["one", "tanh"])
@@ -351,13 +350,36 @@ class TestEstimatorsMatchFsum:
     def test_one_component(self):
         # d = 1 has no pair; the per-component estimators return one estimate
         block = make_samples(ThetaConfig(cos_block=[2.2]), 0.3, 50, seed=234, steps=8)
-        assert cross_moment(block, 0.0, 1.0) == {}
-        assert cross_moment(block, 0.5, 1.0, conditioning=[0.25, 0.5]) == {}
+        assert cross_moment(block) == {}
         deltas, _ = _deltas_and_phi(block, 0.0, 1.0, ())
         (est,) = martingale_residual(block, 0.0, 1.0)
         assert (est.value, est.std_error) == _fsum_estimate(deltas[:, 0])
         (est,) = fourth_moment_ratio(block, 0.0, 1.0)
         assert (est.value, est.std_error) == _fsum_estimate(deltas[:, 0] ** 4)
+
+
+class TestWindowIsTheGrid:
+    def test_fixed_window_estimators_read_zero_to_the_last_grid_time(self):
+        # T is the grid's last time, 0.5 here; no second horizon to disagree with
+        cfg = ThetaConfig(cos_block=["pi", 1.1], sin_block=[2.2], allow_pi_in_cos=True)
+        values = np.random.default_rng(240).normal(size=(50, 3, 3))
+        block = SampleBlock(epsilon=0.3, config=cfg, grid=EvaluationGrid(times=[0.0, 0.25, 0.5]),
+                            values=values)
+        assert block.grid.horizon_T == 0.5
+        deltas = values[:, :, 2] - values[:, :, 0]
+        centered = deltas - np.array([math.fsum(deltas[:, c]) / 50 for c in range(3)])
+        cov = empirical_increment_covariance(block)
+        for i in range(3):
+            for j in range(3):
+                w = centered[:, i] * centered[:, j]
+                assert cov[i][j].value == math.fsum(w) / 49, (i, j)
+        qvs = quadratic_variation(block)
+        for c in range(3):
+            squares = np.diff(values[:, c, :], axis=1) ** 2
+            assert qvs[:, c].tolist() == [math.fsum(row) for row in squares]
+        x = values[:, 0, 2]
+        centered_pi = x - math.fsum(x) / 50
+        assert stroock_variance_check(block).value == math.fsum(centered_pi**2) / 49
 
 
 class TestCrossMoment:
@@ -371,28 +393,10 @@ class TestCrossMoment:
             (2, 3, exact_cross_moment(t1, t2, "sinsin", 0.0, 1.0, eps)),
             (0, 3, exact_cross_moment(t1, t2, "cossin", 0.0, 1.0, eps)),
         ]
-        ests = cross_moment(samples, 0.0, 1.0)
+        ests = cross_moment(samples)
         for i, j, target in cases:
             est = ests[i, j]
             assert abs(est.value - target) <= 4.0 * est.std_error, (i, j)
-
-    def test_bounded_weight_stays_in_band(self):
-        cfg = ThetaConfig(cos_block=["1/2 pi"], sin_block=[2.2])
-        samples = make_samples(cfg, 0.15, 2000, seed=216)
-        est = cross_moment(samples, 0.5, 1.0, conditioning=[0.25, 0.5])[0, 1]
-        assert abs(est.value) <= 4.0 * est.std_error
-
-    def test_conditioning_after_increment_start_rejected(self):
-        cfg = ThetaConfig(cos_block=[1.0, 2.0])
-        samples = make_samples(cfg, 0.4, 10, seed=217)
-        with pytest.raises(ValueError, match="must not exceed the increment start"):
-            cross_moment(samples, 0.5, 1.0, conditioning=[0.75])
-
-    def test_decreasing_conditioning_times_rejected(self):
-        cfg = ThetaConfig(cos_block=[1.0, 2.0])
-        samples = make_samples(cfg, 0.4, 10, seed=217)
-        with pytest.raises(ValueError, match="nondecreasing"):
-            cross_moment(samples, 0.5, 1.0, conditioning=[0.5, 0.25])
 
 
 class TestStructuralBound:
