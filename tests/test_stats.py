@@ -318,13 +318,15 @@ class TestEstimatorsMatchFsum:
             assert rep.skewness == math.fsum(z**3) / n
             assert rep.excess_kurtosis == math.fsum(z**4) / n - 3.0
 
-    def test_cross_moment_every_pair(self, block):
-        deltas, _ = _deltas_and_phi(block, 0.0, 1.0, ())
+    # cross_moment reads (0, T) with phi = 1, the first weighted increment
+    @pytest.mark.parametrize("s,t,conditioning", WEIGHTED_INCREMENTS[:1], ids=["one"])
+    def test_cross_moment_every_pair(self, block, s, t, conditioning):
+        deltas, w = _deltas_and_phi(block, s, t, conditioning)
         d = block.config.dimension
         ests = cross_moment(block)
         assert list(ests) == [(i, j) for i in range(d) for j in range(i + 1, d)]
         for (i, j), est in ests.items():
-            expected = _fsum_estimate(deltas[:, i] * deltas[:, j])
+            expected = _fsum_estimate(w * deltas[:, i] * deltas[:, j])
             assert (est.value, est.std_error) == expected, (i, j)
 
     @pytest.mark.parametrize("s,t,conditioning", WEIGHTED_INCREMENTS, ids=["one", "tanh"])
