@@ -33,8 +33,8 @@ from .process import (
 )
 from .report import RunReport, emit_plot_data
 from .rng import derive_stream
-from .runconfig import ConfigError, RunConfig, load_config, parse_config_text
-from .runner import InvalidThetaError, generate_samples, run_experiment
+from .runconfig import ConfigError, InvalidThetaError, RunConfig, load_config, parse_config_text
+from .runner import generate_samples, run_experiment
 from .stats import (
     DegeneratePairError,
     DegenerateSampleError,

@@ -21,8 +21,8 @@ from .report import (
     RunReport,
     emit_plot_data,
 )
-from .runconfig import ConfigError, load_config
-from .runner import InvalidThetaError, run_experiment
+from .runconfig import ConfigError, InvalidThetaError, load_config
+from .runner import run_experiment
 from .version import TOOL_NAME, VERSION
 
 EXIT_OK = 0
@@ -37,24 +37,27 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if report.valid else EXIT_USAGE
 
 
+def _status(entry: dict) -> str:
+    return "pass" if entry["pass"] else "FAIL"
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     report = run_experiment(config)
     path = report.write(config.output_dir)
     for block in report.results:
         for check in block["checks"]:
-            status = "pass" if check["pass"] else "FAIL"
-            print(f"epsilon={block['epsilon']:g} {check['name']}: {status}")
+            print(f"epsilon={block['epsilon']:g} {check['name']}: {_status(check)}")
     for fit in report.summary.get("rate_fits", []):
-        status = "pass" if fit["pass"] else "FAIL"
-        print(
-            f"rate pair ({fit['i']},{fit['j']}) {fit['kind']}: "
-            f"slope={fit['slope']:.3f} {status}"
-        )
-    sweep = report.summary.get("fourth_moment_sweep")
-    if sweep is not None:
-        status = "pass" if sweep["pass"] else "FAIL"
-        print(f"fourth-moment sweep: max/min={sweep['max_over_min']:.3f} {status}")
+        print(f"rate pair ({fit['i']},{fit['j']}) {fit['kind']}: "
+              f"slope={fit['slope']:.3f} {_status(fit)}")
+    sweep = report.summary.get("fourth_moment_sweep", {})
+    if sweep:
+        print(f"fourth-moment sweep: max/min={sweep['max_over_min']:.3f} {_status(sweep)}")
+    if "anchor" in sweep:
+        anchor = sweep["anchor"]
+        ratios = ", ".join(f"{r:.3f}" for r in anchor["ratios"])
+        print(f"fourth-moment anchor: epsilon={anchor['epsilon']:g} r4={ratios} {_status(anchor)}")
     print(f"report written to {path}")
     print("ALL CHECKS PASS" if report.all_pass else "SOME CHECKS FAILED")
     return EXIT_OK if report.all_pass else EXIT_STATISTICAL_FAILURE

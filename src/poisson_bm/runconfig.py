@@ -16,10 +16,12 @@ Example::
 
 ``RunConfig`` is the schema: its fields without a default are the
 required keys, and a key the file leaves out takes the field's default.
-A value that does not parse is reported with its line, key and value;
-an empty check list, or cross moments of a single component, is
-rejected, since it would pass vacuously, and so is "default" listed
-with check names.
+A value that does not parse is reported with its line, key and value.
+Check names, what each check needs of the config and the "default"
+bundle come from ``runner.CHECKS``, in its order: an empty check list,
+a named check the config cannot feed, and "default" listed with check
+names are rejected. ``RunConfig.admissibility`` refuses an
+inadmissible angle vector unless ``allow_invalid_theta`` is set.
 
 Only the output directory and the worker count may be overridden from
 the environment (POISSON_BM_OUTPUT_DIR, POISSON_BM_WORKERS); their
@@ -33,42 +35,23 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
-from .angles import Angle, ThetaConfig, parse_angle
+from .angles import Angle, HypothesisReport, ThetaConfig, parse_angle, validate_hypothesis_h
 from .process import BLOCK_BYTES_CAP, check_replication_memory, map_to_path_time
+from .runner import CHECKS
 
 ENV_OUTPUT_DIR = "POISSON_BM_OUTPUT_DIR"
 ENV_WORKERS = "POISSON_BM_WORKERS"
 
-# canonical ordering for report emission
-ALL_CHECKS = (
-    "covariance",
-    "quadratic_variation",
-    "cross_moments",
-    "fourth_moment",
-    "normality",
-    "martingale",
-    "stroock",
-)
-
-# check -> (its test on the config, what it needs, the fix), in the order
-# validation reports them. The default bundle leaves out an unfed check named
-# in _DEFAULT_DROPS_UNFED; any other unfed check is refused
-_NEEDS: dict[str, tuple[Callable[["RunConfig"], bool], str, str]] = {
-    "normality": (lambda c: c.replications_M >= 100, "replications_M >= 100", "raise M"),
-    "martingale": (lambda c: c.grid_points >= 2, "grid_points >= 2", "raise grid_points"),
-    "cross_moments": (
-        lambda c: c.theta.dimension >= 2, "at least 2 components", "add an angle"
-    ),
-    "stroock": (
-        lambda c: any(a.is_pi for a in c.theta.cos_block),
-        "an angle-pi cosine component", "add pi to cos_block",
-    ),
-}
-_DEFAULT_DROPS_UNFED = ("cross_moments", "stroock")
-
-
 class ConfigError(ValueError):
     """A run configuration is unusable (parse failure or invariant breach)."""
+
+
+class InvalidThetaError(ConfigError):
+    """Raised when an inadmissible angle vector is run without the override."""
+
+    def __init__(self, message: str, hypothesis: dict):
+        super().__init__(message)
+        self.hypothesis = hypothesis
 
 
 @dataclass(frozen=True)
@@ -119,29 +102,39 @@ class RunConfig:
                               f"above the cap of {BLOCK_BYTES_CAP}")
         if not self.checks:
             raise ConfigError("checks must be nonempty: list check names or default")
-        unknown = [c for c in self.checks if c != "default" and c not in ALL_CHECKS]
+        unknown = [c for c in self.checks if c != "default" and c not in CHECKS]
         if unknown:
             raise ConfigError(f"unknown checks: {', '.join(unknown)}")
         if "default" in self.checks and len(set(self.checks)) > 1:
             raise ConfigError("checks: default cannot be mixed with check names; "
                               "list check names or default alone")
-        checks = self.resolved_checks
-        for name, (fed, need, fix) in _NEEDS.items():
-            if name in checks and not fed(self):
+        for name in self.resolved_checks:
+            if not CHECKS[name].fed(self):
+                _, need, fix = CHECKS[name].need
                 raise ConfigError(f"the {name} check needs {need}; {fix} or drop the check")
 
     @property
     def resolved_checks(self) -> tuple[str, ...]:
-        """Expand "default" to the standard bundle, in canonical order.
-
-        The bundle leaves out the angle-pi variance check when the cosine
-        block holds no pi, and the cross-moment check when there are
-        fewer than two components.
-        """
+        """The requested checks in table order; "default" is every check
+        but those the config cannot feed whose row drops them."""
         if "default" in self.checks:
-            return tuple(c for c in ALL_CHECKS
-                         if c not in _DEFAULT_DROPS_UNFED or _NEEDS[c][0](self))
-        return tuple(c for c in ALL_CHECKS if c in self.checks)
+            return tuple(name for name, check in CHECKS.items()
+                         if check.fed(self) or not check.default_drops_unfed)
+        return tuple(name for name in CHECKS if name in self.checks)
+
+    def admissibility(self) -> HypothesisReport:
+        """The angle vector's admissibility report. An inadmissible vector
+        is refused, with the report, unless allow_invalid_theta is set
+        (the counterexample mode)."""
+        hypothesis = validate_hypothesis_h(self.theta)
+        if not hypothesis.valid and not self.allow_invalid_theta:
+            raise InvalidThetaError(
+                "angle vector fails the admissibility conditions "
+                "(set allow_invalid_theta = true to run it as a counterexample): "
+                + "; ".join(f"{v.rule}{v.indices}" for v in hypothesis.violations),
+                hypothesis.to_dict(),
+            )
+        return hypothesis
 
     def echo(self) -> dict:
         """Configuration echo for the canonical report.

@@ -4,11 +4,14 @@ Each (epsilon, replication) work item derives its own counter-based
 stream, samples one Poisson path, and evaluates all components on the
 shared grid. Workers fill row blocks of one (replications, dimension,
 grid) array, gathered in replication order into the epsilon's
-SampleBlock. Each check is a function of that block, looked up by name
-in CHECKS, and every statistic is reduced with exactly rounded sums.
-The report bytes therefore do not depend on the worker count or on
-execution order. Wall-clock seconds per epsilon, per generation and per
-check go to the report's timings, outside the canonical JSON.
+SampleBlock. Each check is one row of CHECKS, in report order: its
+function of the block, its need on the config, whether ``default`` drops
+it when the config cannot feed it, and its cross-epsilon summary;
+``runconfig`` reads check names, needs and the bundle from there. Every
+statistic is reduced with exactly rounded sums, so the report bytes do
+not depend on the worker count or on execution order. Wall-clock seconds
+per epsilon, per generation and per check go to the report's timings,
+outside the canonical JSON.
 """
 
 from __future__ import annotations
@@ -17,14 +20,13 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .angles import validate_hypothesis_h
 from .poisson import sample_poisson_path
 from .process import BuildPlan, EvaluationGrid, SampleBlock, build_sample
 from .report import RunReport
-from .runconfig import ConfigError, RunConfig
 from .rng import derive_stream
 from .stats import (
     RATE_MIN_EPS_COUNT,
@@ -46,6 +48,9 @@ from .stats import (
     structural_bound_eval,
 )
 from .version import TOOL_NAME, VERSION
+
+if TYPE_CHECKING:
+    from .runconfig import RunConfig
 
 # Monte Carlo acceptance band, in standard errors. One-in-16000 false
 # alarms per scalar check under Gaussian error.
@@ -85,14 +90,6 @@ ZERO_FOURTH_MOMENT = (
 ZERO_CROSS_MOMENT = (
     "a cross moment and its standard error are exactly zero: no log-log slope exists"
 )
-
-
-class InvalidThetaError(ConfigError):
-    """Raised when an inadmissible angle vector is run without the override."""
-
-    def __init__(self, message: str, hypothesis: dict):
-        super().__init__(message)
-        self.hypothesis = hypothesis
 
 
 # ----------------------------------------------------------------------
@@ -346,27 +343,15 @@ def _check_stroock(block: SampleBlock) -> tuple[list[dict], dict]:
     return [_band_assertion("variance", est, target)], {"rescaled": rescaled}
 
 
-# check name -> check; every check maps its block to (assertions, data)
-CHECKS = {
-    "covariance": _check_covariance,
-    "quadratic_variation": _check_qv,
-    "cross_moments": _check_cross_moments,
-    "fourth_moment": _check_fourth_moment,
-    "normality": _check_normality,
-    "martingale": _check_martingale,
-    "stroock": _check_stroock,
-}
-
-
 # ----------------------------------------------------------------------
-# cross-epsilon summary
+# cross-epsilon summaries and the check table
 
 
-def _rate_summary(per_eps: list[dict], config: RunConfig) -> list[dict] | None:
+def _rate_summary(per_eps: list[dict], config: RunConfig) -> tuple[dict, list[bool]]:
     """Rate fits from the cross-moment check's data at each epsilon."""
     eps = list(config.epsilons)
     if len(eps) < RATE_MIN_EPS_COUNT or eps[0] / eps[-1] < RATE_MIN_SPREAD:
-        return None
+        return {}, []
 
     fits = []
     for entries in zip(*(data["pairs"] for data in per_eps)):
@@ -409,10 +394,10 @@ def _rate_summary(per_eps: list[dict], config: RunConfig) -> list[dict] | None:
         )
         if math.isnan(slope):
             fits[-1]["reason"] = ZERO_CROSS_MOMENT
-    return fits or None
+    return {"rate_fits": fits} if fits else {}, [fit["pass"] for fit in fits]
 
 
-def _fourth_moment_summary(per_eps: list[dict], config: RunConfig) -> dict:
+def _fourth_moment_summary(per_eps: list[dict], config: RunConfig) -> tuple[dict, list[bool]]:
     """The sweep over every epsilon's ratios; the anchor reads the last's."""
     all_ratios = [r["value"] for data in per_eps for r in data["ratios"]]
     spread, reason = _spread(all_ratios)
@@ -437,7 +422,43 @@ def _fourth_moment_summary(per_eps: list[dict], config: RunConfig) -> dict:
             "half_width": ANCHOR_HALF_WIDTH,
             "pass": bool(ok),
         }
-    return out
+    return {"fourth_moment_sweep": out}, [p["pass"] for p in (out, out.get("anchor")) if p]
+
+
+class Check(NamedTuple):
+    """One check. ``need`` is (its test on the config, what it needs, the
+    fix); ``summary`` maps the check's data at every epsilon to summary
+    entries and their passes."""
+
+    block_fn: Callable[[SampleBlock], tuple[list[dict], dict]]
+    need: tuple[Callable[[RunConfig], bool], str, str] | None = None
+    default_drops_unfed: bool = False
+    summary: Callable[[list[dict], RunConfig], tuple[dict, list[bool]]] | None = None
+
+    def fed(self, config: RunConfig) -> bool:
+        return self.need is None or self.need[0](config)
+
+
+CHECKS = {
+    "covariance": Check(_check_covariance),
+    "quadratic_variation": Check(_check_qv),
+    "cross_moments": Check(
+        _check_cross_moments,
+        need=(lambda c: c.theta.dimension >= 2, "at least 2 components", "add an angle"),
+        default_drops_unfed=True, summary=_rate_summary),
+    "fourth_moment": Check(_check_fourth_moment, summary=_fourth_moment_summary),
+    "normality": Check(
+        _check_normality,
+        need=(lambda c: c.replications_M >= 100, "replications_M >= 100", "raise M")),
+    "martingale": Check(
+        _check_martingale,
+        need=(lambda c: c.grid_points >= 2, "grid_points >= 2", "raise grid_points")),
+    "stroock": Check(
+        _check_stroock,
+        need=(lambda c: any(a.is_pi for a in c.theta.cos_block),
+              "an angle-pi cosine component", "add pi to cos_block"),
+        default_drops_unfed=True),
+}
 
 
 # ----------------------------------------------------------------------
@@ -448,19 +469,10 @@ def run_experiment(config: RunConfig) -> RunReport:
     """Run every requested check at every epsilon and build the report.
 
     Refuses inadmissible angle vectors unless ``allow_invalid_theta`` is
-    set (the counterexample mode); the refusal carries the full
-    validation report.
+    set (``RunConfig.admissibility``). The run passes when every check at
+    every epsilon and every summary pass does.
     """
-    hypothesis = validate_hypothesis_h(config.theta)
-    if not hypothesis.valid and not config.allow_invalid_theta:
-        raise InvalidThetaError(
-            "angle vector fails the admissibility conditions "
-            "(set allow_invalid_theta = true to run it as a counterexample): "
-            + "; ".join(
-                f"{v.rule}{v.indices}" for v in hypothesis.violations
-            ),
-            hypothesis.to_dict(),
-        )
+    hypothesis = config.admissibility()
 
     grid = EvaluationGrid.uniform(config.horizon_T, config.grid_points)
     checks = config.resolved_checks
@@ -476,28 +488,20 @@ def run_experiment(config: RunConfig) -> RunReport:
         block_checks = []
         for name in checks:
             t = time.perf_counter()
-            block_checks.append(_check_entry(name, *CHECKS[name](block)))
+            block_checks.append(_check_entry(name, *CHECKS[name].block_fn(block)))
             timings[f"{key}/{name}"] = time.perf_counter() - t
         results.append({"epsilon": float(epsilon), "checks": block_checks})
         del block  # the next epsilon's block is made without this one alive
         timings[key] = time.perf_counter() - t0
 
-    # each check's data across epsilon, for the summaries that read it
-    data = {name: [b["checks"][k]["data"] for b in results] for k, name in enumerate(checks)}
     summary: dict = {}
-    if "cross_moments" in checks:
-        fits = _rate_summary(data["cross_moments"], config)
-        if fits is not None:
-            summary["rate_fits"] = fits
-    if "fourth_moment" in checks:
-        summary["fourth_moment_sweep"] = _fourth_moment_summary(data["fourth_moment"], config)
-
-    sweep = summary.get("fourth_moment_sweep", {})
-    summary["all_pass"] = all(
-        [c["pass"] for block in results for c in block["checks"]]
-        + [fit["pass"] for fit in summary.get("rate_fits", [])]
-        + [part["pass"] for part in (sweep, sweep.get("anchor")) if part]
-    )
+    passes = [c["pass"] for block in results for c in block["checks"]]
+    for k, name in enumerate(checks):
+        if CHECKS[name].summary is not None:
+            entries, ok = CHECKS[name].summary([b["checks"][k]["data"] for b in results], config)
+            summary.update(entries)
+            passes += ok
+    summary["all_pass"] = all(passes)
 
     timings["total"] = time.perf_counter() - t_start
     return RunReport(

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import poisson_bm
+import poisson_bm.runner as runner
 from poisson_bm.cli import main
 
 VALID_CFG = """
@@ -160,6 +161,20 @@ class TestRunCommand:
         ]
         assert len(reasons) == 4  # r4_spread[2], skew[2], kurt[2], ks[2]
         assert (tmp_path / "out" / "assertions.csv").exists()
+
+    def test_failing_anchor_prints_its_line(self, cfg_file, tmp_path, capsys, monkeypatch):
+        # every per-epsilon check and the sweep pass; only the anchor fails
+        monkeypatch.setattr(runner, "ANCHOR_HALF_WIDTH", 0.0)
+        cfg = cfg_file(
+            "cos_block = 1/2 pi\nepsilons = 0.1, 0.05\nreplications_M = 400\n"
+            "master_seed = 5\ngrid_points = 4\nchecks = fourth_moment\n"
+            f"output_dir = {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(cfg)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        (failing,) = [line for line in lines if line.endswith("FAIL")]
+        assert failing.startswith("fourth-moment anchor: epsilon=0.05 r4=")
+        assert lines[-1] == "SOME CHECKS FAILED"
 
     def test_missing_config_exits_two(self):
         assert main(["run", "/does/not/exist.cfg"]) == 2

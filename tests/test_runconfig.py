@@ -15,6 +15,7 @@ from poisson_bm.runconfig import (
     apply_env_overrides,
     load_config,
 )
+from poisson_bm.runner import CHECKS
 
 GOOD = """
 # a complete configuration
@@ -137,6 +138,15 @@ class TestReadme:
         assert keys == schema
 
 
+# for each check with a need, a config that cannot feed it and feeds every other
+UNFED = {
+    "cross_moments": dict(theta=ThetaConfig(cos_block=["pi"], allow_pi_in_cos=True)),
+    "normality": dict(replications_M=99),
+    "martingale": dict(grid_points=1),
+    "stroock": dict(theta=ThetaConfig(cos_block=[1.0], sin_block=[2.0])),
+}
+
+
 class TestValidation:
     def _base(self, **overrides):
         kwargs = dict(
@@ -175,6 +185,22 @@ class TestValidation:
     def test_empty_check_list_rejected(self):
         with pytest.raises(ConfigError, match="checks must be nonempty"):
             RunConfig(**self._base(checks=()))
+
+    def test_every_need_refuses_its_check_and_sets_the_default_bundle(self):
+        assert UNFED.keys() == {name for name, check in CHECKS.items() if check.need}
+        for name, overrides in UNFED.items():
+            _, need, fix = CHECKS[name].need
+            message = f"the {name} check needs {need}; {fix} or drop the check"
+            with pytest.raises(ConfigError) as exc_info:
+                RunConfig(**self._base(checks=(name,), **overrides))
+            assert str(exc_info.value) == message
+            if CHECKS[name].default_drops_unfed:
+                default = RunConfig(**self._base(**overrides)).resolved_checks
+                assert default == tuple(c for c in CHECKS if c != name)
+            else:
+                with pytest.raises(ConfigError) as exc_info:
+                    RunConfig(**self._base(**overrides))
+                assert str(exc_info.value) == message
 
     def test_martingale_needs_two_grid_steps(self):
         for checks in (("default",), ("martingale",)):

@@ -36,8 +36,9 @@ from poisson_bm.report import (
     REPORT_FILENAME,
     TIMINGS_FILENAME,
 )
-from poisson_bm.runconfig import ALL_CHECKS
 from poisson_bm.runner import CHECKS
+
+ALL_CHECKS = tuple(CHECKS)
 
 
 def minimal_config(**overrides):
@@ -145,12 +146,10 @@ class TestGenerateSamples:
 
 
 class TestRunExperiment:
-    def test_check_table_covers_every_check(self):
-        assert tuple(CHECKS) == ALL_CHECKS
-
     def test_every_check_is_a_function_of_its_block(self):
         for check in CHECKS.values():
-            assert list(inspect.signature(check).parameters) == ["block"], check.__name__
+            fn = check.block_fn
+            assert list(inspect.signature(fn).parameters) == ["block"], fn.__name__
 
     def test_each_epsilons_block_is_dropped_before_the_next_is_made(self, monkeypatch):
         made = []
@@ -243,6 +242,17 @@ class TestRunExperiment:
         sweep = report.summary["fourth_moment_sweep"]
         assert not sweep["pass"] and "reason" in sweep
         assert not report.all_pass
+
+    def test_all_pass_folds_in_the_anchor(self, monkeypatch):
+        # every per-epsilon check and the sweep pass; only the anchor fails
+        monkeypatch.setattr(runner, "ANCHOR_HALF_WIDTH", 0.0)
+        cfg = minimal_config(epsilons=(0.1, 0.05), replications_M=400, master_seed=5,
+                             grid_points=4, checks=("fourth_moment",))
+        report = run_experiment(cfg)
+        assert all(c["pass"] for block in report.results for c in block["checks"])
+        sweep = report.summary["fourth_moment_sweep"]
+        assert sweep["pass"] and not sweep["anchor"]["pass"]
+        assert report.summary["all_pass"] is False
 
     def test_zero_cross_moment_gives_failing_rate_fit(self):
         cfg = minimal_config(

@@ -12,8 +12,14 @@ For each workload in ``BENCHMARK.json``, pair i runs the benchmark
 command (``--workload W --seconds S --trace 0``) once on each side,
 parent first in even pairs and change first in odd ones. Every run's
 metrics, ``failed`` and ``attempted`` are kept; each end-to-end metric
-gets both sides' median, quartiles and IQR and the number of pairs the
-change won (ties count for neither).
+gets both sides' median, quartiles and IQR, the number of pairs the
+change won (ties count for neither), its ``BENCHMARK.json`` bound and a
+verdict against that bound, a share of the parent's median:
+
+- ``worse``: the change's median is beyond the bound on the worse side;
+- ``unresolved``: the parent's own IQR is wider than the bound, unless
+  every run of the change beats every run of the parent;
+- ``not worse``: otherwise.
 
 Then, for as many pairs, the change's ``configs/d32.cfg`` (16 cosine
 and 16 sine components) runs on both sides in the same alternating
@@ -150,6 +156,18 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def verdict(result: dict, bound: float) -> str:
+    """``compare``'s ``result`` judged against a bound; see the module docstring."""
+    sign = -1.0 if result["better"] == "lower" else 1.0
+    parent, change = result["parent"], result["change"]
+    if sign * result["median_change"] < -bound:
+        return "worse"
+    if parent["iqr"] > bound * abs(parent["median"]) and not all(
+            sign * (c - p) > 0 for c in change["runs"] for p in parent["runs"]):
+        return "unresolved"
+    return "not worse"
+
+
 def pair_order(i: int, sides: dict[str, Path]) -> list[tuple[str, Path]]:
     order = list(sides.items())
     return order if i % 2 == 0 else order[::-1]
@@ -158,7 +176,7 @@ def pair_order(i: int, sides: dict[str, Path]) -> list[tuple[str, Path]]:
 def bench_workloads(sides: dict[str, Path], bench: dict, pairs: int, seconds: float,
                     seed: int | None) -> dict:
     out = {}
-    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
     for workload in (w["name"] for w in bench["workloads"]):
         cmd = [*bench["command"], "--workload", workload, "--seconds", repr(seconds),
                "--trace", "0"] + ([] if seed is None else ["--seed", str(seed)])
@@ -172,12 +190,19 @@ def bench_workloads(sides: dict[str, Path], bench: dict, pairs: int, seconds: fl
                 print(f"{workload} pair {i} {side}: failed {result['failed']}, "
                       f"run_s {runs[-1]['metrics'].get('run_s')}", file=sys.stderr)
         by_side = {side: [r for r in runs if r["side"] == side] for side in sides}
+        results = {}
+        for name, metric in metrics.items():
+            result = compare([r["metrics"][name] for r in by_side["parent"]],
+                             [r["metrics"][name] for r in by_side["change"]], metric["better"])
+            result["bound"] = metric["bound"]
+            result["verdict"] = verdict(result, metric["bound"])
+            results[name] = result
+            print(f"{workload} {name}: median {result['median_change']:+.1%}, "
+                  f"bound {metric['bound']:.0%}: {result['verdict']}", file=sys.stderr)
         out[workload] = {
             "command": cmd,
             "failed": {side: [r["failed"] for r in rs] for side, rs in by_side.items()},
-            "metrics": {name: compare([r["metrics"][name] for r in by_side["parent"]],
-                                      [r["metrics"][name] for r in by_side["change"]], better)
-                        for name, better in metrics.items()},
+            "metrics": results,
             "runs": runs,
         }
     return out
