@@ -153,8 +153,7 @@ class BuildPlan:
     read-only table of trig(theta_i * k), k < K, two components to a
     row: ceil(d/2) complex128 rows, component 2l in the real part of row
     l and component 2l + 1 in its imaginary part (an odd d pads the last
-    imaginary parts with +0.0). ``level_floats`` is the same memory as a
-    (rows, K, 2) float64 array. Component i's lane holds
+    imaginary parts with +0.0). Component i's lane holds
     ``_level_values`` of component i, and a level's value does not
     depend on K. The first path sizes the table for the longest path
     that ``sample_poisson_path`` draws from its first block of uniforms
@@ -173,15 +172,11 @@ class BuildPlan:
         self.xs = np.array([map_to_path_time(t, self.epsilon) for t in grid.times.tolist()])
         self.xs.flags.writeable = False
         self.rescaled = tuple(i - 1 for i in config.pi_rescaled_indices)
-        self._set_levels(np.empty((_rows(config.dimension), 0), dtype=np.complex128))
+        self.levels = np.empty((_rows(config.dimension), 0), dtype=np.complex128)
+        self.levels.flags.writeable = False
 
     def __reduce__(self):
         return BuildPlan, (self.config, self.epsilon, self.grid)
-
-    def _set_levels(self, table: np.ndarray) -> None:
-        table.flags.writeable = False
-        self.levels = table
-        self.level_floats = table.view(np.float64).reshape(*table.shape, 2)
 
     def level_table(self, n_levels: int) -> np.ndarray:
         """The level table, first grown by its missing tail if shorter than n_levels.
@@ -200,14 +195,15 @@ class BuildPlan:
             table[:, :k_old] = old
             for lo in range(k_old, n_levels, SUB_BLOCK):
                 hi = min(lo + SUB_BLOCK, n_levels)
-                part = table[:, lo:hi].view(np.float64)  # per row: re, im, re, im, ...
                 for c, angle in enumerate(self.config.angles):
-                    part[c // 2, c % 2::2] = _level_values(
+                    lanes = table.imag if c % 2 else table.real
+                    lanes[c // 2, lo:hi] = _level_values(
                         angle, hi, self.config.component_kind(c), start=lo
                     )
                 if self.config.dimension % 2:
-                    part[-1, 1::2] = 0.0
-            self._set_levels(table)
+                    table.imag[-1, lo:hi] = 0.0
+            table.flags.writeable = False
+            self.levels = table
         return self.levels
 
 
@@ -224,12 +220,17 @@ def build_sample(path: PoissonPath, plan: BuildPlan) -> SampleBlock:
     (config, epsilon, grid), i.e. 2T/eps^2, the grid's path times
     2t/eps^2 and the level values trig(theta_i * k), comes from ``plan``,
     whose level table the first path sizes (see ``BuildPlan``). The plan
-    pairs the components two to a complex128 row, so one prefix sum over
-    the path's jump segments runs ceil(d/2) dependent add chains, each
-    with two independent lanes. A complex addition is two IEEE
-    additions, and a complex level times a real width is exactly the two
-    real products, since no level is -0.0 and every width is > 0; so
-    each lane rounds exactly as a float64 row of its own would.
+    pairs the components two to a complex128 row, and every step runs on
+    those rows: the prefix sum over the path's jump segments runs
+    ceil(d/2) dependent add chains of two independent lanes, and the grid
+    values are evaluated in the same rows. Each lane rounds as a float64
+    row of its own would: a complex addition is two IEEE additions, and a
+    complex row times a real factor >= 0 (a width, a grid time's distance
+    into its segment, epsilon) is exactly the two real products, since no
+    level, prefix or grid value is -0.0. The one exception, a grid time
+    exactly on a jump (a distance of 0), can give a zero of the other
+    sign than a * 0, and that zero is then added to a prefix that is
+    never -0.0.
 
     The prefix sum walks the segments in sub-blocks of ``SUB_BLOCK``,
     in one buffer whose column 0 carries the previous sub-block's last
@@ -257,14 +258,12 @@ def build_sample(path: PoissonPath, plan: BuildPlan) -> SampleBlock:
     jumps = path.jump_times
     n = jumps.size
     levels = plan.level_table(n + 1)
-    rows = levels.shape[0]
     starts = np.empty(min(n, SUB_BLOCK) + 1)
     starts[0] = 0.0
-    prefix = np.empty((rows, starts.size), dtype=np.complex128)
+    prefix = np.empty((levels.shape[0], starts.size), dtype=np.complex128)
     prefix[:, 0] = 0.0
-    prefix_floats = prefix.view(np.float64).reshape(rows, starts.size, 2)
     j = jumps.searchsorted(xs, side="right")  # as in sample_poisson_path
-    lanes = plan.level_floats.take(j, axis=1)  # (rows, G, 2)
+    grid = levels.take(j, axis=1)
     lo = g0 = 0
     while True:
         hi = min(lo + SUB_BLOCK, n)
@@ -272,29 +271,29 @@ def build_sample(path: PoissonPath, plan: BuildPlan) -> SampleBlock:
         ends = jumps[lo:hi]
         starts[1 : m + 1] = ends
         segments = prefix[:, 1 : m + 1]
-        # (a + bi)(w + 0i) = a w + b w i exactly: no level is -0.0 and w > 0
         np.multiply(levels[:, lo:hi], ends - starts[:m], out=segments)
         # one chain per row, two independent lanes in it; cumsum's own ufunc,
         # started from the carry in column 0 (+0.0 on the first sub-block)
         chain = prefix[:, : m + 1]
         np.add.accumulate(chain, axis=1, out=chain)
-        # eps * (prefix[:, j] + levels[:, j] * (xs - starts[j])) in float64,
-        # in place, for the grid times whose level j lies in this sub-block
+        # prefix[:, j] + levels[:, j] * (xs - starts[j]), in place, for the
+        # grid times whose level j lies in this sub-block
         if lo == 0 and hi == n:  # the whole path: no slicing
-            k, x, part = j, xs, lanes
+            k, x, part = j, xs, grid
         else:
             g1 = j.size if hi == n else int(j.searchsorted(hi, side="right"))
-            k, x, part = j[g0:g1] - lo, xs[g0:g1], lanes[:, g0:g1]
-        part *= (x - starts.take(k))[:, None]
-        part += prefix_floats.take(k, axis=1)
+            k, x, part = j[g0:g1] - lo, xs[g0:g1], grid[:, g0:g1]
+        part *= x - starts.take(k)
+        part += prefix.take(k, axis=1)
         if hi == n:
             break
         starts[0] = starts[m]
         prefix[:, 0] = prefix[:, m]
         lo, g0 = hi, g1
-    lanes *= plan.epsilon
-    # the rows in component order
-    values = lanes.transpose(0, 2, 1).reshape(-1, j.size)[: plan.config.dimension]
+    grid *= plan.epsilon
+    # the rows in component order: row l's lanes are components 2l and 2l + 1
+    lanes = grid.view(np.float64).reshape(-1, j.size, 2).transpose(0, 2, 1)
+    values = lanes.reshape(-1, j.size)[: plan.config.dimension]
     for i in plan.rescaled:
         values[i] *= INV_SQRT2
     return SampleBlock._unchecked(plan.epsilon, plan.config, plan.grid, values[None])

@@ -2,15 +2,17 @@
 
 Everything here is computed by a different route than the library code
 it checks: segment enumeration with exact rational phase reduction and
-brute-force Riemann sums for the exact integrator, and closed-form
-expectations (via E[e^{i g N_u}] = exp(-u(1 - e^{i g})))
-for the Monte Carlo estimators. Keep this module free of imports from
+brute-force Riemann sums for the exact integrator, closed-form
+expectations (via E[e^{i g N_u}] = exp(-u(1 - e^{i g}))) for the Monte
+Carlo estimators, and the count mod m as a Markov chain for the limit
+covariance of rational angles. Keep this module free of imports from
 the estimator implementations beyond basic data containers.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -145,3 +147,36 @@ def exact_qv_mean(theta: float, kind: str, partition: np.ndarray, eps: float) ->
         exact_increment_variance(theta, kind, float(a), float(b), eps)
         for a, b in zip(partition[:-1], partition[1:])
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _fundamental_matrix(m: int) -> np.ndarray:
+    """Z = (1 pi - Q)^-1 - 1 pi for the count mod m, Q = S - I with S the
+    cyclic shift k -> k + 1 and pi uniform; h = Z g solves -Q h = g - pi g."""
+    stationary = np.full((m, m), 1.0 / m)
+    generator = np.roll(np.eye(m), 1, axis=1) - np.eye(m)
+    return np.linalg.inv(stationary - generator) - stationary
+
+
+def limit_covariance(config) -> tuple[np.ndarray, np.ndarray]:
+    """(Sigma, means): the limit covariance per unit time of a config whose
+    angles are all rational multiples of pi, and its components' stationary means.
+
+    Each f_i(k) = trig(theta_i * k) (times 1/sqrt(2) on a pi-rescaled row)
+    depends on k only mod m = 2 lcm(q_i), and N mod m is a Markov chain
+    on Z_m. Its Markov-chain CLT gives, over path time 2t/eps^2 scaled by
+    eps, the covariance 2t (G + G^T) with G = F Z F^T / m, F the (d, m)
+    table of f_i. The limit is standard BM exactly when Sigma = I and the
+    means F 1 / m are all 0 (a nonzero mean is a drift of order 1/eps).
+    """
+    fractions = [a.pi_fraction for a in config.angles]
+    m = 2 * math.lcm(*(f.denominator for f in fractions))
+    table = np.empty((config.dimension, m))
+    for c, f in enumerate(fractions):
+        # theta * k mod 2 pi, reduced in integers: p k mod 2q, over q, times pi
+        phase = np.pi * (np.arange(m) * f.numerator % (2 * f.denominator)) / f.denominator
+        table[c] = (np.cos if config.component_kind(c) == "cos" else np.sin)(phase)
+    for i in config.pi_rescaled_indices:
+        table[i - 1] *= math.sqrt(0.5)
+    g = table @ _fundamental_matrix(m) @ table.T / m
+    return 2.0 * (g + g.T), table.sum(axis=1) / m

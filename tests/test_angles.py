@@ -1,10 +1,12 @@
 """Admissibility validation of the angle vector."""
 
 import copy
+import itertools
 import math
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from poisson_bm import Angle, ThetaConfig, parse_angle, validate_hypothesis_h
@@ -15,6 +17,8 @@ from poisson_bm.angles import (
     HypothesisReport,
     Violation,
 )
+
+from oracles import exact_cross_moment, limit_covariance
 
 
 class TestParseAngle:
@@ -171,6 +175,61 @@ class TestValidationProperties:
         for v in rep.violations:
             for i in v.indices:
                 assert 1 <= i <= cfg.dimension
+
+
+class TestHypothesisAgainstTheLimitCovariance:
+    """Hypothesis H against the exact limit law (``oracles.limit_covariance``):
+    standard BM is Sigma = I per unit time and every stationary mean 0."""
+
+    # every p/q pi in (0, 2 pi) with q <= 4
+    FRACTIONS = sorted({Fraction(p, q) for q in range(1, 5) for p in range(1, 2 * q)})
+
+    def test_every_vector_up_to_d3_and_q4(self):
+        cases = h_invalid_bm = 0
+        for d in (1, 2, 3):
+            for n_cos, allow_pi in itertools.product(range(d + 1), (False, True)):
+                for fractions in itertools.product(self.FRACTIONS, repeat=d):
+                    angles = [f"{f} pi" for f in fractions]
+                    config = ThetaConfig(angles[:n_cos], angles[n_cos:], allow_pi)
+                    sigma, means = limit_covariance(config)
+                    identity = np.abs(sigma - np.eye(d)).max() <= 1e-9
+                    report = validate_hypothesis_h(config)
+                    cases += 1
+                    if report.valid:
+                        assert identity and np.abs(means).max() <= 1e-9, config
+                    elif identity:
+                        # cos theta with sin(2 pi - theta): H is sufficient, not necessary
+                        h_invalid_bm += 1
+                        assert all(v.rule == RULE_SUM_2PI and v.indices[0] <= n_cos < v.indices[1]
+                                   for v in report.violations), config
+        assert (cases, h_invalid_bm) == (11_418, 680)
+
+    @pytest.mark.parametrize(
+        "cos_block,sin_block,allow_pi,valid,want",
+        [
+            (["pi"], [], False, False, [[2.0]]),  # the Stroock check's 2T
+            (["pi"], [], True, True, [[1.0]]),
+            (["1/3 pi"], ["5/3 pi"], False, False, np.eye(2)),
+        ],
+        ids=["cos_pi", "cos_pi_rescaled", "cos_pi3_sin_5pi3"],
+    )
+    def test_spot_checks(self, cos_block, sin_block, allow_pi, valid, want):
+        config = ThetaConfig(cos_block, sin_block, allow_pi)
+        sigma, means = limit_covariance(config)
+        np.testing.assert_allclose(sigma, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(means, 0.0, rtol=0, atol=1e-12)
+        assert validate_hypothesis_h(config).valid is valid
+
+    def test_matches_the_exact_second_moments_at_small_eps(self):
+        # Sigma against oracles.exact_cross_moment over (0, 1), which is
+        # Sigma + O(eps^2); H-invalid rows too (a SUM_2PI pair, an unrescaled pi)
+        config = ThetaConfig(["1/3 pi", "5/3 pi", "pi"], ["1/2 pi", "1/4 pi"])
+        sigma, _ = limit_covariance(config)
+        thetas = [a.radians for a in config.angles]
+        for i, j in itertools.combinations_with_replacement(range(config.dimension), 2):
+            kind = config.component_kind(i) + config.component_kind(j)
+            exact = exact_cross_moment(thetas[i], thetas[j], kind, 0.0, 1.0, 0.01)
+            assert exact == pytest.approx(sigma[i, j], abs=1e-3), (i, j)
 
 
 class TestThetaConfigCopies:

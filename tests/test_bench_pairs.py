@@ -31,3 +31,33 @@ WIDE = [0.7, 0.85, 1.0, 1.15, 1.3]  # IQR 30 % of the median
 def test_verdict_against_a_quarter_bound(parent, change, better, want):
     result = bench_pairs.compare(parent, change, better)
     assert bench_pairs.verdict(result, 0.25) == want
+
+
+# ten pairs around a median of 1.0; inclusive quartiles 0.92 and 1.08, an IQR of 16 %
+PARENT_16 = [0.86, 0.88, 0.92, 0.92, 0.98, 1.02, 1.08, 1.08, 1.10, 1.14]
+PARENT_2 = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.02, 0.98]
+
+
+@pytest.mark.parametrize(
+    "parent,change,want",
+    [
+        # every pair won, but the median gap (10.4 %) is inside the parent's IQR
+        (PARENT_16, [0.896 * x for x in PARENT_16], "not met"),
+        (PARENT_2, [1.5] + [0.8 * x for x in PARENT_2[1:]], "met"),  # 9 of 10
+        (PARENT_2, [1.5, 1.5] + [0.8 * x for x in PARENT_2[2:]], "not met"),  # 8 of 10
+        (PARENT_2, PARENT_2[:2] + [0.8 * x for x in PARENT_2[2:]], "not met"),  # 8 and 2 ties
+    ],
+    ids=["median_gap_inside_iqr", "nine_of_ten", "eight_of_ten", "ties_are_not_wins"],
+)
+def test_claim_verdict(parent, change, want):
+    result = bench_pairs.compare(parent, change, "lower")
+    assert bench_pairs.claim_verdict(result) == want
+    flipped = bench_pairs.compare([-x for x in parent], [-x for x in change], "higher")
+    assert bench_pairs.claim_verdict(flipped) == want
+
+
+def test_claim_must_name_a_workload_and_an_end_to_end_metric(capsys):
+    for claim in ("rate_sweep/no_such_metric", "no_such_workload/run_s", "run_s"):
+        with pytest.raises(SystemExit):
+            bench_pairs.main(["--parent", "HEAD", "--out", "unused.json", "--claim", claim])
+        assert "names no BENCHMARK.json workload" in capsys.readouterr().err

@@ -333,6 +333,22 @@ class TestTwoLaneKernel:
         values = build_sample(path, BuildPlan(cfg, eps, grid)).values[0]
         assert not np.any(np.signbit(values[:, :2]) & (values[:, :2] == 0.0))
 
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_level_table_rows_hold_components_2l_and_2l_plus_1(self, name):
+        cfg = self.CONFIGS[name]
+        plan = BuildPlan(cfg, EPS, EvaluationGrid.uniform(T, 4))
+        first = _first_block_size(plan.needed) + 1
+        for n_levels, size in ((1, first), (first + SUB_BLOCK + 3, first + SUB_BLOCK + 3)):
+            levels = plan.level_table(n_levels)  # the first growth, then a tail over 2 blocks
+            assert levels.shape == ((cfg.dimension + 1) // 2, size)
+            want = [_level_values(a, size, cfg.component_kind(c))
+                    for c, a in enumerate(cfg.angles)]
+            for row in range(levels.shape[0]):
+                assert levels.real[row].tobytes() == want[2 * row].tobytes()
+                pad = np.zeros(size)  # +0.0, no sign bit
+                lane = want[2 * row + 1] if 2 * row + 1 < cfg.dimension else pad
+                assert levels.imag[row].tobytes() == lane.tobytes()
+
 
 class TestPathTimePlans:
     """``BuildPlan``: what one (config, epsilon, grid) fixes, held by its caller."""
@@ -398,14 +414,13 @@ class TestPathTimePlans:
         assert plan.levels.shape == (3, paths[1].jump_times.size + 1)
         assert plan.__reduce__() == (BuildPlan, (plan.config, plan.epsilon, grid))
         clone = pickle.loads(pickle.dumps(plan))
-        assert (clone.levels.shape, clone.level_floats.shape) == ((3, 0), (3, 0, 2))
+        assert clone.levels.shape == (3, 0)
         assert (clone.epsilon, clone.needed) == (plan.epsilon, plan.needed)
         assert clone.xs.tobytes() == plan.xs.tobytes()
         assert [build_sample(path, clone).values.tobytes() for path in paths] == want
         assert clone.levels.tobytes() == plan.levels.tobytes()
-        for array in (clone.xs, clone.levels, clone.level_floats):
+        for array in (clone.xs, clone.levels):
             assert not array.flags.writeable
-        assert np.shares_memory(clone.level_floats, clone.levels)
 
     def test_table_grows_once_for_paths_from_one_block(self):
         plan = BuildPlan(self.MIXED, 0.2, EvaluationGrid.uniform(T, 4))

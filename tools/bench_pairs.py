@@ -1,7 +1,7 @@
 """Alternating parent/change benchmark pairs, written to one BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --parent REV --out BENCH_9.json \
-        [--pairs 10] [--seconds 10] [--seed N]
+        [--pairs 10] [--seconds 10] [--seed N] [--claim WORKLOAD/METRIC]
 
 The checkout that holds this script, as it stands, is the change. The
 parent is REV's tree, extracted with ``git archive`` into a temporary
@@ -20,6 +20,12 @@ verdict against that bound, a share of the parent's median:
 - ``unresolved``: the parent's own IQR is wider than the bound, unless
   every run of the change beats every run of the parent;
 - ``not worse``: otherwise.
+
+``--claim WORKLOAD/METRIC`` names one workload and end-to-end metric
+whose gain the change claims; the record's ``claim`` says ``met`` only
+when the change won at least nine pairs in ten (ties count for neither)
+and its median beats the parent's by more than the parent's IQR, and
+``not met`` otherwise.
 
 Then, for as many pairs, the change's ``configs/d32.cfg`` (16 cosine
 and 16 sine components) runs on both sides in the same alternating
@@ -168,6 +174,14 @@ def verdict(result: dict, bound: float) -> str:
     return "not worse"
 
 
+def claim_verdict(result: dict) -> str:
+    """``compare``'s ``result`` judged as a claimed gain; see the module docstring."""
+    sign = -1.0 if result["better"] == "lower" else 1.0
+    gap = sign * (result["change"]["median"] - result["parent"]["median"])
+    won = 10 * result["change_wins"] >= 9 * result["pairs"]
+    return "met" if won and gap > result["parent"]["iqr"] else "not met"
+
+
 def pair_order(i: int, sides: dict[str, Path]) -> list[tuple[str, Path]]:
     order = list(sides.items())
     return order if i % 2 == 0 else order[::-1]
@@ -300,11 +314,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=None,
                         help="workload seed (default: the benchmark's own)")
+    parser.add_argument("--claim", metavar="WORKLOAD/METRIC", default=None,
+                        help="an end-to-end metric whose gain the change claims")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be at least 1 and --seconds positive")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition("/")
+        if (workload not in {w["name"] for w in bench["workloads"]}
+                or metric not in {m["name"] for m in bench["end_to_end"]}):
+            parser.error(f"--claim {args.claim!r} names no BENCHMARK.json workload and "
+                         "end-to-end metric")
     parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     change = {"commit": git("rev-parse", "HEAD"),
               "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
@@ -327,6 +349,11 @@ def main(argv: list[str] | None = None) -> int:
             "generate": bench_generate(sides, args.pairs, scratch, args.seed),
             "memory": bench_memory(sides, args.pairs, scratch, args.seed),
         }
+        if args.claim is not None:
+            result = record["workloads"][workload]["metrics"][metric]
+            record["claim"] = {"workload": workload, "metric": metric,
+                               "verdict": claim_verdict(result)}
+            print(f"claim {args.claim}: {record['claim']['verdict']}", file=sys.stderr)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
