@@ -338,16 +338,16 @@ class TestTwoLaneKernel:
         cfg = self.CONFIGS[name]
         plan = BuildPlan(cfg, EPS, EvaluationGrid.uniform(T, 4))
         first = _first_block_size(plan.needed) + 1
-        for n_levels, size in ((1, first), (first + SUB_BLOCK + 3, first + SUB_BLOCK + 3)):
-            levels = plan.level_table(n_levels)  # the first growth, then a tail over 2 blocks
+        for n_levels in (1, first + SUB_BLOCK + 3):  # the first growth, then a 2-block tail
+            levels = plan.level_table(n_levels)
+            size = max(n_levels, first)
             assert levels.shape == ((cfg.dimension + 1) // 2, size)
             want = [_level_values(a, size, cfg.component_kind(c))
                     for c, a in enumerate(cfg.angles)]
+            want.append(np.zeros(size))  # an odd d's pad lane: +0.0, no sign bit
             for row in range(levels.shape[0]):
                 assert levels.real[row].tobytes() == want[2 * row].tobytes()
-                pad = np.zeros(size)  # +0.0, no sign bit
-                lane = want[2 * row + 1] if 2 * row + 1 < cfg.dimension else pad
-                assert levels.imag[row].tobytes() == lane.tobytes()
+                assert levels.imag[row].tobytes() == want[2 * row + 1].tobytes()
 
 
 class TestPathTimePlans:
