@@ -225,9 +225,9 @@ def build_sample(path: PoissonPath, plan: BuildPlan) -> SampleBlock:
     ceil(d/2) dependent add chains of two independent lanes, and the grid
     values are evaluated in the same rows. Each lane rounds as a float64
     row of its own would: a complex addition is two IEEE additions, and a
-    complex row times a real factor >= 0 (a width, a grid time's distance
-    into its segment, epsilon) is exactly the two real products, since no
-    level, prefix or grid value is -0.0. The one exception, a grid time
+    complex row times a real factor >= 0 (a width, or a grid time's
+    distance into its segment) is exactly the two real products, since no
+    level or prefix is -0.0. The one exception, a grid time
     exactly on a jump (a distance of 0), can give a zero of the other
     sign than a * 0, and that zero is then added to a prefix that is
     never -0.0.
@@ -290,10 +290,10 @@ def build_sample(path: PoissonPath, plan: BuildPlan) -> SampleBlock:
         starts[0] = starts[m]
         prefix[:, 0] = prefix[:, m]
         lo, g0 = hi, g1
-    grid *= plan.epsilon
     # the rows in component order: row l's lanes are components 2l and 2l + 1
-    lanes = grid.view(np.float64).reshape(-1, j.size, 2).transpose(0, 2, 1)
+    lanes = grid[..., None].view(np.float64).transpose(0, 2, 1)
     values = lanes.reshape(-1, j.size)[: plan.config.dimension]
+    values *= plan.epsilon
     for i in plan.rescaled:
         values[i] *= INV_SQRT2
     return SampleBlock._unchecked(plan.epsilon, plan.config, plan.grid, values[None])

@@ -54,10 +54,3 @@ def test_claim_verdict(parent, change, want):
     assert bench_pairs.claim_verdict(result) == want
     flipped = bench_pairs.compare([-x for x in parent], [-x for x in change], "higher")
     assert bench_pairs.claim_verdict(flipped) == want
-
-
-def test_claim_must_name_a_workload_and_an_end_to_end_metric(capsys):
-    for claim in ("rate_sweep/no_such_metric", "no_such_workload/run_s", "run_s"):
-        with pytest.raises(SystemExit):
-            bench_pairs.main(["--parent", "HEAD", "--out", "unused.json", "--claim", claim])
-        assert "names no BENCHMARK.json workload" in capsys.readouterr().err

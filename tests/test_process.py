@@ -285,8 +285,8 @@ class TestTwoLaneKernel:
         ),
     }
 
-    def _assert_rows_match(self, path, eps, cfg, grid):
-        got = build_sample(path, BuildPlan(cfg, eps, grid)).values[0]
+    def _assert_rows_match(self, path, eps, cfg, grid, plan=None):
+        got = build_sample(path, plan or BuildPlan(cfg, eps, grid)).values[0]
         want = _reference_values(path, eps, cfg, grid)
         assert got.shape == want.shape == (cfg.dimension, len(grid))
         for c in range(cfg.dimension):
@@ -307,11 +307,22 @@ class TestTwoLaneKernel:
 
     @pytest.mark.parametrize("name", CONFIGS)
     def test_path_from_a_second_uniform_block(self, name):
-        eps = 0.4
+        eps, cfg, grid = 0.4, self.CONFIGS[name], EvaluationGrid.uniform(T, 4)
         stream = _FirstBlockTooShort(seed=501)
         path = sample_poisson_path(map_to_path_time(T, eps), stream)
         assert len(stream.calls) >= 2
-        self._assert_rows_match(path, eps, self.CONFIGS[name], EvaluationGrid.uniform(T, 4))
+        self._assert_rows_match(path, eps, cfg, grid)
+        # one plan, sized by a first-block path, then grown by a tail of
+        # levels that spans two sub-blocks
+        plan = BuildPlan(cfg, eps, grid)
+        n_long = _first_block_size(plan.needed) + SUB_BLOCK + 3
+        rng = np.random.default_rng(502)
+        long = PoissonPath(
+            horizon=plan.needed, jump_times=np.sort(rng.uniform(0.0, plan.needed, n_long))
+        )
+        for p in (_path_for(eps=eps), long):
+            self._assert_rows_match(p, eps, cfg, grid, plan)
+        assert plan.levels.shape[1] == n_long + 1
 
     @pytest.mark.parametrize("name", CONFIGS)
     def test_grid_time_on_a_jump_with_a_negative_level(self, name):
@@ -332,22 +343,6 @@ class TestTwoLaneKernel:
         self._assert_rows_match(path, eps, cfg, grid)
         values = build_sample(path, BuildPlan(cfg, eps, grid)).values[0]
         assert not np.any(np.signbit(values[:, :2]) & (values[:, :2] == 0.0))
-
-    @pytest.mark.parametrize("name", CONFIGS)
-    def test_level_table_rows_hold_components_2l_and_2l_plus_1(self, name):
-        cfg = self.CONFIGS[name]
-        plan = BuildPlan(cfg, EPS, EvaluationGrid.uniform(T, 4))
-        first = _first_block_size(plan.needed) + 1
-        for n_levels in (1, first + SUB_BLOCK + 3):  # the first growth, then a 2-block tail
-            levels = plan.level_table(n_levels)
-            size = max(n_levels, first)
-            assert levels.shape == ((cfg.dimension + 1) // 2, size)
-            want = [_level_values(a, size, cfg.component_kind(c))
-                    for c, a in enumerate(cfg.angles)]
-            want.append(np.zeros(size))  # an odd d's pad lane: +0.0, no sign bit
-            for row in range(levels.shape[0]):
-                assert levels.real[row].tobytes() == want[2 * row].tobytes()
-                assert levels.imag[row].tobytes() == want[2 * row + 1].tobytes()
 
 
 class TestPathTimePlans:

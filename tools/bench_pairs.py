@@ -1,7 +1,7 @@
 """Alternating parent/change benchmark pairs, written to one BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --parent REV --out BENCH_9.json \
-        [--pairs 10] [--seconds 10] [--seed N] [--claim WORKLOAD/METRIC]
+        [--pairs 10] [--seconds 10] [--seed N]
 
 The checkout that holds this script, as it stands, is the change. The
 parent is REV's tree, extracted with ``git archive`` into a temporary
@@ -13,19 +13,17 @@ command (``--workload W --seconds S --trace 0``) once on each side,
 parent first in even pairs and change first in odd ones. Every run's
 metrics, ``failed`` and ``attempted`` are kept; each end-to-end metric
 gets both sides' median, quartiles and IQR, the number of pairs the
-change won (ties count for neither), its ``BENCHMARK.json`` bound and a
+change won (ties count for neither), its ``BENCHMARK.json`` bound, a
 verdict against that bound, a share of the parent's median:
 
 - ``worse``: the change's median is beyond the bound on the worse side;
 - ``unresolved``: the parent's own IQR is wider than the bound, unless
   every run of the change beats every run of the parent;
-- ``not worse``: otherwise.
+- ``not worse``: otherwise;
 
-``--claim WORKLOAD/METRIC`` names one workload and end-to-end metric
-whose gain the change claims; the record's ``claim`` says ``met`` only
-when the change won at least nine pairs in ten (ties count for neither)
-and its median beats the parent's by more than the parent's IQR, and
-``not met`` otherwise.
+and a ``claim``, the verdict on a gain claimed for that metric: ``met``
+only when the change won at least nine pairs in ten and its median beats
+the parent's by more than the parent's IQR, ``not met`` otherwise.
 
 Then, for as many pairs, the change's ``configs/d32.cfg`` (16 cosine
 and 16 sine components) runs on both sides in the same alternating
@@ -210,9 +208,11 @@ def bench_workloads(sides: dict[str, Path], bench: dict, pairs: int, seconds: fl
                              [r["metrics"][name] for r in by_side["change"]], metric["better"])
             result["bound"] = metric["bound"]
             result["verdict"] = verdict(result, metric["bound"])
+            result["claim"] = claim_verdict(result)
             results[name] = result
             print(f"{workload} {name}: median {result['median_change']:+.1%}, "
-                  f"bound {metric['bound']:.0%}: {result['verdict']}", file=sys.stderr)
+                  f"bound {metric['bound']:.0%}: {result['verdict']}, "
+                  f"claim {result['claim']}", file=sys.stderr)
         out[workload] = {
             "command": cmd,
             "failed": {side: [r["failed"] for r in rs] for side, rs in by_side.items()},
@@ -314,19 +314,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=None,
                         help="workload seed (default: the benchmark's own)")
-    parser.add_argument("--claim", metavar="WORKLOAD/METRIC", default=None,
-                        help="an end-to-end metric whose gain the change claims")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be at least 1 and --seconds positive")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    if args.claim is not None:
-        workload, _, metric = args.claim.partition("/")
-        if (workload not in {w["name"] for w in bench["workloads"]}
-                or metric not in {m["name"] for m in bench["end_to_end"]}):
-            parser.error(f"--claim {args.claim!r} names no BENCHMARK.json workload and "
-                         "end-to-end metric")
     parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     change = {"commit": git("rev-parse", "HEAD"),
               "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
@@ -349,11 +341,6 @@ def main(argv: list[str] | None = None) -> int:
             "generate": bench_generate(sides, args.pairs, scratch, args.seed),
             "memory": bench_memory(sides, args.pairs, scratch, args.seed),
         }
-        if args.claim is not None:
-            result = record["workloads"][workload]["metrics"][metric]
-            record["claim"] = {"workload": workload, "metric": metric,
-                               "verdict": claim_verdict(result)}
-            print(f"claim {args.claim}: {record['claim']['verdict']}", file=sys.stderr)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
