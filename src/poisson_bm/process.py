@@ -14,7 +14,7 @@ scaled by 1/sqrt(2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,9 +23,10 @@ from .poisson import PoissonPath, _first_block_size, _level_values
 
 # Memory cap of one replication, in bytes, charged at 26 + 32*ceil(d/2)
 # bytes per jump, 2T/eps^2 jumps on average. That over-counts: a path holds
-# 8 bytes per jump (plus its block's uncut tail) and the level table
-# 16*ceil(d/2), while build_sample holds its prefix sums one sub-block at a
-# time. The charge stays until the cap becomes a time budget.
+# 8 bytes per jump (plus its block's uncut tail) and the level table, which
+# is allocated when the BuildPlan is made, 16*ceil(d/2), while build_sample
+# holds its prefix sums one sub-block at a time. The charge stays until the
+# cap becomes a time budget.
 REPLICATION_BYTES_CAP = 2**30
 
 # Memory cap of one epsilon's sample block, the (M, d, G) float64 array
@@ -143,68 +144,63 @@ class SampleBlock:
         return self.values[:, :, self.grid.index_of(t)]
 
 
+@dataclass(frozen=True, eq=False)
 class BuildPlan:
     """What ``build_sample`` needs that depends only on (config, epsilon, grid).
 
-    Made once per epsilon by the caller, which passes it with every path.
-    epsilon must lie in (0, 1]. ``needed`` is 2T/eps^2, within the
-    replication cap, and ``xs`` the read-only path times 2t/eps^2 of the
-    grid times, both from ``map_to_path_time``. ``levels`` is the
-    read-only table of trig(theta_i * k), k < K, two components to a
-    row: ceil(d/2) complex128 rows, component 2l in the real part of row
-    l and component 2l + 1 in its imaginary part (an odd d pads the last
-    imaginary parts with +0.0). Component i's lane holds
-    ``_level_values`` of component i, and a level's value does not
-    depend on K. The first path sizes the table for the longest path
-    that ``sample_poisson_path`` draws from its first block of uniforms
-    at 2T/eps^2, so the table grows once; only a path that needed a
-    second block appends the levels [K_old, K_new) it reaches. A pickled
-    plan carries only (config, epsilon, grid); it is rebuilt with an
-    empty table where it is loaded.
+    Made once per epsilon by the caller, which passes it with every path;
+    nothing changes it afterwards. epsilon must lie in (0, 1]. ``needed``
+    is 2T/eps^2, within the replication cap, and ``xs`` the read-only
+    path times 2t/eps^2 of the grid times, both from ``map_to_path_time``.
+    ``levels`` is the read-only table of trig(theta_i * k), k < K, two
+    components to a row: ceil(d/2) complex128 rows, component 2l in the
+    real part of row l and component 2l + 1 in its imaginary part (an odd
+    d pads the last imaginary parts with +0.0). K reaches the longest
+    path that ``sample_poisson_path`` draws from its first block of
+    uniforms at 2T/eps^2. A pickled plan carries only (config, epsilon,
+    grid) and fills its table again where it is loaded.
     """
 
-    def __init__(self, config: ThetaConfig, epsilon: float, grid: EvaluationGrid) -> None:
-        if not (0.0 < epsilon <= 1.0):
-            raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-        self.config, self.epsilon, self.grid = config, float(epsilon), grid
-        self.needed = map_to_path_time(grid.horizon_T, self.epsilon)
-        check_replication_memory(self.needed, config.dimension)
-        self.xs = np.array([map_to_path_time(t, self.epsilon) for t in grid.times.tolist()])
-        self.xs.flags.writeable = False
-        self.rescaled = tuple(i - 1 for i in config.pi_rescaled_indices)
-        self.levels = np.empty((_rows(config.dimension), 0), dtype=np.complex128)
-        self.levels.flags.writeable = False
+    config: ThetaConfig
+    epsilon: float
+    grid: EvaluationGrid
+    needed: float = field(init=False, repr=False)
+    xs: np.ndarray = field(init=False, repr=False)
+    rescaled: tuple[int, ...] = field(init=False, repr=False)
+    levels: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.epsilon <= 1.0):
+            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
+        eps, config = float(self.epsilon), self.config
+        needed = map_to_path_time(self.grid.horizon_T, eps)
+        check_replication_memory(needed, config.dimension)
+        xs = np.array([map_to_path_time(t, eps) for t in self.grid.times.tolist()])
+        levels = _level_rows(config, 0, _first_block_size(needed) + 1)
+        xs.flags.writeable = levels.flags.writeable = False
+        rescaled = tuple(i - 1 for i in config.pi_rescaled_indices)
+        self.__dict__.update(epsilon=eps, needed=needed, xs=xs, levels=levels, rescaled=rescaled)
 
     def __reduce__(self):
         return BuildPlan, (self.config, self.epsilon, self.grid)
 
-    def level_table(self, n_levels: int) -> np.ndarray:
-        """The level table, first grown by its missing tail if shorter than n_levels.
 
-        An empty table grows to at least one level per jump of a path
-        drawn from one block of uniforms, plus level 0. The tail is filled
-        ``SUB_BLOCK`` levels at a time, which bounds the temporaries of
-        ``_level_values`` (long double phases for decimal angles).
-        """
-        old = self.levels
-        k_old = old.shape[1]
-        if k_old < n_levels:
-            if k_old == 0:
-                n_levels = max(n_levels, _first_block_size(self.needed) + 1)
-            table = np.empty((old.shape[0], n_levels), dtype=np.complex128)
-            table[:, :k_old] = old
-            for lo in range(k_old, n_levels, SUB_BLOCK):
-                hi = min(lo + SUB_BLOCK, n_levels)
-                for c, angle in enumerate(self.config.angles):
-                    lanes = table.imag if c % 2 else table.real
-                    lanes[c // 2, lo:hi] = _level_values(
-                        angle, hi, self.config.component_kind(c), start=lo
-                    )
-                if self.config.dimension % 2:
-                    table.imag[-1, lo:hi] = 0.0
-            table.flags.writeable = False
-            self.levels = table
-        return self.levels
+def _level_rows(config: ThetaConfig, start: int, stop: int) -> np.ndarray:
+    """Levels [start, stop) of ``BuildPlan.levels``' rows, as a new array.
+
+    Filled ``SUB_BLOCK`` levels at a time, which bounds the temporaries
+    of ``_level_values`` (long double phases for decimal angles). A
+    level's value does not depend on the range it is filled in.
+    """
+    rows = np.empty((_rows(config.dimension), stop - start), dtype=np.complex128)
+    for lo in range(start, stop, SUB_BLOCK):
+        hi = min(lo + SUB_BLOCK, stop)
+        for c, angle in enumerate(config.angles):
+            values = _level_values(angle, hi, config.component_kind(c), start=lo)
+            (rows.imag if c % 2 else rows.real)[c // 2, lo - start : hi - start] = values
+    if config.dimension % 2:
+        rows.imag[-1] = 0.0
+    return rows
 
 
 def _rows(dimension: int) -> int:
@@ -218,8 +214,9 @@ def build_sample(path: PoissonPath, plan: BuildPlan) -> SampleBlock:
 
     Cost is O(dimension * jumps) adds: everything that depends only on
     (config, epsilon, grid), i.e. 2T/eps^2, the grid's path times
-    2t/eps^2 and the level values trig(theta_i * k), comes from ``plan``,
-    whose level table the first path sizes (see ``BuildPlan``). The plan
+    2t/eps^2 and the level values trig(theta_i * k), comes from ``plan``.
+    A path longer than the plan's level table (one that needed a second
+    block of uniforms) extends a copy of it for this call alone. The plan
     pairs the components two to a complex128 row, and every step runs on
     those rows: the prefix sum over the path's jump segments runs
     ceil(d/2) dependent add chains of two independent lanes, and the grid
@@ -227,10 +224,9 @@ def build_sample(path: PoissonPath, plan: BuildPlan) -> SampleBlock:
     row of its own would: a complex addition is two IEEE additions, and a
     complex row times a real factor >= 0 (a width, or a grid time's
     distance into its segment) is exactly the two real products, since no
-    level or prefix is -0.0. The one exception, a grid time
-    exactly on a jump (a distance of 0), can give a zero of the other
-    sign than a * 0, and that zero is then added to a prefix that is
-    never -0.0.
+    level or prefix is -0.0. The one exception, a grid time exactly on a
+    jump (a distance of 0), can give a zero of the other sign than a * 0,
+    and that zero is then added to a prefix that is never -0.0.
 
     The prefix sum walks the segments in sub-blocks of ``SUB_BLOCK``,
     in one buffer whose column 0 carries the previous sub-block's last
@@ -257,7 +253,9 @@ def build_sample(path: PoissonPath, plan: BuildPlan) -> SampleBlock:
     # hold level lo + i
     jumps = path.jump_times
     n = jumps.size
-    levels = plan.level_table(n + 1)
+    levels, k = plan.levels, plan.levels.shape[1]
+    if n >= k:  # a path that needed a second block of uniforms; a copy for this call
+        levels = np.concatenate((levels, _level_rows(plan.config, k, n + 1)), axis=1)
     starts = np.empty(min(n, SUB_BLOCK) + 1)
     starts[0] = 0.0
     prefix = np.empty((levels.shape[0], starts.size), dtype=np.complex128)

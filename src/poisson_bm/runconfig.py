@@ -1,9 +1,9 @@
 """Run configuration: flat key = value text files and their validation.
 
-The format is deliberately line-based and dependency-free: UTF-8,
-one ``key = value`` per line, ``#`` starts a comment, lists are
-comma-separated. Angles accept decimal radians or the exact rational
-form "p/q pi".
+The format is deliberately line-based and dependency-free: UTF-8 (a
+leading byte-order mark is ignored), one ``key = value`` per line,
+``#`` starts a comment, lists are comma-separated. Angles accept
+decimal radians or the exact rational form "p/q pi".
 
 Example::
 
@@ -233,7 +233,7 @@ def parse_config_text(text: str) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {p}: {exc}") from exc
     return apply_env_overrides(parse_config_text(text))

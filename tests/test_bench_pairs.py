@@ -1,4 +1,5 @@
-"""The verdict tools/bench_pairs.py gives each end-to-end metric."""
+"""The verdicts tools/bench_pairs.py gives each end-to-end metric, and its
+check of a record for a broken change."""
 
 import importlib.util
 from pathlib import Path
@@ -54,3 +55,22 @@ def test_claim_verdict(parent, change, want):
     assert bench_pairs.claim_verdict(result) == want
     flipped = bench_pairs.compare([-x for x in parent], [-x for x in change], "higher")
     assert bench_pairs.claim_verdict(flipped) == want
+
+
+def _record(failed=(0, 0), same_bytes=True):
+    runs = [{"pair": 0, "side": side, "failed": f} for side, f in zip(("parent", "change"), failed)]
+    return {"workloads": {"long_paths": {"runs": runs}, "rate_sweep": {"runs": runs[:1]}},
+            "d32": {"config": "configs/d32.cfg", "same_bytes": same_bytes}}
+
+
+@pytest.mark.parametrize(
+    "record,want",
+    [
+        (_record(), []),
+        (_record(failed=(0, 2)), ["long_paths pair 0 change: failed 2"]),
+        (_record(same_bytes=False), ["configs/d32.cfg: the sides' output bytes differ"]),
+    ],
+    ids=["clean", "one_failed_run", "d32_bytes_differ"],
+)
+def test_broken_change(record, want):
+    assert bench_pairs.broken(record) == want

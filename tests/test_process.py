@@ -1,5 +1,6 @@
 """Process assembly: grids, samples, sample blocks."""
 
+import dataclasses
 import gc
 import hashlib
 import math
@@ -24,7 +25,7 @@ from poisson_bm import (
     sample_poisson_path,
 )
 from poisson_bm.poisson import _first_block_size, _level_values, integral_from_zero
-from poisson_bm.process import INV_SQRT2, SUB_BLOCK
+from poisson_bm.process import INV_SQRT2, SUB_BLOCK, _level_rows
 
 EPS = 0.4
 T = 1.0
@@ -198,48 +199,29 @@ class TestBuildSampleBitIdentity:
         cos_block=["pi", 2.2, "2/5 pi"], sin_block=["1/2 pi", 1.1], allow_pi_in_cos=True
     )
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            ThetaConfig(cos_block=[2.2], sin_block=[1.1]),
-            ThetaConfig(cos_block=["1/2 pi", "3/5 pi"], sin_block=["1/2 pi", "7/4 pi"]),
-            MIXED,
-        ],
-        ids=["long_double", "rational", "mixed_pi_rescaled"],
-    )
-    @pytest.mark.parametrize("eps,steps", [(0.4, 1), (0.2, 16), (0.05, 64)])
-    def test_matches_per_component_integral(self, cfg, eps, steps):
-        plan = BuildPlan(cfg, eps, EvaluationGrid.uniform(T, steps))
-        for rep in range(6):
-            _assert_matches_reference(_path_for(eps=eps, rep=rep), plan)
-
-    def test_zero_jump_path(self):
-        plan = BuildPlan(self.MIXED, EPS, EvaluationGrid.uniform(T, 8))
-        empty = PoissonPath(horizon=map_to_path_time(T, EPS), jump_times=np.empty(0))
-        _assert_matches_reference(empty, plan)
-        assert np.all(build_sample(empty, plan).values[0][3:] == 0.0)
-
     def test_grown_table_serves_shorter_paths(self):
-        # d = 3: two complex rows, the second one's imaginary lane padded
+        # d = 3: two complex rows, the second one's imaginary lane padded. The
+        # plan's table holds the levels of any path from one block of uniforms;
+        # a longer path grows a copy for its own call, and the plan's table
+        # stays the same object with the same bytes for the paths after it
         cfg = ThetaConfig(cos_block=["pi", 1.3], sin_block=[0.9], allow_pi_in_cos=True)
         grid = EvaluationGrid.uniform(T, 16)
         eps = 0.3
         short = _path_for(eps=eps, seed=301)
         long = _path_for(eps=eps, seed=302, margin=8.0)
         plan = BuildPlan(cfg, eps, grid)
-        assert plan.levels.shape == (2, 0)
-        _assert_matches_reference(short, plan)
-        # the first path sizes the table for any path from one block of uniforms
-        first = _first_block_size(plan.needed) + 1
-        assert short.jump_times.size + 1 < first < long.jump_times.size + 1
-        assert plan.levels.shape == (2, first)
-        _assert_matches_reference(long, plan)
-        assert plan.levels.shape == (2, long.jump_times.size + 1)
-        _assert_matches_reference(short, plan)
-        assert plan.levels.shape == (2, long.jump_times.size + 1)
-        # the table grown by its tail equals one built in a single step
-        fresh = BuildPlan(cfg, eps, grid).level_table(long.jump_times.size + 1)
-        assert plan.levels.tobytes() == fresh.tobytes()
+        table, before = plan.levels, plan.levels.tobytes()
+        k, n = _first_block_size(plan.needed) + 1, long.jump_times.size
+        assert table.shape == (2, k)
+        assert short.jump_times.size + 1 < k < n + 1
+        for path in (short, long, short):
+            _assert_matches_reference(path, plan)
+            assert plan.levels is table and table.tobytes() == before
+        # a tail filled on its own equals the same slice of the whole
+        whole = _level_rows(cfg, 0, n + 1)
+        parts = np.concatenate((_level_rows(cfg, 0, k), _level_rows(cfg, k, n + 1)), axis=1)
+        assert parts.tobytes() == whole.tobytes()
+        assert whole[:, :k].tobytes() == before
 
 
 def _on_jump_path(horizon, xs):
@@ -270,6 +252,9 @@ class TestTwoLaneKernel:
     takes, equals its own ``integral_from_zero`` bit for bit."""
 
     CONFIGS = {
+        "long_double": ThetaConfig(cos_block=[2.2], sin_block=[1.1]),
+        "rational": ThetaConfig(cos_block=["1/2 pi", "3/5 pi"], sin_block=["1/2 pi", "7/4 pi"]),
+        "mixed_pi_rescaled": TestBuildSampleBitIdentity.MIXED,
         "d1_rational": ThetaConfig(cos_block=["2/5 pi"]),
         "d1_decimal": ThetaConfig(sin_block=[2.2]),
         "d1_pi": ThetaConfig(cos_block=["pi"], allow_pi_in_cos=True),
@@ -291,19 +276,22 @@ class TestTwoLaneKernel:
         assert got.shape == want.shape == (cfg.dimension, len(grid))
         for c in range(cfg.dimension):
             assert got[c].tobytes() == want[c].tobytes(), c
+        return got
 
     @pytest.mark.parametrize("name", CONFIGS)
     @pytest.mark.parametrize("eps,steps", [(0.4, 1), (0.2, 16), (0.05, 64)])
     def test_sampled_paths(self, name, eps, steps):
         grid = EvaluationGrid.uniform(T, steps)
-        for rep in range(4):
+        for rep in range(6):
             self._assert_rows_match(_path_for(eps=eps, rep=rep), eps, self.CONFIGS[name], grid)
 
     @pytest.mark.parametrize("name", CONFIGS)
     def test_zero_jump_path(self, name):
-        grid = EvaluationGrid.uniform(T, 8)
+        cfg, grid = self.CONFIGS[name], EvaluationGrid.uniform(T, 8)
         empty = PoissonPath(horizon=map_to_path_time(T, EPS), jump_times=np.empty(0))
-        self._assert_rows_match(empty, EPS, self.CONFIGS[name], grid)
+        values = self._assert_rows_match(empty, EPS, cfg, grid)
+        sines = [c for c in range(cfg.dimension) if cfg.component_kind(c) == "sin"]
+        assert np.all(values[sines] == 0.0)
 
     @pytest.mark.parametrize("name", CONFIGS)
     def test_path_from_a_second_uniform_block(self, name):
@@ -312,9 +300,11 @@ class TestTwoLaneKernel:
         path = sample_poisson_path(map_to_path_time(T, eps), stream)
         assert len(stream.calls) >= 2
         self._assert_rows_match(path, eps, cfg, grid)
-        # one plan, sized by a first-block path, then grown by a tail of
-        # levels that spans two sub-blocks
+        # one plan serves a first-block path, then a path whose levels reach
+        # past its table by a tail that spans two sub-blocks; the table is
+        # unchanged
         plan = BuildPlan(cfg, eps, grid)
+        table, before = plan.levels, plan.levels.tobytes()
         n_long = _first_block_size(plan.needed) + SUB_BLOCK + 3
         rng = np.random.default_rng(502)
         long = PoissonPath(
@@ -322,7 +312,7 @@ class TestTwoLaneKernel:
         )
         for p in (_path_for(eps=eps), long):
             self._assert_rows_match(p, eps, cfg, grid, plan)
-        assert plan.levels.shape[1] == n_long + 1
+        assert plan.levels is table and table.tobytes() == before
 
     @pytest.mark.parametrize("name", CONFIGS)
     def test_grid_time_on_a_jump_with_a_negative_level(self, name):
@@ -402,28 +392,37 @@ class TestPathTimePlans:
     def test_pickled_plan_is_rebuilt_from_config_epsilon_and_grid(self):
         grid = EvaluationGrid.uniform(T, 16)
         plan = BuildPlan(self.MIXED, 0.3, grid)
-        margins = (1.0, 4.0, 1.0)  # the long path grows the table
-        paths = [_path_for(eps=0.3, seed=403, rep=r, margin=m) for r, m in enumerate(margins)]
-        want = [build_sample(path, plan).values.tobytes() for path in paths]
-        assert _first_block_size(plan.needed) + 1 < paths[1].jump_times.size + 1
-        assert plan.levels.shape == (3, paths[1].jump_times.size + 1)
         assert plan.__reduce__() == (BuildPlan, (plan.config, plan.epsilon, grid))
         clone = pickle.loads(pickle.dumps(plan))
-        assert clone.levels.shape == (3, 0)
+        # before any path, the clone's own table holds the plan's bytes
+        assert clone.levels is not plan.levels
+        assert clone.levels.shape == plan.levels.shape
+        assert clone.levels.tobytes() == plan.levels.tobytes()
         assert (clone.epsilon, clone.needed) == (plan.epsilon, plan.needed)
         assert clone.xs.tobytes() == plan.xs.tobytes()
+        margins = (1.0, 4.0, 1.0)  # the long path reaches past the table
+        paths = [_path_for(eps=0.3, seed=403, rep=r, margin=m) for r, m in enumerate(margins)]
+        assert plan.levels.shape[1] < paths[1].jump_times.size + 1
+        want = [build_sample(path, plan).values.tobytes() for path in paths]
         assert [build_sample(path, clone).values.tobytes() for path in paths] == want
-        assert clone.levels.tobytes() == plan.levels.tobytes()
         for array in (clone.xs, clone.levels):
             assert not array.flags.writeable
 
-    def test_table_grows_once_for_paths_from_one_block(self):
+    def test_table_never_changes(self):
         plan = BuildPlan(self.MIXED, 0.2, EvaluationGrid.uniform(T, 4))
-        shapes = set()
+        table, before = plan.levels, plan.levels.tobytes()
+        assert table.shape == (3, _first_block_size(plan.needed) + 1)
         for rep in range(200):
             build_sample(sample_poisson_path(plan.needed, derive_stream(405, 0, rep)), plan)
-            shapes.add(plan.levels.shape)
-        assert shapes == {(3, _first_block_size(plan.needed) + 1)}
+            assert plan.levels is table
+        stream = _FirstBlockTooShort(seed=405)
+        path = sample_poisson_path(plan.needed, stream)
+        assert len(stream.calls) >= 2 and path.jump_times.size + 1 > table.shape[1]
+        build_sample(path, plan)
+        assert plan.levels is table and table.tobytes() == before
+        for name in [f.name for f in dataclasses.fields(plan)] + ["other"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(plan, name, None)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_plan_outlives_a_run(self, workers):

@@ -306,3 +306,11 @@ class TestEnvOverrides:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/run.cfg")
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        text = GOOD.split("\n", 2)[2]  # a key on line 1
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes() == b"\xef\xbb\xbfcos_block" + plain.read_bytes()[9:]
+        assert load_config(bom) == load_config(plain)

@@ -47,6 +47,11 @@ config, at workers 1, each side in a fresh interpreter, in the same
 alternating order. The record is each epsilon's peak of traced memory in
 KiB: the block it returns plus the working memory of making it. Unlike
 ``peak_rss_mb``, it has no floor at the harness's own RSS.
+
+The record is written whatever it shows. The tool then exits 1, naming
+each fault on stderr, if the record shows a broken change: a workload
+run that reports failed operations, or d32 bytes that differ between
+the sides.
 """
 
 from __future__ import annotations
@@ -295,6 +300,16 @@ def bench_memory(sides: dict[str, Path], pairs: int, scratch: Path,
     }
 
 
+def broken(record: dict) -> list[str]:
+    """The faults in ``record`` that show a broken change; see the module docstring."""
+    faults = [f"{workload} pair {run['pair']} {run['side']}: failed {run['failed']}"
+              for workload, result in record["workloads"].items()
+              for run in result["runs"] if run["failed"] > 0]
+    if not record["d32"]["same_bytes"]:
+        faults.append(f"{record['d32']['config']}: the sides' output bytes differ")
+    return faults
+
+
 def environment() -> dict:
     numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                            capture_output=True, text=True, check=True).stdout.strip()
@@ -344,7 +359,10 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    return 0
+    faults = broken(record)
+    for fault in faults:
+        print(f"broken change: {fault}", file=sys.stderr)
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":
