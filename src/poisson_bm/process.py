@@ -57,47 +57,43 @@ def check_replication_memory(needed: float, dimension: int) -> None:
                          f"{nbytes:.3g} bytes, above the cap of {REPLICATION_BYTES_CAP}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EvaluationGrid:
-    """Strictly increasing evaluation times starting at 0; the last one is T.
+    """0 to T in ``steps`` uniform steps: the ``steps + 1`` times
+    ``np.linspace(0, T, steps + 1)``, the last of which is T exactly.
 
-    ``times`` is the grid's own read-only copy, so path times computed
-    from it once (see ``BuildPlan``) never go stale.
+    A value: equal (T, steps) compare and hash equal, and ``times`` is a
+    new array at every call, so no caller can change another's.
     """
 
-    times: np.ndarray
+    horizon_T: float
+    steps: int
 
     def __post_init__(self) -> None:
-        ts = np.array(self.times, dtype=np.float64)
-        ts.flags.writeable = False
-        object.__setattr__(self, "times", ts)
-        if ts.ndim != 1 or ts.size < 1:
-            raise ValueError("grid needs at least one time")
-        if ts[0] != 0.0:
-            raise ValueError("grid must start at t = 0")
-        if ts.size > 1 and np.any(np.diff(ts) <= 0.0):
-            raise ValueError("grid times must be strictly increasing")
-
-    @property
-    def horizon_T(self) -> float:
-        return float(self.times[-1])
+        if not 0.0 < self.horizon_T < math.inf:  # refuses nan too
+            raise ValueError(f"horizon_T must be finite and positive, got {self.horizon_T!r}")
+        if self.steps < 1:
+            raise ValueError(f"steps must be at least 1, got {self.steps!r}")
 
     @classmethod
     def uniform(cls, horizon_T: float, steps: int) -> "EvaluationGrid":
-        """0 to T in ``steps`` uniform steps (steps+1 grid times)."""
-        if steps < 1:
-            raise ValueError("need at least one step")
-        return cls(times=np.linspace(0.0, horizon_T, steps + 1))
+        """The grid ``(horizon_T, steps)``, as every caller spells it."""
+        return cls(horizon_T, steps)
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.linspace(0.0, self.horizon_T, self.steps + 1)
 
     def index_of(self, t: float) -> int:
         """Index of an exact grid time; raises for off-grid values."""
-        i = int(np.searchsorted(self.times, t))
-        if i < self.times.size and self.times[i] == t:
+        times = self.times
+        i = int(np.searchsorted(times, t))
+        if i < times.size and times[i] == t:
             return i
         raise ValueError(f"time {t!r} is not on the evaluation grid")
 
     def __len__(self) -> int:
-        return int(self.times.size)
+        return self.steps + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,17 +144,18 @@ class SampleBlock:
 class BuildPlan:
     """What ``build_sample`` needs that depends only on (config, epsilon, grid).
 
-    Made once per epsilon by the caller, which passes it with every path;
-    nothing changes it afterwards. epsilon must lie in (0, 1]. ``needed``
-    is 2T/eps^2, within the replication cap, and ``xs`` the read-only
-    path times 2t/eps^2 of the grid times, both from ``map_to_path_time``.
+    Made by the caller for the paths it builds at one epsilon and passed
+    with every path (``generate_samples`` makes one per chunk, in the
+    process that makes the chunk's rows); nothing changes it afterwards.
+    epsilon must lie in (0, 1]. ``needed`` is 2T/eps^2, within the
+    replication cap, and ``xs`` the read-only path times 2t/eps^2 of the
+    grid times, both from ``map_to_path_time``.
     ``levels`` is the read-only table of trig(theta_i * k), k < K, two
     components to a row: ceil(d/2) complex128 rows, component 2l in the
     real part of row l and component 2l + 1 in its imaginary part (an odd
     d pads the last imaginary parts with +0.0). K reaches the longest
     path that ``sample_poisson_path`` draws from its first block of
-    uniforms at 2T/eps^2. A pickled plan carries only (config, epsilon,
-    grid) and fills its table again where it is loaded.
+    uniforms at 2T/eps^2.
     """
 
     config: ThetaConfig
@@ -180,9 +177,6 @@ class BuildPlan:
         xs.flags.writeable = levels.flags.writeable = False
         rescaled = tuple(i - 1 for i in config.pi_rescaled_indices)
         self.__dict__.update(epsilon=eps, needed=needed, xs=xs, levels=levels, rescaled=rescaled)
-
-    def __reduce__(self):
-        return BuildPlan, (self.config, self.epsilon, self.grid)
 
 
 def _level_rows(config: ThetaConfig, start: int, stop: int) -> np.ndarray:

@@ -86,8 +86,8 @@ class RunConfig:
             raise ConfigError("grid_points must be positive")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
-        if not self.horizon_T > 0:
-            raise ConfigError("horizon_T must be positive")
+        if not 0 < self.horizon_T < float("inf"):  # refuses nan too
+            raise ConfigError("horizon_T must be finite and positive")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         needed = map_to_path_time(self.horizon_T, min(self.epsilons))

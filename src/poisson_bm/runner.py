@@ -96,13 +96,15 @@ ZERO_CROSS_MOMENT = (
 # sample generation (serial and pooled)
 
 
-def _chunk_values(job: tuple[BuildPlan, int, int, int, int]) -> np.ndarray:
+def _chunk_values(job: tuple[RunConfig, EvaluationGrid, int, int, int]) -> np.ndarray:
     """Rows [start, stop) of one epsilon's block; ``job`` is
-    (plan, master_seed, eps_index, start, stop)."""
-    plan, master_seed, eps_index, start, stop = job
-    out = np.empty((stop - start, plan.config.dimension, len(plan.grid)))
+    (config, grid, eps_index, start, stop). The rows' one ``BuildPlan``
+    is made here, in the process that makes them."""
+    config, grid, eps_index, start, stop = job
+    plan = BuildPlan(config.theta, config.epsilons[eps_index], grid)
+    out = np.empty((stop - start, config.theta.dimension, len(grid)))
     for r in range(start, stop):
-        stream = derive_stream(master_seed, eps_index, r)
+        stream = derive_stream(config.master_seed, eps_index, r)
         path = sample_poisson_path(plan.needed, stream)
         out[r - start] = build_sample(path, plan).values
     return out
@@ -113,37 +115,34 @@ def generate_samples(
 ) -> SampleBlock:
     """All replications for one epsilon, gathered in replication order.
 
-    One ``BuildPlan`` serves the epsilon; each chunk's job carries it,
-    and a pool worker rebuilds it from (theta, epsilon, grid). Chunks
-    are cut from ``config.workers`` alone, so the bytes do not depend on
-    the host. The pool starts at most one process per chunk and per CPU;
-    where that bound is one, no pool starts and this process makes
-    every row.
-    Each chunk is copied into the one (M, d, G) block as it arrives.
-    ``grid`` must be the config's own: ``RunConfig.validate`` capped the
-    block at its grid_points + 1 times.
+    ``grid`` must be the config's own, ``EvaluationGrid(config.horizon_T,
+    config.grid_points)``: ``RunConfig.validate`` capped the block at its
+    times. Chunks are cut from ``config.workers`` alone, so the bytes do
+    not depend on the host. The pool starts at most one process per chunk
+    and per CPU; where that bound is one, no pool starts and this process
+    makes every row. Each chunk's job is (config, grid, eps_index, start,
+    stop), and whichever process makes its rows makes their plan; the
+    rows are copied into the one (M, d, G) block as they arrive.
     """
-    if len(grid) != config.grid_points + 1 or grid.horizon_T != config.horizon_T:
+    if grid != EvaluationGrid(config.horizon_T, config.grid_points):
         raise ValueError(
-            f"grid of {len(grid)} times to T = {grid.horizon_T} is not the config's "
-            f"{config.grid_points + 1} times to T = {config.horizon_T}"
+            f"{grid} is not the config's grid of {config.grid_points} steps "
+            f"to T = {config.horizon_T}"
         )
-    epsilon = config.epsilons[eps_index]
-    plan = BuildPlan(config.theta, epsilon, grid)
     M = config.replications_M
     chunk = max(1, -(-M // (config.workers * 8)))
     # under fork the pool starts all max_workers processes at the first submit
     pool_size = min(config.workers, -(-M // chunk), os.cpu_count() or 1)
     if pool_size == 1:
-        values = _chunk_values((plan, config.master_seed, eps_index, 0, M))
+        values = _chunk_values((config, grid, eps_index, 0, M))
     else:
-        jobs = [(plan, config.master_seed, eps_index, lo, min(lo + chunk, M))
-                for lo in range(0, M, chunk)]
+        jobs = [(config, grid, eps_index, lo, min(lo + chunk, M)) for lo in range(0, M, chunk)]
         values = np.empty((M, config.theta.dimension, len(grid)))
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             for (*_, lo, hi), rows in zip(jobs, pool.map(_chunk_values, jobs)):
                 values[lo:hi] = rows
-    return SampleBlock(epsilon=epsilon, config=config.theta, grid=grid, values=values)
+    return SampleBlock(epsilon=config.epsilons[eps_index], config=config.theta, grid=grid,
+                       values=values)
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +241,7 @@ def _check_cross_moments(block: SampleBlock) -> tuple[list[dict], dict]:
 def _dyadic_pairs(grid: EvaluationGrid) -> list[tuple[float, float]]:
     """The dyadic pieces of [0, T], level by level, at each level whose
     piece count divides the grid's steps: (times[k n/p], times[(k+1) n/p])."""
-    times, steps = grid.times.tolist(), len(grid) - 1
+    times, steps = grid.times.tolist(), grid.steps
     out = []
     for level in range(DYADIC_LEVELS + 1):
         pieces = 2**level

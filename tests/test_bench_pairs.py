@@ -2,6 +2,7 @@
 check of a record for a broken change."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,14 @@ def _record(failed=(0, 0), same_bytes=True):
 )
 def test_broken_change(record, want):
     assert bench_pairs.broken(record) == want
+
+
+def test_environment_names_the_cpu_model():
+    env = bench_pairs.environment()
+    assert isinstance(env["cpu_model"], str) and env["cpu_model"]
+
+
+def test_every_run_records_the_host_load_before_it():
+    cmd = [sys.executable, "-c", "print('noise'); print('{\"x\": 1}')"]
+    result = bench_pairs.last_json_line(cmd, Path.cwd())
+    assert result["x"] == 1 and isinstance(result["load1"], float) and result["load1"] >= 0.0

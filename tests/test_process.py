@@ -43,20 +43,23 @@ class TestEvaluationGrid:
         assert grid.times[0] == 0.0
         assert grid.times[-1] == 1.0
 
-    def test_must_start_at_zero(self):
-        with pytest.raises(ValueError):
-            EvaluationGrid(times=np.array([0.5, 1.0]))
-
-    def test_strictly_increasing(self):
-        with pytest.raises(ValueError):
-            EvaluationGrid(times=np.array([0.0, 0.5, 0.5]))
+    def test_horizon_finite_and_positive_and_at_least_one_step(self):
+        cases = [(t, 4, "horizon_T must be finite and positive")
+                 for t in (0.0, -1.0, math.nan, math.inf)]
+        cases += [(1.0, n, "steps must be at least 1") for n in (0, -1)]
+        for T_, steps, rule in cases:
+            with pytest.raises(ValueError, match=f"^{rule}, got"):
+                EvaluationGrid(T_, steps)
 
     def test_horizon_is_the_last_time(self):
-        assert EvaluationGrid(times=[0.0, 0.25, 0.5]).horizon_T == 0.5
+        assert EvaluationGrid.uniform(0.5, 2).horizon_T == 0.5
         for T in (0.9, 7.5, 1.0, 1.7, 5.3, 1.0 / 3.0):
             for steps in (1, 12, 64, 100):
                 # linspace ends on T exactly, so 2T/eps^2 keeps its bits
-                assert EvaluationGrid.uniform(T, steps).horizon_T == T, (T, steps)
+                grid = EvaluationGrid.uniform(T, steps)
+                assert grid.horizon_T == T == grid.times[-1], (T, steps)
+                want = np.linspace(0.0, T, steps + 1)
+                assert grid.times.tobytes() == want.tobytes(), (T, steps)
 
     def test_index_of_exact_match_only(self):
         grid = EvaluationGrid.uniform(1.0, 4)
@@ -64,14 +67,18 @@ class TestEvaluationGrid:
         with pytest.raises(ValueError):
             grid.index_of(0.3)
 
-    def test_compares_and_hashes_by_identity(self):
-        # an ndarray field must not make == or hash() raise
+    def test_compares_and_hashes_by_value(self):
         grid = EvaluationGrid.uniform(1.0, 4)
         clone = pickle.loads(pickle.dumps(grid))
-        assert grid == grid and clone != grid
-        assert hash(grid) == hash(grid)
+        for same in (EvaluationGrid(1.0, 4), EvaluationGrid(1, 4), clone):
+            assert same == grid and hash(same) == hash(grid)
+        for other in (EvaluationGrid(1.0, 5), EvaluationGrid(2.0, 4)):
+            assert other != grid
         plans = {grid: "plan"}
-        assert plans[grid] == "plan" and clone not in plans
+        assert plans[EvaluationGrid.uniform(1.0, 4)] == "plan" and plans[clone] == "plan"
+        assert EvaluationGrid(2.0, 4) not in plans
+        assert [f.name for f in dataclasses.fields(grid)] == ["horizon_T", "steps"]
+        assert "index_of" in EvaluationGrid.__dict__
 
 
 class TestBuildSample:
@@ -347,7 +354,7 @@ class TestPathTimePlans:
             plan = BuildPlan(self.MIXED, eps, grid)
             assert plan.needed == map_to_path_time(grid.horizon_T, eps)
             assert plan.xs.tolist() == [map_to_path_time(float(t), eps) for t in grid.times]
-            assert not plan.xs.flags.writeable
+            assert not plan.xs.flags.writeable and not plan.levels.flags.writeable
 
     def test_alternating_grids_and_epsilons_match_fresh_grids(self):
         # plans share no state: several in use by turns give a fresh grid's bits
@@ -372,13 +379,13 @@ class TestPathTimePlans:
         ]
         # two different configs, and two equal but distinct copies of each
         configs = [ThetaConfig(**args) for args in config_args * 2]
-        grid_times = [np.linspace(0.0, T, 17), np.linspace(0.0, T, 17) ** 2]
-        grids = [EvaluationGrid(times=ts) for ts in grid_times]
+        grid_args = [(T, 16), (0.7, 12)]
+        grids = [EvaluationGrid.uniform(*args) for args in grid_args]
         paths = [_path_for(eps=eps, seed=402) for eps in self.EPSILONS]
         want = {}
         for e, c, g in np.ndindex(len(paths), len(configs), len(grids)):
             fresh_cfg = ThetaConfig(**config_args[c % 2])
-            fresh_grid = EvaluationGrid(times=grid_times[g])
+            fresh_grid = EvaluationGrid.uniform(*grid_args[g])
             fresh = BuildPlan(fresh_cfg, self.EPSILONS[e], fresh_grid)
             want[e, c, g] = build_sample(paths[e], fresh).values.tobytes()
         plans = {(e, c, g): BuildPlan(configs[c], self.EPSILONS[e], grids[g])
@@ -388,25 +395,6 @@ class TestPathTimePlans:
             for e, c, g in order:
                 got = build_sample(paths[e], plans[e, c, g]).values
                 assert got.tobytes() == want[e, c, g], (e, c, g)
-
-    def test_pickled_plan_is_rebuilt_from_config_epsilon_and_grid(self):
-        grid = EvaluationGrid.uniform(T, 16)
-        plan = BuildPlan(self.MIXED, 0.3, grid)
-        assert plan.__reduce__() == (BuildPlan, (plan.config, plan.epsilon, grid))
-        clone = pickle.loads(pickle.dumps(plan))
-        # before any path, the clone's own table holds the plan's bytes
-        assert clone.levels is not plan.levels
-        assert clone.levels.shape == plan.levels.shape
-        assert clone.levels.tobytes() == plan.levels.tobytes()
-        assert (clone.epsilon, clone.needed) == (plan.epsilon, plan.needed)
-        assert clone.xs.tobytes() == plan.xs.tobytes()
-        margins = (1.0, 4.0, 1.0)  # the long path reaches past the table
-        paths = [_path_for(eps=0.3, seed=403, rep=r, margin=m) for r, m in enumerate(margins)]
-        assert plan.levels.shape[1] < paths[1].jump_times.size + 1
-        want = [build_sample(path, plan).values.tobytes() for path in paths]
-        assert [build_sample(path, clone).values.tobytes() for path in paths] == want
-        for array in (clone.xs, clone.levels):
-            assert not array.flags.writeable
 
     def test_table_never_changes(self):
         plan = BuildPlan(self.MIXED, 0.2, EvaluationGrid.uniform(T, 4))
@@ -434,13 +422,13 @@ class TestPathTimePlans:
         gc.collect()
         assert not [obj for obj in gc.get_objects() if isinstance(obj, BuildPlan)]
 
-    def test_grid_times_are_a_read_only_copy(self):
-        times = np.linspace(0.0, 1.0, 5)
-        grid = EvaluationGrid(times=times)
-        with pytest.raises(ValueError):
-            grid.times[1] = 0.3
-        times[1] = 0.3  # the caller's array stays writable and apart
-        assert grid.times[1] == 0.25
+    def test_grid_times_are_a_new_array_at_every_call(self):
+        grid = EvaluationGrid.uniform(1.0, 4)
+        for g in (grid, pickle.loads(pickle.dumps(grid))):
+            times = g.times
+            times[1] = 0.9  # the caller's own array
+            assert g.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+            assert g.index_of(0.25) == 1
 
 
 class TestPinnedBits:

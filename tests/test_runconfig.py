@@ -170,6 +170,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="cap"):
             RunConfig(**self._base(epsilons=(1e-5,)))
 
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.inf, math.nan])
+    def test_horizon_must_be_finite_and_positive(self, T):
+        # inf used to pass here and be refused only as an inf-byte replication
+        with pytest.raises(ConfigError, match="^horizon_T must be finite and positive$"):
+            RunConfig(**self._base(horizon_T=T))
+
     def test_replications_minimum(self):
         with pytest.raises(ConfigError, match="replications"):
             RunConfig(**self._base(replications_M=1))

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import os
 import tracemalloc
 import weakref
 from collections import Counter
@@ -106,6 +107,25 @@ class TestGenerateSamples:
         serial = generate_samples(replace(cfg, workers=1), grid, 0)
         assert block.values.tobytes() == serial.values.tobytes()
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs 2 CPUs")
+    def test_the_process_that_makes_the_rows_makes_their_plan(self, monkeypatch):
+        pids = []
+
+        def recording_plan(*args):
+            pids.append(os.getpid())  # a pool worker appends to its own copy
+            return BuildPlan(*args)
+
+        monkeypatch.setattr(runner, "BuildPlan", recording_plan)
+        grid = EvaluationGrid.uniform(1.0, 2)
+        cfg = minimal_config(replications_M=40, grid_points=2, workers=2,
+                             checks=("covariance",))
+        pooled = generate_samples(cfg, grid, 0)
+        assert pids.count(os.getpid()) == 0
+        for calls in (1, 2):
+            serial = generate_samples(replace(cfg, workers=1), grid, 0)
+            assert pids == [os.getpid()] * calls
+        assert pooled.values.tobytes() == serial.values.tobytes()
+
     def test_pooled_chunks_are_gathered_into_one_block(self, monkeypatch):
         class InProcessPool:
             """Stands in for ProcessPoolExecutor: makes each chunk as it is read."""
@@ -141,7 +161,7 @@ class TestGenerateSamples:
     def test_grid_must_be_the_configs_own(self, steps, T):
         # validate capped the block at grid_points + 1 times to horizon_T
         cfg = minimal_config(replications_M=4, grid_points=2, checks=("covariance",))
-        with pytest.raises(ValueError, match="is not the config's 3 times to T = 1.0"):
+        with pytest.raises(ValueError, match="is not the config's grid of 2 steps to T = 1.0"):
             generate_samples(cfg, EvaluationGrid.uniform(T, steps), 0)
 
 

@@ -48,6 +48,11 @@ alternating order. The record is each epsilon's peak of traced memory in
 KiB: the block it returns plus the working memory of making it. Unlike
 ``peak_rss_mb``, it has no floor at the harness's own RSS.
 
+Every run also records ``load1``, the host's one-minute load average
+read just before it starts, and the environment names the CPU model
+(``cpu_model``), so that a spread the host made can be told from a move
+the change made.
+
 The record is written whatever it shows. The tool then exits 1, naming
 each fault on stderr, if the record shows a broken change: a workload
 run that reports failed operations, or d32 bytes that differ between
@@ -141,10 +146,13 @@ def git(*args: str) -> str:
 
 
 def last_json_line(cmd: list[str], cwd: Path) -> dict:
+    """The last stdout line of ``cmd`` as JSON, plus ``load1``: the host's
+    one-minute load average read just before the run."""
+    load1 = os.getloadavg()[0]
     proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {cwd} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return {**json.loads(proc.stdout.strip().splitlines()[-1]), "load1": load1}
 
 
 def spread(values: list[float]) -> dict:
@@ -201,7 +209,7 @@ def bench_workloads(sides: dict[str, Path], bench: dict, pairs: int, seconds: fl
         for i in range(pairs):
             for order, (side, root) in enumerate(pair_order(i, sides)):
                 result = last_json_line(cmd, root)
-                runs.append({"pair": i, "side": side, "order": order,
+                runs.append({"pair": i, "side": side, "order": order, "load1": result["load1"],
                              "failed": result["failed"], "attempted": result["attempted"],
                              "metrics": {k: v["value"] for k, v in result["metrics"].items()}})
                 print(f"{workload} pair {i} {side}: failed {result['failed']}, "
@@ -230,6 +238,7 @@ def bench_workloads(sides: dict[str, Path], bench: dict, pairs: int, seconds: fl
 def bench_d32(sides: dict[str, Path], pairs: int, scratch: Path) -> dict:
     config = (ROOT / D32_CONFIG).resolve()
     seconds: dict[str, list[float]] = {side: [] for side in sides}
+    loads: dict[str, list[float]] = {side: [] for side in sides}
     digests: dict[str, set] = {side: set() for side in sides}
     for i in range(pairs):
         for side, root in pair_order(i, sides):
@@ -238,12 +247,14 @@ def bench_d32(sides: dict[str, Path], pairs: int, scratch: Path) -> dict:
             result = last_json_line([sys.executable, "-c", TIME_RUN, str(config), str(out_dir)],
                                     root)
             seconds[side].append(result["run_experiment_s"])
+            loads[side].append(result["load1"])
             digests[side].add(tuple(hashlib.sha256((out_dir / n).read_bytes()).hexdigest()
                                     for n in OUTPUT_FILES))
             print(f"d32 pair {i} {side}: {result['run_experiment_s']:.3f} s", file=sys.stderr)
     return {
         "config": D32_CONFIG.as_posix(),
         "run_experiment_s": compare(seconds["parent"], seconds["change"], "lower"),
+        "load1": loads,
         "same_bytes": len(digests["parent"] | digests["change"]) == 1,
     }
 
@@ -280,6 +291,8 @@ def bench_generate(sides: dict[str, Path], pairs: int, scratch: Path,
                           [r[name] for r in by_side["change"]], "lower")
             for name in ("cpu_us_per_rep", "wall_us_per_rep")
         }
+        out[f"workers_{workers}"]["load1"] = {side: [r["load1"] for r in rs]
+                                              for side, rs in by_side.items()}
     return out
 
 
@@ -287,13 +300,16 @@ def bench_memory(sides: dict[str, Path], pairs: int, scratch: Path,
                  seed: int | None) -> dict:
     config, seed = workload_config(MEMORY_WORKLOAD, scratch, seed)
     runs: dict[str, list[dict]] = {side: [] for side in sides}
+    loads: dict[str, list[float]] = {side: [] for side in sides}
     for i in range(pairs):
         for side, root in pair_order(i, sides):
-            runs[side].append(last_json_line([sys.executable, "-c", TRACE_MEMORY, str(config)],
-                                             root))
-            print(f"memory pair {i} {side}: {runs[side][-1]} KiB", file=sys.stderr)
+            peaks = last_json_line([sys.executable, "-c", TRACE_MEMORY, str(config)], root)
+            loads[side].append(peaks.pop("load1"))
+            runs[side].append(peaks)
+            print(f"memory pair {i} {side}: {peaks} KiB", file=sys.stderr)
     return {
         "workload": MEMORY_WORKLOAD, "seed": seed, "workers": 1, "unit": "KiB",
+        "load1": loads,
         "peak_kib": {eps: compare([r[eps] for r in runs["parent"]],
                                   [r[eps] for r in runs["change"]], "lower")
                      for eps in runs["parent"][0]},
@@ -313,8 +329,16 @@ def broken(record: dict) -> list[str]:
 def environment() -> dict:
     numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                            capture_output=True, text=True, check=True).stdout.strip()
+    cpu = "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as f:
+            cpu = next((ln.split(":", 1)[1].strip() for ln in f if ln.startswith("model name")),
+                       cpu)
+    except OSError:
+        pass
     return {
         "nproc": len(os.sched_getaffinity(0)),
+        "cpu_model": cpu,
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": numpy,
