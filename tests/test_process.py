@@ -43,13 +43,21 @@ class TestEvaluationGrid:
         assert grid.times[0] == 0.0
         assert grid.times[-1] == 1.0
 
-    def test_horizon_finite_and_positive_and_at_least_one_step(self):
-        cases = [(t, 4, "horizon_T must be finite and positive")
-                 for t in (0.0, -1.0, math.nan, math.inf)]
-        cases += [(1.0, n, "steps must be at least 1") for n in (0, -1)]
-        for T_, steps, rule in cases:
-            with pytest.raises(ValueError, match=f"^{rule}, got"):
-                EvaluationGrid(T_, steps)
+    def test_must_start_at_zero(self):
+        for T_, steps in ((1.0, 4), (0.7, 12), (5.3, 1)):
+            assert EvaluationGrid(T_, steps).times[0] == 0.0
+        # a horizon at or before 0, or none at all, makes no grid from 0
+        for T_ in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^horizon_T must be finite and positive, got"):
+                EvaluationGrid(T_, 4)
+
+    def test_strictly_increasing(self):
+        for T_, steps in ((1.0, 4), (0.7, 12), (5.3, 1), (1.0 / 3.0, 100)):
+            assert np.all(np.diff(EvaluationGrid(T_, steps).times) > 0.0)
+        # fewer than one step leaves no increasing pair of times
+        for steps in (0, -1):
+            with pytest.raises(ValueError, match="^steps must be at least 1, got"):
+                EvaluationGrid(1.0, steps)
 
     def test_horizon_is_the_last_time(self):
         assert EvaluationGrid.uniform(0.5, 2).horizon_T == 0.5
