@@ -229,32 +229,20 @@ def validate_hypothesis_h(config: ThetaConfig) -> HypothesisReport:
     n = config.n
     rescaled = set(config.pi_rescaled_indices)
 
+    # one walk over the pairs i <= j appends in (indices, rule) order: (i,),
+    # (i, i), then (i, j) for j > i, SAME_BLOCK_EQUAL before SUM_2PI
     violations: list[Violation] = []
-
     for i, a in enumerate(angles, start=1):
-        if _in_range(a) or i in rescaled:
-            continue
-        violations.append(Violation(RULE_RANGE, (i,), (a.radians,)))
-
-    for i in range(1, len(angles) + 1):
-        for j in range(i, len(angles) + 1):
-            a, b = angles[i - 1], angles[j - 1]
-            if i == j and i in rescaled:
-                # the allowed pi would trip the self-pair sum; exempt it
-                continue
-            if _pair_sums_to_2pi(a, b):
+        if not (_in_range(a) or i in rescaled):
+            violations.append(Violation(RULE_RANGE, (i,), (a.radians,)))
+        for j, b in enumerate(angles[i - 1:], start=i):
+            if j > i and (i <= n) == (j <= n) and _pair_equal(a, b):
+                violations.append(
+                    Violation(RULE_SAME_BLOCK_EQUAL, (i, j), (a.radians, b.radians)))
+            # the allowed pi would trip the self-pair sum; exempt it
+            if not (i == j and i in rescaled) and _pair_sums_to_2pi(a, b):
                 violations.append(Violation(RULE_SUM_2PI, (i, j), (a.radians, b.radians)))
 
-    for lo, hi in ((1, n), (n + 1, len(angles))):
-        for i in range(lo, hi + 1):
-            for j in range(i + 1, hi + 1):
-                a, b = angles[i - 1], angles[j - 1]
-                if _pair_equal(a, b):
-                    violations.append(
-                        Violation(RULE_SAME_BLOCK_EQUAL, (i, j), (a.radians, b.radians))
-                    )
-
-    violations.sort(key=lambda v: (v.indices, v.rule))
     return HypothesisReport(
         violations=tuple(violations),
         pi_rescaled_indices=config.pi_rescaled_indices,

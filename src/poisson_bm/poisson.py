@@ -30,7 +30,7 @@ _TWO_PI_LD = np.longdouble("6.283185307179586476925286766559005768394")
 _TINY = float(np.finfo(np.float64).tiny)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoissonPath:
     """One realization of a unit-rate Poisson process on [0, horizon]."""
 

@@ -14,6 +14,7 @@ scaled by 1/sqrt(2).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,13 +73,9 @@ class EvaluationGrid:
     def __post_init__(self) -> None:
         if not 0.0 < self.horizon_T < math.inf:  # refuses nan too
             raise ValueError(f"horizon_T must be finite and positive, got {self.horizon_T!r}")
+        object.__setattr__(self, "steps", operator.index(self.steps))  # TypeError on 2.5
         if self.steps < 1:
             raise ValueError(f"steps must be at least 1, got {self.steps!r}")
-
-    @classmethod
-    def uniform(cls, horizon_T: float, steps: int) -> "EvaluationGrid":
-        """The grid ``(horizon_T, steps)``, as every caller spells it."""
-        return cls(horizon_T, steps)
 
     @property
     def times(self) -> np.ndarray:

@@ -11,7 +11,6 @@ with no number is left empty.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -42,6 +41,11 @@ def _finite_or_null(obj):
     if isinstance(obj, (list, tuple)):
         return [_finite_or_null(v) for v in obj]
     return obj
+
+
+def _csv_text(header: str, rows) -> str:
+    """``header``, then each row's cells joined by ","; every line ends in LF."""
+    return "".join(line + "\n" for line in (header, *map(",".join, rows)))
 
 
 def _log17(x: float) -> str:
@@ -79,25 +83,18 @@ class RunReport:
                           allow_nan=False) + "\n"
 
     def assertions_csv_text(self) -> str:
-        buf = io.StringIO()
-        buf.write("epsilon,check,assertion,value,std_error,target,band,pass\n")
-        for block in self.results:
-            eps = block["epsilon"]
-            for check in block["checks"]:
-                for a in check.get("assertions", []):
-                    row = [
-                        fmt17(eps),
-                        check["name"],
-                        a["name"],
-                        # a NaN value comes back from report.json as null
-                        fmt17(math.nan if a["value"] is None else a["value"]),
-                        fmt17(a["std_error"]) if a.get("std_error") is not None else "",
-                        fmt17(a["target"]) if a.get("target") is not None else "",
-                        fmt17(a["band"]) if a.get("band") is not None else "",
-                        "1" if a["pass"] else "0",
-                    ]
-                    buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        return _csv_text("epsilon,check,assertion,value,std_error,target,band,pass", (
+            (fmt17(block["epsilon"]), check["name"], a["name"],
+             # a NaN value comes back from report.json as null
+             fmt17(math.nan if a["value"] is None else a["value"]),
+             fmt17(a["std_error"]) if a.get("std_error") is not None else "",
+             fmt17(a["target"]) if a.get("target") is not None else "",
+             fmt17(a["band"]) if a.get("band") is not None else "",
+             "1" if a["pass"] else "0")
+            for block in self.results
+            for check in block["checks"]
+            for a in check.get("assertions", [])
+        ))
 
     def timings_text(self) -> str:
         lines = ["# wall-clock timings (seconds); not part of the canonical report"]
@@ -156,23 +153,18 @@ def _rate_csv(report: RunReport, pair: tuple[int, int] | None) -> str:
         if not matches:
             raise ValueError(f"no rate fit for component pair {pair}")
         entry = matches[0]
-    buf = io.StringIO()
-    buf.write("log_epsilon,log_abs_estimate,log_bound_total\n")
-    for point in entry["points"]:
-        keys = ("epsilon", "floored_abs_estimate", "bound_total")
-        buf.write(",".join(_log17(point[k]) for k in keys) + "\n")
-    return buf.getvalue()
+    keys = ("epsilon", "floored_abs_estimate", "bound_total")
+    return _csv_text("log_epsilon,log_abs_estimate,log_bound_total",
+                     ([_log17(point[k]) for k in keys] for point in entry["points"]))
 
 
 def _cov_csv(report: RunReport, epsilon: float | None) -> str:
     check = _find_check(report, epsilon, "covariance")
     matrix = check["data"]["matrix"]
-    buf = io.StringIO()
-    buf.write("i,j,value,std_error\n")
-    for i, row in enumerate(matrix, start=1):
-        for j, cell in enumerate(row, start=1):
-            buf.write(f"{i},{j},{fmt17(cell['value'])},{fmt17(cell['std_error'])}\n")
-    return buf.getvalue()
+    return _csv_text("i,j,value,std_error",
+                     ((str(i), str(j), fmt17(cell["value"]), fmt17(cell["std_error"]))
+                      for i, row in enumerate(matrix, start=1)
+                      for j, cell in enumerate(row, start=1)))
 
 
 def _hist_csv(report: RunReport, epsilon: float | None, component: int) -> str:
@@ -182,12 +174,10 @@ def _hist_csv(report: RunReport, epsilon: float | None, component: int) -> str:
     if key not in hists:
         raise ValueError(f"no histogram for component {component}")
     h = hists[key]
-    buf = io.StringIO()
-    buf.write("bin_left,bin_right,count\n")
     edges = h["edges"]
-    for k, count in enumerate(h["counts"]):
-        buf.write(f"{fmt17(edges[k])},{fmt17(edges[k + 1])},{count}\n")
-    return buf.getvalue()
+    return _csv_text("bin_left,bin_right,count",
+                     ((fmt17(edges[k]), fmt17(edges[k + 1]), str(count))
+                      for k, count in enumerate(h["counts"])))
 
 
 def emit_plot_data(

@@ -30,6 +30,7 @@ values are parsed as the file's would be.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
@@ -71,6 +72,12 @@ class RunConfig:
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "output_dir", Path(self.output_dir))
         object.__setattr__(self, "checks", tuple(self.checks))
+        for name in ("replications_M", "grid_points", "master_seed", "workers"):
+            value = getattr(self, name)
+            try:  # a plain int, as report.json echoes it
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
         self.validate()
 
     def validate(self) -> None:

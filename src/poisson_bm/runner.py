@@ -187,17 +187,13 @@ def _check_covariance(block: SampleBlock) -> tuple[list[dict], dict]:
     cov = empirical_increment_covariance(block)
     corr = correlation_matrix(cov)
     assertions = []
+    degenerate = []
     for i in range(d):
         for j in range(i, d):
             target = T if i == j else 0.0
             assertions.append(_band_assertion(f"cov[{i + 1},{j + 1}]", cov[i][j], target))
-    degenerate = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            if abs(abs(corr[i, j]) - 1.0) <= DEGENERACY_TOL:
-                degenerate.append(
-                    {"i": i + 1, "j": j + 1, "correlation": float(corr[i, j])}
-                )
+            if j > i and abs(abs(corr[i, j]) - 1.0) <= DEGENERACY_TOL:
+                degenerate.append({"i": i + 1, "j": j + 1, "correlation": float(corr[i, j])})
     data = {
         "matrix": [[cov[i][j].to_dict() for j in range(d)] for i in range(d)],
         "correlation": [[float(c) for c in row] for row in corr],
@@ -473,7 +469,7 @@ def run_experiment(config: RunConfig) -> RunReport:
     """
     hypothesis = config.admissibility()
 
-    grid = EvaluationGrid.uniform(config.horizon_T, config.grid_points)
+    grid = EvaluationGrid(config.horizon_T, config.grid_points)
     checks = config.resolved_checks
 
     results = []

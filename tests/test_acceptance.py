@@ -70,7 +70,7 @@ def _make_samples(theta, eps, M, seed, T=1.0, steps=64, workers=_WORKERS):
         workers=workers,
         checks=("covariance",),
     )
-    grid = EvaluationGrid.uniform(T, steps)
+    grid = EvaluationGrid(T, steps)
     return generate_samples(cfg, grid, 0)
 
 
@@ -258,7 +258,7 @@ def _rate_estimates():
         workers=_WORKERS,
         checks=("cross_moments",),
     )
-    grid = EvaluationGrid.uniform(1.0, 1)
+    grid = EvaluationGrid(1.0, 1)
     per_eps = []
     for k in range(len(RATE_EPSILONS)):
         block = generate_samples(cfg, grid, k)

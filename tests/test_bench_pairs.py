@@ -86,3 +86,35 @@ def test_every_run_records_the_host_load_before_it():
     cmd = [sys.executable, "-c", "print('noise'); print('{\"x\": 1}')"]
     result = bench_pairs.last_json_line(cmd, Path.cwd())
     assert result["x"] == 1 and isinstance(result["load1"], float) and result["load1"] >= 0.0
+
+
+TINY_CONFIG = """
+cos_block = 1/2 pi
+sin_block = 1/2 pi
+epsilons = 0.4, 0.2
+replications_M = 120
+grid_points = 4
+master_seed = 12345
+"""
+
+
+@pytest.mark.parametrize(
+    "script,args,keys",
+    [
+        ("TIME_RUN", ["out"], {"run_experiment_s"}),
+        ("TIME_GENERATE", ["1"], {"cpu_us_per_rep", "wall_us_per_rep"}),
+        ("TIME_GENERATE", ["2"], {"cpu_us_per_rep", "wall_us_per_rep"}),
+        ("TRACE_MEMORY", [], {"0.4", "0.2"}),
+    ],
+    ids=["time_run", "time_generate_workers_1", "time_generate_workers_2", "trace_memory"],
+)
+def test_embedded_scripts_run_against_the_checkout(tmp_path, script, args, keys):
+    # a library rename that breaks a script fails here, not when a record is made
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_CONFIG)
+    args = [str(tmp_path / a) if a == "out" else a for a in args]
+    cmd = [sys.executable, "-c", getattr(bench_pairs, script), str(config), *args]
+    record = bench_pairs.last_json_line(cmd, bench_pairs.ROOT)  # SystemExit unless exit 0
+    assert record.keys() == keys | {"load1"}
+    if script == "TIME_RUN":
+        assert all((tmp_path / "out" / name).is_file() for name in bench_pairs.OUTPUT_FILES)

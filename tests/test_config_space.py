@@ -1,0 +1,60 @@
+"""Config-space robustness: random config files end in a written report
+(exit 0 or 1) or a clean configuration error (exit 2), never a traceback,
+and every written report.json is strict JSON."""
+
+import json
+import random
+
+from poisson_bm.cli import main
+from poisson_bm.report import REPORT_FILENAME
+from poisson_bm.runner import CHECKS
+
+CONFIGS = 40
+
+
+def _angle(rng: random.Random) -> str:
+    kind = rng.choice(["p/q pi", "pi", "0", "2 pi", "decimal"])
+    if kind == "p/q pi":
+        return f"{rng.randint(1, 8)}/{rng.randint(1, 6)} pi"
+    if kind == "decimal":
+        return repr(round(rng.uniform(-7.0, 7.0), 4))
+    return kind
+
+
+def _config_text(rng: random.Random, output_dir) -> str:
+    epsilons = sorted(rng.sample(range(15, 101), rng.randint(1, 4)), reverse=True)
+    checks = rng.sample([*CHECKS, "default"], rng.randint(1, 3))
+    return "\n".join([
+        f"cos_block = {', '.join(_angle(rng) for _ in range(rng.randint(0, 4)))}",
+        f"sin_block = {', '.join(_angle(rng) for _ in range(rng.randint(0, 4)))}",
+        f"allow_pi_in_cos = {rng.choice(['true', 'false'])}",
+        f"allow_invalid_theta = {rng.choice(['true', 'false'])}",
+        f"horizon_T = {round(rng.uniform(1e-3, 7.25), 4)!r}",
+        f"grid_points = {rng.randint(1, 12)}",
+        f"replications_M = {rng.randint(1, 150)}",
+        f"epsilons = {', '.join(str(e / 100) for e in epsilons)}",
+        f"checks = {', '.join(checks)}",
+        f"master_seed = {rng.randrange(2**64)}",
+        f"output_dir = {output_dir}",
+    ]) + "\n"
+
+
+def _refuse(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+def test_random_configs_end_cleanly(tmp_path):
+    rng = random.Random(20261020)
+    codes = []
+    for k in range(CONFIGS):
+        out = tmp_path / f"run{k}"
+        path = tmp_path / f"run{k}.cfg"
+        path.write_text(_config_text(rng, out), encoding="utf-8")
+        code = main(["run", str(path)])
+        assert code in (0, 1, 2), (code, path.read_text())
+        if (out / REPORT_FILENAME).exists():
+            assert code in (0, 1)
+            json.loads((out / REPORT_FILENAME).read_text(), parse_constant=_refuse)
+        codes.append(code)
+    # the draw reaches both ends: written reports and configuration errors
+    assert 2 in codes and {0, 1} & set(codes)

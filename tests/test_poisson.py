@@ -57,6 +57,14 @@ class TestSamplePoissonPath:
         se = math.sqrt(horizon / n_seeds)
         assert abs(counts.mean() - horizon) <= 4.0 * se
 
+    def test_compares_and_hashes_by_identity(self):
+        a = sample_poisson_path(123.0, derive_stream(42, 1, 5))
+        b = sample_poisson_path(123.0, derive_stream(42, 1, 5))
+        # equal jump arrays: no truth value of an array is asked for
+        assert a == a and a != b
+        paths = {a: "path"}
+        assert paths[a] == "path" and b not in paths
+
     def test_invalid_jump_times_rejected(self):
         with pytest.raises(ValueError):
             PoissonPath(1.0, np.array([0.5, 0.5]))

@@ -38,7 +38,7 @@ def _path_for(eps=EPS, T_=T, seed=101, rep=0, margin=1.0):
 
 class TestEvaluationGrid:
     def test_uniform_default(self):
-        grid = EvaluationGrid.uniform(1.0, 64)
+        grid = EvaluationGrid(1.0, 64)
         assert len(grid) == 65
         assert grid.times[0] == 0.0
         assert grid.times[-1] == 1.0
@@ -59,31 +59,38 @@ class TestEvaluationGrid:
             with pytest.raises(ValueError, match="^steps must be at least 1, got"):
                 EvaluationGrid(1.0, steps)
 
+    def test_step_count_must_be_an_integer(self):
+        # refused when the grid is made, not at its first use
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            EvaluationGrid(1.0, 2.5)
+        grid = EvaluationGrid(1.0, np.int64(4))
+        assert type(grid.steps) is int and grid == EvaluationGrid(1.0, 4)
+
     def test_horizon_is_the_last_time(self):
-        assert EvaluationGrid.uniform(0.5, 2).horizon_T == 0.5
+        assert EvaluationGrid(0.5, 2).horizon_T == 0.5
         for T in (0.9, 7.5, 1.0, 1.7, 5.3, 1.0 / 3.0):
             for steps in (1, 12, 64, 100):
                 # linspace ends on T exactly, so 2T/eps^2 keeps its bits
-                grid = EvaluationGrid.uniform(T, steps)
+                grid = EvaluationGrid(T, steps)
                 assert grid.horizon_T == T == grid.times[-1], (T, steps)
                 want = np.linspace(0.0, T, steps + 1)
                 assert grid.times.tobytes() == want.tobytes(), (T, steps)
 
     def test_index_of_exact_match_only(self):
-        grid = EvaluationGrid.uniform(1.0, 4)
+        grid = EvaluationGrid(1.0, 4)
         assert grid.index_of(0.5) == 2
         with pytest.raises(ValueError):
             grid.index_of(0.3)
 
     def test_compares_and_hashes_by_value(self):
-        grid = EvaluationGrid.uniform(1.0, 4)
+        grid = EvaluationGrid(1.0, 4)
         clone = pickle.loads(pickle.dumps(grid))
         for same in (EvaluationGrid(1.0, 4), EvaluationGrid(1, 4), clone):
             assert same == grid and hash(same) == hash(grid)
         for other in (EvaluationGrid(1.0, 5), EvaluationGrid(2.0, 4)):
             assert other != grid
         plans = {grid: "plan"}
-        assert plans[EvaluationGrid.uniform(1.0, 4)] == "plan" and plans[clone] == "plan"
+        assert plans[EvaluationGrid(1.0, 4)] == "plan" and plans[clone] == "plan"
         assert EvaluationGrid(2.0, 4) not in plans
         assert [f.name for f in dataclasses.fields(grid)] == ["horizon_T", "steps"]
         assert "index_of" in EvaluationGrid.__dict__
@@ -92,14 +99,14 @@ class TestEvaluationGrid:
 class TestBuildSample:
     def test_all_components_zero_at_origin(self):
         cfg = ThetaConfig(cos_block=["1/2 pi", 2.2], sin_block=[1.1])
-        grid = EvaluationGrid.uniform(T, 16)
+        grid = EvaluationGrid(T, 16)
         for rep in range(5):
             sample = build_sample(_path_for(rep=rep), BuildPlan(cfg, EPS, grid))
             assert np.all(sample.values[0][:, 0] == 0.0)
 
     def test_bitwise_consistency_with_integral(self):
         cfg = ThetaConfig(cos_block=["1/2 pi"])
-        grid = EvaluationGrid.uniform(T, 16)
+        grid = EvaluationGrid(T, 16)
         path = _path_for()
         sample = build_sample(path, BuildPlan(cfg, EPS, grid))
         for g, t in enumerate(grid.times):
@@ -108,7 +115,7 @@ class TestBuildSample:
             assert sample.values[0][0, g] == expected  # bit-for-bit
 
     def test_pi_rescale_is_exactly_inv_sqrt2(self):
-        grid = EvaluationGrid.uniform(T, 16)
+        grid = EvaluationGrid(T, 16)
         path = _path_for()
         plain = build_sample(path, BuildPlan(ThetaConfig(cos_block=["pi"]), EPS, grid))
         rescaled = ThetaConfig(cos_block=["pi"], allow_pi_in_cos=True)
@@ -117,14 +124,14 @@ class TestBuildSample:
 
     def test_horizon_too_short_names_requirement(self):
         cfg = ThetaConfig(cos_block=[1.0])
-        grid = EvaluationGrid.uniform(T, 8)
+        grid = EvaluationGrid(T, 8)
         short = sample_poisson_path(5.0, derive_stream(1, 0, 0))
         with pytest.raises(ValueError, match="2T/eps"):
             build_sample(short, BuildPlan(cfg, EPS, grid))
 
     def test_epsilon_bounds(self):
         cfg = ThetaConfig(cos_block=[1.0])
-        grid = EvaluationGrid.uniform(T, 8)
+        grid = EvaluationGrid(T, 8)
         for eps in (0.0, -0.1, 1.5, math.nan):
             with pytest.raises(ValueError, match=r"^epsilon must be in \(0, 1\]"):
                 BuildPlan(cfg, eps, grid)
@@ -133,13 +140,13 @@ class TestBuildSample:
     def test_horizon_cap_enforced(self):
         # the plan refuses 2T/eps^2 above the cap before any path is drawn
         cfg = ThetaConfig(cos_block=[1.0])
-        grid = EvaluationGrid.uniform(1000.0, 4)
+        grid = EvaluationGrid(1000.0, 4)
         with pytest.raises(ValueError, match="cap"):
             BuildPlan(cfg, 1e-4, grid)
 
     def test_determinism(self):
         cfg = ThetaConfig(cos_block=[2.2], sin_block=[1.1])
-        grid = EvaluationGrid.uniform(T, 16)
+        grid = EvaluationGrid(T, 16)
         a = build_sample(_path_for(seed=55), BuildPlan(cfg, EPS, grid))
         b = build_sample(_path_for(seed=55), BuildPlan(cfg, EPS, grid))
         assert np.array_equal(a.values[0], b.values[0])
@@ -147,7 +154,7 @@ class TestBuildSample:
     def test_lipschitz_between_grid_points(self):
         # |x(t2) - x(t1)| <= 2 (t2 - t1) / eps: integrand bounded by one
         cfg = ThetaConfig(cos_block=[2.2, "1/2 pi"], sin_block=[1.1])
-        grid = EvaluationGrid.uniform(T, 64)
+        grid = EvaluationGrid(T, 64)
         for rep in range(5):
             sample = build_sample(_path_for(rep=rep), BuildPlan(cfg, EPS, grid))
             steps = np.abs(np.diff(sample.values[0], axis=1))
@@ -157,7 +164,7 @@ class TestBuildSample:
 
     def test_sum_2pi_degeneracy_identities_exact(self):
         # theta' = 2*pi - theta: cos components identical, sin components negated
-        grid = EvaluationGrid.uniform(T, 32)
+        grid = EvaluationGrid(T, 32)
         path = _path_for(seed=77)
         cfg = ThetaConfig(
             cos_block=["2/5 pi", "8/5 pi"], sin_block=["2/5 pi", "8/5 pi"]
@@ -168,7 +175,7 @@ class TestBuildSample:
 
     def test_sum_2pi_degeneracy_decimal_inputs_close(self):
         # decimal angles cannot be bit-exact; phase drift stays tiny
-        grid = EvaluationGrid.uniform(T, 32)
+        grid = EvaluationGrid(T, 32)
         path = _path_for(seed=78)
         theta = 2.2
         cfg = ThetaConfig(
@@ -181,7 +188,7 @@ class TestBuildSample:
 
     def test_stroock_increment_bound(self):
         # |delta| <= eps * (2t/eps^2 - 2s/eps^2) for the angle-pi component
-        grid = EvaluationGrid.uniform(T, 8)
+        grid = EvaluationGrid(T, 8)
         sample = build_sample(
             _path_for(seed=92), BuildPlan(ThetaConfig(cos_block=["pi"]), EPS, grid)
         )
@@ -220,7 +227,7 @@ class TestBuildSampleBitIdentity:
         # a longer path grows a copy for its own call, and the plan's table
         # stays the same object with the same bytes for the paths after it
         cfg = ThetaConfig(cos_block=["pi", 1.3], sin_block=[0.9], allow_pi_in_cos=True)
-        grid = EvaluationGrid.uniform(T, 16)
+        grid = EvaluationGrid(T, 16)
         eps = 0.3
         short = _path_for(eps=eps, seed=301)
         long = _path_for(eps=eps, seed=302, margin=8.0)
@@ -296,13 +303,13 @@ class TestTwoLaneKernel:
     @pytest.mark.parametrize("name", CONFIGS)
     @pytest.mark.parametrize("eps,steps", [(0.4, 1), (0.2, 16), (0.05, 64)])
     def test_sampled_paths(self, name, eps, steps):
-        grid = EvaluationGrid.uniform(T, steps)
+        grid = EvaluationGrid(T, steps)
         for rep in range(6):
             self._assert_rows_match(_path_for(eps=eps, rep=rep), eps, self.CONFIGS[name], grid)
 
     @pytest.mark.parametrize("name", CONFIGS)
     def test_zero_jump_path(self, name):
-        cfg, grid = self.CONFIGS[name], EvaluationGrid.uniform(T, 8)
+        cfg, grid = self.CONFIGS[name], EvaluationGrid(T, 8)
         empty = PoissonPath(horizon=map_to_path_time(T, EPS), jump_times=np.empty(0))
         values = self._assert_rows_match(empty, EPS, cfg, grid)
         sines = [c for c in range(cfg.dimension) if cfg.component_kind(c) == "sin"]
@@ -310,7 +317,7 @@ class TestTwoLaneKernel:
 
     @pytest.mark.parametrize("name", CONFIGS)
     def test_path_from_a_second_uniform_block(self, name):
-        eps, cfg, grid = 0.4, self.CONFIGS[name], EvaluationGrid.uniform(T, 4)
+        eps, cfg, grid = 0.4, self.CONFIGS[name], EvaluationGrid(T, 4)
         stream = _FirstBlockTooShort(seed=501)
         path = sample_poisson_path(map_to_path_time(T, eps), stream)
         assert len(stream.calls) >= 2
@@ -335,7 +342,7 @@ class TestTwoLaneKernel:
         # there a sine component adds its level times an offset of exactly 0
         # to a prefix of +0.0: the sign-of-zero corner
         eps, cfg = 0.5, self.CONFIGS[name]
-        grid = EvaluationGrid.uniform(T, 4)
+        grid = EvaluationGrid(T, 4)
         xs = np.array([map_to_path_time(t, eps) for t in grid.times])
         path = _on_jump_path(map_to_path_time(T, eps), xs)
         assert path.jump_times[0] == xs[1] == 2.0
@@ -357,7 +364,7 @@ class TestPathTimePlans:
     EPSILONS = (0.4, 0.3, 0.2)
 
     def test_path_times_are_map_to_path_time(self):
-        grid = EvaluationGrid.uniform(T, 16)
+        grid = EvaluationGrid(T, 16)
         for eps in self.EPSILONS:
             plan = BuildPlan(self.MIXED, eps, grid)
             assert plan.needed == map_to_path_time(grid.horizon_T, eps)
@@ -366,14 +373,14 @@ class TestPathTimePlans:
 
     def test_alternating_grids_and_epsilons_match_fresh_grids(self):
         # plans share no state: several in use by turns give a fresh grid's bits
-        grids = [EvaluationGrid.uniform(T, 4), EvaluationGrid.uniform(T, 16)]
+        grids = [EvaluationGrid(T, 4), EvaluationGrid(T, 16)]
         paths = {eps: _path_for(eps=eps, seed=401) for eps in self.EPSILONS}
         plans = {(eps, g): BuildPlan(self.MIXED, eps, grid)
                  for eps in paths for g, grid in enumerate(grids)}
         for _ in range(2):
             for eps, path in paths.items():
                 for g, grid in enumerate(grids):
-                    fresh = EvaluationGrid.uniform(T, len(grid) - 1)
+                    fresh = EvaluationGrid(T, len(grid) - 1)
                     want = build_sample(path, BuildPlan(self.MIXED, eps, fresh)).values
                     for _ in range(2):  # a first use, then a repeat
                         got = build_sample(path, plans[eps, g]).values
@@ -388,12 +395,12 @@ class TestPathTimePlans:
         # two different configs, and two equal but distinct copies of each
         configs = [ThetaConfig(**args) for args in config_args * 2]
         grid_args = [(T, 16), (0.7, 12)]
-        grids = [EvaluationGrid.uniform(*args) for args in grid_args]
+        grids = [EvaluationGrid(*args) for args in grid_args]
         paths = [_path_for(eps=eps, seed=402) for eps in self.EPSILONS]
         want = {}
         for e, c, g in np.ndindex(len(paths), len(configs), len(grids)):
             fresh_cfg = ThetaConfig(**config_args[c % 2])
-            fresh_grid = EvaluationGrid.uniform(*grid_args[g])
+            fresh_grid = EvaluationGrid(*grid_args[g])
             fresh = BuildPlan(fresh_cfg, self.EPSILONS[e], fresh_grid)
             want[e, c, g] = build_sample(paths[e], fresh).values.tobytes()
         plans = {(e, c, g): BuildPlan(configs[c], self.EPSILONS[e], grids[g])
@@ -405,7 +412,7 @@ class TestPathTimePlans:
                 assert got.tobytes() == want[e, c, g], (e, c, g)
 
     def test_table_never_changes(self):
-        plan = BuildPlan(self.MIXED, 0.2, EvaluationGrid.uniform(T, 4))
+        plan = BuildPlan(self.MIXED, 0.2, EvaluationGrid(T, 4))
         table, before = plan.levels, plan.levels.tobytes()
         assert table.shape == (3, _first_block_size(plan.needed) + 1)
         for rep in range(200):
@@ -431,7 +438,7 @@ class TestPathTimePlans:
         assert not [obj for obj in gc.get_objects() if isinstance(obj, BuildPlan)]
 
     def test_grid_times_are_a_new_array_at_every_call(self):
-        grid = EvaluationGrid.uniform(1.0, 4)
+        grid = EvaluationGrid(1.0, 4)
         for g in (grid, pickle.loads(pickle.dumps(grid))):
             times = g.times
             times[1] = 0.9  # the caller's own array
@@ -471,7 +478,7 @@ class TestPinnedBits:
     )
     def test_recorded_values(self, name, eps, steps, digest):
         cfg = self.CONFIGS[name]
-        grid = EvaluationGrid.uniform(1.0, steps)
+        grid = EvaluationGrid(1.0, steps)
         horizon = map_to_path_time(1.0, eps)
         plan = BuildPlan(cfg, eps, grid)
         values = np.stack([
@@ -496,7 +503,7 @@ class TestSubBlocks:
     def _plan_and_path(cfg, n, seed):
         """A plan whose 2T/eps^2 is about n, and a path of exactly n sorted
         uniform jumps on (0, 2T/eps^2]."""
-        plan = BuildPlan(cfg, math.sqrt(2.0 * T / (n + 0.5)), EvaluationGrid.uniform(T, 16))
+        plan = BuildPlan(cfg, math.sqrt(2.0 * T / (n + 0.5)), EvaluationGrid(T, 16))
         jumps = np.sort(derive_stream(seed, 0, n).random(n)) * plan.needed
         return plan, PoissonPath(horizon=plan.needed, jump_times=jumps)
 
@@ -516,7 +523,7 @@ class TestSubBlocks:
         # sits at N/4 and jump 2 SUB_BLOCK - 1 at N/2: there the level is the
         # sub-block's end and the offset from its start exactly 0
         eps = math.sqrt(2.0 * T / (2.5 * SUB_BLOCK))
-        plan = BuildPlan(self.CONFIGS[name], eps, EvaluationGrid.uniform(T, 4))
+        plan = BuildPlan(self.CONFIGS[name], eps, EvaluationGrid(T, 4))
         xs = plan.xs
         jumps = np.concatenate((
             np.linspace(xs[1] / SUB_BLOCK, xs[1], SUB_BLOCK),
@@ -531,7 +538,7 @@ class TestSubBlocks:
 
     @pytest.mark.parametrize("name", CONFIGS)
     def test_zero_jump_path_at_a_long_horizon(self, name):
-        plan = BuildPlan(self.CONFIGS[name], 0.01, EvaluationGrid.uniform(T, 16))
+        plan = BuildPlan(self.CONFIGS[name], 0.01, EvaluationGrid(T, 16))
         _assert_matches_reference(
             PoissonPath(horizon=plan.needed, jump_times=np.empty(0)), plan
         )
@@ -541,7 +548,7 @@ class TestSubBlocks:
         # (12345, 1, r) on the benchmark's long_paths config at eps = 0.01,
         # paths of about 20k jumps, three sub-blocks each
         plan = BuildPlan(TestPinnedBits.CONFIGS["pi_rescaled"], 0.01,
-                         EvaluationGrid.uniform(1.0, 16))
+                         EvaluationGrid(1.0, 16))
         paths = [sample_poisson_path(plan.needed, derive_stream(12345, 1, r))
                  for r in range(5)]
         assert min(path.jump_times.size for path in paths) > 2 * SUB_BLOCK
@@ -572,7 +579,7 @@ class TestSubBlocks:
 class TestSampleBlock:
     def test_shape_checked_once(self):
         cfg = ThetaConfig(cos_block=["1/2 pi"], sin_block=[1.1])
-        grid = EvaluationGrid.uniform(T, 4)
+        grid = EvaluationGrid(T, 4)
         with pytest.raises(ValueError, match="does not match"):
             SampleBlock(epsilon=EPS, config=cfg, grid=grid, values=np.zeros((3, 3, 5)))
         with pytest.raises(ValueError, match="does not match"):
@@ -580,7 +587,7 @@ class TestSampleBlock:
 
     def test_at_time_stacks_the_rows(self):
         cfg = ThetaConfig(cos_block=["1/2 pi"], sin_block=[1.1])
-        grid = EvaluationGrid.uniform(T, 4)
+        grid = EvaluationGrid(T, 4)
         plan = BuildPlan(cfg, EPS, grid)
         rows = [build_sample(_path_for(seed=95, rep=r), plan) for r in range(3)]
         block = SampleBlock(
@@ -599,7 +606,7 @@ class TestSampleBlock:
     def test_built_samples_pass_the_public_check(self, cfg):
         # build_sample skips the check; what it returns must pass it
         for steps in (1, 16):
-            plan = BuildPlan(cfg, EPS, EvaluationGrid.uniform(T, steps))
+            plan = BuildPlan(cfg, EPS, EvaluationGrid(T, steps))
             for rep in range(10):
                 sample = build_sample(_path_for(rep=rep), plan)
                 rebuilt = SampleBlock(epsilon=sample.epsilon, config=sample.config,
@@ -612,7 +619,7 @@ class TestSampleBlock:
         theta = ThetaConfig(cos_block=["1/2 pi", 2.2], sin_block=[1.1])
         config = RunConfig(theta=theta, epsilons=(0.4, 0.3), replications_M=6,
                            master_seed=97, grid_points=4, checks=("covariance",))
-        grid = EvaluationGrid.uniform(T, 4)
+        grid = EvaluationGrid(T, 4)
         block = generate_samples(config, grid, 1)
         plan = BuildPlan(theta, 0.3, grid)
         for r in range(6):
@@ -623,7 +630,7 @@ class TestSampleBlock:
 
     def test_samples_and_blocks_compare_by_identity(self):
         cfg = ThetaConfig(cos_block=["1/2 pi"])
-        grid = EvaluationGrid.uniform(T, 4)
+        grid = EvaluationGrid(T, 4)
         sample = build_sample(_path_for(seed=96), BuildPlan(cfg, EPS, grid))
         block = SampleBlock(epsilon=EPS, config=cfg, grid=grid, values=sample.values[0][None])
         for obj in (sample, block):

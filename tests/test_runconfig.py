@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from poisson_bm import ConfigError, RunConfig, ThetaConfig, parse_config_text
@@ -183,6 +184,23 @@ class TestValidation:
     def test_master_seed_range(self):
         with pytest.raises(ConfigError, match="64-bit"):
             RunConfig(**self._base(master_seed=2**64))
+
+    @pytest.mark.parametrize("field,value", [
+        ("replications_M", 2.5), ("grid_points", 2.5), ("master_seed", 2.5),
+        ("master_seed", 7.5), ("workers", 2.5),
+    ])
+    def test_integer_fields_refuse_a_float(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value}$"):
+            RunConfig(**self._base(**{field: value}))
+
+    def test_integer_fields_are_stored_as_int(self):
+        # report.json echoes them: np.int64 would not serialise, True would read true
+        cfg = RunConfig(**self._base(replications_M=np.int64(100), master_seed=np.int64(7),
+                                     workers=np.int64(1), grid_points=True,
+                                     checks=("covariance",)))
+        for name in ("replications_M", "master_seed", "workers", "grid_points"):
+            assert type(getattr(cfg, name)) is int, name
+        assert cfg.echo()["grid_points"] == 1
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ConfigError, match="unknown checks"):

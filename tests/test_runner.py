@@ -1,5 +1,6 @@
 """Experiment orchestration: determinism, counterexample mode, reports."""
 
+import hashlib
 import inspect
 import json
 import os
@@ -7,6 +8,7 @@ import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,7 +62,7 @@ class TestGenerateSamples:
         theta = ThetaConfig(cos_block=["1/2 pi", 2.2], sin_block=[1.1])
         cfg = minimal_config(theta=theta, epsilons=(0.4, 0.3), replications_M=40,
                              grid_points=4, workers=workers, checks=("covariance",))
-        grid = EvaluationGrid.uniform(1.0, 4)
+        grid = EvaluationGrid(1.0, 4)
         block = generate_samples(cfg, grid, 1)
         assert block.values.shape == (40, 3, 5)
         assert block.epsilon == 0.3 and block.config is theta and block.grid is grid
@@ -99,7 +101,7 @@ class TestGenerateSamples:
 
         monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
-        grid = EvaluationGrid.uniform(1.0, 2)
+        grid = EvaluationGrid(1.0, 2)
         cfg = minimal_config(replications_M=M, grid_points=2, workers=workers,
                              checks=("covariance",))
         block = generate_samples(cfg, grid, 0)
@@ -116,7 +118,7 @@ class TestGenerateSamples:
             return BuildPlan(*args)
 
         monkeypatch.setattr(runner, "BuildPlan", recording_plan)
-        grid = EvaluationGrid.uniform(1.0, 2)
+        grid = EvaluationGrid(1.0, 2)
         cfg = minimal_config(replications_M=40, grid_points=2, workers=2,
                              checks=("covariance",))
         pooled = generate_samples(cfg, grid, 0)
@@ -148,7 +150,7 @@ class TestGenerateSamples:
                              checks=("covariance",))
         tracemalloc.start()
         try:
-            block = generate_samples(cfg, EvaluationGrid.uniform(1.0, steps), 0)
+            block = generate_samples(cfg, EvaluationGrid(1.0, steps), 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -162,7 +164,7 @@ class TestGenerateSamples:
         # validate capped the block at grid_points + 1 times to horizon_T
         cfg = minimal_config(replications_M=4, grid_points=2, checks=("covariance",))
         with pytest.raises(ValueError, match="is not the config's grid of 2 steps to T = 1.0"):
-            generate_samples(cfg, EvaluationGrid.uniform(T, steps), 0)
+            generate_samples(cfg, EvaluationGrid(T, steps), 0)
 
 
 class TestRunExperiment:
@@ -386,7 +388,7 @@ class TestRunExperiment:
         cfg = minimal_config(theta=theta, epsilons=(0.4,), replications_M=20,
                              horizon_T=T, grid_points=steps, checks=("fourth_moment",))
         (check,) = run_experiment(cfg).results[0]["checks"]
-        times = EvaluationGrid.uniform(T, steps).times.tolist()
+        times = EvaluationGrid(T, steps).times.tolist()
         want = [(times[k * steps // p], times[(k + 1) * steps // p])
                 for p in (1, 2, 4) for k in range(p)]
         for c in (1, 2):
@@ -449,6 +451,15 @@ class TestReportFiles:
         assert ",skew[2],nan," in csv_text
         assert RunReport.from_json_file(path).assertions_csv_text() == csv_text
 
+    def test_numpy_integer_fields_write_the_same_bytes(self, tmp_path):
+        fields = dict(replications_M=120, grid_points=4, master_seed=4242, workers=1)
+        sides = {"int": fields, "int64": {k: np.int64(v) for k, v in fields.items()}}
+        for side, values in sides.items():
+            run_experiment(minimal_config(**values)).write(tmp_path / side)
+        for name in (REPORT_FILENAME, ASSERTIONS_FILENAME):
+            want = (tmp_path / "int" / name).read_bytes()
+            assert (tmp_path / "int64" / name).read_bytes() == want, name
+
     def test_assertions_csv_layout(self, tmp_path):
         cfg = minimal_config(replications_M=120, grid_points=4, output_dir=tmp_path)
         report = run_experiment(cfg)
@@ -470,6 +481,29 @@ def plot_report():
     return run_experiment(cfg)
 
 
+DEMO_REPORT = Path(__file__).resolve().parents[1] / "runs" / "demo" / REPORT_FILENAME
+
+# sha256 of emit_plot_data(kind, epsilon, component) on the committed demo report
+DEMO_PLOT_DIGESTS = {
+    (PLOT_COV_HEATMAP, 0.2, 1):
+        "cb1d9d84f6eb797b9e36886fa99753b06b37d7c0d4b28fddba251016bd9685a8",
+    (PLOT_MARGINAL_HIST, 0.2, 1):
+        "b4d7a40f7aa78f4f8eb7e07b1e0397fc8622570752aa29f49041ef3d42c8536a",
+    (PLOT_MARGINAL_HIST, 0.2, 2):
+        "93819ac7108c34efddc127e835576ba452d0aaf657aa808682ec01a4c1fcd103",
+    (PLOT_COV_HEATMAP, 0.1, 1):
+        "49e15aca7b9e708072dfd0db971ea5aa209a86d8fce2038a15f5216a789de0e7",
+    (PLOT_MARGINAL_HIST, 0.1, 1):
+        "5bf81d814c763687dee6ccf04c02fb73c454a672a3f8bb7fe90642cfc98eb179",
+    (PLOT_MARGINAL_HIST, 0.1, 2):
+        "7e8ba6984e21955558f5212be44a9f49eb983fe91dee665900999b144b691ba6",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 class TestPlotData:
 
     def test_rate_loglog_rows(self, plot_report):
@@ -478,6 +512,16 @@ class TestPlotData:
         assert lines[0] == "log_epsilon,log_abs_estimate,log_bound_total"
         assert len(lines) == 1 + 3
         assert all(len(line.split(",")) == 3 for line in lines[1:])
+
+    def test_rate_loglog_bytes(self, plot_report):
+        assert _sha256(emit_plot_data(plot_report, PLOT_RATE_LOGLOG)) == (
+            "3180aa8eb823e1b73eaa3b0b0af72e3cbf871d793e289cb833fe7d9cbee9c9be")
+
+    @pytest.mark.parametrize("kind,epsilon,component", list(DEMO_PLOT_DIGESTS))
+    def test_demo_report_plot_bytes(self, kind, epsilon, component):
+        report = RunReport.from_json_file(DEMO_REPORT)
+        csv_text = emit_plot_data(report, kind, epsilon=epsilon, component=component)
+        assert _sha256(csv_text) == DEMO_PLOT_DIGESTS[kind, epsilon, component]
 
     def test_cov_heatmap_rows(self, plot_report):
         csv_text = emit_plot_data(plot_report, PLOT_COV_HEATMAP)

@@ -49,7 +49,7 @@ def make_samples(cfg, eps, M, seed, T=1.0, steps=8):
         grid_points=steps,
         checks=("covariance",),
     )
-    return generate_samples(config, EvaluationGrid.uniform(T, steps), 0)
+    return generate_samples(config, EvaluationGrid(T, steps), 0)
 
 
 class TestEstimate:
@@ -365,7 +365,7 @@ class TestWindowIsTheGrid:
         # T is the grid's last time, 0.5 here; no second horizon to disagree with
         cfg = ThetaConfig(cos_block=["pi", 1.1], sin_block=[2.2], allow_pi_in_cos=True)
         values = np.random.default_rng(240).normal(size=(50, 3, 3))
-        block = SampleBlock(epsilon=0.3, config=cfg, grid=EvaluationGrid.uniform(0.5, 2),
+        block = SampleBlock(epsilon=0.3, config=cfg, grid=EvaluationGrid(0.5, 2),
                             values=values)
         assert block.grid.horizon_T == 0.5
         deltas = values[:, :, 2] - values[:, :, 0]

@@ -101,7 +101,7 @@ from dataclasses import replace
 sys.path.insert(0, "src")
 from poisson_bm import EvaluationGrid, generate_samples, load_config
 config = replace(load_config(sys.argv[1]), workers=int(sys.argv[2]))
-grid = EvaluationGrid.uniform(config.horizon_T, config.grid_points)
+grid = EvaluationGrid(config.horizon_T, config.grid_points)
 
 def cpu():
     if config.workers <= 1:
@@ -128,7 +128,7 @@ from dataclasses import replace
 sys.path.insert(0, "src")
 from poisson_bm import EvaluationGrid, generate_samples, load_config
 config = replace(load_config(sys.argv[1]), workers=1)
-grid = EvaluationGrid.uniform(config.horizon_T, config.grid_points)
+grid = EvaluationGrid(config.horizon_T, config.grid_points)
 peaks = {}
 for eps_index, epsilon in enumerate(config.epsilons):
     tracemalloc.start()
