@@ -141,6 +141,17 @@ class HypothesisReport:
         }
 
 
+def _as_flag(name: str, value: object) -> bool:
+    """``value`` as a ``bool``: only ``True`` and ``False``, Python's or
+    numpy's, are flags; anything else (the string "false" is truthy) is
+    refused, naming the field."""
+    import numpy as np  # the package has loaded it already; this module needs it only here
+
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ValueError(f"{name} must be True or False, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ThetaConfig:
     """The angle vector: cosine block, sine block, and the pi-rescale flag."""
@@ -157,7 +168,7 @@ class ThetaConfig:
     ) -> None:
         object.__setattr__(self, "cos_block", tuple(parse_angle(a) for a in cos_block))
         object.__setattr__(self, "sin_block", tuple(parse_angle(a) for a in sin_block))
-        object.__setattr__(self, "allow_pi_in_cos", bool(allow_pi_in_cos))
+        object.__setattr__(self, "allow_pi_in_cos", _as_flag("allow_pi_in_cos", allow_pi_in_cos))
         if self.dimension == 0:
             raise ValueError("empty configuration: no process components requested")
 

@@ -84,6 +84,10 @@ def sample_poisson_path(horizon: float, stream: np.random.Generator) -> PoissonP
     and the times past the horizon are cut with one ``searchsorted``:
     the times never decrease, so the cut keeps exactly the times
     <= horizon.
+
+    A path that ends in its first block, whose every interarrival is at
+    least one ulp of the horizon, is returned as cut: no two of its times
+    can tie, since t + x >= t + ulp(t) for every kept time t <= horizon.
     """
     if not (math.isfinite(horizon) and horizon >= 0):
         raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
@@ -98,12 +102,18 @@ def sample_poisson_path(horizon: float, stream: np.random.Generator) -> PoissonP
         np.maximum(times, _TINY, out=times)  # guard U == 0.0
         np.log(times, out=times)
         np.negative(times, out=times)
+        # the first block's smallest interarrival; a path that needs a later
+        # block always takes the tie scan
+        gap = np.minimum.reduce(times) if not parts else 0.0
         np.add.accumulate(times, out=times)
         if t != 0.0:  # 0.0 + x == x, so the first block needs no offset
             times += t
         if times[-1] > horizon:
             # the method skips np.searchsorted's dispatch, a fixed cost per path
-            parts.append(times[: times.searchsorted(horizon, side="right")])
+            cut = times[: times.searchsorted(horizon, side="right")]
+            if gap >= math.ulp(horizon):
+                return PoissonPath._unchecked(float(horizon), cut)
+            parts.append(cut)
             break
         parts.append(times)
         t = float(times[-1])

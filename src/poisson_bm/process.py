@@ -35,9 +35,8 @@ REPLICATION_BYTES_CAP = 2**30
 BLOCK_BYTES_CAP = 2**31
 
 # Jump segments per sub-block of build_sample's prefix sums. Its working
-# memory is about (16*ceil(d/2) + 32) * SUB_BLOCK bytes whatever the path's
-# length: the prefix rows, the segment starts, their widths, and numpy's
-# default ufunc buffer (8192 elements) casting the widths to complex.
+# memory is about (16*ceil(d/2) + 24) * SUB_BLOCK bytes whatever the path's
+# length: the prefix rows, the segment starts and their complex widths.
 SUB_BLOCK = 8192
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -199,6 +198,20 @@ def _rows(dimension: int) -> int:
     return -(-dimension // 2)
 
 
+def _chain(ends: np.ndarray, levels: np.ndarray, starts: np.ndarray, widths: np.ndarray,
+           prefix: np.ndarray) -> None:
+    """Continue each row's prefix chain from column 0 over the segments
+    from ``starts[0]`` to the jump times ``ends``, in place: one
+    ``levels`` column and one ``widths`` entry per segment, and one more
+    ``starts`` and ``prefix`` column than there are segments."""
+    starts[1:] = ends
+    np.subtract(ends, starts[:-1], out=widths.real)
+    np.multiply(levels, widths, out=prefix[:, 1:])
+    # one chain per row, two independent lanes in it; cumsum's own ufunc,
+    # started from the carry in column 0 (+0.0 on the first sub-block)
+    np.add.accumulate(prefix, axis=1, out=prefix)
+
+
 def build_sample(path: PoissonPath, plan: BuildPlan) -> SampleBlock:
     """Evaluate every component on the grid from one shared Poisson path,
     as a one-replication block of shape (1, dimension, len(grid)).
@@ -219,15 +232,17 @@ def build_sample(path: PoissonPath, plan: BuildPlan) -> SampleBlock:
     jump (a distance of 0), can give a zero of the other sign than a * 0,
     and that zero is then added to a prefix that is never -0.0.
 
-    The prefix sum walks the segments in sub-blocks of ``SUB_BLOCK``,
-    in one buffer whose column 0 carries the previous sub-block's last
-    prefix, so one accumulate continues the chain with carry + x0, the
-    addition an unblocked accumulate makes there. On the first sub-block
-    column 0 holds +0.0, and +0.0 + x0 is x0 for every product the
-    kernel makes, since none is -0.0. Only the prefix values
+    The prefix sum runs over the segments in one pass when the path has
+    at most ``SUB_BLOCK`` jumps. A longer path is walked in sub-blocks of
+    ``SUB_BLOCK``, in one buffer whose column 0 carries the previous
+    sub-block's last prefix, so one accumulate continues the chain with
+    carry + x0, the addition an unblocked accumulate makes there. On the
+    first sub-block column 0 holds +0.0, and +0.0 + x0 is x0 for every
+    product the kernel makes, since none is -0.0. Only the prefix values
     at the grid's path times are kept, so the working memory does not
-    grow with the path; a path of at most ``SUB_BLOCK`` jumps is one
-    sub-block. Row i agrees bit for bit with
+    grow with the path. The widths are written into a complex buffer with
+    +0.0 imaginary parts, the value numpy would cast each float width to
+    before the multiply. Row i agrees bit for bit with
     eps * integral_from_zero(path, theta_i, kind_i, path times), with the
     1/sqrt(2) factor applied afterwards for pi-rescaled components.
     """
@@ -247,38 +262,34 @@ def build_sample(path: PoissonPath, plan: BuildPlan) -> SampleBlock:
     levels, k = plan.levels, plan.levels.shape[1]
     if n >= k:  # a path that needed a second block of uniforms; a copy for this call
         levels = np.concatenate((levels, _level_rows(plan.config, k, n + 1)), axis=1)
-    starts = np.empty(min(n, SUB_BLOCK) + 1)
-    starts[0] = 0.0
-    prefix = np.empty((levels.shape[0], starts.size), dtype=np.complex128)
-    prefix[:, 0] = 0.0
+    size = min(n, SUB_BLOCK)
+    # column 0 of starts and prefix starts the chain at +0.0; the widths'
+    # imaginary parts stay +0.0
+    starts = np.zeros(size + 1)
+    widths = np.zeros(size, dtype=np.complex128)
+    prefix = np.zeros((levels.shape[0], size + 1), dtype=np.complex128)
     j = jumps.searchsorted(xs, side="right")  # as in sample_poisson_path
     grid = levels.take(j, axis=1)
-    lo = g0 = 0
-    while True:
-        hi = min(lo + SUB_BLOCK, n)
-        m = hi - lo
-        ends = jumps[lo:hi]
-        starts[1 : m + 1] = ends
-        segments = prefix[:, 1 : m + 1]
-        np.multiply(levels[:, lo:hi], ends - starts[:m], out=segments)
-        # one chain per row, two independent lanes in it; cumsum's own ufunc,
-        # started from the carry in column 0 (+0.0 on the first sub-block)
-        chain = prefix[:, : m + 1]
-        np.add.accumulate(chain, axis=1, out=chain)
-        # prefix[:, j] + levels[:, j] * (xs - starts[j]), in place, for the
-        # grid times whose level j lies in this sub-block
-        if lo == 0 and hi == n:  # the whole path: no slicing
-            k, x, part = j, xs, grid
-        else:
+    # prefix[:, j] + levels[:, j] * (xs - starts[j]), in place, for the grid
+    # times whose level j lies in the segments just summed
+    if n <= SUB_BLOCK:  # the whole path in one pass
+        _chain(jumps, levels[:, :n], starts, widths, prefix)
+        grid *= xs - starts.take(j)
+        grid += prefix.take(j, axis=1)
+    else:  # a longer path, one sub-block at a time
+        lo = g0 = 0
+        while lo < n:
+            hi = min(lo + SUB_BLOCK, n)
+            m = hi - lo
+            chain = prefix[:, : m + 1]
+            _chain(jumps[lo:hi], levels[:, lo:hi], starts[: m + 1], widths[:m], chain)
             g1 = j.size if hi == n else int(j.searchsorted(hi, side="right"))
-            k, x, part = j[g0:g1] - lo, xs[g0:g1], grid[:, g0:g1]
-        part *= x - starts.take(k)
-        part += prefix.take(k, axis=1)
-        if hi == n:
-            break
-        starts[0] = starts[m]
-        prefix[:, 0] = prefix[:, m]
-        lo, g0 = hi, g1
+            k, part = j[g0:g1] - lo, grid[:, g0:g1]
+            part *= xs[g0:g1] - starts.take(k)
+            part += prefix.take(k, axis=1)  # the whole buffer: a slice would be copied
+            starts[0] = starts[m]
+            prefix[:, 0] = prefix[:, m]
+            lo, g0 = hi, g1
     # the rows in component order: row l's lanes are components 2l and 2l + 1
     lanes = grid[..., None].view(np.float64).transpose(0, 2, 1)
     values = lanes.reshape(-1, j.size)[: plan.config.dimension]

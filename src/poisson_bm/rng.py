@@ -15,6 +15,12 @@ from numpy.random.bit_generator import ISeedSequence
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 
+# Philox's starting counter, 0, as the array its constructor would make of
+# the default; handing this one over skips that conversion. Read-only, so
+# no stream can move another's start.
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.flags.writeable = False
+
 
 class _PhiloxKey(ISeedSequence):
     """Hands Philox its two 64-bit key words, low word first.
@@ -48,8 +54,9 @@ def derive_stream(
     master_seed is a 64-bit unsigned integer; the two indices must fit
     in 32 bits. The key layout is (seed << 64) | (eps << 32) | rep,
     an injection into the 128-bit Philox key space. The stream equals
-    ``Generator(Philox(key=...))`` draw for draw; the key words are handed
-    over directly, so no OS entropy is read.
+    ``Generator(Philox(key=...))`` draw for draw; the key words and the
+    zero counter are handed over directly, so no OS entropy is read and
+    no counter is converted.
     """
     if not 0 <= master_seed <= _MASK64:
         raise ValueError(f"master_seed must fit in 64 bits, got {master_seed}")
@@ -60,4 +67,4 @@ def derive_stream(
     words = np.array(
         [(epsilon_index << 32) | replication_index, master_seed], dtype=np.uint64
     )
-    return np.random.Generator(np.random.Philox(_PhiloxKey(words)))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(words), counter=_ZERO_COUNTER))

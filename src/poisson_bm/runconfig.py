@@ -36,7 +36,14 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
-from .angles import Angle, HypothesisReport, ThetaConfig, parse_angle, validate_hypothesis_h
+from .angles import (
+    Angle,
+    HypothesisReport,
+    ThetaConfig,
+    _as_flag,
+    parse_angle,
+    validate_hypothesis_h,
+)
 from .process import BLOCK_BYTES_CAP, check_replication_memory, map_to_path_time
 from .runner import CHECKS
 
@@ -78,6 +85,11 @@ class RunConfig:
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        try:  # a plain bool, as report.json echoes it
+            flag = _as_flag("allow_invalid_theta", self.allow_invalid_theta)
+            object.__setattr__(self, "allow_invalid_theta", flag)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         self.validate()
 
     def validate(self) -> None:

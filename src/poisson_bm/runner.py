@@ -2,9 +2,9 @@
 
 Each (epsilon, replication) work item derives its own counter-based
 stream, samples one Poisson path, and evaluates all components on the
-shared grid. Workers fill row blocks of one (replications, dimension,
-grid) array, gathered in replication order into the epsilon's
-SampleBlock. Each check is one row of CHECKS, in report order: its
+shared grid. Workers, of one pool for the whole run, fill row blocks of
+one (replications, dimension, grid) array, gathered in replication
+order into the epsilon's SampleBlock. Each check is one row of CHECKS, in report order: its
 function of the block, its need on the config, whether ``default`` drops
 it when the config cannot feed it, and its cross-epsilon summary;
 ``runconfig`` reads check names, needs and the bundle from there. Every
@@ -16,10 +16,11 @@ outside the canonical JSON.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
@@ -110,16 +111,30 @@ def _chunk_values(job: tuple[RunConfig, EvaluationGrid, int, int, int]) -> np.nd
     return out
 
 
+def _chunk_rows(config: RunConfig) -> int:
+    """Rows per chunk, from ``config.workers`` alone, so the bytes do not
+    depend on the host."""
+    return max(1, -(-config.replications_M // (config.workers * 8)))
+
+
+def _pool_size(config: RunConfig) -> int:
+    """Processes of a pool for ``config``: at most one per chunk and per CPU.
+    Under fork the pool starts all of them at its first submit."""
+    chunks = -(-config.replications_M // _chunk_rows(config))
+    return min(config.workers, chunks, os.cpu_count() or 1)
+
+
 def generate_samples(
-    config: RunConfig, grid: EvaluationGrid, eps_index: int
+    config: RunConfig, grid: EvaluationGrid, eps_index: int, pool: Executor | None = None
 ) -> SampleBlock:
     """All replications for one epsilon, gathered in replication order.
 
     ``grid`` must be the config's own, ``EvaluationGrid(config.horizon_T,
     config.grid_points)``: ``RunConfig.validate`` capped the block at its
     times. Chunks are cut from ``config.workers`` alone, so the bytes do
-    not depend on the host. The pool starts at most one process per chunk
-    and per CPU; where that bound is one, no pool starts and this process
+    not depend on the host. The chunks go to ``pool`` when one is given;
+    otherwise a pool of its own starts, at most one process per chunk and
+    per CPU, and where that bound is one, no pool starts and this process
     makes every row. Each chunk's job is (config, grid, eps_index, start,
     stop), and whichever process makes its rows makes their plan; the
     rows are copied into the one (M, d, G) block as they arrive.
@@ -130,15 +145,15 @@ def generate_samples(
             f"to T = {config.horizon_T}"
         )
     M = config.replications_M
-    chunk = max(1, -(-M // (config.workers * 8)))
-    # under fork the pool starts all max_workers processes at the first submit
-    pool_size = min(config.workers, -(-M // chunk), os.cpu_count() or 1)
-    if pool_size == 1:
+    if pool is None and _pool_size(config) == 1:
         values = _chunk_values((config, grid, eps_index, 0, M))
     else:
+        chunk = _chunk_rows(config)
         jobs = [(config, grid, eps_index, lo, min(lo + chunk, M)) for lo in range(0, M, chunk)]
         values = np.empty((M, config.theta.dimension, len(grid)))
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        with contextlib.ExitStack() as stack:
+            if pool is None:  # called alone: a pool of its own, shut down on return
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=_pool_size(config)))
             for (*_, lo, hi), rows in zip(jobs, pool.map(_chunk_values, jobs)):
                 values[lo:hi] = rows
     return SampleBlock(epsilon=config.epsilons[eps_index], config=config.theta, grid=grid,
@@ -475,19 +490,23 @@ def run_experiment(config: RunConfig) -> RunReport:
     results = []
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
-    for eps_index, epsilon in enumerate(config.epsilons):
-        key = f"epsilon={epsilon:g}"
-        t0 = time.perf_counter()
-        block = generate_samples(config, grid, eps_index)
-        timings[f"{key}/generate"] = time.perf_counter() - t0
-        block_checks = []
-        for name in checks:
-            t = time.perf_counter()
-            block_checks.append(_check_entry(name, *CHECKS[name].block_fn(block)))
-            timings[f"{key}/{name}"] = time.perf_counter() - t
-        results.append({"epsilon": float(epsilon), "checks": block_checks})
-        del block  # the next epsilon's block is made without this one alive
-        timings[key] = time.perf_counter() - t0
+    # one pool for the whole run, where it would have more than one process;
+    # leaving the block shuts it down, also when a check raises
+    size = _pool_size(config)
+    with ProcessPoolExecutor(max_workers=size) if size > 1 else contextlib.nullcontext() as pool:
+        for eps_index, epsilon in enumerate(config.epsilons):
+            key = f"epsilon={epsilon:g}"
+            t0 = time.perf_counter()
+            block = generate_samples(config, grid, eps_index, pool)
+            timings[f"{key}/generate"] = time.perf_counter() - t0
+            block_checks = []
+            for name in checks:
+                t = time.perf_counter()
+                block_checks.append(_check_entry(name, *CHECKS[name].block_fn(block)))
+                timings[f"{key}/{name}"] = time.perf_counter() - t
+            results.append({"epsilon": float(epsilon), "checks": block_checks})
+            del block  # the next epsilon's block is made without this one alive
+            timings[key] = time.perf_counter() - t0
 
     summary: dict = {}
     passes = [c["pass"] for block in results for c in block["checks"]]

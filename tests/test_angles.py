@@ -232,6 +232,23 @@ class TestHypothesisAgainstTheLimitCovariance:
             assert exact == pytest.approx(sigma[i, j], abs=1e-3), (i, j)
 
 
+class TestPiRescaleFlag:
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_refuses_anything_but_a_bool(self, value):
+        # "false" is truthy: bool() used to store True
+        with pytest.raises(
+            ValueError, match=f"^allow_pi_in_cos must be True or False, got {value!r}$"
+        ):
+            ThetaConfig(cos_block=["pi"], allow_pi_in_cos=value)
+
+    @pytest.mark.parametrize("value", [True, np.True_])
+    def test_numpy_bool_is_stored_as_bool(self, value):
+        cfg = ThetaConfig(cos_block=["pi"], allow_pi_in_cos=value)
+        assert cfg.allow_pi_in_cos is True
+        assert cfg == ThetaConfig(cos_block=["pi"], allow_pi_in_cos=True)
+        assert cfg.pi_rescaled_indices == (1,)
+
+
 class TestThetaConfigCopies:
     ARGS = {"cos_block": ["1/2 pi", 2.2], "sin_block": ["1/2 pi", 2.2]}
 

@@ -218,6 +218,38 @@ class TestSampledPathsPassPublicChecks:
         _assert_passes_public_checks(path)
 
 
+class TestFirstBlockTieGuard:
+    """A path that ends in its first block is returned as cut when its
+    smallest interarrival is at least one ulp of the horizon, and takes the
+    tie scan otherwise. Here the first time is 1 - 8 * 2**-53 and every
+    later gap -log(1 - 2**-53) is 2**-53, exactly one ulp below 1.0 and
+    half of one above it, where 1.0 + 2**-53 rounds back to 1.0: a tie."""
+
+    U0 = float(np.exp(-(1.0 - 2.0**-50)))
+
+    def _jumps(self, horizon):
+        stream = _StubStream(1.0 - 2.0**-53, ends=(self.U0, 0.01))
+        path = sample_poisson_path(horizon, stream)
+        assert stream.calls == [21]
+        assert float(-np.log(self.U0)) == 1.0 - 8 * 2.0**-53
+        _assert_passes_public_checks(path)
+        return path.jump_times
+
+    def test_smallest_gap_exactly_one_ulp_of_the_horizon(self):
+        horizon = 1.0 - 2.0**-53
+        assert float(-np.log(1.0 - 2.0**-53)) == math.ulp(horizon) == 2.0**-53
+        jumps = self._jumps(horizon)
+        assert jumps.size == 8 and jumps[-1] == horizon
+        assert np.all(np.diff(jumps) > 0.0)
+
+    def test_smallest_gap_just_below_one_ulp_of_the_horizon(self):
+        assert math.ulp(1.0) == 2.0**-52
+        jumps = self._jumps(1.0)
+        # the tied 1.0s are bumped past the horizon and dropped
+        assert jumps.size == 9 and jumps[-2] == 1.0 - 2.0**-53 and jumps[-1] == 1.0
+        assert np.all(np.diff(jumps) > 0.0)
+
+
 def _rational_angles(max_q):
     """Every reduced p/q pi with q <= max_q and -2q - 1 <= p <= 4q + 1, p != 0."""
     return [

@@ -576,6 +576,26 @@ class TestSubBlocks:
         assert peak <= (8 + 16 * rows + 8 + 16) * (SUB_BLOCK + 1) + 16 * 1024
 
 
+    @pytest.mark.parametrize(
+        "cfg", [CONFIGS["d5_mixed_pi"], TestPinnedBits.CONFIGS["pi_rescaled"]], ids=["d5", "d4"]
+    )
+    @pytest.mark.parametrize("n", [3 * SUB_BLOCK, 5 * SUB_BLOCK // 2])  # a last sub-block full, half
+    def test_widths_are_one_complex_buffer(self, cfg, n):
+        plan, path = self._plan_and_path(cfg, n, seed=602)
+        build_sample(path, plan)
+        tracemalloc.start()
+        try:
+            build_sample(path, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # per sub-block: the starts (8 bytes), the prefix rows (16 each) and
+        # the widths, complex (16); no float widths and no buffer casting
+        # them to complex, which would take 24 bytes more
+        rows = plan.levels.shape[0]
+        assert peak <= (8 + 16 * rows + 16) * (SUB_BLOCK + 1) + 16 * 1024
+
+
 class TestSampleBlock:
     def test_shape_checked_once(self):
         cfg = ThetaConfig(cos_block=["1/2 pi"], sin_block=[1.1])

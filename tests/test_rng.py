@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from poisson_bm import derive_stream
+import poisson_bm.rng as rng
+from poisson_bm import RunConfig, ThetaConfig, derive_stream, run_experiment
 from poisson_bm.rng import _PhiloxKey
 
 
@@ -42,6 +43,19 @@ class TestDeriveStream:
             derive_stream(0, 2**32, 0)
         with pytest.raises(ValueError):
             derive_stream(0, 0, 2**32)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_counter_stays_zero_and_read_only(self, workers):
+        # every stream starts from the one zero counter; a run, serial or
+        # pooled, over 2 epsilons leaves it as it was
+        config = RunConfig(theta=ThetaConfig(cos_block=["1/2 pi"]), epsilons=(0.4, 0.3),
+                           replications_M=40, master_seed=3, grid_points=2, workers=workers,
+                           checks=("covariance",))
+        run_experiment(config)
+        assert derive_stream(3, 0, 0).bit_generator.state["state"]["counter"].tolist() == [0] * 4
+        assert rng._ZERO_COUNTER.tolist() == [0] * 4
+        assert rng._ZERO_COUNTER.dtype == np.uint64
+        assert not rng._ZERO_COUNTER.flags.writeable
 
     def test_full_64_bit_seed_accepted(self):
         stream = derive_stream(2**64 - 1, 2**32 - 1, 2**32 - 1)

@@ -202,6 +202,19 @@ class TestValidation:
             assert type(getattr(cfg, name)) is int, name
         assert cfg.echo()["grid_points"] == 1
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_flag_refuses_anything_but_a_bool(self, value):
+        # "false" is truthy: it used to run an inadmissible vector as a counterexample
+        with pytest.raises(
+            ConfigError, match=f"^allow_invalid_theta must be True or False, got {value!r}$"
+        ):
+            RunConfig(**self._base(allow_invalid_theta=value))
+
+    def test_numpy_flag_is_stored_as_bool(self):
+        cfg = RunConfig(**self._base(allow_invalid_theta=np.True_))
+        assert cfg.allow_invalid_theta is True
+        assert cfg.echo()["allow_invalid_theta"] is True
+
     def test_unknown_check_rejected(self):
         with pytest.raises(ConfigError, match="unknown checks"):
             RunConfig(**self._base(checks=("covariance", "nonsense")))

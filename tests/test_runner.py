@@ -3,7 +3,10 @@
 import hashlib
 import inspect
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -177,10 +180,10 @@ class TestRunExperiment:
         made = []
         generate = runner.generate_samples
 
-        def recording(config, grid, eps_index):
+        def recording(config, grid, eps_index, pool=None):
             # run_experiment no longer reaches any earlier block, nor its values
             assert [ref() for refs in made for ref in refs] == [None] * (2 * len(made))
-            block = generate(config, grid, eps_index)
+            block = generate(config, grid, eps_index, pool)
             made.append((weakref.ref(block), weakref.ref(block.values)))
             return block
 
@@ -397,6 +400,91 @@ class TestRunExperiment:
             assert all(s in times and t in times for s, t in got)
 
 
+# a run at workers 2 over 3 epsilons whose check raises at the second
+# epsilon; prints what it raised and how many child processes are left
+CHECK_RAISES_MIDWAY = """
+import multiprocessing
+import poisson_bm.runner as runner
+from poisson_bm import RunConfig, ThetaConfig, run_experiment
+
+seen = []
+
+def covariance_raising_at_the_second_epsilon(block):
+    seen.append(block.epsilon)
+    if len(seen) == 2:
+        raise RuntimeError("check raised midway")
+    return [], {}
+
+runner.CHECKS["covariance"] = runner.CHECKS["covariance"]._replace(
+    block_fn=covariance_raising_at_the_second_epsilon)
+config = RunConfig(theta=ThetaConfig(cos_block=["1/2 pi"]), epsilons=(0.4, 0.3, 0.2),
+                   replications_M=40, master_seed=5, grid_points=2, workers=2,
+                   checks=("covariance",))
+try:
+    run_experiment(config)
+except RuntimeError as exc:
+    print(exc)
+print(len(multiprocessing.active_children()))
+"""
+
+
+class TestOnePoolPerRun:
+    """``run_experiment`` starts at most one pool, shared by every epsilon,
+    and leaves no process behind, also when a check raises."""
+
+    @staticmethod
+    def _config(**overrides):
+        return minimal_config(**{**dict(epsilons=(0.4, 0.3, 0.2), replications_M=40,
+                                        grid_points=2, workers=2, checks=("covariance",)),
+                                 **overrides})
+
+    def test_one_pool_for_every_epsilon(self, monkeypatch):
+        sizes, generated = [], []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor: records the size, runs in process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                generated.append(items[0][2])
+                return map(fn, items)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        cfg = self._config()
+        pooled = run_experiment(cfg)
+        assert sizes == [2]
+        assert generated == [0, 1, 2]
+        assert pooled.to_json_text() == run_experiment(replace(cfg, workers=1)).to_json_text()
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs 2 CPUs")
+    def test_no_process_outlives_a_run(self):
+        run_experiment(self._config())
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs 2 CPUs")
+    def test_no_process_outlives_a_check_that_raises(self):
+        src = str(Path(runner.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-c", CHECK_RAISES_MIDWAY],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["check raised midway", "0"]
+        assert "ResourceWarning" not in proc.stderr
+
+
 class TestReportFiles:
     def test_write_and_reload(self, tmp_path):
         cfg = minimal_config(replications_M=120, grid_points=4, output_dir=tmp_path)
@@ -459,6 +547,17 @@ class TestReportFiles:
         for name in (REPORT_FILENAME, ASSERTIONS_FILENAME):
             want = (tmp_path / "int" / name).read_bytes()
             assert (tmp_path / "int64" / name).read_bytes() == want, name
+
+    def test_numpy_flags_write_the_same_bytes(self, tmp_path):
+        # an inadmissible vector (1/2 pi and 3/2 pi sum to 2 pi), run as a counterexample
+        for side, flag in {"bool": True, "numpy": np.True_}.items():
+            theta = ThetaConfig(cos_block=["pi", "1/2 pi", "3/2 pi"], allow_pi_in_cos=flag)
+            cfg = minimal_config(theta=theta, replications_M=120, grid_points=4,
+                                 allow_invalid_theta=flag)
+            run_experiment(cfg).write(tmp_path / side)
+        for name in (REPORT_FILENAME, ASSERTIONS_FILENAME):
+            want = (tmp_path / "bool" / name).read_bytes()
+            assert (tmp_path / "numpy" / name).read_bytes() == want, name
 
     def test_assertions_csv_layout(self, tmp_path):
         cfg = minimal_config(replications_M=120, grid_points=4, output_dir=tmp_path)
