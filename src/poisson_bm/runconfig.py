@@ -30,6 +30,8 @@ values are parsed as the file's would be.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 import os
 from dataclasses import MISSING, dataclass, fields, replace
@@ -54,6 +56,18 @@ class ConfigError(ValueError):
     """A run configuration is unusable (parse failure or invariant breach)."""
 
 
+def _as_real(name: str, value: object) -> float:
+    """``value`` as a ``float``, as report.json echoes it: a real number,
+    Python's or numpy's, but not a ``bool`` or a string; anything else is
+    refused, naming the field."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond float's range: validate refuses it
+            return math.inf if value > 0 else -math.inf
+    raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
 class InvalidThetaError(ConfigError):
     """Raised when an inadmissible angle vector is run without the override."""
 
@@ -76,7 +90,14 @@ class RunConfig:
     allow_invalid_theta: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
+        try:
+            epsilons = tuple(self.epsilons)
+        except TypeError:
+            raise ConfigError(f"epsilons must be a sequence of real numbers, "
+                              f"got {self.epsilons!r}") from None
+        object.__setattr__(self, "epsilons",
+                           tuple(_as_real(f"epsilons[{k}]", e) for k, e in enumerate(epsilons)))
+        object.__setattr__(self, "horizon_T", _as_real("horizon_T", self.horizon_T))
         object.__setattr__(self, "output_dir", Path(self.output_dir))
         object.__setattr__(self, "checks", tuple(self.checks))
         for name in ("replications_M", "grid_points", "master_seed", "workers"):

@@ -112,16 +112,18 @@ def _chunk_values(job: tuple[RunConfig, EvaluationGrid, int, int, int]) -> np.nd
 
 
 def _chunk_rows(config: RunConfig) -> int:
-    """Rows per chunk, from ``config.workers`` alone, so the bytes do not
-    depend on the host."""
+    """Rows per chunk. Rows never depend on chunking, because each row's
+    stream is keyed by its replication index."""
     return max(1, -(-config.replications_M // (config.workers * 8)))
 
 
-def _pool_size(config: RunConfig) -> int:
-    """Processes of a pool for ``config``: at most one per chunk and per CPU.
-    Under fork the pool starts all of them at its first submit."""
+def _pool(config: RunConfig) -> contextlib.AbstractContextManager[Executor | None]:
+    """A pool of at most one process per chunk of ``config`` and per CPU or,
+    where that bound is one, ``nullcontext()``: no pool, the caller makes
+    every row. Under fork the pool starts all its processes at its first submit."""
     chunks = -(-config.replications_M // _chunk_rows(config))
-    return min(config.workers, chunks, os.cpu_count() or 1)
+    size = min(config.workers, chunks, os.cpu_count() or 1)
+    return ProcessPoolExecutor(max_workers=size) if size > 1 else contextlib.nullcontext()
 
 
 def generate_samples(
@@ -131,13 +133,11 @@ def generate_samples(
 
     ``grid`` must be the config's own, ``EvaluationGrid(config.horizon_T,
     config.grid_points)``: ``RunConfig.validate`` capped the block at its
-    times. Chunks are cut from ``config.workers`` alone, so the bytes do
-    not depend on the host. The chunks go to ``pool`` when one is given;
-    otherwise a pool of its own starts, at most one process per chunk and
-    per CPU, and where that bound is one, no pool starts and this process
-    makes every row. Each chunk's job is (config, grid, eps_index, start,
-    stop), and whichever process makes its rows makes their plan; the
-    rows are copied into the one (M, d, G) block as they arrive.
+    times. The chunks go to ``pool`` or, when none is given, to ``_pool``'s,
+    shut down on return; where that is no pool, this process makes every
+    row. Each chunk's job is (config, grid, eps_index, start, stop), and
+    whichever process makes its rows makes their plan; the rows are copied
+    into the one (M, d, G) block as they arrive.
     """
     if grid != EvaluationGrid(config.horizon_T, config.grid_points):
         raise ValueError(
@@ -145,15 +145,14 @@ def generate_samples(
             f"to T = {config.horizon_T}"
         )
     M = config.replications_M
-    if pool is None and _pool_size(config) == 1:
-        values = _chunk_values((config, grid, eps_index, 0, M))
-    else:
-        chunk = _chunk_rows(config)
-        jobs = [(config, grid, eps_index, lo, min(lo + chunk, M)) for lo in range(0, M, chunk)]
-        values = np.empty((M, config.theta.dimension, len(grid)))
-        with contextlib.ExitStack() as stack:
-            if pool is None:  # called alone: a pool of its own, shut down on return
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=_pool_size(config)))
+    with _pool(config) if pool is None else contextlib.nullcontext(pool) as pool:
+        if pool is None:
+            values = _chunk_values((config, grid, eps_index, 0, M))
+        else:
+            chunk = _chunk_rows(config)
+            jobs = [(config, grid, eps_index, lo, min(lo + chunk, M))
+                    for lo in range(0, M, chunk)]
+            values = np.empty((M, config.theta.dimension, len(grid)))
             for (*_, lo, hi), rows in zip(jobs, pool.map(_chunk_values, jobs)):
                 values[lo:hi] = rows
     return SampleBlock(epsilon=config.epsilons[eps_index], config=config.theta, grid=grid,
@@ -492,8 +491,7 @@ def run_experiment(config: RunConfig) -> RunReport:
     t_start = time.perf_counter()
     # one pool for the whole run, where it would have more than one process;
     # leaving the block shuts it down, also when a check raises
-    size = _pool_size(config)
-    with ProcessPoolExecutor(max_workers=size) if size > 1 else contextlib.nullcontext() as pool:
+    with _pool(config) as pool:
         for eps_index, epsilon in enumerate(config.epsilons):
             key = f"epsilon={epsilon:g}"
             t0 = time.perf_counter()

@@ -88,6 +88,22 @@ def test_every_run_records_the_host_load_before_it():
     assert result["x"] == 1 and isinstance(result["load1"], float) and result["load1"] >= 0.0
 
 
+def test_alternate_runs_the_parent_first_in_even_pairs(tmp_path):
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    for root in sides.values():
+        root.mkdir()
+    cmd = [sys.executable, "-c", "import json, os; print(json.dumps({'cwd': os.getcwd()}))"]
+    runs = bench_pairs.alternate(sides, 3, "stub", cmd)
+    assert [(r["pair"], r["order"], r["side"]) for r in runs] == [
+        (0, 0, "parent"), (0, 1, "change"), (1, 0, "change"), (1, 1, "parent"),
+        (2, 0, "parent"), (2, 1, "change"),
+    ]
+    for run in runs:
+        assert run.keys() == {"pair", "side", "order", "load1", "cwd"}
+        assert Path(run["cwd"]) == sides[run["side"]].resolve()
+        assert isinstance(run["load1"], float) and run["load1"] >= 0.0
+
+
 TINY_CONFIG = """
 cos_block = 1/2 pi
 sin_block = 1/2 pi
@@ -101,7 +117,7 @@ master_seed = 12345
 @pytest.mark.parametrize(
     "script,args,keys",
     [
-        ("TIME_RUN", ["out"], {"run_experiment_s"}),
+        ("TIME_RUN", ["out"], {"run_experiment_s", "sha256"}),
         ("TIME_GENERATE", ["1"], {"cpu_us_per_rep", "wall_us_per_rep"}),
         ("TIME_GENERATE", ["2"], {"cpu_us_per_rep", "wall_us_per_rep"}),
         ("TRACE_MEMORY", [], {"0.4", "0.2"}),

@@ -1,6 +1,7 @@
 """Run-configuration parsing and validation."""
 
 import dataclasses
+import json
 import math
 import re
 from pathlib import Path
@@ -201,6 +202,35 @@ class TestValidation:
         for name in ("replications_M", "master_seed", "workers", "grid_points"):
             assert type(getattr(cfg, name)) is int, name
         assert cfg.echo()["grid_points"] == 1
+
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(horizon_T=True), "horizon_T must be a real number, got True"),
+        (dict(horizon_T=np.True_), "horizon_T must be a real number, got np.True_"),
+        (dict(horizon_T="1"), "horizon_T must be a real number, got '1'"),
+        (dict(horizon_T=None), "horizon_T must be a real number, got None"),
+        (dict(epsilons=("0.4",)), "epsilons[0] must be a real number, got '0.4'"),
+        (dict(epsilons=(0.4, True)), "epsilons[1] must be a real number, got True"),
+        (dict(epsilons=0.4), "epsilons must be a sequence of real numbers, got 0.4"),
+    ])
+    def test_real_fields_refuse_anything_but_a_real_number(self, overrides, message):
+        # True ran as T = 1 and "0.4" as 0.4; the rest raised a bare TypeError
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunConfig(**self._base(**overrides))
+
+    def test_real_fields_are_stored_as_float(self):
+        # report.json echoes them: 1 would read 1, not 1.0, and np.int64 would not serialise
+        want = json.dumps(RunConfig(**self._base(horizon_T=1.0, epsilons=(1.0, 0.5))).echo())
+        for T, eps in ((1, (1, 0.5)), (np.int64(1), (np.int64(1), np.float32(0.5))),
+                       (np.float32(1.0), np.array([1.0, 0.5]))):
+            cfg = RunConfig(**self._base(horizon_T=T, epsilons=eps))
+            assert type(cfg.horizon_T) is float
+            assert all(type(e) is float for e in cfg.epsilons)
+            assert json.dumps(cfg.echo()) == want
+
+    @pytest.mark.parametrize("T", [10**400, -10**400])
+    def test_horizon_beyond_floats_range_gets_the_validation_message(self, T):
+        with pytest.raises(ConfigError, match="^horizon_T must be finite and positive$"):
+            RunConfig(**self._base(horizon_T=T))
 
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_flag_refuses_anything_but_a_bool(self, value):

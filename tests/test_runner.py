@@ -59,6 +59,36 @@ def minimal_config(**overrides):
     return RunConfig(**kwargs)
 
 
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records each pool's size and the
+    epsilon index of each map, and makes each chunk in process as it is read."""
+
+    sizes: list[int]
+    generated: list[int]
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        self.generated.append(items[0][2])
+        return map(fn, items)
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """``InProcessPool`` in place of ``runner.ProcessPoolExecutor``, with empty records."""
+    monkeypatch.setattr(InProcessPool, "sizes", [], raising=False)
+    monkeypatch.setattr(InProcessPool, "generated", [], raising=False)
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+    return InProcessPool
+
+
 class TestGenerateSamples:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_block_rows_are_the_replications_in_order(self, workers):
@@ -83,26 +113,9 @@ class TestGenerateSamples:
          (8, 64, 5, 5)],
     )
     def test_pool_size_is_bounded_by_chunks_and_cpus(
-        self, monkeypatch, workers, cpus, M, want
+        self, monkeypatch, in_process_pool, workers, cpus, M, want
     ):
-        sizes = []
-
-        class RecordingPool:
-            """Stands in for ProcessPoolExecutor: records the size, runs in process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+        sizes = in_process_pool.sizes
         monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
         grid = EvaluationGrid(1.0, 2)
         cfg = minimal_config(replications_M=M, grid_points=2, workers=workers,
@@ -131,23 +144,7 @@ class TestGenerateSamples:
             assert pids == [os.getpid()] * calls
         assert pooled.values.tobytes() == serial.values.tobytes()
 
-    def test_pooled_chunks_are_gathered_into_one_block(self, monkeypatch):
-        class InProcessPool:
-            """Stands in for ProcessPoolExecutor: makes each chunk as it is read."""
-
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+    def test_pooled_chunks_are_gathered_into_one_block(self, in_process_pool):
         M, steps = 400, 64
         cfg = minimal_config(replications_M=M, grid_points=steps, workers=2,
                              checks=("covariance",))
@@ -438,26 +435,8 @@ class TestOnePoolPerRun:
                                         grid_points=2, workers=2, checks=("covariance",)),
                                  **overrides})
 
-    def test_one_pool_for_every_epsilon(self, monkeypatch):
-        sizes, generated = [], []
-
-        class RecordingPool:
-            """Stands in for ProcessPoolExecutor: records the size, runs in process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                generated.append(items[0][2])
-                return map(fn, items)
-
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    def test_one_pool_for_every_epsilon(self, monkeypatch, in_process_pool):
+        sizes, generated = in_process_pool.sizes, in_process_pool.generated
         monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
         cfg = self._config()
         pooled = run_experiment(cfg)

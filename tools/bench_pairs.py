@@ -8,10 +8,16 @@ parent is REV's tree, extracted with ``git archive`` into a temporary
 directory (under ``TMPDIR``) and removed at the end. Standard library,
 git and tar only.
 
-For each workload in ``BENCHMARK.json``, pair i runs the benchmark
-command (``--workload W --seconds S --trace 0``) once on each side,
-parent first in even pairs and change first in odd ones. Every run's
-metrics, ``failed`` and ``attempted`` are kept; each end-to-end metric
+Every record is one ``alternate`` over the sides: pair i runs one
+command once on each side, each in a fresh interpreter, parent first in
+even pairs and change first in odd ones. Each record keeps its runs,
+each ``{"pair", "side", "order", "load1", ...}`` plus what the command
+printed; ``load1`` is the host's one-minute load average read just
+before the run, and the environment names the CPU model (``cpu_model``),
+so that a spread the host made can be told from a move the change made.
+
+For each workload in ``BENCHMARK.json``, the command is the benchmark's
+(``--workload W --seconds S --trace 0``), and each end-to-end metric
 gets both sides' median, quartiles and IQR, the number of pairs the
 change won (ties count for neither), its ``BENCHMARK.json`` bound, a
 verdict against that bound, a share of the parent's median:
@@ -25,33 +31,26 @@ and a ``claim``, the verdict on a gain claimed for that metric: ``met``
 only when the change won at least nine pairs in ten and its median beats
 the parent's by more than the parent's IQR, ``not met`` otherwise.
 
-Then, for as many pairs, the change's ``configs/d32.cfg`` (16 cosine
-and 16 sine components) runs on both sides in the same alternating
-order, in fresh interpreters; the seconds of ``run_experiment`` alone are recorded, and
-the two sides' ``report.json`` and ``assertions.csv`` are compared byte
-for byte.
+Then both sides run the change's ``configs/d32.cfg`` (16 cosine and 16
+sine components): the seconds of ``run_experiment`` alone are recorded,
+with the sha256 of the ``report.json`` and ``assertions.csv`` it wrote,
+and ``same_bytes`` says whether every run gave the same two digests.
 
-Last, for as many pairs, both sides run ``generate_samples`` for every
-epsilon of the benchmark's ``rate_sweep`` config (as the change's
-``perfbench/run.py`` writes it), at workers 1 and at workers 2, each in
-a fresh interpreter, in the same alternating order. The record is CPU
+Then both sides run ``generate_samples`` for every epsilon of the
+benchmark's ``rate_sweep`` config (as the change's ``perfbench/run.py``
+writes it), at workers 1 for as many pairs and then at workers 2; at
+workers 2 one pool serves every epsilon, as in a run. The record is CPU
 microseconds per replication: ``time.process_time`` at workers 1, and
 at workers 2 the user+sys time of the interpreter plus its joined pool
 workers from ``resource.getrusage``. Unlike ``rate_sweep``'s
 ``run_s``, it leaves out time spent waiting for a core, and unlike
 both ``run_s`` and ``cpu_s`` it leaves out the checks and the report.
 
-Then, for as many pairs, both sides trace ``generate_samples`` with
-``tracemalloc`` for every epsilon of the benchmark's ``long_paths``
-config, at workers 1, each side in a fresh interpreter, in the same
-alternating order. The record is each epsilon's peak of traced memory in
-KiB: the block it returns plus the working memory of making it. Unlike
-``peak_rss_mb``, it has no floor at the harness's own RSS.
-
-Every run also records ``load1``, the host's one-minute load average
-read just before it starts, and the environment names the CPU model
-(``cpu_model``), so that a spread the host made can be told from a move
-the change made.
+Last, both sides trace ``generate_samples`` with ``tracemalloc`` for
+every epsilon of the benchmark's ``long_paths`` config, at workers 1.
+The record is each epsilon's peak of traced memory in KiB: the block it
+returns plus the working memory of making it. Unlike ``peak_rss_mb``,
+it has no floor at the harness's own RSS.
 
 The record is written whatever it shows. The tool then exits 1, naming
 each fault on stderr, if the record shows a broken change: a workload
@@ -62,7 +61,6 @@ the sides.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -72,15 +70,18 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parents[1]
 D32_CONFIG = Path("configs/d32.cfg")
 OUTPUT_FILES = ("report.json", "assertions.csv")
 
-# Runs in a fresh interpreter with the side's checkout as working directory.
-TIME_RUN = """
-import json, sys, time
+# Runs in a fresh interpreter with the side's checkout as working directory:
+# the seconds of run_experiment alone and the sha256 of each file it wrote.
+TIME_RUN = f"""
+import hashlib, json, sys, time
 from dataclasses import replace
+from pathlib import Path
 sys.path.insert(0, "src")
 from poisson_bm import load_config, run_experiment
 config = replace(load_config(sys.argv[1]), output_dir=sys.argv[2])
@@ -88,15 +89,19 @@ t = time.perf_counter()
 report = run_experiment(config)
 seconds = time.perf_counter() - t
 report.write(config.output_dir)
-print(json.dumps({"run_experiment_s": seconds}))
+sha256 = [hashlib.sha256((Path(sys.argv[2]) / name).read_bytes()).hexdigest()
+          for name in {OUTPUT_FILES!r}]
+print(json.dumps({{"run_experiment_s": seconds, "sha256": sha256}}))
 """
 
 # Runs in a fresh interpreter with the side's checkout as working directory:
 # CPU and wall microseconds per replication of generate_samples over every
-# epsilon of a config, at a given worker count. The pool is joined before
-# generate_samples returns, so RUSAGE_CHILDREN then holds its workers' time.
+# epsilon of a config, at a given worker count. Above one worker, one pool
+# serves every epsilon, as in a run; it is joined on leaving its block, so
+# RUSAGE_CHILDREN then holds its workers' time.
 TIME_GENERATE = """
-import json, resource, sys, time
+import contextlib, json, resource, sys, time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 sys.path.insert(0, "src")
 from poisson_bm import EvaluationGrid, generate_samples, load_config
@@ -110,8 +115,10 @@ def cpu():
                map(resource.getrusage, (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
 
 c, t = cpu(), time.perf_counter()
-for eps_index in range(len(config.epsilons)):
-    generate_samples(config, grid, eps_index)
+with (ProcessPoolExecutor(max_workers=config.workers) if config.workers > 1
+      else contextlib.nullcontext()) as pool:
+    for eps_index in range(len(config.epsilons)):
+        generate_samples(config, grid, eps_index, pool)
 c, t = cpu() - c, time.perf_counter() - t
 reps = config.replications_M * len(config.epsilons)
 print(json.dumps({"cpu_us_per_rep": c / reps * 1e6, "wall_us_per_rep": t / reps * 1e6}))
@@ -152,7 +159,7 @@ def last_json_line(cmd: list[str], cwd: Path) -> dict:
     proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {cwd} exited {proc.returncode}:\n{proc.stderr}")
-    return {**json.loads(proc.stdout.strip().splitlines()[-1]), "load1": load1}
+    return {"load1": load1, **json.loads(proc.stdout.strip().splitlines()[-1])}
 
 
 def spread(values: list[float]) -> dict:
@@ -198,64 +205,54 @@ def pair_order(i: int, sides: dict[str, Path]) -> list[tuple[str, Path]]:
     return order if i % 2 == 0 else order[::-1]
 
 
+def alternate(sides: dict[str, Path], pairs: int, label: str, cmd: list[str]) -> list[dict]:
+    """``cmd`` run in each side's checkout once per pair, in ``pair_order``:
+    one ``{"pair", "side", "order", "load1", **result}`` per run, where
+    ``result`` is the JSON of the run's last stdout line."""
+    runs = []
+    for i in range(pairs):
+        for order, (side, root) in enumerate(pair_order(i, sides)):
+            runs.append({"pair": i, "side": side, "order": order, **last_json_line(cmd, root)})
+            print(f"{label} pair {i} {side}: {json.dumps(runs[-1])}", file=sys.stderr)
+    return runs
+
+
+def split(runs: list[dict], value: Callable[[dict], float]) -> tuple[list[float], list[float]]:
+    """``value`` of the parent's runs and of the change's, each in pair order."""
+    return ([value(r) for r in runs if r["side"] == "parent"],
+            [value(r) for r in runs if r["side"] == "change"])
+
+
 def bench_workloads(sides: dict[str, Path], bench: dict, pairs: int, seconds: float,
                     seed: int | None) -> dict:
     out = {}
-    metrics = {m["name"]: m for m in bench["end_to_end"]}
     for workload in (w["name"] for w in bench["workloads"]):
         cmd = [*bench["command"], "--workload", workload, "--seconds", repr(seconds),
                "--trace", "0"] + ([] if seed is None else ["--seed", str(seed)])
-        runs = []
-        for i in range(pairs):
-            for order, (side, root) in enumerate(pair_order(i, sides)):
-                result = last_json_line(cmd, root)
-                runs.append({"pair": i, "side": side, "order": order, "load1": result["load1"],
-                             "failed": result["failed"], "attempted": result["attempted"],
-                             "metrics": {k: v["value"] for k, v in result["metrics"].items()}})
-                print(f"{workload} pair {i} {side}: failed {result['failed']}, "
-                      f"run_s {runs[-1]['metrics'].get('run_s')}", file=sys.stderr)
-        by_side = {side: [r for r in runs if r["side"] == side] for side in sides}
+        runs = alternate(sides, pairs, workload, cmd)
         results = {}
-        for name, metric in metrics.items():
-            result = compare([r["metrics"][name] for r in by_side["parent"]],
-                             [r["metrics"][name] for r in by_side["change"]], metric["better"])
-            result["bound"] = metric["bound"]
-            result["verdict"] = verdict(result, metric["bound"])
-            result["claim"] = claim_verdict(result)
+        for metric in bench["end_to_end"]:
+            name, bound = metric["name"], metric["bound"]
+            result = compare(*split(runs, lambda r: r["metrics"][name]["value"]),
+                             metric["better"])
+            result.update(bound=bound, verdict=verdict(result, bound),
+                          claim=claim_verdict(result))
             results[name] = result
             print(f"{workload} {name}: median {result['median_change']:+.1%}, "
-                  f"bound {metric['bound']:.0%}: {result['verdict']}, "
-                  f"claim {result['claim']}", file=sys.stderr)
-        out[workload] = {
-            "command": cmd,
-            "failed": {side: [r["failed"] for r in rs] for side, rs in by_side.items()},
-            "metrics": results,
-            "runs": runs,
-        }
+                  f"bound {bound:.0%}: {result['verdict']}, claim {result['claim']}",
+                  file=sys.stderr)
+        out[workload] = {"command": cmd, "metrics": results, "runs": runs}
     return out
 
 
 def bench_d32(sides: dict[str, Path], pairs: int, scratch: Path) -> dict:
-    config = (ROOT / D32_CONFIG).resolve()
-    seconds: dict[str, list[float]] = {side: [] for side in sides}
-    loads: dict[str, list[float]] = {side: [] for side in sides}
-    digests: dict[str, set] = {side: set() for side in sides}
-    for i in range(pairs):
-        for side, root in pair_order(i, sides):
-            out_dir = scratch / f"d32-{side}"
-            shutil.rmtree(out_dir, ignore_errors=True)
-            result = last_json_line([sys.executable, "-c", TIME_RUN, str(config), str(out_dir)],
-                                    root)
-            seconds[side].append(result["run_experiment_s"])
-            loads[side].append(result["load1"])
-            digests[side].add(tuple(hashlib.sha256((out_dir / n).read_bytes()).hexdigest()
-                                    for n in OUTPUT_FILES))
-            print(f"d32 pair {i} {side}: {result['run_experiment_s']:.3f} s", file=sys.stderr)
+    cmd = [sys.executable, "-c", TIME_RUN, str(ROOT / D32_CONFIG), str(scratch / "d32")]
+    runs = alternate(sides, pairs, "d32", cmd)
     return {
         "config": D32_CONFIG.as_posix(),
-        "run_experiment_s": compare(seconds["parent"], seconds["change"], "lower"),
-        "load1": loads,
-        "same_bytes": len(digests["parent"] | digests["change"]) == 1,
+        "run_experiment_s": compare(*split(runs, lambda r: r["run_experiment_s"]), "lower"),
+        "same_bytes": len({tuple(r["sha256"]) for r in runs}) == 1,
+        "runs": runs,
     }
 
 
@@ -274,45 +271,27 @@ def workload_config(workload: str, scratch: Path, seed: int | None) -> tuple[Pat
 def bench_generate(sides: dict[str, Path], pairs: int, scratch: Path,
                    seed: int | None) -> dict:
     config, seed = workload_config(GENERATE_WORKLOAD, scratch, seed)
-    runs: dict[int, dict[str, list[dict]]] = {w: {side: [] for side in sides}
-                                              for w in GENERATE_WORKERS}
-    for i in range(pairs):
-        for side, root in pair_order(i, sides):
-            for workers in GENERATE_WORKERS:
-                result = last_json_line([sys.executable, "-c", TIME_GENERATE, str(config),
-                                         str(workers)], root)
-                runs[workers][side].append(result)
-                print(f"generate pair {i} {side} workers {workers}: "
-                      f"{result['cpu_us_per_rep']:.2f} us cpu/rep", file=sys.stderr)
     out = {"workload": GENERATE_WORKLOAD, "seed": seed}
-    for workers, by_side in runs.items():
+    for workers in GENERATE_WORKERS:
+        runs = alternate(sides, pairs, f"generate workers {workers}",
+                         [sys.executable, "-c", TIME_GENERATE, str(config), str(workers)])
         out[f"workers_{workers}"] = {
-            name: compare([r[name] for r in by_side["parent"]],
-                          [r[name] for r in by_side["change"]], "lower")
-            for name in ("cpu_us_per_rep", "wall_us_per_rep")
+            **{name: compare(*split(runs, lambda r: r[name]), "lower")
+               for name in ("cpu_us_per_rep", "wall_us_per_rep")},
+            "runs": runs,
         }
-        out[f"workers_{workers}"]["load1"] = {side: [r["load1"] for r in rs]
-                                              for side, rs in by_side.items()}
     return out
 
 
 def bench_memory(sides: dict[str, Path], pairs: int, scratch: Path,
                  seed: int | None) -> dict:
     config, seed = workload_config(MEMORY_WORKLOAD, scratch, seed)
-    runs: dict[str, list[dict]] = {side: [] for side in sides}
-    loads: dict[str, list[float]] = {side: [] for side in sides}
-    for i in range(pairs):
-        for side, root in pair_order(i, sides):
-            peaks = last_json_line([sys.executable, "-c", TRACE_MEMORY, str(config)], root)
-            loads[side].append(peaks.pop("load1"))
-            runs[side].append(peaks)
-            print(f"memory pair {i} {side}: {peaks} KiB", file=sys.stderr)
+    runs = alternate(sides, pairs, "memory", [sys.executable, "-c", TRACE_MEMORY, str(config)])
+    epsilons = [key for key in runs[0] if key not in ("pair", "side", "order", "load1")]
     return {
         "workload": MEMORY_WORKLOAD, "seed": seed, "workers": 1, "unit": "KiB",
-        "load1": loads,
-        "peak_kib": {eps: compare([r[eps] for r in runs["parent"]],
-                                  [r[eps] for r in runs["change"]], "lower")
-                     for eps in runs["parent"][0]},
+        "peak_kib": {eps: compare(*split(runs, lambda r: r[eps]), "lower") for eps in epsilons},
+        "runs": runs,
     }
 
 
