@@ -24,6 +24,7 @@ the absolute tolerance ``TAU_THETA``.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +36,11 @@ from typing import Sequence
 TAU_THETA = 1e-12
 
 TWO_PI = 2.0 * math.pi
+
+# The largest denominator q of a rational angle (p/q) pi. Its levels reduce
+# p * k mod 2q with p and k each reduced mod 2q first, so every product is
+# below (2q)^2 <= 2^62: exact in int64.
+PI_DENOMINATOR_MAX = 2**30
 
 _RATIONAL_PI_RE = re.compile(
     r"^\s*(?:(?P<num>\d+)\s*(?:/\s*(?P<den>\d+))?\s*)?(?:pi|π)\s*$", re.IGNORECASE
@@ -61,6 +67,9 @@ class Angle:
     def __post_init__(self) -> None:
         if not math.isfinite(self.radians):
             raise ValueError(f"angle must be finite, got {self.radians!r}")
+        if self.pi_fraction is not None and self.pi_fraction.denominator > PI_DENOMINATOR_MAX:
+            raise ValueError(f"angle {self}: the denominator of a rational multiple of pi "
+                             f"must be at most {PI_DENOMINATOR_MAX}")
 
     @property
     def is_pi(self) -> bool:
@@ -74,16 +83,26 @@ class Angle:
         return repr(self.radians)
 
 
-def parse_angle(value: float | int | str | Angle) -> Angle:
+def _as_float(x: numbers.Real, angle: object) -> float:
+    """float(x), or a ValueError where ``x`` lies beyond a float's range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"angle {angle!r} lies beyond a float's range "
+                         f"(about 1.8e308)") from None
+
+
+def parse_angle(value: numbers.Real | str | Angle) -> Angle:
     """Coerce a user-supplied angle into an :class:`Angle`.
 
     Strings accept decimal radians ("2.2") or rational multiples of pi
-    ("1/2 pi", "pi", "3/2 pi"); anything else must already be a number.
+    ("1/2 pi", "pi", "3/2 pi"); anything else must already be a real
+    number (``_is_real``).
     """
     if isinstance(value, Angle):
         return value
-    if isinstance(value, (int, float)):
-        return Angle(radians=float(value))
+    if _is_real(value):
+        return Angle(radians=_as_float(value, value))
     if isinstance(value, str):
         m = _RATIONAL_PI_RE.match(value)
         if m:
@@ -92,7 +111,7 @@ def parse_angle(value: float | int | str | Angle) -> Angle:
             if den == 0:
                 raise ValueError(f"zero denominator in angle {value!r}")
             frac = Fraction(num, den)
-            return Angle(radians=float(frac) * math.pi, pi_fraction=frac)
+            return Angle(radians=_as_float(frac, value) * math.pi, pi_fraction=frac)
         try:
             return Angle(radians=float(value))
         except ValueError:
@@ -141,6 +160,12 @@ class HypothesisReport:
         }
 
 
+def _is_real(value: object) -> bool:
+    """Whether ``value`` is a real number, Python's or numpy's: a
+    ``numbers.Real`` that is not a ``bool`` (a flag is not a number)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _as_flag(name: str, value: object) -> bool:
     """``value`` as a ``bool``: only ``True`` and ``False``, Python's or
     numpy's, are flags; anything else (the string "false" is truthy) is
@@ -166,8 +191,10 @@ class ThetaConfig:
         sin_block: Sequence[float | str | Angle] = (),
         allow_pi_in_cos: bool = False,
     ) -> None:
-        object.__setattr__(self, "cos_block", tuple(parse_angle(a) for a in cos_block))
-        object.__setattr__(self, "sin_block", tuple(parse_angle(a) for a in sin_block))
+        for name, block in (("cos_block", cos_block), ("sin_block", sin_block)):
+            if isinstance(block, str):  # a sequence of characters, not of angles
+                raise ValueError(f"{name} must be a sequence of angles, got {block!r}")
+            object.__setattr__(self, name, tuple(parse_angle(a) for a in block))
         object.__setattr__(self, "allow_pi_in_cos", _as_flag("allow_pi_in_cos", allow_pi_in_cos))
         if self.dimension == 0:
             raise ValueError("empty configuration: no process components requested")

@@ -83,6 +83,11 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _cmd_version(args: argparse.Namespace) -> int:
+    print(f"{TOOL_NAME} {VERSION}")
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=TOOL_NAME,
@@ -95,9 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="check the angle-vector admissibility")
     p_validate.add_argument("config", help="path to a run configuration file")
+    p_validate.set_defaults(func=_cmd_validate)
 
     p_run = sub.add_parser("run", help="run the full experiment")
     p_run.add_argument("config", help="path to a run configuration file")
+    p_run.set_defaults(func=_cmd_run)
 
     p_plot = sub.add_parser("plot", help="emit plot-ready CSV from a report")
     p_plot.add_argument("report", help="path to report.json")
@@ -112,8 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--component", type=int, default=1,
                         help="component for MARGINAL_HIST (1-based)")
     p_plot.add_argument("--out", default=None, help="output CSV path (default: stdout)")
+    p_plot.set_defaults(func=_cmd_plot)
 
-    sub.add_parser("version", help="print the tool version")
+    sub.add_parser("version", help="print the tool version").set_defaults(func=_cmd_version)
     return parser
 
 
@@ -126,16 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "plot":
-            return _cmd_plot(args)
-        if args.command == "version":
-            print(f"{TOOL_NAME} {VERSION}")
-            return EXIT_OK
-        return EXIT_USAGE
+        return args.func(args)
     except InvalidThetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(json.dumps(exc.hypothesis, indent=2), file=sys.stderr)

@@ -88,11 +88,10 @@ def sample_poisson_path(horizon: float, stream: np.random.Generator) -> PoissonP
     A path that ends in its first block, whose every interarrival is at
     least one ulp of the horizon, is returned as cut: no two of its times
     can tie, since t + x >= t + ulp(t) for every kept time t <= horizon.
+    At horizon 0 every time lies beyond it, and the path is empty.
     """
     if not (math.isfinite(horizon) and horizon >= 0):
         raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
-    if horizon == 0:
-        return PoissonPath._unchecked(0.0, np.empty(0))
 
     parts: list[np.ndarray] = []
     t = 0.0
@@ -144,11 +143,12 @@ def _level_values(
     ang = parse_angle(theta)
 
     if ang.pi_fraction is not None:
-        # phase = (p*k mod 2q) * pi/q, reduced exactly in integers, then
-        # folded onto [0, q] so theta and 2*pi - theta share trig values
-        p = ang.pi_fraction.numerator
+        # phase = (p*k mod 2q) * pi/q, reduced exactly in integers (p and k
+        # mod 2q first: see PI_DENOMINATOR_MAX), then folded onto [0, q]
+        # so theta and 2*pi - theta share trig values
         q = ang.pi_fraction.denominator
-        m = (p * np.arange(start, n_levels, dtype=np.int64)) % (2 * q)
+        k = np.arange(start, n_levels, dtype=np.int64) % (2 * q)
+        m = (ang.pi_fraction.numerator % (2 * q) * k) % (2 * q)
         folded = np.minimum(m, 2 * q - m)
         phases = folded * (math.pi / q)
         if kind == "cos":

@@ -31,7 +31,6 @@ values are parsed as the file's would be.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import os
 from dataclasses import MISSING, dataclass, fields, replace
@@ -39,10 +38,12 @@ from pathlib import Path
 from typing import Callable
 
 from .angles import (
+    PI_DENOMINATOR_MAX,
     Angle,
     HypothesisReport,
     ThetaConfig,
     _as_flag,
+    _is_real,
     parse_angle,
     validate_hypothesis_h,
 )
@@ -57,10 +58,9 @@ class ConfigError(ValueError):
 
 
 def _as_real(name: str, value: object) -> float:
-    """``value`` as a ``float``, as report.json echoes it: a real number,
-    Python's or numpy's, but not a ``bool`` or a string; anything else is
-    refused, naming the field."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    """``value`` as a ``float``, as report.json echoes it: a real number
+    (``_is_real``), not a string; anything else is refused, naming the field."""
+    if _is_real(value):
         try:
             return float(value)
         except OverflowError:  # an integer beyond float's range: validate refuses it
@@ -99,6 +99,8 @@ class RunConfig:
                            tuple(_as_real(f"epsilons[{k}]", e) for k, e in enumerate(epsilons)))
         object.__setattr__(self, "horizon_T", _as_real("horizon_T", self.horizon_T))
         object.__setattr__(self, "output_dir", Path(self.output_dir))
+        if isinstance(self.checks, str):  # a sequence of characters, not of names
+            raise ConfigError(f"checks must be a sequence of check names, got {self.checks!r}")
         object.__setattr__(self, "checks", tuple(self.checks))
         for name in ("replications_M", "grid_points", "master_seed", "workers"):
             value = getattr(self, name)
@@ -212,10 +214,12 @@ def _parse_bool(raw: str) -> bool:
     return _BOOL_VALUES[raw.lower()]
 
 
+_ANGLES = f"angles in radians or 'p/q pi' (q at most {PI_DENOMINATOR_MAX}, within a float's range)"
+
 # file key -> (parser of its value, what the parser expects)
 _PARSERS: dict[str, tuple[Callable[[str], object], str]] = {
-    "cos_block": (_parse_angles, "angles in radians or 'p/q pi'"),
-    "sin_block": (_parse_angles, "angles in radians or 'p/q pi'"),
+    "cos_block": (_parse_angles, _ANGLES),
+    "sin_block": (_parse_angles, _ANGLES),
     "allow_pi_in_cos": (_parse_bool, "true/false"),
     "horizon_T": (float, "a number"),
     "epsilons": (

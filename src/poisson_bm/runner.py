@@ -20,7 +20,6 @@ import contextlib
 import math
 import os
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
@@ -51,6 +50,8 @@ from .stats import (
 from .version import TOOL_NAME, VERSION
 
 if TYPE_CHECKING:
+    from concurrent.futures import Executor
+
     from .runconfig import RunConfig
 
 # Monte Carlo acceptance band, in standard errors. One-in-16000 false
@@ -123,7 +124,12 @@ def _pool(config: RunConfig) -> contextlib.AbstractContextManager[Executor | Non
     every row. Under fork the pool starts all its processes at its first submit."""
     chunks = -(-config.replications_M // _chunk_rows(config))
     size = min(config.workers, chunks, os.cpu_count() or 1)
-    return ProcessPoolExecutor(max_workers=size) if size > 1 else contextlib.nullcontext()
+    if size == 1:
+        return contextlib.nullcontext()
+    # imported here, so that only a run that starts a pool loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=size)
 
 
 def generate_samples(

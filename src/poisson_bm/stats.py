@@ -66,8 +66,10 @@ _SIGMA_EXP_MAX = 1000
 _SIGMA_EXP_MIN = -1000
 
 
-def _lane_sums(lanes: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of the (L, n) array ``lanes``, bit for bit.
+def _exact_sum(values: np.ndarray, axis: int | None = None):
+    """math.fsum of ``values``, bit for bit: of a whole 1-D array when
+    ``axis`` is None (a float), else of each column (axis 0) or each row
+    (axis 1) of a 2-D array (an array of those lanes' sums).
 
     Each round takes sigma = 2^(e + k) per lane, with 2^e above the
     largest remaining |x| and 2^k >= n + 2. Then q = (x + sigma) - sigma
@@ -78,9 +80,9 @@ def _lane_sums(lanes: np.ndarray) -> np.ndarray:
     remainder is zero, and math.fsum rounds the sum of its exact
     partials once.
     """
+    x = np.asarray(values, dtype=np.float64)
+    lanes = x.reshape(1, -1) if axis is None else (x.T if axis == 0 else x)  # (L, n)
     L, n = lanes.shape
-    if n == 0:
-        return np.zeros(L)
     # reduce along the longer side: many short lanes run down the columns
     ax = 0 if L > n else 1
     rest = np.array(lanes.T if ax == 0 else lanes, order="C")
@@ -88,7 +90,7 @@ def _lane_sums(lanes: np.ndarray) -> np.ndarray:
     k = (n + 1).bit_length()  # the least k with 2^k >= n + 2
     whole = np.zeros(L, dtype=bool)
     parts = [np.zeros(L)]
-    while True:
+    while n:  # empty lanes sum to 0.0
         np.abs(rest, out=q)
         top = q.max(axis=ax, keepdims=True)
         s = np.frexp(top)[1] + k
@@ -109,19 +111,7 @@ def _lane_sums(lanes: np.ndarray) -> np.ndarray:
     sums = np.array([math.fsum(p) for p in zip(*(p.tolist() for p in parts))])
     for j in np.flatnonzero(whole):
         sums[j] = math.fsum(lanes[j].tolist())
-    return sums
-
-
-def _exact_sum(values: np.ndarray, axis: int | None = None):
-    """math.fsum of every lane of ``values`` along ``axis``, bit for bit:
-    an array of the other axes' shape, or a float when ``axis`` is None
-    (the sum of all elements)."""
-    x = np.asarray(values, dtype=np.float64)
-    if axis is None:
-        return float(_lane_sums(x.reshape(1, -1))[0])
-    moved = np.moveaxis(x, axis, -1)
-    sums = _lane_sums(moved.reshape(math.prod(moved.shape[:-1]), x.shape[axis]))
-    return sums.reshape(moved.shape[:-1])
+    return float(sums[0]) if axis is None else sums
 
 
 @dataclass(frozen=True)
@@ -337,13 +327,15 @@ def stroock_variance_check(block: SampleBlock) -> Estimate:
     return _estimates((centered * centered)[:, None], len(x) - 1)[0]
 
 
-def _check_nondegenerate(label: str, angle_value: float) -> None:
-    # distance from the angle to the nearest multiple of 2*pi
+def _envelope_factor(label: str, angle_value: float) -> float:
+    """decay_factor(angle_value), refused with :class:`DegeneratePairError`
+    when the angle lies within TAU_THETA of a multiple of 2*pi."""
     if abs(math.remainder(angle_value, TWO_PI)) <= TAU_THETA:
         raise DegeneratePairError(
             f"envelope factor for {label} is degenerate: "
             f"angle {angle_value!r} is within {TAU_THETA} of a multiple of 2*pi"
         )
+    return decay_factor(angle_value)
 
 
 def structural_bound_eval(
@@ -367,15 +359,10 @@ def structural_bound_eval(
     ti = parse_angle(theta_i).radians
     tj = parse_angle(theta_j).radians
 
-    _check_nondegenerate("theta_i", ti)
-    _check_nondegenerate("theta_j", tj)
-    _check_nondegenerate("theta_i - theta_j", ti - tj)
-    _check_nondegenerate("theta_i + theta_j", ti + tj)
-
-    d_i = decay_factor(ti)
-    d_j = decay_factor(tj)
-    d_diff = decay_factor(ti - tj)
-    d_sum = decay_factor(ti + tj)
+    d_i = _envelope_factor("theta_i", ti)
+    d_j = _envelope_factor("theta_j", tj)
+    d_diff = _envelope_factor("theta_i - theta_j", ti - tj)
+    d_sum = _envelope_factor("theta_i + theta_j", ti + tj)
 
     factors = (
         (1.0 / d_j) * (1.0 / d_diff),

@@ -47,6 +47,41 @@ class TestParseAngle:
         a = Angle(1.0)
         assert parse_angle(a) is a
 
+    @pytest.mark.parametrize("value,radians", [(np.int64(2), 2.0), (np.float32(1.5), 1.5),
+                                               (Fraction(1, 4), 0.25), (3, 3.0)])
+    def test_numpy_and_other_real_numbers_are_radians(self, value, radians):
+        angle = parse_angle(value)
+        assert angle == Angle(radians) and type(angle.radians) is float
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, None, b"1.0"])
+    def test_anything_but_a_real_number_or_a_string_is_refused(self, value):
+        # a bool is a flag, not a number: True used to give 1.0 rad
+        with pytest.raises(TypeError, match="unsupported angle type"):
+            parse_angle(value)
+
+    def test_the_largest_denominator_is_two_to_the_thirty(self):
+        assert parse_angle("1/1073741824 pi").pi_fraction == Fraction(1, 2**30)
+        # the bound is on the reduced fraction
+        assert parse_angle("2/2147483648 pi").pi_fraction == Fraction(1, 2**30)
+        with pytest.raises(ValueError, match="denominator .* must be at most 1073741824$"):
+            parse_angle("1/1073741825 pi")
+        with pytest.raises(ValueError, match="denominator .* must be at most 1073741824$"):
+            Angle(0.0, Fraction(1, 10**400))
+
+    @pytest.mark.parametrize("value", [10**400, -10**400, f"{10**400} pi", f"{10**400}/3 pi"])
+    def test_a_value_beyond_floats_range_is_refused(self, value):
+        # float() used to raise OverflowError, which a config error does not catch
+        with pytest.raises(ValueError, match=r"beyond a float's range \(about 1.8e308\)$"):
+            parse_angle(value)
+
+
+class TestThetaConfig:
+    @pytest.mark.parametrize("block", ["cos_block", "sin_block"])
+    def test_a_bare_string_block_is_refused_naming_the_field(self, block):
+        # it used to be read as its characters: "cannot parse angle 'p'"
+        with pytest.raises(ValueError, match=f"^{block} must be a sequence of angles, got 'pi'$"):
+            ThetaConfig(**{block: "pi"})
+
 
 class TestValidateHypothesis:
     def test_cross_block_equality_is_legal(self):

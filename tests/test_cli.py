@@ -111,6 +111,22 @@ class TestValidateCommand:
             err = capsys.readouterr().err
             assert message in err and "above the cap" in err
 
+    @pytest.mark.parametrize("angle", [
+        "7853981633974483/5000000000000000 pi",  # pi/2 to 16 digits: its levels overflowed int64
+        "4611686018427387905/4611686018427387904 pi",  # 2q beyond int64
+        f"{10**400} pi",  # beyond a float's range
+        f"1/{10**400} pi",  # 0.0 rad, run only as a counterexample
+    ])
+    def test_angle_beyond_the_bounds_exits_two(self, cfg_file, tmp_path, capsys, angle):
+        cfg = cfg_file(f"cos_block = {angle}\nsin_block = 1/2 pi\nepsilons = 0.2\n"
+                       f"replications_M = 20\nmaster_seed = 1\nallow_invalid_theta = true\n"
+                       f"output_dir = {tmp_path / 'out'}\n")
+        for command in ("validate", "run"):
+            assert main([command, str(cfg)]) == 2
+            assert "q at most 1073741824, within a float's range" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestRunCommand:
     def test_run_writes_report(self, cfg_file, tmp_path, capsys):
         cfg = cfg_file(VALID_CFG, extra=f"output_dir = {tmp_path / 'out'}\n")

@@ -1,6 +1,8 @@
 """Config-space robustness: random config files end in a written report
 (exit 0 or 1) or a clean configuration error (exit 2), never a traceback,
-and every written report.json is strict JSON."""
+and every written report.json is strict JSON. A second draw takes extreme
+rational angles: p/q pi with p and q of up to 400 digits, and q either
+side of 2**30, the largest denominator an angle may have."""
 
 import json
 import random
@@ -21,12 +23,24 @@ def _angle(rng: random.Random) -> str:
     return kind
 
 
-def _config_text(rng: random.Random, output_dir) -> str:
+def _up_to_400_digits(rng: random.Random) -> int:
+    return rng.randint(1, 10 ** rng.randint(1, 400))
+
+
+def _extreme_angle(rng: random.Random) -> str:
+    if rng.random() < 0.5:  # an ordinary angle beside the extreme ones
+        return _angle(rng)
+    q = rng.choice([_up_to_400_digits(rng), 2**30 - 1, 2**30, 2**30 + 1, rng.randint(1, 6)])
+    p = _up_to_400_digits(rng) if rng.random() < 0.5 else rng.randint(1, 2 * q - 1)
+    return f"{p}/{q} pi"
+
+
+def _config_text(rng: random.Random, output_dir, angle=_angle) -> str:
     epsilons = sorted(rng.sample(range(15, 101), rng.randint(1, 4)), reverse=True)
     checks = rng.sample([*CHECKS, "default"], rng.randint(1, 3))
     return "\n".join([
-        f"cos_block = {', '.join(_angle(rng) for _ in range(rng.randint(0, 4)))}",
-        f"sin_block = {', '.join(_angle(rng) for _ in range(rng.randint(0, 4)))}",
+        f"cos_block = {', '.join(angle(rng) for _ in range(rng.randint(0, 4)))}",
+        f"sin_block = {', '.join(angle(rng) for _ in range(rng.randint(0, 4)))}",
         f"allow_pi_in_cos = {rng.choice(['true', 'false'])}",
         f"allow_invalid_theta = {rng.choice(['true', 'false'])}",
         f"horizon_T = {round(rng.uniform(1e-3, 7.25), 4)!r}",
@@ -43,18 +57,29 @@ def _refuse(constant):
     raise ValueError(f"non-standard JSON constant {constant}")
 
 
-def test_random_configs_end_cleanly(tmp_path):
-    rng = random.Random(20261020)
+def _exit_codes(tmp_path, seed: int, angle) -> list[int]:
+    """Run CONFIGS random configs; check each ends cleanly and return the codes."""
+    rng = random.Random(seed)
     codes = []
     for k in range(CONFIGS):
         out = tmp_path / f"run{k}"
         path = tmp_path / f"run{k}.cfg"
-        path.write_text(_config_text(rng, out), encoding="utf-8")
+        path.write_text(_config_text(rng, out, angle), encoding="utf-8")
         code = main(["run", str(path)])
         assert code in (0, 1, 2), (code, path.read_text())
         if (out / REPORT_FILENAME).exists():
             assert code in (0, 1)
             json.loads((out / REPORT_FILENAME).read_text(), parse_constant=_refuse)
         codes.append(code)
+    return codes
+
+
+def test_random_configs_end_cleanly(tmp_path):
+    codes = _exit_codes(tmp_path, 20261020, _angle)
     # the draw reaches both ends: written reports and configuration errors
+    assert 2 in codes and {0, 1} & set(codes)
+
+
+def test_extreme_rational_angles_end_cleanly(tmp_path):
+    codes = _exit_codes(tmp_path, 20261021, _extreme_angle)
     assert 2 in codes and {0, 1} & set(codes)

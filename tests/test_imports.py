@@ -1,4 +1,5 @@
-"""Only the normality check loads scipy.
+"""Only the normality check loads scipy, and only a run that starts a
+pool loads multiprocessing.
 
 Each case runs in a fresh interpreter, since this one has long since
 imported whatever the other tests needed.
@@ -14,8 +15,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# argv: config path, output dir. Prints, after each stage, whether scipy
-# is in sys.modules.
+# argv: config path, output dir, module. Prints, after each stage, whether
+# the module is in sys.modules.
 STAGES = """
 import json, sys
 from dataclasses import replace
@@ -24,7 +25,7 @@ from pathlib import Path
 loaded = {}
 
 def note(stage):
-    loaded[stage] = "scipy" in sys.modules
+    loaded[stage] = sys.argv[3] in sys.modules
 
 import poisson_bm
 from poisson_bm import cli
@@ -56,7 +57,7 @@ checks = {checks}
 """
 
 
-def _stages(tmp_path, checks):
+def _stages(tmp_path, checks, module="scipy"):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIG.format(checks=checks), encoding="utf-8")
     env = dict(os.environ)
@@ -64,7 +65,7 @@ def _stages(tmp_path, checks):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", STAGES, str(cfg), str(tmp_path / "out")],
+        [sys.executable, "-c", STAGES, str(cfg), str(tmp_path / "out"), module],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -85,4 +86,14 @@ def test_a_normality_check_loads_scipy(tmp_path, checks):
     assert loaded == {
         "import": False, "setup": False, "validate": False,
         "run_workers_1": True, "run_workers_2": True, "plot": True,
+    }
+
+
+def test_only_a_run_that_starts_a_pool_loads_multiprocessing(tmp_path):
+    # at workers 2 a pool starts where there are two CPUs to run it
+    pooled = (os.cpu_count() or 1) > 1
+    loaded = _stages(tmp_path, "covariance", module="multiprocessing")
+    assert loaded == {
+        "import": False, "setup": False, "validate": False,
+        "run_workers_1": False, "run_workers_2": pooled, "plot": pooled,
     }

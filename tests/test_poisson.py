@@ -7,7 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poisson_bm import PoissonPath, decay_factor, derive_stream, sample_poisson_path
+from poisson_bm import (
+    PoissonPath,
+    decay_factor,
+    derive_stream,
+    parse_angle,
+    sample_poisson_path,
+)
 from poisson_bm.angles import Angle
 from poisson_bm.poisson import _level_values, integral_from_zero
 from oracles import char_fn, riemann_trig_integral
@@ -292,6 +298,26 @@ class TestLevelValues:
             for start in (0, 1, 2, 7, 25, 128, self.N_LEVELS - 1, self.N_LEVELS):
                 tail = _level_values(angle, self.N_LEVELS, kind, start=start)
                 assert tail.tobytes() == whole[start:].tobytes(), (angle, start)
+
+
+    @pytest.mark.parametrize("kind", ["cos", "sin"])
+    @pytest.mark.parametrize("p,q", [(2**31 - 1, 2**30), (2**30 - 1, 2**30),
+                                     (2**31 - 3, 2**30 - 1)])
+    @pytest.mark.parametrize("start", [0, 2**40])
+    def test_exact_at_the_largest_denominators(self, kind, p, q, start):
+        # from k = 2^32 on, p * k passes 2^63, beyond int64; a wrapped
+        # product keeps its residue mod 2q only where 2q is a power of two
+        n = 200_000
+        angle = parse_angle(f"{p}/{q} pi")
+        m = np.array([p * k % (2 * q) for k in range(start, start + n)], dtype=np.int64)
+        phases = np.minimum(m, 2 * q - m) * (math.pi / q)
+        if kind == "cos":
+            expected = np.cos(phases)
+        else:
+            expected = np.where(m > q, -np.sin(phases), np.sin(phases))
+            expected[(m == 0) | (m == q)] = 0.0
+        got = _level_values(angle, start + n, kind, start=start)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestTrigIntegralExamples:

@@ -100,6 +100,13 @@ class TestParsing:
                 "cos_block = one pi\nepsilons = 0.5\nreplications_M = 100\nmaster_seed = 1\n"
             )
 
+    @pytest.mark.parametrize("angle", ["1/1073741825 pi", f"{10**400} pi", f"1/{10**400} pi"])
+    def test_angle_beyond_the_bounds_is_refused_naming_them(self, angle):
+        text = f"cos_block = {angle}\nepsilons = 0.5\nreplications_M = 100\nmaster_seed = 1\n"
+        with pytest.raises(ConfigError, match="line 1: cos_block: .*q at most 1073741824, "
+                                              r"within a float's range"):
+            parse_config_text(text)
+
     def test_bad_value_names_line_key_and_value(self):
         text = "cos_block = 1.0\nepsilons = 0.5\ngrid_points = many\n"
         with pytest.raises(ConfigError, match="line 3: grid_points: .*'many'"):
@@ -252,6 +259,13 @@ class TestValidation:
     def test_empty_check_list_rejected(self):
         with pytest.raises(ConfigError, match="checks must be nonempty"):
             RunConfig(**self._base(checks=()))
+
+    def test_a_bare_string_of_checks_is_refused_naming_the_field(self):
+        # it used to be read as its characters: "unknown checks: c, o, v, ..."
+        with pytest.raises(
+            ConfigError, match="^checks must be a sequence of check names, got 'covariance'$"
+        ):
+            RunConfig(**self._base(checks="covariance"))
 
     def test_every_need_refuses_its_check_and_sets_the_default_bundle(self):
         assert UNFED.keys() == {name for name, check in CHECKS.items() if check.need}

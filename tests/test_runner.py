@@ -1,5 +1,6 @@
 """Experiment orchestration: determinism, counterexample mode, reports."""
 
+import concurrent.futures
 import hashlib
 import inspect
 import json
@@ -82,10 +83,11 @@ class InProcessPool:
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
-    """``InProcessPool`` in place of ``runner.ProcessPoolExecutor``, with empty records."""
+    """``InProcessPool`` in place of ``concurrent.futures.ProcessPoolExecutor``, which
+    ``runner._pool`` imports where it starts a pool, with empty records."""
     monkeypatch.setattr(InProcessPool, "sizes", [], raising=False)
     monkeypatch.setattr(InProcessPool, "generated", [], raising=False)
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return InProcessPool
 
 
