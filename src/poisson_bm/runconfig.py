@@ -204,8 +204,20 @@ def _parse_list(raw: str) -> list[str]:
     return [item.strip() for item in raw.split(",") if item.strip()]
 
 
+class _ItemError(ValueError):
+    """One item of a list value refused for its own reason, which names
+    the item and its 1-based position."""
+
+
 def _parse_angles(raw: str) -> tuple[Angle, ...]:
-    return tuple(parse_angle(a) for a in _parse_list(raw))
+    items = _parse_list(raw)
+    angles = []
+    for k, item in enumerate(items, start=1):
+        try:
+            angles.append(parse_angle(item))
+        except ValueError as exc:
+            raise _ItemError(f"angle {k} of {len(items)}: {exc}") from None
+    return tuple(angles)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -244,6 +256,8 @@ def _parse_value(key: str, raw: str, where: str) -> object:
     parse, expected = _PARSERS[key]
     try:
         return parse(raw)
+    except _ItemError as exc:
+        raise ConfigError(f"{where}: expected {expected}; {exc}") from None
     except ValueError:
         raise ConfigError(f"{where}: expected {expected}, got {raw!r}") from None
 

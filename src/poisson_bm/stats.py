@@ -271,6 +271,84 @@ def fourth_moment_ratio(block: SampleBlock, s: float, t: float) -> list[Estimate
     return _estimates(ratios, len(ratios))
 
 
+# The Cephes library's standard normal CDF, ndtr (S. L. Moshier, Methods
+# and Programs for Mathematical Functions, 1989): its constants, and its
+# polynomials' coefficients from the highest power down. Q, S and U are
+# monic, their leading 1.0 written out.
+_SQRTH = 7.07106781186547524401e-1  # sqrt(1/2)
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+
+
+def _polevl(x: np.ndarray, coef: Sequence[float]) -> np.ndarray:
+    """Cephes polevl (and p1evl, whose leading 1.0 multiplies exactly):
+    Horner's rule from the highest coefficient."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Cephes erf for |x| <= 1: x T(x^2) / U(x^2)."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """The standard normal CDF, bit for bit the Cephes C routine: its
+    steps on numpy arrays, with libm's exp (math.exp) per value, since
+    numpy's vectorised exp need not round as libm's does."""
+    x = np.asarray(a, dtype=np.float64) * _SQRTH
+    z = np.abs(x)
+    y = np.full_like(x, np.nan)  # NaN fails both comparisons below
+    small = z < _SQRTH
+    y[small] = 0.5 + 0.5 * _erf(x[small])
+
+    # erfc(z) for z >= sqrt(1/2): 1 - erf(z) below 1, then exp(-z^2) times
+    # P/Q below 8 and R/S above, and zero once -z^2 < -MAXLOG
+    big = np.flatnonzero(z >= _SQRTH)
+    zb = z[big]
+    with np.errstate(over="ignore"):
+        w = -zb * zb
+    erfc = np.zeros_like(zb)
+    near = zb < 1.0
+    erfc[near] = 1.0 - _erf(zb[near])
+    mid = ~near & (zb < 8.0)
+    far = (zb >= 8.0) & (w >= -_MAXLOG)
+    for part, num, den in ((mid, _ERFC_P, _ERFC_Q), (far, _ERFC_R, _ERFC_S)):
+        e = np.fromiter(map(math.exp, w[part].tolist()), np.float64)
+        erfc[part] = e * _polevl(zb[part], num) / _polevl(zb[part], den)
+    half = 0.5 * erfc
+    y[big] = np.where(x[big] > 0, 1.0 - half, half)
+    return y
+
+
 @dataclass(frozen=True)
 class NormalityReport:
     skewness: float
@@ -298,12 +376,8 @@ def normality_check(increments: np.ndarray) -> NormalityReport:
     m3 = _exact_sum(z**3) / n
     m4 = _exact_sum(z**4) / n
 
-    # the one use of scipy in the package, imported here so that runs
-    # without a normality check, and the package import, never load it
-    from scipy.special import ndtr
-
     zs = np.sort(z)
-    cdf = ndtr(zs)
+    cdf = _ndtr(zs)
     hi = np.arange(1, n + 1) / n - cdf
     lo = cdf - np.arange(0, n) / n
     d = float(max(hi.max(), lo.max()))
@@ -338,6 +412,18 @@ def _envelope_factor(label: str, angle_value: float) -> float:
     return decay_factor(angle_value)
 
 
+def _combined(a: Angle, b: Angle, sign: int) -> float:
+    """a + sign * b in radians. Where that float leaves the float range,
+    an angle congruent to it mod 2*pi: the exact sum of two rational
+    multiples of pi mod 2, times pi, else the sum of each angle's remainder."""
+    value = a.radians + sign * b.radians
+    if math.isfinite(value):
+        return value
+    if a.pi_fraction is not None and b.pi_fraction is not None:
+        return float((a.pi_fraction + sign * b.pi_fraction) % 2) * math.pi
+    return math.remainder(a.radians, TWO_PI) + sign * math.remainder(b.radians, TWO_PI)
+
+
 def structural_bound_eval(
     theta_i: float | Angle,
     theta_j: float | Angle,
@@ -356,13 +442,12 @@ def structural_bound_eval(
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    ti = parse_angle(theta_i).radians
-    tj = parse_angle(theta_j).radians
+    a_i, a_j = parse_angle(theta_i), parse_angle(theta_j)
 
-    d_i = _envelope_factor("theta_i", ti)
-    d_j = _envelope_factor("theta_j", tj)
-    d_diff = _envelope_factor("theta_i - theta_j", ti - tj)
-    d_sum = _envelope_factor("theta_i + theta_j", ti + tj)
+    d_i = _envelope_factor("theta_i", a_i.radians)
+    d_j = _envelope_factor("theta_j", a_j.radians)
+    d_diff = _envelope_factor("theta_i - theta_j", _combined(a_i, a_j, -1))
+    d_sum = _envelope_factor("theta_i + theta_j", _combined(a_i, a_j, 1))
 
     factors = (
         (1.0 / d_j) * (1.0 / d_diff),

@@ -121,8 +121,10 @@ master_seed = 12345
         ("TIME_GENERATE", ["1"], {"cpu_us_per_rep", "wall_us_per_rep"}),
         ("TIME_GENERATE", ["2"], {"cpu_us_per_rep", "wall_us_per_rep"}),
         ("TRACE_MEMORY", [], {"0.4", "0.2"}),
+        ("COLD_RUN", ["out"], {"exit", "wall_s", "vmhwm_mb"}),
     ],
-    ids=["time_run", "time_generate_workers_1", "time_generate_workers_2", "trace_memory"],
+    ids=["time_run", "time_generate_workers_1", "time_generate_workers_2", "trace_memory",
+         "cold_run"],
 )
 def test_embedded_scripts_run_against_the_checkout(tmp_path, script, args, keys):
     # a library rename that breaks a script fails here, not when a record is made
@@ -132,5 +134,18 @@ def test_embedded_scripts_run_against_the_checkout(tmp_path, script, args, keys)
     cmd = [sys.executable, "-c", getattr(bench_pairs, script), str(config), *args]
     record = bench_pairs.last_json_line(cmd, bench_pairs.ROOT)  # SystemExit unless exit 0
     assert record.keys() == keys | {"load1"}
-    if script == "TIME_RUN":
+    if script in ("TIME_RUN", "COLD_RUN"):
         assert all((tmp_path / "out" / name).is_file() for name in bench_pairs.OUTPUT_FILES)
+
+
+def test_cold_run_records_both_sides(tmp_path, monkeypatch):
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_CONFIG)
+    monkeypatch.setattr(bench_pairs, "DEMO_CONFIG", config)  # ROOT / an absolute path
+    sides = {"parent": bench_pairs.ROOT, "change": bench_pairs.ROOT}
+    record = bench_pairs.bench_cold_run(sides, 1, tmp_path)
+    assert [run["side"] for run in record["runs"]] == ["parent", "change"]
+    for run in record["runs"]:
+        assert run["exit"] in (0, 1) and run["wall_s"] > 0.0
+        assert 5.0 < run["vmhwm_mb"] < 500.0  # MB: numpy and a tiny run
+    assert record["vmhwm_mb"]["pairs"] == 1 and record["wall_s"]["better"] == "lower"

@@ -126,6 +126,16 @@ class TestValidateCommand:
             assert "q at most 1073741824, within a float's range" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_a_refused_angle_is_named_with_its_position_and_reason(self, cfg_file, capsys):
+        cfg = cfg_file("cos_block = 7853981633974483/5000000000000000 pi, 1/2 pi\n"
+                       "epsilons = 0.2\nreplications_M = 20\nmaster_seed = 1\n")
+        for command in ("validate", "run"):
+            assert main([command, str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert ("line 1: cos_block: " in err and "; angle 1 of 2: angle "
+                    "7853981633974483/5000000000000000 pi: the denominator of a rational "
+                    "multiple of pi must be at most 1073741824" in err), err
+
 
 class TestRunCommand:
     def test_run_writes_report(self, cfg_file, tmp_path, capsys):
@@ -191,6 +201,21 @@ class TestRunCommand:
         (failing,) = [line for line in lines if line.endswith("FAIL")]
         assert failing.startswith("fourth-moment anchor: epsilon=0.05 r4=")
         assert lines[-1] == "SOME CHECKS FAILED"
+
+    def test_rational_angles_summing_past_a_float_write_a_report(
+        self, cfg_file, tmp_path, capsys
+    ):
+        # 5e307 pi + 4e307 pi overflows a float; exactly it is 9e307 pi, 0 mod 2 pi
+        cfg = cfg_file(
+            f"cos_block = {5 * 10**307} pi, {4 * 10**307} pi\nallow_invalid_theta = true\n"
+            "epsilons = 0.4, 0.3, 0.2\nreplications_M = 200\ngrid_points = 4\n"
+            f"master_seed = 7\nchecks = cross_moments\noutput_dir = {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(cfg)]) in (0, 1)
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        bounds = [result["checks"][0]["data"]["pairs"][0]["bound_total"]
+                  for result in doc["results"]]
+        assert bounds == [None, None, None]  # the exact sum is degenerate
 
     def test_missing_config_exits_two(self):
         assert main(["run", "/does/not/exist.cfg"]) == 2

@@ -3,6 +3,7 @@
 import math
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from poisson_bm import (
     empirical_increment_covariance,
     fourth_moment_ratio,
     generate_samples,
+    load_config,
     martingale_residual,
     normality_check,
     quadratic_variation,
@@ -28,7 +30,8 @@ from poisson_bm import (
     stroock_variance_check,
     structural_bound_eval,
 )
-from poisson_bm.stats import _exact_sum
+from poisson_bm import stats
+from poisson_bm.stats import _exact_sum, _ndtr
 
 from oracles import (
     exact_cross_moment,
@@ -430,6 +433,27 @@ class TestStructuralBound:
         with pytest.raises(DegeneratePairError, match="theta_i - theta_j"):
             structural_bound_eval(1.3, 1.3, 0.1)
 
+    @staticmethod
+    def envelope(angles, epsilon):
+        """The documented total for the angles th_i, th_j, th_i - th_j, th_i + th_j."""
+        inv_i, inv_j, inv_diff, inv_sum = (1.0 / (1.0 - math.cos(a)) for a in angles)
+        return (epsilon * epsilon) * math.fsum(
+            [inv_j * inv_diff, inv_j * inv_sum, inv_i * inv_diff, inv_i * inv_sum])
+
+    def test_rational_sum_past_a_float_taken_exactly_mod_two_pi(self):
+        # (2e307 + 1/2) pi + 4e307 pi overflows a float; exactly it is pi/2 mod 2 pi
+        theta = ThetaConfig(cos_block=[f"{4 * 10**307 + 1}/2 pi", f"{4 * 10**307} pi"])
+        ti, tj = (a.radians for a in theta.cos_block)
+        assert math.isinf(ti + tj) and math.isfinite(ti - tj)
+        got = structural_bound_eval(*theta.cos_block, 0.1)
+        assert got == self.envelope([ti, tj, ti - tj, math.pi / 2], 0.1)
+
+    def test_decimal_sum_past_a_float_taken_from_remainders(self):
+        ti, tj = 1.5e308, 1.6e308
+        total = math.remainder(ti, 2 * math.pi) + math.remainder(tj, 2 * math.pi)
+        got = structural_bound_eval(ti, tj, 0.1)
+        assert got == self.envelope([ti, tj, ti - tj, total], 0.1)
+
 
 class TestRateFit:
     def test_exact_quadratic_gives_slope_two(self):
@@ -534,7 +558,7 @@ class TestNormalityCheck:
         assert rep.ks_statistic > 1.63 / math.sqrt(5000)
 
     def test_agrees_with_scipy(self):
-        from scipy import stats as sps
+        sps = pytest.importorskip("scipy.stats")
 
         rng = derive_stream(226, 0, 0)
         xs = rng.normal(size=1500)
@@ -552,6 +576,67 @@ class TestNormalityCheck:
     def test_short_input_rejected(self):
         with pytest.raises(ValueError):
             normality_check(np.arange(50, dtype=float))
+
+
+def _ulps_around(a, k=200):
+    """The 2k + 1 consecutive floats centred on the nonzero ``a``."""
+    bits = np.array(a, dtype=np.float64).view(np.int64)
+    return (bits + np.arange(-k, k + 1)).view(np.float64)
+
+
+class TestNdtr:
+    """_ndtr gives scipy.special.ndtr's bits, every branch of Cephes ndtr."""
+
+    @staticmethod
+    def assert_same_bits(xs):
+        ndtr = pytest.importorskip("scipy.special").ndtr
+        xs = np.asarray(xs, dtype=np.float64)
+        got, want = _ndtr(xs), ndtr(xs)
+        differ = got.view(np.int64) != want.view(np.int64)
+        assert not differ.any(), list(zip(xs[differ][:5], got[differ][:5], want[differ][:5]))
+
+    @pytest.mark.parametrize("x_edge", [stats._SQRTH, 1.0, 8.0],
+                             ids=["erf_to_erfc", "one_minus_erf_to_p_q", "p_q_to_r_s"])
+    def test_branch_boundaries(self, x_edge):
+        # the branches switch on |a * sqrt(1/2)|: take a on both sides, both signs
+        a = x_edge / stats._SQRTH
+        self.assert_same_bits(np.concatenate([_ulps_around(a), _ulps_around(-a)]))
+
+    def test_underflow_tail(self):
+        # exp(-x^2) leaves the float range near a = -37.7; the CDF is 0 below -38.5
+        xs = np.concatenate([np.linspace(-40.0, -36.0, 400_001), _ulps_around(-38.5),
+                             -_ulps_around(np.sqrt(2 * stats._MAXLOG))])
+        got = _ndtr(xs)
+        assert got[xs < -38.5].max() == 0.0 and got[xs > -37.5].min() > 0.0
+        self.assert_same_bits(xs)
+
+    def test_signed_zeros_infinities_and_nan(self):
+        xs = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e300, -1e300]
+        got = _ndtr(np.array(xs))
+        assert got[:4].tolist() == [0.5, 0.5, 1.0, 0.0] and math.isnan(got[4])
+        self.assert_same_bits(xs)
+
+    def test_wide_grid(self):
+        self.assert_same_bits(np.linspace(-12.0, 12.0, 240_001))
+
+    def test_golden_demo_increments(self, monkeypatch):
+        # the sorted standardised increments the demo's KS distances read
+        seen = []
+
+        def recording_ndtr(zs):
+            seen.append(zs)
+            return _ndtr(zs)
+
+        monkeypatch.setattr(stats, "_ndtr", recording_ndtr)
+        config = load_config(Path(__file__).resolve().parents[1] / "configs" / "demo.cfg")
+        grid = EvaluationGrid(config.horizon_T, config.grid_points)
+        for eps_index in range(len(config.epsilons)):
+            block = generate_samples(config, grid, eps_index)
+            deltas = block.at_time(grid.horizon_T) - block.at_time(0.0)
+            for c in range(config.theta.dimension):
+                normality_check(deltas[:, c])
+        assert len(seen) == len(config.epsilons) * config.theta.dimension
+        self.assert_same_bits(np.concatenate(seen))
 
 
 class TestMartingaleResidual:

@@ -36,6 +36,14 @@ sine components): the seconds of ``run_experiment`` alone are recorded,
 with the sha256 of the ``report.json`` and ``assertions.csv`` it wrote,
 and ``same_bytes`` says whether every run gave the same two digests.
 
+Then both sides run ``poisson-bm run configs/demo.cfg`` cold: each run
+is ``cli.main(["run", ...])`` in a fresh interpreter, with its output
+directory in scratch space. The record is wall seconds from before the
+package import to the exit code, and the process's own peak RSS in MB,
+``VmHWM`` from ``/proc/self/status``. Unlike ``peak_rss_mb``, which
+reads ``ru_maxrss`` and so inherits the harness's high-water mark, it
+holds the run's memory alone.
+
 Then both sides run ``generate_samples`` for every epsilon of the
 benchmark's ``rate_sweep`` config (as the change's ``perfbench/run.py``
 writes it), at workers 1 for as many pairs and then at workers 2; at
@@ -74,6 +82,7 @@ from typing import Callable
 
 ROOT = Path(__file__).resolve().parents[1]
 D32_CONFIG = Path("configs/d32.cfg")
+DEMO_CONFIG = Path("configs/demo.cfg")
 OUTPUT_FILES = ("report.json", "assertions.csv")
 
 # Runs in a fresh interpreter with the side's checkout as working directory:
@@ -92,6 +101,23 @@ report.write(config.output_dir)
 sha256 = [hashlib.sha256((Path(sys.argv[2]) / name).read_bytes()).hexdigest()
           for name in {OUTPUT_FILES!r}]
 print(json.dumps({{"run_experiment_s": seconds, "sha256": sha256}}))
+"""
+
+# Runs in a fresh interpreter with the side's checkout as working directory:
+# `poisson-bm run` on a config, writing into a given directory, with the
+# wall seconds from before the package import and the process's own peak RSS.
+COLD_RUN = """
+import time
+t = time.perf_counter()
+import json, os, sys
+sys.path.insert(0, "src")
+from poisson_bm import cli
+os.environ["POISSON_BM_OUTPUT_DIR"] = sys.argv[2]
+code = cli.main(["run", sys.argv[1]])
+seconds = time.perf_counter() - t
+with open("/proc/self/status", encoding="ascii") as f:
+    kib = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+print(json.dumps({"exit": code, "wall_s": seconds, "vmhwm_mb": kib / 1024}))
 """
 
 # Runs in a fresh interpreter with the side's checkout as working directory:
@@ -256,6 +282,17 @@ def bench_d32(sides: dict[str, Path], pairs: int, scratch: Path) -> dict:
     }
 
 
+def bench_cold_run(sides: dict[str, Path], pairs: int, scratch: Path) -> dict:
+    cmd = [sys.executable, "-c", COLD_RUN, str(ROOT / DEMO_CONFIG), str(scratch / "cold")]
+    runs = alternate(sides, pairs, "cold run", cmd)
+    return {
+        "config": DEMO_CONFIG.as_posix(),
+        **{name: compare(*split(runs, lambda r: r[name]), "lower")
+           for name in ("wall_s", "vmhwm_mb")},
+        "runs": runs,
+    }
+
+
 def workload_config(workload: str, scratch: Path, seed: int | None) -> tuple[Path, int]:
     """The benchmark's config file for ``workload``, as the change's
     ``perfbench/run.py`` writes it, and its seed."""
@@ -356,6 +393,7 @@ def main(argv: list[str] | None = None) -> int:
                          "seed": "benchmark default" if args.seed is None else args.seed},
             "workloads": bench_workloads(sides, bench, args.pairs, args.seconds, args.seed),
             "d32": bench_d32(sides, args.pairs, scratch),
+            "cold_run": bench_cold_run(sides, args.pairs, scratch),
             "generate": bench_generate(sides, args.pairs, scratch, args.seed),
             "memory": bench_memory(sides, args.pairs, scratch, args.seed),
         }
