@@ -57,6 +57,16 @@ def check_replication_memory(needed: float, dimension: int) -> None:
                          f"{nbytes:.3g} bytes, above the cap of {REPLICATION_BYTES_CAP}")
 
 
+def check_block_memory(M: int, d: int, G: int) -> None:
+    """Refuse a sample block of M replications, d components and G grid
+    times, the (M, d, G) float64 array, above the cap."""
+    nbytes = M * d * G * 8
+    if nbytes > BLOCK_BYTES_CAP:
+        raise ValueError(f"the sample block of M = {M} replications, d = {d} components "
+                         f"and G = {G} grid times takes {nbytes:.3g} bytes, "
+                         f"above the cap of {BLOCK_BYTES_CAP}")
+
+
 @dataclass(frozen=True)
 class EvaluationGrid:
     """0 to T in ``steps`` uniform steps: the ``steps + 1`` times

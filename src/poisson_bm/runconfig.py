@@ -47,7 +47,7 @@ from .angles import (
     parse_angle,
     validate_hypothesis_h,
 )
-from .process import BLOCK_BYTES_CAP, check_replication_memory, map_to_path_time
+from .process import EvaluationGrid, check_block_memory, check_replication_memory, map_to_path_time
 from .runner import CHECKS
 
 ENV_OUTPUT_DIR = "POISSON_BM_OUTPUT_DIR"
@@ -132,16 +132,12 @@ class RunConfig:
             raise ConfigError("horizon_T must be finite and positive")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
-        needed = map_to_path_time(self.horizon_T, min(self.epsilons))
+        d = self.theta.dimension
         try:
-            check_replication_memory(needed, self.theta.dimension)
+            check_replication_memory(map_to_path_time(self.horizon_T, min(self.epsilons)), d)
+            check_block_memory(self.replications_M, d, len(self.grid))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        M, d, G = self.replications_M, self.theta.dimension, self.grid_points + 1
-        if M * d * G * 8 > BLOCK_BYTES_CAP:
-            raise ConfigError(f"the sample block of M = {M} replications, d = {d} components "
-                              f"and G = {G} grid times takes {M * d * G * 8:.3g} bytes, "
-                              f"above the cap of {BLOCK_BYTES_CAP}")
         if not self.checks:
             raise ConfigError("checks must be nonempty: list check names or default")
         unknown = [c for c in self.checks if c != "default" and c not in CHECKS]
@@ -154,6 +150,11 @@ class RunConfig:
             if not CHECKS[name].fed(self):
                 _, need, fix = CHECKS[name].need
                 raise ConfigError(f"the {name} check needs {need}; {fix} or drop the check")
+
+    @property
+    def grid(self) -> EvaluationGrid:
+        """The run's grid: ``grid_points`` uniform steps from 0 to ``horizon_T``."""
+        return EvaluationGrid(self.horizon_T, self.grid_points)
 
     @property
     def resolved_checks(self) -> tuple[str, ...]:

@@ -98,13 +98,13 @@ ZERO_CROSS_MOMENT = (
 # sample generation (serial and pooled)
 
 
-def _chunk_values(job: tuple[RunConfig, EvaluationGrid, int, int, int]) -> np.ndarray:
+def _chunk_values(job: tuple[RunConfig, int, int, int]) -> np.ndarray:
     """Rows [start, stop) of one epsilon's block; ``job`` is
-    (config, grid, eps_index, start, stop). The rows' one ``BuildPlan``
-    is made here, in the process that makes them."""
-    config, grid, eps_index, start, stop = job
-    plan = BuildPlan(config.theta, config.epsilons[eps_index], grid)
-    out = np.empty((stop - start, config.theta.dimension, len(grid)))
+    (config, eps_index, start, stop). The rows' one ``BuildPlan``, on
+    the config's grid, is made here, in the process that makes them."""
+    config, eps_index, start, stop = job
+    plan = BuildPlan(config.theta, config.epsilons[eps_index], config.grid)
+    out = np.empty((stop - start, config.theta.dimension, len(plan.grid)))
     for r in range(start, stop):
         stream = derive_stream(config.master_seed, eps_index, r)
         path = sample_poisson_path(plan.needed, stream)
@@ -137,15 +137,17 @@ def generate_samples(
 ) -> SampleBlock:
     """All replications for one epsilon, gathered in replication order.
 
-    ``grid`` must be the config's own, ``EvaluationGrid(config.horizon_T,
-    config.grid_points)``: ``RunConfig.validate`` capped the block at its
-    times. The chunks go to ``pool`` or, when none is given, to ``_pool``'s,
-    shut down on return; where that is no pool, this process makes every
-    row. Each chunk's job is (config, grid, eps_index, start, stop), and
-    whichever process makes its rows makes their plan; the rows are copied
-    into the one (M, d, G) block as they arrive.
+    ``grid`` must be the config's own, ``config.grid``: ``RunConfig.validate``
+    capped the block at its times. The parameter stays until the benchmark
+    is re-based (ROADMAP item 2): its tracer reads ``eps_index`` as the
+    third positional argument. The chunks
+    go to ``pool`` or, when none is given, to ``_pool``'s, shut down on
+    return; where that is no pool, this process makes every row. Each
+    chunk's job is (config, eps_index, start, stop), and whichever process
+    makes its rows makes their plan; the rows are copied into the one
+    (M, d, G) block as they arrive.
     """
-    if grid != EvaluationGrid(config.horizon_T, config.grid_points):
+    if grid != config.grid:
         raise ValueError(
             f"{grid} is not the config's grid of {config.grid_points} steps "
             f"to T = {config.horizon_T}"
@@ -153,11 +155,10 @@ def generate_samples(
     M = config.replications_M
     with _pool(config) if pool is None else contextlib.nullcontext(pool) as pool:
         if pool is None:
-            values = _chunk_values((config, grid, eps_index, 0, M))
+            values = _chunk_values((config, eps_index, 0, M))
         else:
             chunk = _chunk_rows(config)
-            jobs = [(config, grid, eps_index, lo, min(lo + chunk, M))
-                    for lo in range(0, M, chunk)]
+            jobs = [(config, eps_index, lo, min(lo + chunk, M)) for lo in range(0, M, chunk)]
             values = np.empty((M, config.theta.dimension, len(grid)))
             for (*_, lo, hi), rows in zip(jobs, pool.map(_chunk_values, jobs)):
                 values[lo:hi] = rows
@@ -489,7 +490,7 @@ def run_experiment(config: RunConfig) -> RunReport:
     """
     hypothesis = config.admissibility()
 
-    grid = EvaluationGrid(config.horizon_T, config.grid_points)
+    grid = config.grid
     checks = config.resolved_checks
 
     results = []

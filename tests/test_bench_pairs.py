@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from simd import avx512_dispatch
+
 _SPEC = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 )
@@ -82,6 +84,18 @@ def test_environment_names_the_cpu_model():
     assert isinstance(env["cpu_model"], str) and env["cpu_model"]
 
 
+def test_environment_names_the_avx512_dispatch_state(monkeypatch):
+    env = bench_pairs.environment()
+    assert env["avx512_dispatch"] == avx512_dispatch()
+    present = [t for t, on in (avx512_dispatch() or {}).items() if on]
+    if not present:
+        pytest.skip("numpy dispatches no AVX-512 target here")
+    # numpy reads the variable at import, in the tool's subprocess
+    monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", " ".join(present))
+    env = bench_pairs.environment()
+    assert env["avx512_dispatch"] == {t: False for t in avx512_dispatch()}
+
+
 def test_every_run_records_the_host_load_before_it():
     cmd = [sys.executable, "-c", "print('noise'); print('{\"x\": 1}')"]
     result = bench_pairs.last_json_line(cmd, Path.cwd())
@@ -136,6 +150,17 @@ def test_embedded_scripts_run_against_the_checkout(tmp_path, script, args, keys)
     assert record.keys() == keys | {"load1"}
     if script in ("TIME_RUN", "COLD_RUN"):
         assert all((tmp_path / "out" / name).is_file() for name in bench_pairs.OUTPUT_FILES)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_generate_script_starts_the_pool_a_run_would(tmp_path, cpus):
+    # at workers 2 on one CPU a run starts no pool, and neither does the record
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_CONFIG)
+    script = (f"import os\nos.cpu_count = lambda: {cpus}\n{bench_pairs.TIME_GENERATE}"
+              "print(json.dumps({'multiprocessing': 'multiprocessing' in sys.modules}))\n")
+    cmd = [sys.executable, "-c", script, str(config), "2"]
+    assert bench_pairs.last_json_line(cmd, bench_pairs.ROOT)["multiprocessing"] == (cpus > 1)
 
 
 def test_cold_run_records_both_sides(tmp_path, monkeypatch):

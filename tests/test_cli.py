@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -294,6 +295,16 @@ class TestVersionCommand:
         )
         assert proc.returncode == 0
         assert "poisson-bm" in proc.stdout
+
+    def test_project_version_is_the_package_version(self):
+        # pyproject.toml reads its version from poisson_bm.version, without a build
+        pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # [tool.setuptools] is "beta" to setuptools
+            project = pyprojecttoml.read_configuration(pyproject)["project"]
+        assert "version" in project["dynamic"]
+        assert project["version"] == poisson_bm.__version__
 
 
 class TestUsageErrors:

@@ -25,7 +25,13 @@ from poisson_bm import (
     sample_poisson_path,
 )
 from poisson_bm.poisson import _first_block_size, _level_values, integral_from_zero
-from poisson_bm.process import INV_SQRT2, SUB_BLOCK, _level_rows
+from poisson_bm.process import (
+    BLOCK_BYTES_CAP,
+    INV_SQRT2,
+    SUB_BLOCK,
+    _level_rows,
+    check_block_memory,
+)
 
 EPS = 0.4
 T = 1.0
@@ -94,6 +100,17 @@ class TestEvaluationGrid:
         assert EvaluationGrid(2.0, 4) not in plans
         assert [f.name for f in dataclasses.fields(grid)] == ["horizon_T", "steps"]
         assert "index_of" in EvaluationGrid.__dict__
+
+
+def test_block_memory_cap_boundary():
+    # M d G doubles; checking allocates none of them
+    M_cap = BLOCK_BYTES_CAP // (4 * 64 * 8)
+    check_block_memory(M_cap, 4, 64)
+    with pytest.raises(ValueError, match=rf"^the sample block of M = {M_cap + 1} replications, "
+                                         r"d = 4 components and G = 64 grid times takes "):
+        check_block_memory(M_cap + 1, 4, 64)
+    with pytest.raises(ValueError, match=r"G = 1099511627777 grid times .* cap of 2147483648$"):
+        check_block_memory(500, 2, 2**40 + 1)
 
 
 class TestBuildSample:

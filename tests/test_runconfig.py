@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poisson_bm import ConfigError, RunConfig, ThetaConfig, parse_config_text
+from poisson_bm import ConfigError, EvaluationGrid, RunConfig, ThetaConfig, parse_config_text
 from poisson_bm.process import BLOCK_BYTES_CAP
 from poisson_bm.runconfig import (
     ENV_OUTPUT_DIR,
@@ -352,6 +352,11 @@ class TestValidation:
             RunConfig(**self._base(theta=theta, grid_points=63, replications_M=M_cap + 1))
         with pytest.raises(ConfigError, match=r"G = 1099511627777 grid times .* cap"):
             RunConfig(**self._base(grid_points=2**40))
+
+    @pytest.mark.parametrize("name", ["demo.cfg", "d32.cfg"])
+    def test_grid_is_the_runs_grid(self, name):
+        config = load_config(Path(__file__).resolve().parents[1] / "configs" / name)
+        assert config.grid == EvaluationGrid(config.horizon_T, config.grid_points)
 
 
 class TestEnvOverrides:

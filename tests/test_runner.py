@@ -44,6 +44,7 @@ from poisson_bm.report import (
     TIMINGS_FILENAME,
 )
 from poisson_bm.runner import CHECKS
+from simd import other_bytes
 
 ALL_CHECKS = tuple(CHECKS)
 
@@ -77,7 +78,7 @@ class InProcessPool:
         return False
 
     def map(self, fn, items):
-        self.generated.append(items[0][2])
+        self.generated.append(items[0][1])  # a job is (config, eps_index, start, stop)
         return map(fn, items)
 
 
@@ -595,7 +596,8 @@ class TestPlotData:
 
     def test_rate_loglog_bytes(self, plot_report):
         assert _sha256(emit_plot_data(plot_report, PLOT_RATE_LOGLOG)) == (
-            "3180aa8eb823e1b73eaa3b0b0af72e3cbf871d793e289cb833fe7d9cbee9c9be")
+            "3180aa8eb823e1b73eaa3b0b0af72e3cbf871d793e289cb833fe7d9cbee9c9be"
+        ), other_bytes("RATE_LOGLOG of a fresh run")
 
     @pytest.mark.parametrize("kind,epsilon,component", list(DEMO_PLOT_DIGESTS))
     def test_demo_report_plot_bytes(self, kind, epsilon, component):

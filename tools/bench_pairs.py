@@ -15,6 +15,8 @@ each ``{"pair", "side", "order", "load1", ...}`` plus what the command
 printed; ``load1`` is the host's one-minute load average read just
 before the run, and the environment names the CPU model (``cpu_model``),
 so that a spread the host made can be told from a move the change made.
+It also names numpy's AVX-512 dispatch state (``avx512_dispatch``), on
+which the report bytes depend.
 
 For each workload in ``BENCHMARK.json``, the command is the benchmark's
 (``--workload W --seconds S --trace 0``), and each end-to-end metric
@@ -46,8 +48,9 @@ holds the run's memory alone.
 
 Then both sides run ``generate_samples`` for every epsilon of the
 benchmark's ``rate_sweep`` config (as the change's ``perfbench/run.py``
-writes it), at workers 1 for as many pairs and then at workers 2; at
-workers 2 one pool serves every epsilon, as in a run. The record is CPU
+writes it), at workers 1 for as many pairs and then at workers 2; the
+pool is the one a run would start, ``runner._pool``'s (none where it
+would have one process), and it serves every epsilon. The record is CPU
 microseconds per replication: ``time.process_time`` at workers 1, and
 at workers 2 the user+sys time of the interpreter plus its joined pool
 workers from ``resource.getrusage``. Unlike ``rate_sweep``'s
@@ -122,17 +125,18 @@ print(json.dumps({"exit": code, "wall_s": seconds, "vmhwm_mb": kib / 1024}))
 
 # Runs in a fresh interpreter with the side's checkout as working directory:
 # CPU and wall microseconds per replication of generate_samples over every
-# epsilon of a config, at a given worker count. Above one worker, one pool
-# serves every epsilon, as in a run; it is joined on leaving its block, so
+# epsilon of a config, at a given worker count. The pool is the one a run
+# would start (runner._pool: none where it would have one process), and it
+# serves every epsilon; it is joined on leaving its block, so
 # RUSAGE_CHILDREN then holds its workers' time.
 TIME_GENERATE = """
-import contextlib, json, resource, sys, time
-from concurrent.futures import ProcessPoolExecutor
+import json, resource, sys, time
 from dataclasses import replace
 sys.path.insert(0, "src")
-from poisson_bm import EvaluationGrid, generate_samples, load_config
+from poisson_bm import generate_samples, load_config
+from poisson_bm.runner import _pool
 config = replace(load_config(sys.argv[1]), workers=int(sys.argv[2]))
-grid = EvaluationGrid(config.horizon_T, config.grid_points)
+grid = config.grid
 
 def cpu():
     if config.workers <= 1:
@@ -141,8 +145,7 @@ def cpu():
                map(resource.getrusage, (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
 
 c, t = cpu(), time.perf_counter()
-with (ProcessPoolExecutor(max_workers=config.workers) if config.workers > 1
-      else contextlib.nullcontext()) as pool:
+with _pool(config) as pool:
     for eps_index in range(len(config.epsilons)):
         generate_samples(config, grid, eps_index, pool)
 c, t = cpu() - c, time.perf_counter() - t
@@ -159,9 +162,9 @@ TRACE_MEMORY = """
 import json, sys, tracemalloc
 from dataclasses import replace
 sys.path.insert(0, "src")
-from poisson_bm import EvaluationGrid, generate_samples, load_config
+from poisson_bm import generate_samples, load_config
 config = replace(load_config(sys.argv[1]), workers=1)
-grid = EvaluationGrid(config.horizon_T, config.grid_points)
+grid = config.grid
 peaks = {}
 for eps_index, epsilon in enumerate(config.epsilons):
     tracemalloc.start()
@@ -171,6 +174,20 @@ for eps_index, epsilon in enumerate(config.epsilons):
 print(json.dumps(peaks))
 """
 MEMORY_WORKLOAD = "long_paths"
+
+# Runs in a fresh interpreter: numpy's version and its AVX-512 dispatch
+# targets, each true where numpy dispatches it in that process (null where
+# numpy does not say). The report bytes depend on them (ROADMAP finding 1).
+NUMPY_INFO = """
+import json, numpy
+try:
+    from numpy._core import _multiarray_umath as umath
+    avx512 = {t: bool(umath.__cpu_features__.get(t)) for t in umath.__cpu_dispatch__
+              if t == "X86_V4" or t.startswith("AVX512")}
+except (ImportError, AttributeError):
+    avx512 = None
+print(json.dumps({"numpy": numpy.__version__, "avx512_dispatch": avx512}))
+"""
 
 
 def git(*args: str) -> str:
@@ -343,8 +360,8 @@ def broken(record: dict) -> list[str]:
 
 
 def environment() -> dict:
-    numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
-                           capture_output=True, text=True, check=True).stdout.strip()
+    numpy = json.loads(subprocess.run([sys.executable, "-c", NUMPY_INFO], capture_output=True,
+                                      text=True, check=True).stdout)
     cpu = "unknown"
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as f:
@@ -357,7 +374,7 @@ def environment() -> dict:
         "cpu_model": cpu,
         "machine": platform.machine(),
         "python": platform.python_version(),
-        "numpy": numpy,
+        **numpy,
     }
 
 
