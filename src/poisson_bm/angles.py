@@ -222,11 +222,19 @@ class ThetaConfig:
         return "cos" if index < self.n else "sin"
 
     @property
+    def pi_components(self) -> tuple[int, ...]:
+        """0-based positions of the angle-pi cosines, whatever ``allow_pi_in_cos``
+        says: the components that ``stroock`` reads and, with the flag set,
+        that are rescaled by 1/sqrt(2)."""
+        return tuple(i for i, a in enumerate(self.cos_block) if a.is_pi)
+
+    @property
     def pi_rescaled_indices(self) -> tuple[int, ...]:
-        """1-based cosine-block positions rescaled by 1/sqrt(2) (angle pi)."""
+        """1-based positions of ``pi_components`` when ``allow_pi_in_cos`` is
+        set (the components rescaled by 1/sqrt(2)), else ()."""
         if not self.allow_pi_in_cos:
             return ()
-        return tuple(i + 1 for i, a in enumerate(self.cos_block) if a.is_pi)
+        return tuple(i + 1 for i in self.pi_components)
 
     def to_dict(self) -> dict:
         return {

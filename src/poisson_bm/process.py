@@ -155,7 +155,9 @@ class BuildPlan:
     process that makes the chunk's rows); nothing changes it afterwards.
     epsilon must lie in (0, 1]. ``needed`` is 2T/eps^2, within the
     replication cap, and ``xs`` the read-only path times 2t/eps^2 of the
-    grid times, both from ``map_to_path_time``.
+    grid times, both from ``map_to_path_time``. ``rescaled`` holds the
+    components scaled by 1/sqrt(2): the config's ``pi_components`` when
+    ``allow_pi_in_cos`` is set.
     ``levels`` is the read-only table of trig(theta_i * k), k < K, two
     components to a row: ceil(d/2) complex128 rows, component 2l in the
     real part of row l and component 2l + 1 in its imaginary part (an odd
@@ -181,7 +183,7 @@ class BuildPlan:
         xs = np.array([map_to_path_time(t, eps) for t in self.grid.times.tolist()])
         levels = _level_rows(config, 0, _first_block_size(needed) + 1)
         xs.flags.writeable = levels.flags.writeable = False
-        rescaled = tuple(i - 1 for i in config.pi_rescaled_indices)
+        rescaled = config.pi_components if config.allow_pi_in_cos else ()
         self.__dict__.update(epsilon=eps, needed=needed, xs=xs, levels=levels, rescaled=rescaled)
 
 

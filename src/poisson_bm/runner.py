@@ -29,6 +29,7 @@ from .process import BuildPlan, EvaluationGrid, SampleBlock, build_sample
 from .report import RunReport
 from .rng import derive_stream
 from .stats import (
+    NORMALITY_MIN_VALUES,
     RATE_MIN_EPS_COUNT,
     RATE_MIN_SPREAD,
     DegeneratePairError,
@@ -465,13 +466,14 @@ CHECKS = {
     "fourth_moment": Check(_check_fourth_moment, summary=_fourth_moment_summary),
     "normality": Check(
         _check_normality,
-        need=(lambda c: c.replications_M >= 100, "replications_M >= 100", "raise M")),
+        need=(lambda c: c.replications_M >= NORMALITY_MIN_VALUES,
+              f"replications_M >= {NORMALITY_MIN_VALUES}", "raise M")),
     "martingale": Check(
         _check_martingale,
         need=(lambda c: c.grid_points >= 2, "grid_points >= 2", "raise grid_points")),
     "stroock": Check(
         _check_stroock,
-        need=(lambda c: any(a.is_pi for a in c.theta.cos_block),
+        need=(lambda c: bool(c.theta.pi_components),
               "an angle-pi cosine component", "add pi to cos_block"),
         default_drops_unfed=True),
 }

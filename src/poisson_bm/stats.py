@@ -48,6 +48,9 @@ from .process import SampleBlock
 RATE_MIN_EPS_COUNT = 3
 RATE_MIN_SPREAD = 2.0
 
+# the normality check needs at least this many values
+NORMALITY_MIN_VALUES = 100
+
 
 class DegeneratePairError(ValueError):
     """An envelope factor 1/(1 - cos(.)) is evaluated at a vanishing argument."""
@@ -326,19 +329,23 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
     numpy's vectorised exp need not round as libm's does."""
     x = np.asarray(a, dtype=np.float64) * _SQRTH
     z = np.abs(x)
-    y = np.full_like(x, np.nan)  # NaN fails both comparisons below
-    small = z < _SQRTH
-    y[small] = 0.5 + 0.5 * _erf(x[small])
+    y = np.full_like(x, np.nan)  # NaN fails every comparison below
+    # erf once, for every z < 1: y is 0.5 + 0.5 erf(x) below sqrt(1/2),
+    # and the erfc branch below overwrites the rest
+    inner = z < 1.0
+    erf = _erf(x[inner])
+    y[inner] = 0.5 + 0.5 * erf
 
-    # erfc(z) for z >= sqrt(1/2): 1 - erf(z) below 1, then exp(-z^2) times
-    # P/Q below 8 and R/S above, and zero once -z^2 < -MAXLOG
+    # erfc(z) for z >= sqrt(1/2): 1 - erf(z) below 1, where erf(z) is
+    # |erf(x)| bit for bit since x T(x^2) / U(x^2) is odd; then exp(-z^2)
+    # times P/Q below 8 and R/S above, and zero once -z^2 < -MAXLOG
     big = np.flatnonzero(z >= _SQRTH)
     zb = z[big]
     with np.errstate(over="ignore"):
         w = -zb * zb
     erfc = np.zeros_like(zb)
     near = zb < 1.0
-    erfc[near] = 1.0 - _erf(zb[near])
+    erfc[near] = 1.0 - np.abs(erf[z[inner] >= _SQRTH])
     mid = ~near & (zb < 8.0)
     far = (zb >= 8.0) & (w >= -_MAXLOG)
     for part, num, den in ((mid, _ERFC_P, _ERFC_Q), (far, _ERFC_R, _ERFC_S)):
@@ -365,8 +372,8 @@ def normality_check(increments: np.ndarray) -> NormalityReport:
     the classical critical values conservative.
     """
     xs = np.asarray(increments, dtype=np.float64)
-    if xs.size < 100:
-        raise ValueError(f"need at least 100 values, got {xs.size}")
+    if xs.size < NORMALITY_MIN_VALUES:
+        raise ValueError(f"need at least {NORMALITY_MIN_VALUES} values, got {xs.size}")
     n = xs.size
     mean = _exact_sum(xs) / n
     var = _exact_sum((xs - mean) ** 2) / n
@@ -393,7 +400,7 @@ def stroock_variance_check(block: SampleBlock) -> Estimate:
     target is T. Errors out when the configuration has no angle-pi
     cosine component.
     """
-    pi_components = [i for i, a in enumerate(block.config.cos_block) if a.is_pi]
+    pi_components = block.config.pi_components
     if not pi_components:
         raise ValueError("no angle-pi cosine component in this configuration")
     x = block.at_time(block.grid.horizon_T)[:, pi_components[0]]

@@ -14,6 +14,7 @@ from poisson_bm.angles import (
     RULE_RANGE,
     RULE_SAME_BLOCK_EQUAL,
     RULE_SUM_2PI,
+    TAU_THETA,
     HypothesisReport,
     Violation,
 )
@@ -282,6 +283,26 @@ class TestPiRescaleFlag:
         assert cfg.allow_pi_in_cos is True
         assert cfg == ThetaConfig(cos_block=["pi"], allow_pi_in_cos=True)
         assert cfg.pi_rescaled_indices == (1,)
+
+
+class TestPiComponents:
+    """The angle-pi cosines, found in one place: 0-based whatever the flag,
+    and 1-based as ``pi_rescaled_indices`` only with it."""
+
+    @pytest.mark.parametrize("allow_pi", [False, True])
+    def test_pi_then_a_decimal_angle(self, allow_pi):
+        cfg = ThetaConfig(cos_block=["pi", 2.2], allow_pi_in_cos=allow_pi)
+        assert cfg.pi_components == (0,)
+        assert cfg.pi_rescaled_indices == ((1,) if allow_pi else ())
+
+    def test_decimal_angle_within_tau_of_pi(self):
+        cfg = ThetaConfig(
+            cos_block=[math.pi + 10 * TAU_THETA, 1.0, math.pi - 0.5 * TAU_THETA],
+            sin_block=["pi"],  # a sine is never an angle-pi cosine
+            allow_pi_in_cos=True,
+        )
+        assert cfg.pi_components == (2,)
+        assert cfg.pi_rescaled_indices == (3,)
 
 
 class TestThetaConfigCopies:

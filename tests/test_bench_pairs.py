@@ -2,6 +2,7 @@
 check of a record for a broken change."""
 
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 
@@ -118,16 +119,6 @@ def test_alternate_runs_the_parent_first_in_even_pairs(tmp_path):
         assert isinstance(run["load1"], float) and run["load1"] >= 0.0
 
 
-TINY_CONFIG = """
-cos_block = 1/2 pi
-sin_block = 1/2 pi
-epsilons = 0.4, 0.2
-replications_M = 120
-grid_points = 4
-master_seed = 12345
-"""
-
-
 @pytest.mark.parametrize(
     "script,args,keys",
     [
@@ -143,7 +134,7 @@ master_seed = 12345
 def test_embedded_scripts_run_against_the_checkout(tmp_path, script, args, keys):
     # a library rename that breaks a script fails here, not when a record is made
     config = tmp_path / "tiny.cfg"
-    config.write_text(TINY_CONFIG)
+    config.write_text(bench_pairs.PREFLIGHT_CONFIG)
     args = [str(tmp_path / a) if a == "out" else a for a in args]
     cmd = [sys.executable, "-c", getattr(bench_pairs, script), str(config), *args]
     record = bench_pairs.last_json_line(cmd, bench_pairs.ROOT)  # SystemExit unless exit 0
@@ -156,7 +147,7 @@ def test_embedded_scripts_run_against_the_checkout(tmp_path, script, args, keys)
 def test_generate_script_starts_the_pool_a_run_would(tmp_path, cpus):
     # at workers 2 on one CPU a run starts no pool, and neither does the record
     config = tmp_path / "tiny.cfg"
-    config.write_text(TINY_CONFIG)
+    config.write_text(bench_pairs.PREFLIGHT_CONFIG)
     script = (f"import os\nos.cpu_count = lambda: {cpus}\n{bench_pairs.TIME_GENERATE}"
               "print(json.dumps({'multiprocessing': 'multiprocessing' in sys.modules}))\n")
     cmd = [sys.executable, "-c", script, str(config), "2"]
@@ -165,7 +156,7 @@ def test_generate_script_starts_the_pool_a_run_would(tmp_path, cpus):
 
 def test_cold_run_records_both_sides(tmp_path, monkeypatch):
     config = tmp_path / "tiny.cfg"
-    config.write_text(TINY_CONFIG)
+    config.write_text(bench_pairs.PREFLIGHT_CONFIG)
     monkeypatch.setattr(bench_pairs, "DEMO_CONFIG", config)  # ROOT / an absolute path
     sides = {"parent": bench_pairs.ROOT, "change": bench_pairs.ROOT}
     record = bench_pairs.bench_cold_run(sides, 1, tmp_path)
@@ -174,3 +165,35 @@ def test_cold_run_records_both_sides(tmp_path, monkeypatch):
         assert run["exit"] in (0, 1) and run["wall_s"] > 0.0
         assert 5.0 < run["vmhwm_mb"] < 500.0  # MB: numpy and a tiny run
     assert record["vmhwm_mb"]["pairs"] == 1 and record["wall_s"]["better"] == "lower"
+
+
+def _copy_of_checkout(tree):
+    """The checkout's package, all that the embedded scripts read of a side."""
+    shutil.copytree(bench_pairs.ROOT / "src", tree / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return tree
+
+
+def test_preflight_passes_two_copies_of_the_checkout(tmp_path):
+    sides = {"parent": _copy_of_checkout(tmp_path / "parent"), "change": bench_pairs.ROOT}
+    assert bench_pairs.preflight(sides, tmp_path) == []
+
+
+def test_a_parent_that_lacks_a_name_stops_before_the_first_pair(tmp_path, monkeypatch, capsys):
+    def extract(commit, tree):  # the parent's package without a name two scripts import
+        init = _copy_of_checkout(tree) / "src" / "poisson_bm" / "__init__.py"
+        init.write_text(init.read_text() + "\ndel generate_samples\n")
+
+    def alternate(*args):
+        raise AssertionError("a pair ran after a failed pre-flight")
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0" * 40 if args[0] == "rev-parse" else "")
+    monkeypatch.setattr(bench_pairs, "extract", extract)
+    monkeypatch.setattr(bench_pairs, "alternate", alternate)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", "p", "--out", str(out)]) == 1
+    assert not out.exists()
+    faults = capsys.readouterr().err.splitlines()
+    assert [f.split(": ")[2].split()[0] for f in faults] == ["TIME_GENERATE", "TRACE_MEMORY"]
+    for fault in faults:
+        assert fault.startswith("pre-flight: parent tree ") and "ImportError" in fault

@@ -308,6 +308,22 @@ class TestRunExperiment:
         assert stroock["assertions"][0]["target"] == 1.0
         assert stroock["pass"]
 
+    def test_stroock_check_unrescaled_under_allow_invalid_theta(self):
+        # pi in cos_block without the flag is inadmissible; the counterexample
+        # mode still runs the check, on the unrescaled component, at 2T
+        theta = ThetaConfig(cos_block=["pi"])
+        cfg = minimal_config(theta=theta, allow_invalid_theta=True, horizon_T=0.5,
+                             epsilons=(0.1,), replications_M=1500, grid_points=8,
+                             checks=("stroock",))
+        assert BuildPlan(theta, 0.1, cfg.grid).rescaled == ()
+        assert BuildPlan(replace(theta, allow_pi_in_cos=True), 0.1, cfg.grid).rescaled == (0,)
+        report = run_experiment(cfg)
+        assert report.hypothesis["pi_rescaled_indices"] == []
+        stroock = report.results[0]["checks"][0]
+        assert stroock["data"]["rescaled"] is False
+        assert stroock["assertions"][0]["target"] == 1.0  # 2T
+        assert stroock["pass"]
+
     def test_rate_summary_shape(self):
         cfg = minimal_config(
             theta=ThetaConfig(cos_block=["1/2 pi"], sin_block=[2.2]),

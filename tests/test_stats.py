@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from poisson_bm import (
+    ConfigError,
     DegeneratePairError,
     DegenerateSampleError,
     Estimate,
@@ -31,7 +32,7 @@ from poisson_bm import (
     structural_bound_eval,
 )
 from poisson_bm import stats
-from poisson_bm.stats import _exact_sum, _ndtr
+from poisson_bm.stats import NORMALITY_MIN_VALUES, _exact_sum, _ndtr
 
 from oracles import (
     exact_cross_moment,
@@ -577,6 +578,17 @@ class TestNormalityCheck:
         with pytest.raises(ValueError):
             normality_check(np.arange(50, dtype=float))
 
+    def test_the_run_and_the_check_refuse_below_one_minimum(self):
+        M = NORMALITY_MIN_VALUES - 1
+        config = dict(theta=ThetaConfig(cos_block=[1.0]), epsilons=(0.2,), master_seed=1,
+                      checks=("normality",))
+        with pytest.raises(ConfigError, match=rf"needs replications_M >= {M + 1}; raise M"):
+            RunConfig(**config, replications_M=M)
+        with pytest.raises(ValueError, match=rf"^need at least {M + 1} values, got {M}$"):
+            normality_check(np.arange(M, dtype=float))
+        RunConfig(**config, replications_M=M + 1)
+        normality_check(np.arange(M + 1, dtype=float))
+
 
 def _ulps_around(a, k=200):
     """The 2k + 1 consecutive floats centred on the nonzero ``a``."""
@@ -691,6 +703,32 @@ class TestStroockVariance:
         target = exact_increment_variance(math.pi, "cos", 0.0, 1.0, eps)
         assert abs(est.value - target) <= 4.0 * est.std_error
         assert target == pytest.approx(2.0, abs=0.05)
+
+    # the benchmark's long_paths config at M = 300, and the demo's with an
+    # angle-pi cosine that is not the first component
+    IDENTITY_CONFIGS = {
+        "long_paths": dict(
+            theta=ThetaConfig(["pi", 2.2], ["1/2 pi", 1.1], allow_pi_in_cos=True),
+            epsilons=(0.02, 0.01), replications_M=300, grid_points=16),
+        "demo_with_pi": dict(
+            theta=ThetaConfig(["1/2 pi", "pi"], ["1/2 pi"], allow_pi_in_cos=True),
+            epsilons=(0.2, 0.1), replications_M=2000, grid_points=16),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", IDENTITY_CONFIGS)
+    def test_is_the_covariance_diagonal(self, name, workers):
+        # the stroock check is the covariance's diagonal entry of the first
+        # angle-pi cosine, bit for bit, read against another target
+        config = RunConfig(**self.IDENTITY_CONFIGS[name], master_seed=12345, workers=workers,
+                           checks=("covariance",))
+        c = config.theta.pi_components[0]
+        for eps_index in range(len(config.epsilons)):
+            block = generate_samples(config, config.grid, eps_index)
+            est = stroock_variance_check(block)
+            diagonal = empirical_increment_covariance(block)[c][c]
+            assert (est.value, est.std_error) == (diagonal.value, diagonal.std_error)
+            assert est.replications == diagonal.replications == config.replications_M
 
     def test_rescaled_halves_the_variance(self):
         eps, M = 0.2, 2000

@@ -8,6 +8,13 @@ parent is REV's tree, extracted with ``git archive`` into a temporary
 directory (under ``TMPDIR``) and removed at the end. Standard library,
 git and tar only.
 
+Before any record, a pre-flight runs each embedded script below
+(``TIME_RUN``, ``COLD_RUN``, ``TIME_GENERATE``, ``TRACE_MEMORY``) once on
+each side against a tiny config in scratch space. The scripts are the
+change's, so one that uses a name the parent's package lacks would fail
+only on the parent's side; the tool then exits 1 within seconds, naming
+the side and the script, and writes no record.
+
 Every record is one ``alternate`` over the sides: pair i runs one
 command once on each side, each in a fresh interpreter, parent first in
 even pairs and change first in odd ones. Each record keeps its runs,
@@ -190,9 +197,29 @@ print(json.dumps({"numpy": numpy.__version__, "avx512_dispatch": avx512}))
 """
 
 
+# The pre-flight's config: two epsilons and enough replications for every
+# default check, in well under a second per script.
+PREFLIGHT_CONFIG = """
+cos_block = 1/2 pi
+sin_block = 1/2 pi
+epsilons = 0.4, 0.2
+replications_M = 120
+grid_points = 4
+master_seed = 12345
+"""
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def extract(commit: str, tree: Path) -> None:
+    """``commit``'s files, from ``git archive``, in the new directory ``tree``."""
+    tree.mkdir()
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
 
 
 def last_json_line(cmd: list[str], cwd: Path) -> dict:
@@ -203,6 +230,27 @@ def last_json_line(cmd: list[str], cwd: Path) -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {cwd} exited {proc.returncode}:\n{proc.stderr}")
     return {"load1": load1, **json.loads(proc.stdout.strip().splitlines()[-1])}
+
+
+def preflight(sides: dict[str, Path], scratch: Path) -> list[str]:
+    """Each embedded script run once in each side's checkout against
+    ``PREFLIGHT_CONFIG``: one line per failed run, naming the side and
+    the script, with the last line the script wrote to stderr."""
+    config = scratch / "preflight.cfg"
+    config.write_text(PREFLIGHT_CONFIG)
+    out = str(scratch / "preflight-out")
+    scripts = {"TIME_RUN": (TIME_RUN, out), "COLD_RUN": (COLD_RUN, out),
+               "TIME_GENERATE": (TIME_GENERATE, str(max(GENERATE_WORKERS))),
+               "TRACE_MEMORY": (TRACE_MEMORY,)}
+    faults = []
+    for side, root in sides.items():
+        for name, (script, *args) in scripts.items():
+            proc = subprocess.run([sys.executable, "-c", script, str(config), *args],
+                                  cwd=root, capture_output=True, text=True)
+            if proc.returncode != 0:
+                last = (proc.stderr.strip().splitlines() or [""])[-1]
+                faults.append(f"{side} tree {root}: {name} exited {proc.returncode}: {last}")
+    return faults
 
 
 def spread(values: list[float]) -> dict:
@@ -397,11 +445,13 @@ def main(argv: list[str] | None = None) -> int:
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     tree = scratch / "parent"
     try:
-        tree.mkdir()
-        archive = subprocess.run(["git", "archive", parent_commit], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        extract(parent_commit, tree)
         sides = {"parent": tree, "change": ROOT}
+        faults = preflight(sides, scratch)
+        for fault in faults:
+            print(f"pre-flight: {fault}", file=sys.stderr)
+        if faults:
+            return 1
         record = {
             "parent": {"commit": parent_commit},
             "change": change,
