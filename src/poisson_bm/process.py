@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -41,6 +42,9 @@ SUB_BLOCK = 8192
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
+# The smallest step of an EvaluationGrid.
+SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
+
 
 def map_to_path_time(t: float, epsilon: float) -> float:
     """Map process time t to path time 2t/eps^2, computed in extended precision."""
@@ -49,12 +53,18 @@ def map_to_path_time(t: float, epsilon: float) -> float:
     return float(num / den)
 
 
-def check_replication_memory(needed: float, dimension: int) -> None:
-    """Refuse ``needed`` = 2T/eps^2 jumps in ``dimension`` components above the cap."""
+def path_horizon(horizon_T: float, epsilon: float, dimension: int) -> float:
+    """2T/eps^2, the path time every replication at ``epsilon`` reaches,
+    from ``map_to_path_time``. Refuses epsilon outside (0, 1], and
+    2T/eps^2 jumps in ``dimension`` components charged above the cap."""
+    if not 0.0 < epsilon <= 1.0:  # refuses nan too
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    needed = map_to_path_time(horizon_T, epsilon)
     nbytes = needed * (26 + 32 * _rows(dimension))
     if nbytes > REPLICATION_BYTES_CAP:
         raise ValueError(f"2T/eps^2 = {needed:.6g} jumps at d = {dimension} take about "
                          f"{nbytes:.3g} bytes, above the cap of {REPLICATION_BYTES_CAP}")
+    return needed
 
 
 def check_block_memory(M: int, d: int, G: int) -> None:
@@ -72,6 +82,11 @@ class EvaluationGrid:
     """0 to T in ``steps`` uniform steps: the ``steps + 1`` times
     ``np.linspace(0, T, steps + 1)``, the last of which is T exactly.
 
+    The step T/steps must be at least the smallest normal float: only
+    below it can two of the times tie, as 0, 0, 5e-324 do for T = 5e-324
+    in 2 steps. Above it, i*step cannot round onto (i + 1)*step for fewer
+    than 2^52 steps.
+
     A value: equal (T, steps) compare and hash equal, and ``times`` is a
     new array at every call, so no caller can change another's.
     """
@@ -85,6 +100,11 @@ class EvaluationGrid:
         object.__setattr__(self, "steps", operator.index(self.steps))  # TypeError on 2.5
         if self.steps < 1:
             raise ValueError(f"steps must be at least 1, got {self.steps!r}")
+        # T/steps exactly, since steps may lie beyond a float's range
+        if Fraction(float(self.horizon_T)) / self.steps < SMALLEST_NORMAL:
+            raise ValueError(f"the grid step horizon_T / steps = {self.horizon_T!r} / "
+                             f"{self.steps} is below the smallest normal float "
+                             f"{SMALLEST_NORMAL!r}, so grid times can tie")
 
     @property
     def times(self) -> np.ndarray:
@@ -153,9 +173,10 @@ class BuildPlan:
     Made by the caller for the paths it builds at one epsilon and passed
     with every path (``generate_samples`` makes one per chunk, in the
     process that makes the chunk's rows); nothing changes it afterwards.
-    epsilon must lie in (0, 1]. ``needed`` is 2T/eps^2, within the
-    replication cap, and ``xs`` the read-only path times 2t/eps^2 of the
-    grid times, both from ``map_to_path_time``. ``rescaled`` holds the
+    ``needed`` is 2T/eps^2 from ``path_horizon``, which refuses epsilon
+    outside (0, 1] and a path above the replication cap, and ``xs`` the
+    read-only path times 2t/eps^2 of the grid times, from
+    ``map_to_path_time``. ``rescaled`` holds the
     components scaled by 1/sqrt(2): the config's ``pi_components`` when
     ``allow_pi_in_cos`` is set.
     ``levels`` is the read-only table of trig(theta_i * k), k < K, two
@@ -175,11 +196,9 @@ class BuildPlan:
     levels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.epsilon <= 1.0):
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        eps, config = float(self.epsilon), self.config
-        needed = map_to_path_time(self.grid.horizon_T, eps)
-        check_replication_memory(needed, config.dimension)
+        config = self.config
+        needed = path_horizon(self.grid.horizon_T, self.epsilon, config.dimension)
+        eps = float(self.epsilon)
         xs = np.array([map_to_path_time(t, eps) for t in self.grid.times.tolist()])
         levels = _level_rows(config, 0, _first_block_size(needed) + 1)
         xs.flags.writeable = levels.flags.writeable = False

@@ -47,7 +47,7 @@ from .angles import (
     parse_angle,
     validate_hypothesis_h,
 )
-from .process import EvaluationGrid, check_block_memory, check_replication_memory, map_to_path_time
+from .process import EvaluationGrid, check_block_memory, path_horizon
 from .runner import CHECKS
 
 ENV_OUTPUT_DIR = "POISSON_BM_OUTPUT_DIR"
@@ -116,26 +116,25 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
+        """The rules about the config as a whole; the grid and each epsilon's
+        path are refused where they are made, by ``EvaluationGrid`` and
+        ``path_horizon``, and the block by ``check_block_memory``."""
         if not self.epsilons:
             raise ConfigError("epsilons must be nonempty")
-        if any(not 0.0 < e <= 1.0 for e in self.epsilons):
-            raise ConfigError("every epsilon must lie in (0, 1]")
         if any(b >= a for a, b in zip(self.epsilons, self.epsilons[1:])):
             raise ConfigError("epsilons must be strictly decreasing")
         if self.replications_M < 2:
             raise ConfigError("replications_M must be at least 2")
-        if self.grid_points < 1:
-            raise ConfigError("grid_points must be positive")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
-        if not 0 < self.horizon_T < float("inf"):  # refuses nan too
-            raise ConfigError("horizon_T must be finite and positive")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         d = self.theta.dimension
         try:
-            check_replication_memory(map_to_path_time(self.horizon_T, min(self.epsilons)), d)
-            check_block_memory(self.replications_M, d, len(self.grid))
+            grid = self.grid
+            for epsilon in self.epsilons:
+                path_horizon(self.horizon_T, epsilon, d)
+            check_block_memory(self.replications_M, d, len(grid))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if not self.checks:

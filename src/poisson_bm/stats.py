@@ -310,10 +310,12 @@ _ERF_U = (
 
 def _polevl(x: np.ndarray, coef: Sequence[float]) -> np.ndarray:
     """Cephes polevl (and p1evl, whose leading 1.0 multiplies exactly):
-    Horner's rule from the highest coefficient."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
+    Horner's rule from the highest coefficient, in one array."""
+    ans = coef[0] * x
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
     return ans
 
 

@@ -60,7 +60,7 @@ def _line(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
 
 
-def _make_samples(theta, eps, M, seed, T=1.0, steps=64, workers=_WORKERS):
+def _make_samples(theta, eps, M, seed, steps=64, workers=_WORKERS):
     cfg = RunConfig(
         theta=theta,
         epsilons=(eps,),
@@ -70,8 +70,7 @@ def _make_samples(theta, eps, M, seed, T=1.0, steps=64, workers=_WORKERS):
         workers=workers,
         checks=("covariance",),
     )
-    grid = EvaluationGrid(T, steps)
-    return generate_samples(cfg, grid, 0)
+    return generate_samples(cfg, cfg.grid, 0)
 
 
 @pytest.fixture(scope="module")

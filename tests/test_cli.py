@@ -112,6 +112,24 @@ class TestValidateCommand:
             err = capsys.readouterr().err
             assert message in err and "above the cap" in err
 
+    def test_a_grid_whose_times_can_tie_exits_two_before_any_sample(
+        self, cfg_file, tmp_path, capsys, monkeypatch
+    ):
+        # it used to load with times 0, 0, 5e-324, sample its first epsilon,
+        # then exit 2 with "need s < t" and no report
+        def no_sample(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(runner, "derive_stream", no_sample)
+        cfg = cfg_file(VALID_CFG.replace("grid_points = 64", "grid_points = 2"),
+                       extra=f"horizon_T = 5e-324\noutput_dir = {tmp_path / 'out'}\n")
+        for command in ("validate", "run"):
+            assert main([command, str(cfg)]) == 2
+            assert capsys.readouterr().err == (
+                "error: the grid step horizon_T / steps = 5e-324 / 2 is below the smallest "
+                "normal float 2.2250738585072014e-308, so grid times can tie\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("angle", [
         "7853981633974483/5000000000000000 pi",  # pi/2 to 16 digits: its levels overflowed int64
         "4611686018427387905/4611686018427387904 pi",  # 2q beyond int64

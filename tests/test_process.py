@@ -28,6 +28,7 @@ from poisson_bm.poisson import _first_block_size, _level_values, integral_from_z
 from poisson_bm.process import (
     BLOCK_BYTES_CAP,
     INV_SQRT2,
+    SMALLEST_NORMAL,
     SUB_BLOCK,
     _level_rows,
     check_block_memory,
@@ -64,6 +65,23 @@ class TestEvaluationGrid:
         for steps in (0, -1):
             with pytest.raises(ValueError, match="^steps must be at least 1, got"):
                 EvaluationGrid(1.0, steps)
+
+    @pytest.mark.parametrize("T_,steps",
+                             [(5e-324, 2), (1e-323, 4), (1.5e-323, 4), (1e-310, 1)])
+    def test_a_step_below_the_smallest_normal_float_is_refused(self, T_, steps):
+        # linspace's times tie below it: 0, 0, 5e-324 for (5e-324, 2)
+        with pytest.raises(ValueError, match=rf"^the grid step horizon_T / steps = "
+                                             rf"{T_!r} / {steps} is below the smallest normal "
+                                             rf"float {SMALLEST_NORMAL!r}, so grid times can tie$"):
+            EvaluationGrid(T_, steps)
+
+    def test_a_step_of_the_smallest_normal_float_is_a_grid(self):
+        assert SMALLEST_NORMAL == np.finfo(np.float64).tiny == 2.2250738585072014e-308
+        times = EvaluationGrid(SMALLEST_NORMAL, 1).times
+        assert times.tolist() == [0.0, SMALLEST_NORMAL]
+        # the step is T/steps exactly, also for a step count beyond a float's range
+        with pytest.raises(ValueError, match="below the smallest normal float"):
+            EvaluationGrid(1.0, 10**400)
 
     def test_step_count_must_be_an_integer(self):
         # refused when the grid is made, not at its first use

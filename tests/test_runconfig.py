@@ -9,7 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poisson_bm import ConfigError, EvaluationGrid, RunConfig, ThetaConfig, parse_config_text
+from poisson_bm import (
+    BuildPlan,
+    ConfigError,
+    EvaluationGrid,
+    RunConfig,
+    ThetaConfig,
+    parse_config_text,
+)
 from poisson_bm.process import BLOCK_BYTES_CAP
 from poisson_bm.runconfig import (
     ENV_OUTPUT_DIR,
@@ -175,6 +182,26 @@ class TestValidation:
         with pytest.raises(ConfigError, match="\\(0, 1\\]"):
             RunConfig(**self._base(epsilons=(1.5,)))
 
+    def test_epsilon_refused_as_the_plan_refuses_it(self):
+        # one rule, process.path_horizon, for the config and for every plan
+        grid = EvaluationGrid(1.0, 64)
+        for eps in (0.0, 1.5):
+            with pytest.raises(ValueError) as plan_error:
+                BuildPlan(ThetaConfig(cos_block=[1.0]), eps, grid)
+            with pytest.raises(ConfigError) as config_error:
+                RunConfig(**self._base(epsilons=(eps,)))
+            assert str(config_error.value) == str(plan_error.value)
+            assert str(config_error.value) == f"epsilon must be in (0, 1], got {eps}"
+
+    def test_a_grid_whose_times_can_tie_is_refused_at_load(self, tmp_path):
+        # it used to load with times 0, 0, 5e-324 and fail after its first epsilon
+        path = tmp_path / "tied.cfg"
+        path.write_text("cos_block = 1.0\nepsilons = 0.5\nreplications_M = 100\n"
+                        "master_seed = 1\nhorizon_T = 5e-324\ngrid_points = 2\n")
+        with pytest.raises(ConfigError, match=r"^the grid step horizon_T / steps = "
+                                              r"5e-324 / 2 is below the smallest normal"):
+            load_config(path)
+
     def test_horizon_cap(self):
         with pytest.raises(ConfigError, match="cap"):
             RunConfig(**self._base(epsilons=(1e-5,)))
@@ -182,7 +209,8 @@ class TestValidation:
     @pytest.mark.parametrize("T", [0.0, -1.0, math.inf, math.nan])
     def test_horizon_must_be_finite_and_positive(self, T):
         # inf used to pass here and be refused only as an inf-byte replication
-        with pytest.raises(ConfigError, match="^horizon_T must be finite and positive$"):
+        message = f"horizon_T must be finite and positive, got {T!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             RunConfig(**self._base(horizon_T=T))
 
     def test_replications_minimum(self):
@@ -236,7 +264,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("T", [10**400, -10**400])
     def test_horizon_beyond_floats_range_gets_the_validation_message(self, T):
-        with pytest.raises(ConfigError, match="^horizon_T must be finite and positive$"):
+        message = f"horizon_T must be finite and positive, got {'inf' if T > 0 else '-inf'}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             RunConfig(**self._base(horizon_T=T))
 
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
