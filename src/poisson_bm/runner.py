@@ -20,12 +20,13 @@ import contextlib
 import math
 import os
 import time
+from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from .poisson import sample_poisson_path
-from .process import BuildPlan, EvaluationGrid, SampleBlock, build_sample
+from .process import SMALLEST_NORMAL, BuildPlan, EvaluationGrid, SampleBlock, build_sample
 from .report import RunReport
 from .rng import derive_stream
 from .stats import (
@@ -256,17 +257,32 @@ def _check_cross_moments(block: SampleBlock) -> tuple[list[dict], dict]:
     return assertions, {"pairs": pairs}
 
 
+def _dyadic_depth(steps: int) -> int:
+    """The deepest level <= DYADIC_LEVELS whose piece count 2^level
+    divides ``steps``; every shallower level's count divides it too."""
+    return min(DYADIC_LEVELS, (steps & -steps).bit_length() - 1)
+
+
 def _dyadic_pairs(grid: EvaluationGrid) -> list[tuple[float, float]]:
-    """The dyadic pieces of [0, T], level by level, at each level whose
-    piece count divides the grid's steps: (times[k n/p], times[(k+1) n/p])."""
+    """The dyadic pieces of [0, T], level by level down to ``_dyadic_depth``
+    of the grid's steps: (times[k n/p], times[(k+1) n/p])."""
     times, steps = grid.times.tolist(), grid.steps
     out = []
-    for level in range(DYADIC_LEVELS + 1):
+    for level in range(_dyadic_depth(steps) + 1):
         pieces = 2**level
-        if steps % pieces == 0:
-            out += [(times[k * steps // pieces], times[(k + 1) * steps // pieces])
-                    for k in range(pieces)]
+        out += [(times[k * steps // pieces], times[(k + 1) * steps // pieces])
+                for k in range(pieces)]
     return out
+
+
+def _fourth_powers_normal(config: RunConfig) -> bool:
+    """Whether the smallest dyadic piece w = T / 2^depth has w^4 at least
+    the smallest normal float, exactly. Where no jump reaches, a cosine is
+    1 and moves 2(t - s)/eps >= 2(t - s) over a piece; in the limit
+    E[Delta^4] is about 3(t - s)^2. So neither Delta^4 nor the ratio's
+    (t - s)^2 underflows, and the ratio is never 0/0."""
+    width = Fraction(config.horizon_T) / 2 ** _dyadic_depth(config.grid_points)
+    return width**4 >= SMALLEST_NORMAL
 
 
 def _spread(values: list[float]) -> tuple[float, str | None]:
@@ -463,7 +479,13 @@ CHECKS = {
         _check_cross_moments,
         need=(lambda c: c.theta.dimension >= 2, "at least 2 components", "add an angle"),
         default_drops_unfed=True, summary=_rate_summary),
-    "fourth_moment": Check(_check_fourth_moment, summary=_fourth_moment_summary),
+    "fourth_moment": Check(
+        _check_fourth_moment,
+        need=(_fourth_powers_normal,
+              f"w^4 >= {SMALLEST_NORMAL!r} for its smallest dyadic piece w = horizon_T / 2^k, "
+              f"2^k the largest power of 2 <= {2**DYADIC_LEVELS} dividing grid_points",
+              "raise horizon_T"),
+        summary=_fourth_moment_summary),
     "normality": Check(
         _check_normality,
         need=(lambda c: c.replications_M >= NORMALITY_MIN_VALUES,

@@ -119,27 +119,30 @@ def test_alternate_runs_the_parent_first_in_even_pairs(tmp_path):
         assert isinstance(run["load1"], float) and run["load1"] >= 0.0
 
 
-@pytest.mark.parametrize(
-    "script,args,keys",
-    [
-        ("TIME_RUN", ["out"], {"run_experiment_s", "sha256"}),
-        ("TIME_GENERATE", ["1"], {"cpu_us_per_rep", "wall_us_per_rep"}),
-        ("TIME_GENERATE", ["2"], {"cpu_us_per_rep", "wall_us_per_rep"}),
-        ("TRACE_MEMORY", [], {"0.4", "0.2"}),
-        ("COLD_RUN", ["out"], {"exit", "wall_s", "vmhwm_mb"}),
-    ],
-    ids=["time_run", "time_generate_workers_1", "time_generate_workers_2", "trace_memory",
-         "cold_run"],
-)
-def test_embedded_scripts_run_against_the_checkout(tmp_path, script, args, keys):
+# each side record's test id, and what its script prints against PREFLIGHT_CONFIG
+PRINTED = {
+    "d32": ("time_run", {"run_experiment_s", "sha256"}),
+    "cold_run": ("cold_run", {"exit", "wall_s", "vmhwm_mb"}),
+    "generate workers_1": ("time_generate_workers_1", {"cpu_us_per_rep", "wall_us_per_rep"}),
+    "generate workers_2": ("time_generate_workers_2", {"cpu_us_per_rep", "wall_us_per_rep"}),
+    "memory": ("trace_memory", {"0.4", "0.2"}),
+}
+
+
+def _side_record(label):
+    return next(entry for entry in bench_pairs.SIDE_RECORDS if entry[0] == label)
+
+
+@pytest.mark.parametrize("entry", bench_pairs.SIDE_RECORDS, ids=lambda entry: PRINTED[entry[0]][0])
+def test_embedded_scripts_run_against_the_checkout(tmp_path, entry):
     # a library rename that breaks a script fails here, not when a record is made
+    label, script, _, args = entry
     config = tmp_path / "tiny.cfg"
     config.write_text(bench_pairs.PREFLIGHT_CONFIG)
-    args = [str(tmp_path / a) if a == "out" else a for a in args]
-    cmd = [sys.executable, "-c", getattr(bench_pairs, script), str(config), *args]
+    cmd = bench_pairs.side_command(script, config, args, tmp_path / "out")
     record = bench_pairs.last_json_line(cmd, bench_pairs.ROOT)  # SystemExit unless exit 0
-    assert record.keys() == keys | {"load1"}
-    if script in ("TIME_RUN", "COLD_RUN"):
+    assert record.keys() == PRINTED[label][1] | {"load1"}
+    if bench_pairs.OUT in args:
         assert all((tmp_path / "out" / name).is_file() for name in bench_pairs.OUTPUT_FILES)
 
 
@@ -154,17 +157,47 @@ def test_generate_script_starts_the_pool_a_run_would(tmp_path, cpus):
     assert bench_pairs.last_json_line(cmd, bench_pairs.ROOT)["multiprocessing"] == (cpus > 1)
 
 
-def test_cold_run_records_both_sides(tmp_path, monkeypatch):
-    config = tmp_path / "tiny.cfg"
+def test_cold_run_records_both_sides(tmp_path):
+    config = tmp_path / "tiny.cfg"  # ROOT / an absolute path is the path
     config.write_text(bench_pairs.PREFLIGHT_CONFIG)
-    monkeypatch.setattr(bench_pairs, "DEMO_CONFIG", config)  # ROOT / an absolute path
+    label, script, _, args = _side_record("cold_run")
     sides = {"parent": bench_pairs.ROOT, "change": bench_pairs.ROOT}
-    record = bench_pairs.bench_cold_run(sides, 1, tmp_path)
+    source, record = bench_pairs.side_record(sides, 1, tmp_path, None, label, script, config, args)
+    assert source == {"config": config.as_posix()}
     assert [run["side"] for run in record["runs"]] == ["parent", "change"]
     for run in record["runs"]:
         assert run["exit"] in (0, 1) and run["wall_s"] > 0.0
         assert 5.0 < run["vmhwm_mb"] < 500.0  # MB: numpy and a tiny run
+    assert record.keys() == {"wall_s", "vmhwm_mb", "runs"}  # the exit code is no spread
     assert record["vmhwm_mb"]["pairs"] == 1 and record["wall_s"]["better"] == "lower"
+
+
+def test_side_records_keep_the_bench_file_layout(tmp_path, monkeypatch):
+    # each script's printed keys with stand-in values, two pairs on each side
+    def alternate(sides, pairs, label, cmd):
+        printed = {k: ["a", "b"] if k == "sha256" else 1 if k == "exit" else 2.0
+                   for k in PRINTED[label][1]}
+        return [{"pair": i, "side": side, "order": 0, "load1": 0.5, **printed}
+                for i in range(pairs) for side in sides]
+
+    monkeypatch.setattr(bench_pairs, "alternate", alternate)
+    monkeypatch.setattr(bench_pairs, "workload_config",
+                        lambda workload, scratch, seed: (scratch / f"{workload}.cfg", 12345))
+    sides = {"parent": tmp_path, "change": tmp_path}
+    record = bench_pairs.bench_sides(sides, 2, tmp_path, None)
+    spread = {"better", "parent", "change", "change_wins", "ties", "pairs", "median_change"}
+    assert record.keys() == {"d32", "cold_run", "generate", "memory"}
+    assert record["d32"].keys() == {"config", "run_experiment_s", "same_bytes", "runs"}
+    assert record["d32"]["config"] == "configs/d32.cfg" and record["d32"]["same_bytes"] is True
+    assert record["cold_run"].keys() == {"config", "wall_s", "vmhwm_mb", "runs"}
+    assert record["generate"].keys() == {"workload", "seed", "workers_1", "workers_2"}
+    assert record["generate"]["workload"] == "rate_sweep"
+    for workers in ("workers_1", "workers_2"):
+        assert record["generate"][workers].keys() == {"cpu_us_per_rep", "wall_us_per_rep", "runs"}
+        assert record["generate"][workers]["cpu_us_per_rep"].keys() == spread
+    assert record["memory"].keys() == {"workload", "seed", "workers", "unit", "peak_kib", "runs"}
+    assert record["memory"]["peak_kib"].keys() == {"0.4", "0.2"}
+    assert len(record["memory"]["runs"]) == 4
 
 
 def _copy_of_checkout(tree):
@@ -180,7 +213,7 @@ def test_preflight_passes_two_copies_of_the_checkout(tmp_path):
 
 
 def test_a_parent_that_lacks_a_name_stops_before_the_first_pair(tmp_path, monkeypatch, capsys):
-    def extract(commit, tree):  # the parent's package without a name two scripts import
+    def extract(commit, tree):  # the parent's package without a name three records import
         init = _copy_of_checkout(tree) / "src" / "poisson_bm" / "__init__.py"
         init.write_text(init.read_text() + "\ndel generate_samples\n")
 
@@ -194,6 +227,7 @@ def test_a_parent_that_lacks_a_name_stops_before_the_first_pair(tmp_path, monkey
     assert bench_pairs.main(["--parent", "p", "--out", str(out)]) == 1
     assert not out.exists()
     faults = capsys.readouterr().err.splitlines()
-    assert [f.split(": ")[2].split()[0] for f in faults] == ["TIME_GENERATE", "TRACE_MEMORY"]
+    assert [f.split(": ")[2].rsplit(" exited", 1)[0] for f in faults] == [
+        "generate workers_1", "generate workers_2", "memory"]
     for fault in faults:
         assert fault.startswith("pre-flight: parent tree ") and "ImportError" in fault

@@ -130,6 +130,40 @@ class TestValidateCommand:
                 "normal float 2.2250738585072014e-308, so grid times can tie\n")
         assert not (tmp_path / "out").exists()
 
+    # ROADMAP finding 5: the demo angles in 8 steps at a horizon whose
+    # fourth-moment ratio divided 0 by 0
+    FINDING_5_CFG = ("cos_block = 1/2 pi\nsin_block = 1/2 pi\nepsilons = 0.4, 0.2\n"
+                     "replications_M = 200\ngrid_points = 8\nmaster_seed = 7\n"
+                     "horizon_T = 1e-200\n")
+
+    def test_a_horizon_whose_fourth_powers_underflow_exits_two_before_any_sample(
+        self, cfg_file, tmp_path, capsys, monkeypatch
+    ):
+        # it used to run, print RuntimeWarnings and write null r4_spread values
+        def no_sample(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(runner, "derive_stream", no_sample)
+        cfg = cfg_file(self.FINDING_5_CFG, extra=f"output_dir = {tmp_path / 'out'}\n")
+        _, need, fix = runner.CHECKS["fourth_moment"].need
+        for command in ("validate", "run"):
+            assert main([command, str(cfg)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: the fourth_moment check needs {need}; {fix} or drop the check\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_the_same_horizon_without_the_fourth_moment_writes_a_report(
+        self, cfg_file, tmp_path, capsys
+    ):
+        cfg = cfg_file(self.FINDING_5_CFG, extra=(
+            f"checks = covariance, quadratic_variation\noutput_dir = {tmp_path / 'out'}\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", str(cfg)]) in (0, 1)
+        capsys.readouterr()
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["config"]["checks"] == ["covariance", "quadratic_variation"]
+
     @pytest.mark.parametrize("angle", [
         "7853981633974483/5000000000000000 pi",  # pi/2 to 16 digits: its levels overflowed int64
         "4611686018427387905/4611686018427387904 pi",  # 2q beyond int64

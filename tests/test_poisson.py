@@ -225,9 +225,10 @@ class TestSampledPathsPassPublicChecks:
 
 
 class TestFirstBlockTieGuard:
-    """A path that ends in its first block is returned as cut when its
-    smallest interarrival is at least one ulp of the horizon, and takes the
-    tie scan otherwise. Here the first time is 1 - 8 * 2**-53 and every
+    """A path that ends in its first block takes the tie scan, which finds
+    no tie when its smallest interarrival is at least one ulp of the
+    horizon, and bumps the tied times otherwise. Here the first time is
+    1 - 8 * 2**-53 and every
     later gap -log(1 - 2**-53) is 2**-53, exactly one ulp below 1.0 and
     half of one above it, where 1.0 + 2**-53 rounds back to 1.0: a tie."""
 

@@ -154,11 +154,16 @@ class TestReadme:
         assert keys == schema
 
 
+# ROADMAP finding 5's config without its horizon: the demo angles in 8 steps
+FINDING_5_CFG = ("cos_block = 1/2 pi\nsin_block = 1/2 pi\nepsilons = 0.4, 0.2\n"
+                 "replications_M = 200\ngrid_points = 8\nmaster_seed = 7\n")
+
 # for each check with a need, a config that cannot feed it and feeds every other
 UNFED = {
     "cross_moments": dict(theta=ThetaConfig(cos_block=["pi"], allow_pi_in_cos=True)),
     "normality": dict(replications_M=99),
     "martingale": dict(grid_points=1),
+    "fourth_moment": dict(horizon_T=1e-200),
     "stroock": dict(theta=ThetaConfig(cos_block=[1.0], sin_block=[2.0])),
 }
 
@@ -201,6 +206,36 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"^the grid step horizon_T / steps = "
                                               r"5e-324 / 2 is below the smallest normal"):
             load_config(path)
+
+    @pytest.mark.parametrize("T", ["1e-200", "1e-78"])
+    def test_a_horizon_whose_dyadic_pieces_underflow_is_refused_at_load(self, tmp_path, T):
+        # ROADMAP finding 5: at 1e-200 the fourth-moment ratio divided 0 by 0, and
+        # at 1e-78 its Delta^4 was subnormal
+        path = tmp_path / "tiny.cfg"
+        path.write_text(FINDING_5_CFG + f"horizon_T = {T}\n")
+        _, need, fix = CHECKS["fourth_moment"].need
+        with pytest.raises(ConfigError) as exc_info:
+            load_config(path)
+        assert str(exc_info.value) == f"the fourth_moment check needs {need}; {fix} or drop the check"
+
+    @pytest.mark.parametrize("T,steps,fed", [
+        (4.885354679021847e-77, 8, False),  # just below 4 * tiny**0.25
+        (4.885354679021848e-77, 8, True),
+        (5e-77, 8, True),
+        (5e-77, 6, True),  # 2 divides 6, 4 does not: the smallest piece is T/2
+        (2.4e-77, 6, False),
+        (2.4e-77, 3, True),  # the one piece [0, T]
+        (1.22e-77, 3, False),
+    ])
+    def test_the_fourth_moment_floor_is_on_the_smallest_dyadic_piece(self, T, steps, fed):
+        base = self._base(horizon_T=T, grid_points=steps)
+        if fed:
+            assert RunConfig(**base, checks=("fourth_moment",)).resolved_checks == ("fourth_moment",)
+        else:
+            with pytest.raises(ConfigError, match="^the fourth_moment check needs"):
+                RunConfig(**base, checks=("fourth_moment",))
+        # the other checks do not need it
+        assert RunConfig(**base, checks=("covariance",)).horizon_T == T
 
     def test_horizon_cap(self):
         with pytest.raises(ConfigError, match="cap"):

@@ -8,12 +8,12 @@ parent is REV's tree, extracted with ``git archive`` into a temporary
 directory (under ``TMPDIR``) and removed at the end. Standard library,
 git and tar only.
 
-Before any record, a pre-flight runs each embedded script below
-(``TIME_RUN``, ``COLD_RUN``, ``TIME_GENERATE``, ``TRACE_MEMORY``) once on
-each side against a tiny config in scratch space. The scripts are the
-change's, so one that uses a name the parent's package lacks would fail
-only on the parent's side; the tool then exits 1 within seconds, naming
-the side and the script, and writes no record.
+Before any record, a pre-flight runs each entry of ``SIDE_RECORDS``
+once on each side, with a tiny config in scratch space in place of its
+own. The scripts are the change's, so one that uses a name the parent's
+package lacks would fail only on the parent's side; the tool then exits
+1 within seconds, naming the side and each failing record, and writes no
+record.
 
 Every record is one ``alternate`` over the sides: pair i runs one
 command once on each side, each in a fresh interpreter, parent first in
@@ -40,7 +40,9 @@ and a ``claim``, the verdict on a gain claimed for that metric: ``met``
 only when the change won at least nine pairs in ten and its median beats
 the parent's by more than the parent's IQR, ``not met`` otherwise.
 
-Then both sides run the change's ``configs/d32.cfg`` (16 cosine and 16
+Then the records of ``SIDE_RECORDS`` follow, each one ``alternate`` of
+its script, and each keeps the spread of every float its script printed.
+Both sides run the change's ``configs/d32.cfg`` (16 cosine and 16
 sine components): the seconds of ``run_experiment`` alone are recorded,
 with the sha256 of the ``report.json`` and ``assertions.csv`` it wrote,
 and ``same_bytes`` says whether every run gave the same two digests.
@@ -91,9 +93,9 @@ from pathlib import Path
 from typing import Callable
 
 ROOT = Path(__file__).resolve().parents[1]
-D32_CONFIG = Path("configs/d32.cfg")
-DEMO_CONFIG = Path("configs/demo.cfg")
 OUTPUT_FILES = ("report.json", "assertions.csv")
+# the argument that stands for a side record's output directory in scratch space
+OUT = "<out>"
 
 # Runs in a fresh interpreter with the side's checkout as working directory:
 # the seconds of run_experiment alone and the sha256 of each file it wrote.
@@ -159,8 +161,6 @@ c, t = cpu() - c, time.perf_counter() - t
 reps = config.replications_M * len(config.epsilons)
 print(json.dumps({"cpu_us_per_rep": c / reps * 1e6, "wall_us_per_rep": t / reps * 1e6}))
 """
-GENERATE_WORKLOAD = "rate_sweep"
-GENERATE_WORKERS = (1, 2)
 
 # Runs in a fresh interpreter with the side's checkout as working directory:
 # the tracemalloc peak of generate_samples at each epsilon of a config, at
@@ -180,7 +180,17 @@ for eps_index, epsilon in enumerate(config.epsilons):
     tracemalloc.stop()
 print(json.dumps(peaks))
 """
-MEMORY_WORKLOAD = "long_paths"
+
+# The side records, each (label, embedded script, config, arguments after
+# the config). A config is a file of the change's checkout, or the name of
+# a BENCHMARK.json workload, whose file the change's perfbench/run.py writes.
+SIDE_RECORDS = (
+    ("d32", TIME_RUN, Path("configs/d32.cfg"), (OUT,)),
+    ("cold_run", COLD_RUN, Path("configs/demo.cfg"), (OUT,)),
+    ("generate workers_1", TIME_GENERATE, "rate_sweep", ("1",)),
+    ("generate workers_2", TIME_GENERATE, "rate_sweep", ("2",)),
+    ("memory", TRACE_MEMORY, "long_paths", ()),
+)
 
 # Runs in a fresh interpreter: numpy's version and its AVX-512 dispatch
 # targets, each true where numpy dispatches it in that process (null where
@@ -232,24 +242,26 @@ def last_json_line(cmd: list[str], cwd: Path) -> dict:
     return {"load1": load1, **json.loads(proc.stdout.strip().splitlines()[-1])}
 
 
+def side_command(script: str, config: Path, args: tuple[str, ...], out: Path) -> list[str]:
+    """``script`` run on ``config`` with ``args``, ``out`` standing for ``OUT``."""
+    return [sys.executable, "-c", script, str(config),
+            *(str(out) if arg == OUT else arg for arg in args)]
+
+
 def preflight(sides: dict[str, Path], scratch: Path) -> list[str]:
-    """Each embedded script run once in each side's checkout against
-    ``PREFLIGHT_CONFIG``: one line per failed run, naming the side and
-    the script, with the last line the script wrote to stderr."""
+    """Each entry of ``SIDE_RECORDS`` run once in each side's checkout with
+    ``PREFLIGHT_CONFIG`` for its config: one line per failed run, naming
+    the side and the record, with the last line the script wrote to stderr."""
     config = scratch / "preflight.cfg"
     config.write_text(PREFLIGHT_CONFIG)
-    out = str(scratch / "preflight-out")
-    scripts = {"TIME_RUN": (TIME_RUN, out), "COLD_RUN": (COLD_RUN, out),
-               "TIME_GENERATE": (TIME_GENERATE, str(max(GENERATE_WORKERS))),
-               "TRACE_MEMORY": (TRACE_MEMORY,)}
     faults = []
     for side, root in sides.items():
-        for name, (script, *args) in scripts.items():
-            proc = subprocess.run([sys.executable, "-c", script, str(config), *args],
+        for label, script, _, args in SIDE_RECORDS:
+            proc = subprocess.run(side_command(script, config, args, scratch / "preflight-out"),
                                   cwd=root, capture_output=True, text=True)
             if proc.returncode != 0:
                 last = (proc.stderr.strip().splitlines() or [""])[-1]
-                faults.append(f"{side} tree {root}: {name} exited {proc.returncode}: {last}")
+                faults.append(f"{side} tree {root}: {label} exited {proc.returncode}: {last}")
     return faults
 
 
@@ -336,28 +348,6 @@ def bench_workloads(sides: dict[str, Path], bench: dict, pairs: int, seconds: fl
     return out
 
 
-def bench_d32(sides: dict[str, Path], pairs: int, scratch: Path) -> dict:
-    cmd = [sys.executable, "-c", TIME_RUN, str(ROOT / D32_CONFIG), str(scratch / "d32")]
-    runs = alternate(sides, pairs, "d32", cmd)
-    return {
-        "config": D32_CONFIG.as_posix(),
-        "run_experiment_s": compare(*split(runs, lambda r: r["run_experiment_s"]), "lower"),
-        "same_bytes": len({tuple(r["sha256"]) for r in runs}) == 1,
-        "runs": runs,
-    }
-
-
-def bench_cold_run(sides: dict[str, Path], pairs: int, scratch: Path) -> dict:
-    cmd = [sys.executable, "-c", COLD_RUN, str(ROOT / DEMO_CONFIG), str(scratch / "cold")]
-    runs = alternate(sides, pairs, "cold run", cmd)
-    return {
-        "config": DEMO_CONFIG.as_posix(),
-        **{name: compare(*split(runs, lambda r: r[name]), "lower")
-           for name in ("wall_s", "vmhwm_mb")},
-        "runs": runs,
-    }
-
-
 def workload_config(workload: str, scratch: Path, seed: int | None) -> tuple[Path, int]:
     """The benchmark's config file for ``workload``, as the change's
     ``perfbench/run.py`` writes it, and its seed."""
@@ -370,30 +360,41 @@ def workload_config(workload: str, scratch: Path, seed: int | None) -> tuple[Pat
     return config, seed
 
 
-def bench_generate(sides: dict[str, Path], pairs: int, scratch: Path,
-                   seed: int | None) -> dict:
-    config, seed = workload_config(GENERATE_WORKLOAD, scratch, seed)
-    out = {"workload": GENERATE_WORKLOAD, "seed": seed}
-    for workers in GENERATE_WORKERS:
-        runs = alternate(sides, pairs, f"generate workers {workers}",
-                         [sys.executable, "-c", TIME_GENERATE, str(config), str(workers)])
-        out[f"workers_{workers}"] = {
-            **{name: compare(*split(runs, lambda r: r[name]), "lower")
-               for name in ("cpu_us_per_rep", "wall_us_per_rep")},
-            "runs": runs,
-        }
-    return out
+def side_record(sides: dict[str, Path], pairs: int, scratch: Path, seed: int | None,
+                label: str, script: str, config: Path | str,
+                args: tuple[str, ...]) -> tuple[dict, dict]:
+    """One entry of ``SIDE_RECORDS`` run by ``alternate``: where its config
+    came from, and the spread of each float its script printed (not an exit
+    code or a digest), with the runs."""
+    if isinstance(config, Path):
+        path, source = ROOT / config, {"config": config.as_posix()}
+    else:
+        path, seed = workload_config(config, scratch, seed)
+        source = {"workload": config, "seed": seed}
+    runs = alternate(sides, pairs, label, side_command(script, path, args, scratch / label))
+    floats = [key for key, value in runs[0].items() if isinstance(value, float) and key != "load1"]
+    return source, {**{key: compare(*split(runs, lambda r: r[key]), "lower") for key in floats},
+                    "runs": runs}
 
 
-def bench_memory(sides: dict[str, Path], pairs: int, scratch: Path,
-                 seed: int | None) -> dict:
-    config, seed = workload_config(MEMORY_WORKLOAD, scratch, seed)
-    runs = alternate(sides, pairs, "memory", [sys.executable, "-c", TRACE_MEMORY, str(config)])
-    epsilons = [key for key in runs[0] if key not in ("pair", "side", "order", "load1")]
+def bench_sides(sides: dict[str, Path], pairs: int, scratch: Path, seed: int | None) -> dict:
+    """The d32, cold run, generate and memory records: every entry of
+    ``SIDE_RECORDS`` through ``side_record``, laid out as the module
+    docstring says."""
+    source, record = {}, {}
+    for label, *entry in SIDE_RECORDS:
+        source[label], record[label] = side_record(sides, pairs, scratch, seed, label, *entry)
+    d32, peaks = record["d32"], dict(record["memory"])
+    runs = peaks.pop("runs")
     return {
-        "workload": MEMORY_WORKLOAD, "seed": seed, "workers": 1, "unit": "KiB",
-        "peak_kib": {eps: compare(*split(runs, lambda r: r[eps]), "lower") for eps in epsilons},
-        "runs": runs,
+        "d32": {**source["d32"], **d32,
+                "same_bytes": len({tuple(r["sha256"]) for r in d32["runs"]}) == 1},
+        "cold_run": {**source["cold_run"], **record["cold_run"]},
+        "generate": {**source["generate workers_1"],
+                     **{label.split()[1]: r for label, r in record.items()
+                        if label.startswith("generate ")}},
+        "memory": {**source["memory"], "workers": 1, "unit": "KiB", "peak_kib": peaks,
+                   "runs": runs},
     }
 
 
@@ -459,10 +460,7 @@ def main(argv: list[str] | None = None) -> int:
             "settings": {"pairs": args.pairs, "seconds": args.seconds,
                          "seed": "benchmark default" if args.seed is None else args.seed},
             "workloads": bench_workloads(sides, bench, args.pairs, args.seconds, args.seed),
-            "d32": bench_d32(sides, args.pairs, scratch),
-            "cold_run": bench_cold_run(sides, args.pairs, scratch),
-            "generate": bench_generate(sides, args.pairs, scratch, args.seed),
-            "memory": bench_memory(sides, args.pairs, scratch, args.seed),
+            **bench_sides(sides, args.pairs, scratch, args.seed),
         }
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
