@@ -27,7 +27,9 @@ from .angles import Angle, parse_angle
 # from the float64 value).
 _TWO_PI_LD = np.longdouble("6.283185307179586476925286766559005768394")
 
-_TINY = float(np.finfo(np.float64).tiny)
+# The smallest normal float: the floor of a uniform before its log (U == 0
+# guard), of an EvaluationGrid step and of the fourth_moment check's pieces.
+SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +96,7 @@ def sample_poisson_path(horizon: float, stream: np.random.Generator) -> PoissonP
     block = _first_block_size(horizon)
     while True:
         times = stream.random(block)
-        np.maximum(times, _TINY, out=times)  # guard U == 0.0
+        np.maximum(times, SMALLEST_NORMAL, out=times)  # guard U == 0.0
         np.log(times, out=times)
         np.negative(times, out=times)
         np.add.accumulate(times, out=times)

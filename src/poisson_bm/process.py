@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .angles import ThetaConfig
-from .poisson import PoissonPath, _first_block_size, _level_values
+from .poisson import SMALLEST_NORMAL, PoissonPath, _first_block_size, _level_values
 
 # Memory cap of one replication, in bytes, charged at 26 + 32*ceil(d/2)
 # bytes per jump, 2T/eps^2 jumps on average. That over-counts: a path holds
@@ -41,9 +41,6 @@ BLOCK_BYTES_CAP = 2**31
 SUB_BLOCK = 8192
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-# The smallest step of an EvaluationGrid.
-SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
 
 def map_to_path_time(t: float, epsilon: float) -> float:

@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .poisson import sample_poisson_path
-from .process import SMALLEST_NORMAL, BuildPlan, EvaluationGrid, SampleBlock, build_sample
+from .poisson import SMALLEST_NORMAL, sample_poisson_path
+from .process import BuildPlan, EvaluationGrid, SampleBlock, build_sample
 from .report import RunReport
 from .rng import derive_stream
 from .stats import (

@@ -253,13 +253,25 @@ def martingale_residual(
     return _estimates(deltas, len(deltas))
 
 
+# Elements of one component that quadratic_variation reduces at once, in
+# whole rows: its working memory (the squared increments, _exact_sum's two
+# copies and its partials per row) is bounded by the chunk, not the block.
+QV_CHUNK_ELEMENTS = 2**18
+
+
 def quadratic_variation(block: SampleBlock) -> np.ndarray:
     """Per-replication sums of squared increments over the block's grid:
     the (replications, dimension) array of each row's QV per component."""
+    replications, dimension, times = block.values.shape
+    rows = max(1, QV_CHUNK_ELEMENTS // (times - 1))
+    qvs = np.empty((replications, dimension))
+    # each row is its own lane, summed exactly, so chunks of whole rows keep every bit;
     # one reduction per component: the extraction runs until its worst lane is done
-    qvs = [_exact_sum(np.diff(block.values[:, c], axis=1) ** 2, axis=1)
-           for c in range(block.values.shape[1])]
-    return np.stack(qvs, axis=1)
+    for start in range(0, replications, rows):
+        chunk = block.values[start:start + rows]
+        for c in range(dimension):
+            qvs[start:start + rows, c] = _exact_sum(np.diff(chunk[:, c], axis=1) ** 2, axis=1)
+    return qvs
 
 
 def fourth_moment_ratio(block: SampleBlock, s: float, t: float) -> list[Estimate]:

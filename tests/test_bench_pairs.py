@@ -1,7 +1,9 @@
-"""The verdicts tools/bench_pairs.py gives each end-to-end metric, and its
-check of a record for a broken change."""
+"""The verdicts tools/bench_pairs.py gives each end-to-end metric, its
+loading of two trees side by side, its records, and its check of a record
+for a broken change."""
 
 import importlib.util
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -108,7 +110,8 @@ def test_alternate_runs_the_parent_first_in_even_pairs(tmp_path):
     for root in sides.values():
         root.mkdir()
     cmd = [sys.executable, "-c", "import json, os; print(json.dumps({'cwd': os.getcwd()}))"]
-    runs = bench_pairs.alternate(sides, 3, "stub", cmd)
+    runs = bench_pairs.alternate(sides, 3, "stub",
+                                 lambda root, i: bench_pairs.last_json_line(cmd, root))
     assert [(r["pair"], r["order"], r["side"]) for r in runs] == [
         (0, 0, "parent"), (0, 1, "change"), (1, 0, "change"), (1, 1, "parent"),
         (2, 0, "parent"), (2, 1, "change"),
@@ -119,115 +122,168 @@ def test_alternate_runs_the_parent_first_in_even_pairs(tmp_path):
         assert isinstance(run["load1"], float) and run["load1"] >= 0.0
 
 
-# each side record's test id, and what its script prints against PREFLIGHT_CONFIG
-PRINTED = {
-    "d32": ("time_run", {"run_experiment_s", "sha256"}),
-    "cold_run": ("cold_run", {"exit", "wall_s", "vmhwm_mb"}),
-    "generate workers_1": ("time_generate_workers_1", {"cpu_us_per_rep", "wall_us_per_rep"}),
-    "generate workers_2": ("time_generate_workers_2", {"cpu_us_per_rep", "wall_us_per_rep"}),
-    "memory": ("trace_memory", {"0.4", "0.2"}),
-}
-
-
-def _side_record(label):
-    return next(entry for entry in bench_pairs.SIDE_RECORDS if entry[0] == label)
-
-
-@pytest.mark.parametrize("entry", bench_pairs.SIDE_RECORDS, ids=lambda entry: PRINTED[entry[0]][0])
-def test_embedded_scripts_run_against_the_checkout(tmp_path, entry):
+@pytest.mark.parametrize("script", [bench_pairs.COLD_RUN], ids=["cold_run"])
+def test_embedded_scripts_run_against_the_checkout(tmp_path, script):
     # a library rename that breaks a script fails here, not when a record is made
-    label, script, _, args = entry
     config = tmp_path / "tiny.cfg"
     config.write_text(bench_pairs.PREFLIGHT_CONFIG)
-    cmd = bench_pairs.side_command(script, config, args, tmp_path / "out")
+    cmd = [sys.executable, "-c", script, str(config), str(tmp_path / "out")]
     record = bench_pairs.last_json_line(cmd, bench_pairs.ROOT)  # SystemExit unless exit 0
-    assert record.keys() == PRINTED[label][1] | {"load1"}
-    if bench_pairs.OUT in args:
-        assert all((tmp_path / "out" / name).is_file() for name in bench_pairs.OUTPUT_FILES)
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_generate_script_starts_the_pool_a_run_would(tmp_path, cpus):
-    # at workers 2 on one CPU a run starts no pool, and neither does the record
-    config = tmp_path / "tiny.cfg"
-    config.write_text(bench_pairs.PREFLIGHT_CONFIG)
-    script = (f"import os\nos.cpu_count = lambda: {cpus}\n{bench_pairs.TIME_GENERATE}"
-              "print(json.dumps({'multiprocessing': 'multiprocessing' in sys.modules}))\n")
-    cmd = [sys.executable, "-c", script, str(config), "2"]
-    assert bench_pairs.last_json_line(cmd, bench_pairs.ROOT)["multiprocessing"] == (cpus > 1)
+    assert record.keys() == {"exit", "wall_s", "vmhwm_mb", "load1"}
+    assert all((tmp_path / "out" / name).is_file() for name in bench_pairs.OUTPUT_FILES)
 
 
 def test_cold_run_records_both_sides(tmp_path):
     config = tmp_path / "tiny.cfg"  # ROOT / an absolute path is the path
     config.write_text(bench_pairs.PREFLIGHT_CONFIG)
-    label, script, _, args = _side_record("cold_run")
     sides = {"parent": bench_pairs.ROOT, "change": bench_pairs.ROOT}
-    source, record = bench_pairs.side_record(sides, 1, tmp_path, None, label, script, config, args)
-    assert source == {"config": config.as_posix()}
+    record = bench_pairs.bench_cold_run(sides, 1, config, tmp_path / "out")
+    assert record["config"] == config.as_posix()
     assert [run["side"] for run in record["runs"]] == ["parent", "change"]
     for run in record["runs"]:
         assert run["exit"] in (0, 1) and run["wall_s"] > 0.0
         assert 5.0 < run["vmhwm_mb"] < 500.0  # MB: numpy and a tiny run
-    assert record.keys() == {"wall_s", "vmhwm_mb", "runs"}  # the exit code is no spread
+    assert record.keys() == {"config", "wall_s", "vmhwm_mb", "runs"}  # the exit code is no spread
     assert record["vmhwm_mb"]["pairs"] == 1 and record["wall_s"]["better"] == "lower"
 
 
-def test_side_records_keep_the_bench_file_layout(tmp_path, monkeypatch):
-    # each script's printed keys with stand-in values, two pairs on each side
-    def alternate(sides, pairs, label, cmd):
-        printed = {k: ["a", "b"] if k == "sha256" else 1 if k == "exit" else 2.0
-                   for k in PRINTED[label][1]}
-        return [{"pair": i, "side": side, "order": 0, "load1": 0.5, **printed}
-                for i in range(pairs) for side in sides]
+ALIASES = ("parent_poisson_bm", "change_poisson_bm")
 
-    monkeypatch.setattr(bench_pairs, "alternate", alternate)
-    monkeypatch.setattr(bench_pairs, "workload_config",
-                        lambda workload, scratch, seed: (scratch / f"{workload}.cfg", 12345))
-    sides = {"parent": tmp_path, "change": tmp_path}
-    record = bench_pairs.bench_sides(sides, 2, tmp_path, None)
-    spread = {"better", "parent", "change", "change_wins", "ties", "pairs", "median_change"}
-    assert record.keys() == {"d32", "cold_run", "generate", "memory"}
-    assert record["d32"].keys() == {"config", "run_experiment_s", "same_bytes", "runs"}
-    assert record["d32"]["config"] == "configs/d32.cfg" and record["d32"]["same_bytes"] is True
-    assert record["cold_run"].keys() == {"config", "wall_s", "vmhwm_mb", "runs"}
-    assert record["generate"].keys() == {"workload", "seed", "workers_1", "workers_2"}
-    assert record["generate"]["workload"] == "rate_sweep"
-    for workers in ("workers_1", "workers_2"):
-        assert record["generate"][workers].keys() == {"cpu_us_per_rep", "wall_us_per_rep", "runs"}
-        assert record["generate"][workers]["cpu_us_per_rep"].keys() == spread
-    assert record["memory"].keys() == {"workload", "seed", "workers", "unit", "peak_kib", "runs"}
-    assert record["memory"]["peak_kib"].keys() == {"0.4", "0.2"}
-    assert len(record["memory"]["runs"]) == 4
+
+@pytest.fixture(autouse=True)
+def _forget_loaded_trees():
+    yield
+    for name in [name for name in sys.modules if name.partition(".")[0] in ALIASES]:
+        del sys.modules[name]
 
 
 def _copy_of_checkout(tree):
-    """The checkout's package, all that the embedded scripts read of a side."""
+    """The checkout's package, all that the tool reads of a side."""
     shutil.copytree(bench_pairs.ROOT / "src", tree / "src",
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     return tree
 
 
-def test_preflight_passes_two_copies_of_the_checkout(tmp_path):
+def _two_copies(tmp_path):
     sides = {"parent": _copy_of_checkout(tmp_path / "parent"), "change": bench_pairs.ROOT}
-    assert bench_pairs.preflight(sides, tmp_path) == []
+    return sides, {side: bench_pairs.load_tree(root, f"{side}_poisson_bm")
+                   for side, root in sides.items()}
+
+
+def test_each_alias_imports_from_its_own_tree(tmp_path):
+    sides, packages = _two_copies(tmp_path)
+    for side, package in packages.items():
+        home = (sides[side] / "src" / "poisson_bm").resolve()
+        modules = {name: module for name, module in sys.modules.items()
+                   if name.partition(".")[0] == package.__name__}
+        assert {"runner", "process", "poisson", "stats"} <= {
+            name.partition(".")[2] for name in modules}
+        for module in modules.values():
+            assert Path(module.__file__).resolve().parent == home
+    parent, change = packages.values()
+    assert parent.generate_samples is not change.generate_samples
+    assert parent.generate_samples.__module__ == "parent_poisson_bm.runner"
+
+
+def test_a_module_from_elsewhere_is_refused(tmp_path):
+    init = _copy_of_checkout(tmp_path / "parent") / "src" / "poisson_bm" / "__init__.py"
+    init.write_text(init.read_text()
+                    + "\nimport json, sys\nsys.modules[__name__ + '.json'] = json\n")
+    with pytest.raises(ImportError, match=r"parent_poisson_bm\.json imported from .*json"):
+        bench_pairs.load_tree(tmp_path / "parent", "parent_poisson_bm")
+
+
+def test_preflight_passes_two_copies_of_the_checkout(tmp_path):
+    sides, packages = _two_copies(tmp_path)
+    assert bench_pairs.preflight(packages, sides, tmp_path) == []
+
+
+def test_two_copies_of_the_checkout_agree(tmp_path):
+    config = tmp_path / "tiny.cfg"
+    config.write_text(bench_pairs.PREFLIGHT_CONFIG)
+    sides, packages = _two_copies(tmp_path)
+    assert bench_pairs.preflight(packages, sides, tmp_path) == []  # and warms both sides
+    pairs = {"d32": 2, "generate": 10}
+    record = bench_pairs.bench_library(
+        packages, {"d32": config, "generate": config, "memory": config}, pairs, tmp_path / "out")
+    assert record.keys() == {"d32", "generate", "memory"}
+    d32 = record["d32"]
+    assert d32.keys() == {"config", "cpu_ratio", "same_bytes", "runs"}
+    assert d32["config"] == config.as_posix() and d32["same_bytes"] is True
+    assert len(d32["runs"]) == 4 and all(len(run["sha256"]) == 2 for run in d32["runs"])
+    generate = record["generate"]
+    assert [run["epsilon"] for run in generate["runs"][:4]] == [0.4, 0.4, 0.2, 0.2]
+    ratio = generate["cpu_ratio"]
+    assert ratio.keys() == {"median", "ci95", "ratios"} and len(ratio["ratios"]) == 10
+    low, high = ratio["ci95"]
+    assert low <= ratio["median"] <= high
+    # a 95 % interval misses the true 1.0 about one time in twenty by design,
+    # so this asks only that it reach within 10 % of it
+    assert low < 1.1 and high > 1 / 1.1
+    peaks = record["memory"]
+    assert peaks["parent"].keys() == peaks["change"].keys() == {"0.4", "0.2"}
+    for epsilon, kib in peaks["parent"].items():
+        assert kib > 0.0 and abs(kib - peaks["change"][epsilon]) < 1.0
+
+
+def _runs(parent, change):
+    return [{"side": side, "cpu_s": cpu_s}
+            for pair in zip(parent, change) for side, cpu_s in zip(("parent", "change"), pair)]
+
+
+def test_cpu_ratio_interval():
+    noise = [1.00, 1.03, 0.97, 1.05, 0.95, 1.02, 0.98, 1.04, 0.96, 1.01]
+    same = bench_pairs.cpu_ratio(_runs(noise, noise))
+    assert same["ratios"] == [1.0] * 10 and same["median"] == 1.0 and same["ci95"] == [1.0, 1.0]
+    # ten per cent slower in every pair, give or take the noise: the whole interval lies above 1
+    slower = bench_pairs.cpu_ratio(_runs([1.0] * 10, [1.1 * x for x in noise]))
+    assert slower["median"] == pytest.approx(1.1 * 1.005) and 1.0 < slower["ci95"][0]
+    assert slower["ci95"][0] <= slower["median"] <= slower["ci95"][1] <= 1.1 * 1.05
+
+
+def _git(*args):
+    return "0" * 40 if args[0] == "rev-parse" else ""
 
 
 def test_a_parent_that_lacks_a_name_stops_before_the_first_pair(tmp_path, monkeypatch, capsys):
-    def extract(commit, tree):  # the parent's package without a name three records import
+    def extract(commit, tree):  # the parent's package without a name two records call
         init = _copy_of_checkout(tree) / "src" / "poisson_bm" / "__init__.py"
         init.write_text(init.read_text() + "\ndel generate_samples\n")
 
     def alternate(*args):
         raise AssertionError("a pair ran after a failed pre-flight")
 
-    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0" * 40 if args[0] == "rev-parse" else "")
+    monkeypatch.setattr(bench_pairs, "git", _git)
     monkeypatch.setattr(bench_pairs, "extract", extract)
     monkeypatch.setattr(bench_pairs, "alternate", alternate)
     out = tmp_path / "BENCH.json"
     assert bench_pairs.main(["--parent", "p", "--out", str(out)]) == 1
     assert not out.exists()
     faults = capsys.readouterr().err.splitlines()
-    assert [f.split(": ")[2].rsplit(" exited", 1)[0] for f in faults] == [
-        "generate workers_1", "generate workers_2", "memory"]
+    assert [f.split(": ")[2].rsplit(" raised", 1)[0] for f in faults] == ["generate", "memory"]
     for fault in faults:
-        assert fault.startswith("pre-flight: parent tree ") and "ImportError" in fault
+        assert fault.startswith("pre-flight: parent tree ") and "AttributeError" in fault
+        assert "generate_samples" in fault
+
+
+def test_d32_bytes_that_differ_make_the_tool_exit_1(tmp_path, monkeypatch, capsys):
+    def extract(commit, tree):  # the parent writes another version into its report
+        version = _copy_of_checkout(tree) / "src" / "poisson_bm" / "version.py"
+        version.write_text(version.read_text().replace('VERSION = "', 'VERSION = "0.'))
+
+    config = tmp_path / "tiny.cfg"
+    config.write_text(bench_pairs.PREFLIGHT_CONFIG)
+    monkeypatch.setattr(bench_pairs, "git", _git)
+    monkeypatch.setattr(bench_pairs, "extract", extract)
+    monkeypatch.setattr(bench_pairs, "environment", lambda: {})
+    monkeypatch.setattr(bench_pairs, "bench_workloads", lambda *args: {})
+    monkeypatch.setattr(bench_pairs, "bench_cold_run", lambda *args: {})
+    monkeypatch.setattr(bench_pairs, "workload_config", lambda workload, scratch, seed: (config, 7))
+    monkeypatch.setattr(bench_pairs, "LIBRARY_PAIRS", {"d32": 1, "generate": 1})
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", "p", "--out", str(out)]) == 1
+    record = json.loads(out.read_text())
+    assert record["d32"]["same_bytes"] is False
+    assert bench_pairs.broken(record) == ["configs/d32.cfg: the sides' output bytes differ"]
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "broken change: configs/d32.cfg: the sides' output bytes differ")

@@ -24,11 +24,10 @@ from poisson_bm import (
     run_experiment,
     sample_poisson_path,
 )
-from poisson_bm.poisson import _first_block_size, _level_values, integral_from_zero
+from poisson_bm.poisson import SMALLEST_NORMAL, _first_block_size, _level_values, integral_from_zero
 from poisson_bm.process import (
     BLOCK_BYTES_CAP,
     INV_SQRT2,
-    SMALLEST_NORMAL,
     SUB_BLOCK,
     _level_rows,
     check_block_memory,

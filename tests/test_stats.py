@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -518,6 +519,30 @@ class TestQuadraticVariation:
             for r in range(len(block)):
                 expected = _exact_sum(np.diff(block.values[r, c, idx]) ** 2)
                 assert qvs[r, c] == expected
+
+    def _random_walks(self, replications, dimension, steps=64):
+        rng = np.random.default_rng(223)
+        values = np.cumsum(rng.standard_normal((replications, dimension, steps + 1)), axis=2)
+        cfg = ThetaConfig(cos_block=[2.2] * dimension)
+        return SampleBlock(0.2, cfg, EvaluationGrid(1.0, steps), values)
+
+    def test_chunks_of_rows_keep_every_bit(self):
+        # two whole chunks and a last one of fewer rows than steps, which
+        # _exact_sum reduces along the other axis
+        block = self._random_walks(2 * (stats.QV_CHUNK_ELEMENTS // 64) + 30, 2)
+        whole = np.stack([_exact_sum(np.diff(block.values[:, c], axis=1) ** 2, axis=1)
+                          for c in range(2)], axis=1)
+        assert quadratic_variation(block).tobytes() == whole.tobytes()
+
+    def test_working_memory_stays_under_half_the_block(self):
+        block = self._random_walks(60_000, 1)
+        tracemalloc.start()
+        try:
+            quadratic_variation(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block.values.nbytes / 2
 
 
 class TestFourthMoment:

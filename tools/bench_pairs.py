@@ -8,22 +8,28 @@ parent is REV's tree, extracted with ``git archive`` into a temporary
 directory (under ``TMPDIR``) and removed at the end. Standard library,
 git and tar only.
 
-Before any record, a pre-flight runs each entry of ``SIDE_RECORDS``
-once on each side, with a tiny config in scratch space in place of its
-own. The scripts are the change's, so one that uses a name the parent's
-package lacks would fail only on the parent's side; the tool then exits
-1 within seconds, naming the side and each failing record, and writes no
-record.
+Both trees' packages are loaded side by side in this interpreter: each
+tree's ``src/poisson_bm`` is imported under its own name
+(``parent_poisson_bm``, ``change_poisson_bm``), and every module of each
+is checked to come from its own tree. Before any record, a pre-flight
+calls each library record's measurement (below) once on each side, with
+a tiny config in scratch space in place of its own, which also warms
+both sides before the first timed pair. The measurements are the
+change's, so one that uses a name the parent's package lacks fails only
+on the parent's side; the tool then exits 1 within seconds, naming the
+side and each failing record, and writes no record.
 
-Every record is one ``alternate`` over the sides: pair i runs one
-command once on each side, each in a fresh interpreter, parent first in
-even pairs and change first in odd ones. Each record keeps its runs,
-each ``{"pair", "side", "order", "load1", ...}`` plus what the command
-printed; ``load1`` is the host's one-minute load average read just
-before the run, and the environment names the CPU model (``cpu_model``),
-so that a spread the host made can be told from a move the change made.
-It also names numpy's AVX-512 dispatch state (``avx512_dispatch``), on
-which the report bytes depend.
+Every record but ``memory`` is one ``alternate`` over the sides: pair i
+runs once on each side, parent first in even pairs and change first in
+odd ones, and the record keeps its runs, each ``{"pair", "side",
+"order", ...}`` plus what the run gave.
+
+The workload and ``cold_run`` records run a command in a fresh
+interpreter, in the side's checkout. Each run also keeps ``load1``, the
+host's one-minute load average read just before it, and the environment
+names the CPU model (``cpu_model``), so that a spread the host made can
+be told from a move the change made. It also names numpy's AVX-512
+dispatch state (``avx512_dispatch``), on which the report bytes depend.
 
 For each workload in ``BENCHMARK.json``, the command is the benchmark's
 (``--workload W --seconds S --trace 0``), and each end-to-end metric
@@ -40,37 +46,45 @@ and a ``claim``, the verdict on a gain claimed for that metric: ``met``
 only when the change won at least nine pairs in ten and its median beats
 the parent's by more than the parent's IQR, ``not met`` otherwise.
 
-Then the records of ``SIDE_RECORDS`` follow, each one ``alternate`` of
-its script, and each keeps the spread of every float its script printed.
-Both sides run the change's ``configs/d32.cfg`` (16 cosine and 16
-sine components): the seconds of ``run_experiment`` alone are recorded,
-with the sha256 of the ``report.json`` and ``assertions.csv`` it wrote,
-and ``same_bytes`` says whether every run gave the same two digests.
+``cold_run``: both sides run ``poisson-bm run configs/demo.cfg`` cold;
+each run is ``cli.main(["run", ...])`` in a fresh interpreter, with its
+output directory in scratch space. The record is the spread of wall
+seconds from before the package import to the exit code (``wall_s``),
+and of the process's own peak RSS in MB (``vmhwm_mb``), ``VmHWM`` from
+``/proc/self/status``. Unlike ``peak_rss_mb``, which reads
+``ru_maxrss`` and so inherits the harness's high-water mark, it holds
+the run's memory alone.
 
-Then both sides run ``poisson-bm run configs/demo.cfg`` cold: each run
-is ``cli.main(["run", ...])`` in a fresh interpreter, with its output
-directory in scratch space. The record is wall seconds from before the
-package import to the exit code, and the process's own peak RSS in MB,
-``VmHWM`` from ``/proc/self/status``. Unlike ``peak_rss_mb``, which
-reads ``ru_maxrss`` and so inherits the harness's high-water mark, it
-holds the run's memory alone.
+The library records (``d32``, ``generate``, ``memory``) run in this
+interpreter, on the loaded packages, after every fresh interpreter has
+run: a process this one starts begins its ``ru_maxrss`` at this one's
+peak RSS, which the pre-flight keeps below ``perfbench/run.py``'s own.
+Each timed library record gets
+``cpu_ratio``: each pair's change ``cpu_s`` over the parent's, where
+``cpu_s`` is the ``time.process_time`` seconds of the call (``ratios``),
+their ``median``, and ``ci95``, a 95 % bootstrap interval of that median
+(``BOOTSTRAP_RESAMPLES`` resamples from a fixed seed). A ratio below 1 is
+less CPU on the change's side. The record shows a gain only when the
+whole interval lies below 1, and a loss only when it lies wholly above 1;
+a few percent is within its reach where fresh interpreters on one host
+are not.
 
-Then both sides run ``generate_samples`` for every epsilon of the
-benchmark's ``rate_sweep`` config (as the change's ``perfbench/run.py``
-writes it), at workers 1 for as many pairs and then at workers 2; the
-pool is the one a run would start, ``runner._pool``'s (none where it
-would have one process), and it serves every epsilon. The record is CPU
-microseconds per replication: ``time.process_time`` at workers 1, and
-at workers 2 the user+sys time of the interpreter plus its joined pool
-workers from ``resource.getrusage``. Unlike ``rate_sweep``'s
-``run_s``, it leaves out time spent waiting for a core, and unlike
-both ``run_s`` and ``cpu_s`` it leaves out the checks and the report.
-
-Last, both sides trace ``generate_samples`` with ``tracemalloc`` for
-every epsilon of the benchmark's ``long_paths`` config, at workers 1.
-The record is each epsilon's peak of traced memory in KiB: the block it
-returns plus the working memory of making it. Unlike ``peak_rss_mb``,
-it has no floor at the harness's own RSS.
+- ``generate``: ``generate_samples`` at workers 1 on the benchmark's
+  ``rate_sweep`` config (as the change's ``perfbench/run.py`` writes
+  it), one epsilon per pair in turn, ``LIBRARY_PAIRS`` pairs; each run
+  names its ``epsilon``. Unlike ``rate_sweep``'s ``run_s`` and
+  ``cpu_s``, it leaves out the pool, the checks and the report.
+- ``d32``: ``run_experiment`` at workers 1 on the change's
+  ``configs/d32.cfg`` (16 cosine and 16 sine components),
+  ``LIBRARY_PAIRS`` pairs; each run keeps the ``sha256`` of the
+  ``report.json`` and ``assertions.csv`` it wrote, and ``same_bytes``
+  says whether every run gave the same two digests.
+- ``memory``: each side's ``tracemalloc`` peak, in KiB, of
+  ``generate_samples`` at workers 1 for each epsilon of the benchmark's
+  ``long_paths`` config (``peak_kib``, by side and epsilon): the block
+  it returns plus the working memory of making it. It does not vary from
+  run to run, so it is taken once per side. Unlike ``peak_rss_mb``, it
+  has no floor at the harness's own RSS.
 
 The record is written whatever it shows. The tool then exits 1, naming
 each fault on stderr, if the record shows a broken change: a workload
@@ -81,39 +95,29 @@ the sides.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import importlib.util
 import json
 import os
 import platform
+import random
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
+from types import ModuleType
 from typing import Callable
 
 ROOT = Path(__file__).resolve().parents[1]
 OUTPUT_FILES = ("report.json", "assertions.csv")
-# the argument that stands for a side record's output directory in scratch space
-OUT = "<out>"
-
-# Runs in a fresh interpreter with the side's checkout as working directory:
-# the seconds of run_experiment alone and the sha256 of each file it wrote.
-TIME_RUN = f"""
-import hashlib, json, sys, time
-from dataclasses import replace
-from pathlib import Path
-sys.path.insert(0, "src")
-from poisson_bm import load_config, run_experiment
-config = replace(load_config(sys.argv[1]), output_dir=sys.argv[2])
-t = time.perf_counter()
-report = run_experiment(config)
-seconds = time.perf_counter() - t
-report.write(config.output_dir)
-sha256 = [hashlib.sha256((Path(sys.argv[2]) / name).read_bytes()).hexdigest()
-          for name in {OUTPUT_FILES!r}]
-print(json.dumps({{"run_experiment_s": seconds, "sha256": sha256}}))
-"""
+LIBRARY_PAIRS = {"d32": 10, "generate": 40}
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 0
 
 # Runs in a fresh interpreter with the side's checkout as working directory:
 # `poisson-bm run` on a config, writing into a given directory, with the
@@ -132,66 +136,6 @@ with open("/proc/self/status", encoding="ascii") as f:
 print(json.dumps({"exit": code, "wall_s": seconds, "vmhwm_mb": kib / 1024}))
 """
 
-# Runs in a fresh interpreter with the side's checkout as working directory:
-# CPU and wall microseconds per replication of generate_samples over every
-# epsilon of a config, at a given worker count. The pool is the one a run
-# would start (runner._pool: none where it would have one process), and it
-# serves every epsilon; it is joined on leaving its block, so
-# RUSAGE_CHILDREN then holds its workers' time.
-TIME_GENERATE = """
-import json, resource, sys, time
-from dataclasses import replace
-sys.path.insert(0, "src")
-from poisson_bm import generate_samples, load_config
-from poisson_bm.runner import _pool
-config = replace(load_config(sys.argv[1]), workers=int(sys.argv[2]))
-grid = config.grid
-
-def cpu():
-    if config.workers <= 1:
-        return time.process_time()
-    return sum(u.ru_utime + u.ru_stime for u in
-               map(resource.getrusage, (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
-
-c, t = cpu(), time.perf_counter()
-with _pool(config) as pool:
-    for eps_index in range(len(config.epsilons)):
-        generate_samples(config, grid, eps_index, pool)
-c, t = cpu() - c, time.perf_counter() - t
-reps = config.replications_M * len(config.epsilons)
-print(json.dumps({"cpu_us_per_rep": c / reps * 1e6, "wall_us_per_rep": t / reps * 1e6}))
-"""
-
-# Runs in a fresh interpreter with the side's checkout as working directory:
-# the tracemalloc peak of generate_samples at each epsilon of a config, at
-# workers 1, in KiB.
-TRACE_MEMORY = """
-import json, sys, tracemalloc
-from dataclasses import replace
-sys.path.insert(0, "src")
-from poisson_bm import generate_samples, load_config
-config = replace(load_config(sys.argv[1]), workers=1)
-grid = config.grid
-peaks = {}
-for eps_index, epsilon in enumerate(config.epsilons):
-    tracemalloc.start()
-    generate_samples(config, grid, eps_index)
-    peaks[f"{epsilon:g}"] = tracemalloc.get_traced_memory()[1] / 1024
-    tracemalloc.stop()
-print(json.dumps(peaks))
-"""
-
-# The side records, each (label, embedded script, config, arguments after
-# the config). A config is a file of the change's checkout, or the name of
-# a BENCHMARK.json workload, whose file the change's perfbench/run.py writes.
-SIDE_RECORDS = (
-    ("d32", TIME_RUN, Path("configs/d32.cfg"), (OUT,)),
-    ("cold_run", COLD_RUN, Path("configs/demo.cfg"), (OUT,)),
-    ("generate workers_1", TIME_GENERATE, "rate_sweep", ("1",)),
-    ("generate workers_2", TIME_GENERATE, "rate_sweep", ("2",)),
-    ("memory", TRACE_MEMORY, "long_paths", ()),
-)
-
 # Runs in a fresh interpreter: numpy's version and its AVX-512 dispatch
 # targets, each true where numpy dispatches it in that process (null where
 # numpy does not say). The report bytes depend on them (ROADMAP finding 1).
@@ -208,7 +152,7 @@ print(json.dumps({"numpy": numpy.__version__, "avx512_dispatch": avx512}))
 
 
 # The pre-flight's config: two epsilons and enough replications for every
-# default check, in well under a second per script.
+# default check, in well under a second per measurement.
 PREFLIGHT_CONFIG = """
 cos_block = 1/2 pi
 sin_block = 1/2 pi
@@ -232,6 +176,81 @@ def extract(commit: str, tree: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
 
 
+def load_tree(root: Path, alias: str) -> ModuleType:
+    """``root``'s ``src/poisson_bm`` imported as the package ``alias``, in
+    place of any earlier package of that name. The package imports itself
+    only relatively, so its modules are ``alias``'s submodules; each must
+    come from ``root``, else ``ImportError``."""
+    home = (root / "src" / "poisson_bm").resolve()
+    for name in [name for name in sys.modules if name.partition(".")[0] == alias]:
+        del sys.modules[name]
+    spec = importlib.util.spec_from_file_location(alias, home / "__init__.py",
+                                                  submodule_search_locations=[str(home)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = package
+    spec.loader.exec_module(package)
+    for name, module in sys.modules.items():
+        if name.partition(".")[0] == alias and home not in Path(module.__file__).resolve().parents:
+            raise ImportError(f"{name} imported from {module.__file__}, not from {home}")
+    return package
+
+
+def run_cpu(package: ModuleType, config: Path, out: Path) -> dict:
+    """``cpu_s``, the CPU seconds of ``package``'s ``run_experiment`` at
+    workers 1 on ``config`` (a path in the change's checkout, or an absolute
+    one), and the ``sha256`` of each file its report wrote into ``out``."""
+    run = replace(package.load_config(ROOT / config), output_dir=str(out), workers=1)
+    start = time.process_time()
+    report = package.run_experiment(run)
+    seconds = time.process_time() - start
+    report.write(run.output_dir)
+    return {"cpu_s": seconds, "sha256": [hashlib.sha256((out / name).read_bytes()).hexdigest()
+                                         for name in OUTPUT_FILES]}
+
+
+def generate_cpu(package: ModuleType, config: Path, i: int) -> dict:
+    """``cpu_s``, the CPU seconds of ``package``'s ``generate_samples`` at
+    workers 1 on ``epsilon`` number i (mod their count) of ``config``."""
+    run = replace(package.load_config(config), workers=1)
+    eps_index = i % len(run.epsilons)
+    start = time.process_time()
+    package.generate_samples(run, run.grid, eps_index)
+    return {"cpu_s": time.process_time() - start, "epsilon": run.epsilons[eps_index]}
+
+
+def peak_kib(package: ModuleType, config: Path) -> dict[str, float]:
+    """The tracemalloc peak of ``package``'s ``generate_samples`` at workers 1
+    for each epsilon of ``config``, in KiB."""
+    run = replace(package.load_config(config), workers=1)
+    peaks = {}
+    for eps_index, epsilon in enumerate(run.epsilons):
+        tracemalloc.start()
+        try:
+            package.generate_samples(run, run.grid, eps_index)
+            peaks[f"{epsilon:g}"] = tracemalloc.get_traced_memory()[1] / 1024
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def preflight(packages: dict[str, ModuleType], sides: dict[str, Path], scratch: Path) -> list[str]:
+    """Each library record's measurement called once on each side's package
+    with ``PREFLIGHT_CONFIG`` for its config: one line per failed call,
+    naming the side and the record, each also printed on stderr."""
+    config = scratch / "preflight.cfg"
+    config.write_text(PREFLIGHT_CONFIG)
+    faults = []
+    for side, package in packages.items():
+        for label, measure, *args in (("d32", run_cpu, scratch / "preflight-out"),
+                                      ("generate", generate_cpu, 0), ("memory", peak_kib)):
+            try:
+                measure(package, config, *args)
+            except Exception as exc:  # the tree under test is at fault: report it, go on
+                faults.append(f"{side} tree {sides[side]}: {label} raised {exc!r}")
+                print(f"pre-flight: {faults[-1]}", file=sys.stderr)
+    return faults
+
+
 def last_json_line(cmd: list[str], cwd: Path) -> dict:
     """The last stdout line of ``cmd`` as JSON, plus ``load1``: the host's
     one-minute load average read just before the run."""
@@ -240,29 +259,6 @@ def last_json_line(cmd: list[str], cwd: Path) -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {cwd} exited {proc.returncode}:\n{proc.stderr}")
     return {"load1": load1, **json.loads(proc.stdout.strip().splitlines()[-1])}
-
-
-def side_command(script: str, config: Path, args: tuple[str, ...], out: Path) -> list[str]:
-    """``script`` run on ``config`` with ``args``, ``out`` standing for ``OUT``."""
-    return [sys.executable, "-c", script, str(config),
-            *(str(out) if arg == OUT else arg for arg in args)]
-
-
-def preflight(sides: dict[str, Path], scratch: Path) -> list[str]:
-    """Each entry of ``SIDE_RECORDS`` run once in each side's checkout with
-    ``PREFLIGHT_CONFIG`` for its config: one line per failed run, naming
-    the side and the record, with the last line the script wrote to stderr."""
-    config = scratch / "preflight.cfg"
-    config.write_text(PREFLIGHT_CONFIG)
-    faults = []
-    for side, root in sides.items():
-        for label, script, _, args in SIDE_RECORDS:
-            proc = subprocess.run(side_command(script, config, args, scratch / "preflight-out"),
-                                  cwd=root, capture_output=True, text=True)
-            if proc.returncode != 0:
-                last = (proc.stderr.strip().splitlines() or [""])[-1]
-                faults.append(f"{side} tree {root}: {label} exited {proc.returncode}: {last}")
-    return faults
 
 
 def spread(values: list[float]) -> dict:
@@ -303,19 +299,20 @@ def claim_verdict(result: dict) -> str:
     return "met" if won and gap > result["parent"]["iqr"] else "not met"
 
 
-def pair_order(i: int, sides: dict[str, Path]) -> list[tuple[str, Path]]:
+def pair_order(i: int, sides: dict) -> list[tuple]:
     order = list(sides.items())
     return order if i % 2 == 0 else order[::-1]
 
 
-def alternate(sides: dict[str, Path], pairs: int, label: str, cmd: list[str]) -> list[dict]:
-    """``cmd`` run in each side's checkout once per pair, in ``pair_order``:
-    one ``{"pair", "side", "order", "load1", **result}`` per run, where
-    ``result`` is the JSON of the run's last stdout line."""
+def alternate(sides: dict, pairs: int, label: str, run: Callable[[object, int], dict]
+              ) -> list[dict]:
+    """``run(value, i)`` on each side's value (its checkout, or its package)
+    once in each pair i, in ``pair_order``: one ``{"pair", "side", "order",
+    **result}`` per run, where ``result`` is what ``run`` returned."""
     runs = []
     for i in range(pairs):
-        for order, (side, root) in enumerate(pair_order(i, sides)):
-            runs.append({"pair": i, "side": side, "order": order, **last_json_line(cmd, root)})
+        for order, (side, value) in enumerate(pair_order(i, sides)):
+            runs.append({"pair": i, "side": side, "order": order, **run(value, i)})
             print(f"{label} pair {i} {side}: {json.dumps(runs[-1])}", file=sys.stderr)
     return runs
 
@@ -326,13 +323,24 @@ def split(runs: list[dict], value: Callable[[dict], float]) -> tuple[list[float]
             [value(r) for r in runs if r["side"] == "change"])
 
 
+def cpu_ratio(runs: list[dict]) -> dict:
+    """Each pair's change ``cpu_s`` over the parent's (``ratios``), their
+    ``median`` and ``ci95``, a 95 % bootstrap interval of that median."""
+    ratios = [c / p for p, c in zip(*split(runs, lambda r: r["cpu_s"]))]
+    rng = random.Random(BOOTSTRAP_SEED)
+    medians = [statistics.median(rng.choices(ratios, k=len(ratios)))
+               for _ in range(BOOTSTRAP_RESAMPLES)]
+    cuts = statistics.quantiles(medians, n=40, method="inclusive")  # 2.5 %, ..., 97.5 %
+    return {"median": statistics.median(ratios), "ci95": [cuts[0], cuts[-1]], "ratios": ratios}
+
+
 def bench_workloads(sides: dict[str, Path], bench: dict, pairs: int, seconds: float,
                     seed: int | None) -> dict:
     out = {}
     for workload in (w["name"] for w in bench["workloads"]):
         cmd = [*bench["command"], "--workload", workload, "--seconds", repr(seconds),
                "--trace", "0"] + ([] if seed is None else ["--seed", str(seed)])
-        runs = alternate(sides, pairs, workload, cmd)
+        runs = alternate(sides, pairs, workload, lambda root, i: last_json_line(cmd, root))
         results = {}
         for metric in bench["end_to_end"]:
             name, bound = metric["name"], metric["bound"]
@@ -348,6 +356,17 @@ def bench_workloads(sides: dict[str, Path], bench: dict, pairs: int, seconds: fl
     return out
 
 
+def bench_cold_run(sides: dict[str, Path], pairs: int, config: Path, out: Path) -> dict:
+    """The ``cold_run`` record of ``COLD_RUN`` on ``config`` (a path in the
+    change's checkout, or an absolute one), writing into ``out``."""
+    cmd = [sys.executable, "-c", COLD_RUN, str(ROOT / config), str(out)]
+    runs = alternate(sides, pairs, "cold_run", lambda root, i: last_json_line(cmd, root))
+    return {"config": config.as_posix(),
+            **{key: compare(*split(runs, lambda r: r[key]), "lower")
+               for key in ("wall_s", "vmhwm_mb")},
+            "runs": runs}
+
+
 def workload_config(workload: str, scratch: Path, seed: int | None) -> tuple[Path, int]:
     """The benchmark's config file for ``workload``, as the change's
     ``perfbench/run.py`` writes it, and its seed."""
@@ -360,41 +379,21 @@ def workload_config(workload: str, scratch: Path, seed: int | None) -> tuple[Pat
     return config, seed
 
 
-def side_record(sides: dict[str, Path], pairs: int, scratch: Path, seed: int | None,
-                label: str, script: str, config: Path | str,
-                args: tuple[str, ...]) -> tuple[dict, dict]:
-    """One entry of ``SIDE_RECORDS`` run by ``alternate``: where its config
-    came from, and the spread of each float its script printed (not an exit
-    code or a digest), with the runs."""
-    if isinstance(config, Path):
-        path, source = ROOT / config, {"config": config.as_posix()}
-    else:
-        path, seed = workload_config(config, scratch, seed)
-        source = {"workload": config, "seed": seed}
-    runs = alternate(sides, pairs, label, side_command(script, path, args, scratch / label))
-    floats = [key for key, value in runs[0].items() if isinstance(value, float) and key != "load1"]
-    return source, {**{key: compare(*split(runs, lambda r: r[key]), "lower") for key in floats},
-                    "runs": runs}
-
-
-def bench_sides(sides: dict[str, Path], pairs: int, scratch: Path, seed: int | None) -> dict:
-    """The d32, cold run, generate and memory records: every entry of
-    ``SIDE_RECORDS`` through ``side_record``, laid out as the module
-    docstring says."""
-    source, record = {}, {}
-    for label, *entry in SIDE_RECORDS:
-        source[label], record[label] = side_record(sides, pairs, scratch, seed, label, *entry)
-    d32, peaks = record["d32"], dict(record["memory"])
-    runs = peaks.pop("runs")
+def bench_library(packages: dict[str, ModuleType], configs: dict[str, Path],
+                  pairs: dict[str, int], out: Path) -> dict:
+    """The ``d32``, ``generate`` and ``memory`` records, each on its config
+    in ``configs`` and the timed ones over their ``pairs``; see the module
+    docstring. d32 writes into ``out``."""
+    d32 = alternate(packages, pairs["d32"], "d32",
+                    lambda package, i: run_cpu(package, configs["d32"], out))
+    generate = alternate(packages, pairs["generate"], "generate",
+                         lambda package, i: generate_cpu(package, configs["generate"], i))
     return {
-        "d32": {**source["d32"], **d32,
-                "same_bytes": len({tuple(r["sha256"]) for r in d32["runs"]}) == 1},
-        "cold_run": {**source["cold_run"], **record["cold_run"]},
-        "generate": {**source["generate workers_1"],
-                     **{label.split()[1]: r for label, r in record.items()
-                        if label.startswith("generate ")}},
-        "memory": {**source["memory"], "workers": 1, "unit": "KiB", "peak_kib": peaks,
-                   "runs": runs},
+        "d32": {"config": configs["d32"].as_posix(), "cpu_ratio": cpu_ratio(d32),
+                "same_bytes": len({tuple(run["sha256"]) for run in d32}) == 1, "runs": d32},
+        "generate": {"cpu_ratio": cpu_ratio(generate), "runs": generate},
+        "memory": {side: peak_kib(package, configs["memory"])
+                   for side, package in packages.items()},
     }
 
 
@@ -448,11 +447,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         extract(parent_commit, tree)
         sides = {"parent": tree, "change": ROOT}
-        faults = preflight(sides, scratch)
-        for fault in faults:
-            print(f"pre-flight: {fault}", file=sys.stderr)
-        if faults:
+        packages = {side: load_tree(root, f"{side}_poisson_bm") for side, root in sides.items()}
+        if preflight(packages, sides, scratch):
             return 1
+        rate_sweep, seed = workload_config("rate_sweep", scratch, args.seed)
+        long_paths, _ = workload_config("long_paths", scratch, args.seed)
         record = {
             "parent": {"commit": parent_commit},
             "change": change,
@@ -460,8 +459,15 @@ def main(argv: list[str] | None = None) -> int:
             "settings": {"pairs": args.pairs, "seconds": args.seconds,
                          "seed": "benchmark default" if args.seed is None else args.seed},
             "workloads": bench_workloads(sides, bench, args.pairs, args.seconds, args.seed),
-            **bench_sides(sides, args.pairs, scratch, args.seed),
+            "cold_run": bench_cold_run(sides, args.pairs, Path("configs/demo.cfg"),
+                                       scratch / "cold_run"),
         }
+        # after every fresh interpreter, which would inherit this one's peak RSS
+        library = bench_library(packages, {"d32": Path("configs/d32.cfg"), "generate": rate_sweep,
+                                           "memory": long_paths}, LIBRARY_PAIRS, scratch / "d32")
+        record["d32"] = library["d32"]
+        record["generate"] = {"workload": "rate_sweep", "seed": seed, **library["generate"]}
+        record["memory"] = {"workload": "long_paths", "seed": seed, "peak_kib": library["memory"]}
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
