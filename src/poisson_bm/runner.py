@@ -114,18 +114,21 @@ def _chunk_values(job: tuple[RunConfig, int, int, int]) -> np.ndarray:
     return out
 
 
-def _chunk_rows(config: RunConfig) -> int:
-    """Rows per chunk. Rows never depend on chunking, because each row's
-    stream is keyed by its replication index."""
-    return max(1, -(-config.replications_M // (config.workers * 8)))
+def _processes(config: RunConfig) -> int:
+    """How many processes make the run's rows: at most ``workers``, one per
+    replication and one per CPU. The pool and the chunks are both sized
+    from it; rows never depend on either, because each row's stream is
+    keyed by its replication index."""
+    return min(config.workers, config.replications_M, os.cpu_count() or 1)
 
 
 def _pool(config: RunConfig) -> contextlib.AbstractContextManager[Executor | None]:
-    """A pool of at most one process per chunk of ``config`` and per CPU or,
-    where that bound is one, ``nullcontext()``: no pool, the caller makes
-    every row. Under fork the pool starts all its processes at its first submit."""
-    chunks = -(-config.replications_M // _chunk_rows(config))
-    size = min(config.workers, chunks, os.cpu_count() or 1)
+    """A pool of ``_processes(config)`` processes or, where that is one,
+    ``nullcontext()``: no pool, the caller makes every row. ``workers`` is
+    an upper bound, so asking for more than the CPUs changes neither the
+    bytes nor the work. Under fork the pool starts all its processes at
+    its first submit."""
+    size = _processes(config)
     if size == 1:
         return contextlib.nullcontext()
     # imported here, so that only a run that starts a pool loads multiprocessing
@@ -142,12 +145,12 @@ def generate_samples(
     ``grid`` must be the config's own, ``config.grid``: ``RunConfig.validate``
     capped the block at its times. The parameter stays until the benchmark
     is re-based (ROADMAP item 2): its tracer reads ``eps_index`` as the
-    third positional argument. The chunks
-    go to ``pool`` or, when none is given, to ``_pool``'s, shut down on
-    return; where that is no pool, this process makes every row. Each
-    chunk's job is (config, eps_index, start, stop), and whichever process
-    makes its rows makes their plan; the rows are copied into the one
-    (M, d, G) block as they arrive.
+    third positional argument. The rows are cut into eight chunks per
+    process of ``_processes(config)``, which go to ``pool`` or, when none
+    is given, to ``_pool``'s, shut down on return; where that is no pool,
+    this process makes every row. Each chunk's job is (config, eps_index,
+    start, stop), and whichever process makes its rows makes their plan;
+    the rows are copied into the one (M, d, G) block as they arrive.
     """
     if grid != config.grid:
         raise ValueError(
@@ -159,7 +162,7 @@ def generate_samples(
         if pool is None:
             values = _chunk_values((config, eps_index, 0, M))
         else:
-            chunk = _chunk_rows(config)
+            chunk = -(-M // (8 * _processes(config)))
             jobs = [(config, eps_index, lo, min(lo + chunk, M)) for lo in range(0, M, chunk)]
             values = np.empty((M, config.theta.dimension, len(grid)))
             for (*_, lo, hi), rows in zip(jobs, pool.map(_chunk_values, jobs)):

@@ -68,6 +68,10 @@ class DegenerateSampleError(ValueError):
 _SIGMA_EXP_MAX = 1000
 _SIGMA_EXP_MIN = -1000
 
+# Lanes whose exact partials math.fsum rounds per batch: the Python floats
+# and tuples of a batch, not of every lane, are alive at once.
+_FSUM_LANES = 4096
+
 
 def _exact_sum(values: np.ndarray, axis: int | None = None):
     """math.fsum of ``values``, bit for bit: of a whole 1-D array when
@@ -81,7 +85,7 @@ def _exact_sum(values: np.ndarray, axis: int | None = None):
     exact in any order. x - q is exact too, and at most ulp(sigma)/2,
     so each round strips at least 52 - k bits. A lane ends when its
     remainder is zero, and math.fsum rounds the sum of its exact
-    partials once.
+    partials once, ``_FSUM_LANES`` lanes at a time.
     """
     x = np.asarray(values, dtype=np.float64)
     lanes = x.reshape(1, -1) if axis is None else (x.T if axis == 0 else x)  # (L, n)
@@ -111,7 +115,10 @@ def _exact_sum(values: np.ndarray, axis: int | None = None):
         q -= sigma
         rest -= q
         parts.append(q.sum(axis=ax))
-    sums = np.array([math.fsum(p) for p in zip(*(p.tolist() for p in parts))])
+    sums = np.empty(L)
+    for lo in range(0, L, _FSUM_LANES):
+        batch = zip(*(p[lo:lo + _FSUM_LANES].tolist() for p in parts))
+        sums[lo:lo + _FSUM_LANES] = [math.fsum(p) for p in batch]
     for j in np.flatnonzero(whole):
         sums[j] = math.fsum(lanes[j].tolist())
     return float(sums[0]) if axis is None else sums

@@ -43,6 +43,8 @@ def test_verdict_against_a_quarter_bound(parent, change, better, want):
 # ten pairs around a median of 1.0; inclusive quartiles 0.92 and 1.08, an IQR of 16 %
 PARENT_16 = [0.86, 0.88, 0.92, 0.92, 0.98, 1.02, 1.08, 1.08, 1.10, 1.14]
 PARENT_2 = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.02, 0.98]
+# ten pairs whose spread is 0.1 % of the median, as peak_rss_mb's runs are
+PARENT_TIGHT = [1.000, 1.001, 0.999, 1.0005, 0.9995, 1.000, 1.001, 0.999, 1.0005, 0.9995]
 
 
 @pytest.mark.parametrize(
@@ -53,14 +55,40 @@ PARENT_2 = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.02, 0.98]
         (PARENT_2, [1.5] + [0.8 * x for x in PARENT_2[1:]], "met"),  # 9 of 10
         (PARENT_2, [1.5, 1.5] + [0.8 * x for x in PARENT_2[2:]], "not met"),  # 8 of 10
         (PARENT_2, PARENT_2[:2] + [0.8 * x for x in PARENT_2[2:]], "not met"),  # 8 and 2 ties
+        # every pair won and the gap is far outside the IQR, but below 2 % of the median
+        (PARENT_TIGHT, [0.99 * x for x in PARENT_TIGHT], "not met"),
+        (PARENT_TIGHT, [0.97 * x for x in PARENT_TIGHT], "met"),
     ],
-    ids=["median_gap_inside_iqr", "nine_of_ten", "eight_of_ten", "ties_are_not_wins"],
+    ids=["median_gap_inside_iqr", "nine_of_ten", "eight_of_ten", "ties_are_not_wins",
+         "gap_below_the_least_gain", "gap_above_the_least_gain"],
 )
 def test_claim_verdict(parent, change, want):
     result = bench_pairs.compare(parent, change, "lower")
     assert bench_pairs.claim_verdict(result) == want
     flipped = bench_pairs.compare([-x for x in parent], [-x for x in change], "higher")
     assert bench_pairs.claim_verdict(flipped) == want
+
+
+# the claims each committed BENCH file meets under the rule, by workload and
+# metric: none of the sub-percent peak_rss_mb moves of 29, 32, 34 and 35
+COMMITTED_CLAIMS = {
+    "BENCH_27.json": {("rate_sweep", "run_s"), ("rate_sweep", "cpu_s"),
+                      ("rate_sweep", "reps_per_s")},
+    "BENCH_29.json": set(),
+    "BENCH_30.json": {("long_paths", "peak_rss_mb"), ("rate_sweep", "peak_rss_mb")},
+    "BENCH_32.json": set(),
+    "BENCH_34.json": set(),
+    "BENCH_35.json": set(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMITTED_CLAIMS))
+def test_committed_records_reread_with_the_claim_rule(name):
+    record = json.loads((bench_pairs.ROOT / name).read_text())
+    met = {(workload, metric) for workload, result in record["workloads"].items()
+           for metric, compared in result["metrics"].items()
+           if bench_pairs.claim_verdict(compared) == "met"}
+    assert met == COMMITTED_CLAIMS[name]
 
 
 def _record(failed=(0, 0), same_bytes=True):

@@ -1,14 +1,16 @@
 """Config-space robustness: random config files end in a written report
 (exit 0 or 1) or a clean configuration error (exit 2), never a traceback,
 and every written report.json is strict JSON. A config that loads and is
-admissible ends in a report: ``run_experiment`` returns for it, and the
-CLI exits 0 or 1. Horizons are drawn from a uniform range and from
+admissible ends in a report: ``run_experiment`` returns for it with one
+report.json text and one assertions.csv text at workers 1, 2 and 64,
+and the CLI exits 0 or 1. Horizons are drawn from a uniform range and from
 extremes down to the smallest float. A second draw takes extreme
 rational angles: p/q pi with p and q of up to 400 digits, and q either
 side of 2**30, the largest denominator an angle may have."""
 
 import json
 import random
+from dataclasses import replace
 
 from poisson_bm.cli import main
 from poisson_bm.report import REPORT_FILENAME
@@ -16,6 +18,10 @@ from poisson_bm.runconfig import ConfigError, load_config
 from poisson_bm.runner import CHECKS, run_experiment
 
 CONFIGS = 40
+
+# each admissible config runs at every count: serial, a pool, and a count
+# above the CPUs of most hosts
+WORKER_COUNTS = (1, 2, 64)
 
 # horizons whose grid steps reach the smallest floats, beside the uniform range
 EXTREME_HORIZONS = (5e-324, 1e-323, 1.5e-323, 1e-300, 1e-200)
@@ -91,8 +97,12 @@ def _exit_codes(tmp_path, seed: int, angle) -> list[int]:
         config = _loaded(path)
         if config is not None:
             # the CLI maps any ValueError to exit 2, so a run that fails after
-            # its config loaded would otherwise pass as a configuration error
-            run_experiment(config)
+            # its config loaded would otherwise pass as a configuration error;
+            # and the worker count moves no byte of either file
+            outputs = {(report.to_json_text(), report.assertions_csv_text())
+                       for report in (run_experiment(replace(config, workers=workers))
+                                      for workers in WORKER_COUNTS)}
+            assert len(outputs) == 1, path.read_text()
         code = main(["run", str(path)])
         assert code in ((0, 1) if config is not None else (2,)), (code, path.read_text())
         if (out / REPORT_FILENAME).exists():

@@ -63,10 +63,12 @@ def minimal_config(**overrides):
 
 class InProcessPool:
     """Stands in for ProcessPoolExecutor: records each pool's size and the
-    epsilon index of each map, and makes each chunk in process as it is read."""
+    epsilon index and job count of each map, and makes each chunk in
+    process as it is read."""
 
     sizes: list[int]
     generated: list[int]
+    jobs: list[int]
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -79,6 +81,7 @@ class InProcessPool:
 
     def map(self, fn, items):
         self.generated.append(items[0][1])  # a job is (config, eps_index, start, stop)
+        self.jobs.append(len(items))
         return map(fn, items)
 
 
@@ -88,6 +91,7 @@ def in_process_pool(monkeypatch):
     ``runner._pool`` imports where it starts a pool, with empty records."""
     monkeypatch.setattr(InProcessPool, "sizes", [], raising=False)
     monkeypatch.setattr(InProcessPool, "generated", [], raising=False)
+    monkeypatch.setattr(InProcessPool, "jobs", [], raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return InProcessPool
 
@@ -462,6 +466,24 @@ class TestOnePoolPerRun:
         assert sizes == [2]
         assert generated == [0, 1, 2]
         assert pooled.to_json_text() == run_experiment(replace(cfg, workers=1)).to_json_text()
+
+    def test_workers_beyond_the_cpus_change_neither_the_pool_nor_the_chunks(
+        self, monkeypatch, in_process_pool
+    ):
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        cfg = self._config()
+        serial = run_experiment(replace(cfg, workers=1))
+        jobs = {}
+        for workers in (2, 64):
+            in_process_pool.sizes.clear()
+            in_process_pool.jobs.clear()
+            report = run_experiment(replace(cfg, workers=workers))
+            assert in_process_pool.sizes == [2]
+            jobs[workers] = list(in_process_pool.jobs)
+            assert report.to_json_text() == serial.to_json_text()
+            assert report.assertions_csv_text() == serial.assertions_csv_text()
+        # 40 rows in chunks of ceil(40 / (8 * 2)) = 3, for each of the three epsilons
+        assert jobs[64] == jobs[2] == [14] * 3
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs 2 CPUs")
     def test_no_process_outlives_a_run(self):

@@ -178,6 +178,18 @@ class TestCompensatedSum:
             got = np.atleast_1d(_exact_sum(values, axis)).tolist()
             assert [struct.pack("<d", g) for g in got] == expected, (trial, axis)
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_lanes_across_rounding_batches_equal_fsum(self, axis):
+        # more lanes than one batch of the final rounding, the last batch
+        # short, with lanes that math.fsum takes whole in two batches
+        rng = np.random.default_rng(20262 + axis)
+        lanes = 2 * stats._FSUM_LANES + 3
+        block = rng.standard_normal((lanes, 3)) * 10.0 ** rng.integers(-30, 30, (lanes, 3))
+        block[5, 1], block[-2, 0] = math.inf, 1e303
+        expected = [_fsum_or_error(row) for row in block.tolist()]
+        got = _exact_sum(block.T if axis == 0 else block, axis).tolist()
+        assert [struct.pack("<d", g) for g in got] == expected
+
 
 class TestIncrementCovariance:
     def test_diagonal_matches_exact_second_moment(self):
@@ -543,6 +555,19 @@ class TestQuadraticVariation:
         finally:
             tracemalloc.stop()
         assert peak < block.values.nbytes / 2
+
+    def test_short_rows_keep_the_final_rounding_bounded(self):
+        # 2^18 one-step rows, one chunk of 4.2 MB: one Python float and
+        # tuple per partial of every row at once peaked at 54.2 MB
+        values = np.random.default_rng(224).standard_normal((2**18, 1, 2))
+        block = SampleBlock(0.2, ThetaConfig(cos_block=[2.2]), EvaluationGrid(1.0, 1), values)
+        tracemalloc.start()
+        try:
+            quadratic_variation(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
 
 
 class TestFourthMoment:

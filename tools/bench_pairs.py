@@ -44,7 +44,10 @@ verdict against that bound, a share of the parent's median:
 
 and a ``claim``, the verdict on a gain claimed for that metric: ``met``
 only when the change won at least nine pairs in ten and its median beats
-the parent's by more than the parent's IQR, ``not met`` otherwise.
+the parent's by more than the parent's IQR and by more than
+``CLAIM_MIN_GAIN`` (2 %) of the parent's median, ``not met`` otherwise.
+The share keeps a metric whose runs barely spread, such as
+``peak_rss_mb``, from reading ``met`` for a move of no practical size.
 
 ``cold_run``: both sides run ``poisson-bm run configs/demo.cfg`` cold;
 each run is ``cli.main(["run", ...])`` in a fresh interpreter, with its
@@ -118,6 +121,8 @@ OUTPUT_FILES = ("report.json", "assertions.csv")
 LIBRARY_PAIRS = {"d32": 10, "generate": 40}
 BOOTSTRAP_RESAMPLES = 2000
 BOOTSTRAP_SEED = 0
+# the least gain, as a share of the parent's median, that a claim can meet
+CLAIM_MIN_GAIN = 0.02
 
 # Runs in a fresh interpreter with the side's checkout as working directory:
 # `poisson-bm run` on a config, writing into a given directory, with the
@@ -296,7 +301,8 @@ def claim_verdict(result: dict) -> str:
     sign = -1.0 if result["better"] == "lower" else 1.0
     gap = sign * (result["change"]["median"] - result["parent"]["median"])
     won = 10 * result["change_wins"] >= 9 * result["pairs"]
-    return "met" if won and gap > result["parent"]["iqr"] else "not met"
+    least = max(result["parent"]["iqr"], CLAIM_MIN_GAIN * abs(result["parent"]["median"]))
+    return "met" if won and gap > least else "not met"
 
 
 def pair_order(i: int, sides: dict) -> list[tuple]:
