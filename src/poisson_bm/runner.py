@@ -114,20 +114,30 @@ def _chunk_values(job: tuple[RunConfig, int, int, int]) -> np.ndarray:
     return out
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the size of its affinity mask where
+    the platform has one (a ``taskset`` or a container's cpuset narrows
+    it), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _processes(config: RunConfig) -> int:
     """How many processes make the run's rows: at most ``workers``, one per
-    replication and one per CPU. The pool and the chunks are both sized
-    from it; rows never depend on either, because each row's stream is
-    keyed by its replication index."""
-    return min(config.workers, config.replications_M, os.cpu_count() or 1)
+    replication and one per CPU the process may run on (``_usable_cpus``).
+    The pool and the chunks are both sized from it; rows never depend on
+    either, because each row's stream is keyed by its replication index."""
+    return min(config.workers, config.replications_M, _usable_cpus())
 
 
 def _pool(config: RunConfig) -> contextlib.AbstractContextManager[Executor | None]:
     """A pool of ``_processes(config)`` processes or, where that is one,
     ``nullcontext()``: no pool, the caller makes every row. ``workers`` is
-    an upper bound, so asking for more than the CPUs changes neither the
-    bytes nor the work. Under fork the pool starts all its processes at
-    its first submit."""
+    an upper bound, so asking for more than the usable CPUs changes neither
+    the bytes nor the work, and where the process may run on one CPU only,
+    no pool starts at any worker count. Under fork the pool starts all its
+    processes at its first submit."""
     size = _processes(config)
     if size == 1:
         return contextlib.nullcontext()

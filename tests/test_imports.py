@@ -1,5 +1,6 @@
 """No stage of a run loads scipy, with or without a normality check, and
-only a run that starts a pool loads multiprocessing.
+only a run that starts a pool loads multiprocessing: none does in a
+process that may run on one CPU only.
 
 Each case runs in a fresh interpreter, since this one has long since
 imported whatever the other tests needed.
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import poisson_bm.runner as runner
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,7 +60,14 @@ checks = {checks}
 """
 
 
-def _stages(tmp_path, checks, module="scipy"):
+# put before STAGES: the child narrows its own affinity mask to one of its CPUs
+ONE_CPU = """
+import os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+"""
+
+
+def _stages(tmp_path, checks, module="scipy", prelude=""):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIG.format(checks=checks), encoding="utf-8")
     env = dict(os.environ)
@@ -65,7 +75,7 @@ def _stages(tmp_path, checks, module="scipy"):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", STAGES, str(cfg), str(tmp_path / "out"), module],
+        [sys.executable, "-c", prelude + STAGES, str(cfg), str(tmp_path / "out"), module],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -91,10 +101,20 @@ def test_a_normality_check_never_loads_scipy(tmp_path, checks):
 
 
 def test_only_a_run_that_starts_a_pool_loads_multiprocessing(tmp_path):
-    # at workers 2 a pool starts where there are two CPUs to run it
-    pooled = (os.cpu_count() or 1) > 1
+    # at workers 2 a pool starts where the child, which inherits this
+    # process's mask, may run on two CPUs
+    pooled = runner._usable_cpus() > 1
     loaded = _stages(tmp_path, "covariance", module="multiprocessing")
     assert loaded == {
         "import": False, "setup": False, "validate": False,
         "run_workers_1": False, "run_workers_2": pooled, "plot": pooled,
+    }
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity masks here")
+def test_a_run_narrowed_to_one_cpu_never_loads_multiprocessing(tmp_path):
+    loaded = _stages(tmp_path, "covariance", module="multiprocessing", prelude=ONE_CPU)
+    assert loaded == {
+        "import": False, "setup": False, "validate": False,
+        "run_workers_1": False, "run_workers_2": False, "plot": False,
     }

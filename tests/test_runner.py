@@ -113,7 +113,9 @@ class TestGenerateSamples:
             assert np.array_equal(block.values[r], build_sample(path, plan).values[0])
 
 
-    # want: the processes that make rows; at 1 no pool starts
+    # want: the processes that make rows; at 1 no pool starts. Where the
+    # platform has no affinity mask, the machine's count caps the pool
+    # (None read as 1)
     @pytest.mark.parametrize(
         "workers,cpus,M,want",
         [(100_000, 2, 40, 2), (100_000, None, 40, 1), (100_000, 1, 40, 1), (3, 8, 40, 3),
@@ -123,6 +125,7 @@ class TestGenerateSamples:
         self, monkeypatch, in_process_pool, workers, cpus, M, want
     ):
         sizes = in_process_pool.sizes
+        monkeypatch.delattr(runner.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
         grid = EvaluationGrid(1.0, 2)
         cfg = minimal_config(replications_M=M, grid_points=2, workers=workers,
@@ -132,7 +135,7 @@ class TestGenerateSamples:
         serial = generate_samples(replace(cfg, workers=1), grid, 0)
         assert block.values.tobytes() == serial.values.tobytes()
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs 2 CPUs")
+    @pytest.mark.skipif(runner._usable_cpus() < 2, reason="a pool needs 2 usable CPUs")
     def test_the_process_that_makes_the_rows_makes_their_plan(self, monkeypatch):
         pids = []
 
@@ -151,7 +154,8 @@ class TestGenerateSamples:
             assert pids == [os.getpid()] * calls
         assert pooled.values.tobytes() == serial.values.tobytes()
 
-    def test_pooled_chunks_are_gathered_into_one_block(self, in_process_pool):
+    def test_pooled_chunks_are_gathered_into_one_block(self, monkeypatch, in_process_pool):
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
         M, steps = 400, 64
         cfg = minimal_config(replications_M=M, grid_points=steps, workers=2,
                              checks=("covariance",))
@@ -460,7 +464,7 @@ class TestOnePoolPerRun:
 
     def test_one_pool_for_every_epsilon(self, monkeypatch, in_process_pool):
         sizes, generated = in_process_pool.sizes, in_process_pool.generated
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
         cfg = self._config()
         pooled = run_experiment(cfg)
         assert sizes == [2]
@@ -470,7 +474,7 @@ class TestOnePoolPerRun:
     def test_workers_beyond_the_cpus_change_neither_the_pool_nor_the_chunks(
         self, monkeypatch, in_process_pool
     ):
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
         cfg = self._config()
         serial = run_experiment(replace(cfg, workers=1))
         jobs = {}
@@ -485,12 +489,31 @@ class TestOnePoolPerRun:
         # 40 rows in chunks of ceil(40 / (8 * 2)) = 3, for each of the three epsilons
         assert jobs[64] == jobs[2] == [14] * 3
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs 2 CPUs")
+    # a machine of 64 CPUs whose affinity mask lets the run use one or two:
+    # the mask, not the machine, sizes the pool and its chunks
+    @pytest.mark.parametrize("mask,pool,jobs", [({0}, [], []), ({0, 1}, [2], [14] * 3)])
+    def test_a_narrow_mask_on_a_wide_machine_sizes_the_pool(
+        self, monkeypatch, in_process_pool, mask, pool, jobs
+    ):
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: mask, raising=False)
+        cfg = self._config()
+        serial = run_experiment(replace(cfg, workers=1))
+        for workers in (2, 64):
+            in_process_pool.sizes.clear()
+            in_process_pool.jobs.clear()
+            report = run_experiment(replace(cfg, workers=workers))
+            assert in_process_pool.sizes == pool
+            assert in_process_pool.jobs == jobs
+            assert report.to_json_text() == serial.to_json_text()
+            assert report.assertions_csv_text() == serial.assertions_csv_text()
+
+    @pytest.mark.skipif(runner._usable_cpus() < 2, reason="a pool needs 2 usable CPUs")
     def test_no_process_outlives_a_run(self):
         run_experiment(self._config())
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs 2 CPUs")
+    @pytest.mark.skipif(runner._usable_cpus() < 2, reason="a pool needs 2 usable CPUs")
     def test_no_process_outlives_a_check_that_raises(self):
         src = str(Path(runner.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
